@@ -21,12 +21,10 @@ from .errors import (ConfigError, KsblowError, NumericalError, ParameterError,
 from .params import (SystemParams, TestFnParams, ball_volume, default_testfn_params,
                      delta_lower_bound, delta_quadratic, f0_threshold, h_value,
                      sphere_area, validate)
-from .signal import (CutoffSpec, SignalProfile, c_chi, chi_eval, f_eval, F_eval,
-                     Fs_eval)
-from .solver import (ComparisonReport, Mesh, SolverConfig, SolverTolerances,
-                     SweepReport, Trajectory, build_mesh, comparison_check,
-                     measured_c_sub, proper_sweep, solve_regularized,
-                     subsolution_candidate)
+from .signal import CutoffSpec, SignalProfile, c_chi, chi_eval
+from .solver import (ComparisonReport, Mesh, SolverConfig, SweepReport, Trajectory,
+                     build_mesh, comparison_check, measured_c_sub, proper_sweep,
+                     solve_regularized, subsolution_candidate)
 from .transform import (DiracAtom, MassFunction, RadialDensity,
                         estimate_origin_limit, read_csv, reconstruct, total_mass,
                         w0_from_density, write_csv)

@@ -664,6 +664,21 @@ class BlowupReport:
         return out
 
 
+def indicator_series(traj: Trajectory, beta: float) -> list:
+    """sup W/s^beta over the probes 0 < s <= s_max/2 at each snapshot, as
+    (t, value, s) rows."""
+    s = traj.mesh.nodes
+    probe = (s > 0.0) & (s <= traj.mesh.s_max / 2.0)
+    sp = s[probe]
+    weights = sp ** (-beta)
+    rows = []
+    for t, w in zip(traj.times, traj.snapshots):
+        vals = w[probe] * weights
+        i = int(np.argmax(vals))
+        rows.append((t, float(vals[i]), float(sp[i])))
+    return rows
+
+
 def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None = None
                      ) -> BlowupReport:
     """sup W/s^beta over probes s <= s_max/2 and all snapshot times, plus the
@@ -671,19 +686,13 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
     betas = tuple(float(b) for b in betas)
     if any(b < 1.0 for b in betas):
         raise ParameterError("betas must be >= 1")
-    s = traj.mesh.nodes
-    probe = (s > 0.0) & (s <= traj.mesh.s_max / 2.0)
-    sp = s[probe]
     sup = {}
     for beta in betas:
-        best, where = -math.inf, (math.nan, math.nan)
-        weights = sp ** (-beta)
-        for t, w in zip(traj.times, traj.snapshots):
-            vals = w[probe] * weights
-            i = int(np.argmax(vals))
-            if vals[i] > best:
-                best, where = float(vals[i]), (float(sp[i]), t)
-        sup[beta] = (best, where[0], where[1])
+        # max keeps the earliest snapshot on ties
+        t, value, s_at = max(indicator_series(traj, beta), key=lambda row: row[1])
+        sup[beta] = (value, s_at, t)
+    s = traj.mesh.nodes
+    probe = (s > 0.0) & (s <= traj.mesh.s_max / 2.0)
     h = np.diff(s)
     probe_cell = probe[:-1]
     lip, lip_where = -math.inf, (math.nan, math.nan)
@@ -693,7 +702,7 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
         if slopes[i] > lip:
             lip, lip_where = float(slopes[i]), (float(s[:-1][probe_cell][i]), t)
     final = traj.mass_function(len(traj.times) - 1)
-    n = _infer_dimension(traj)
+    n = traj.n
     atom = sphere_area(n) / n * estimate_origin_limit(final)
     verdicts = {"finite_epsilon_trend": True}
     if y_report is not None:
@@ -708,10 +717,3 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
                     "times": list(traj.times), "epsilon": traj.epsilon,
                     "atom_model": "jump-plus-power extrapolation at the origin"},
         y_report=y_report, verdicts=verdicts)
-
-
-def _infer_dimension(traj: Trajectory) -> int:
-    n = traj.metadata.get("n")
-    if n is None:
-        raise ParameterError("trajectory metadata lacks the dimension n")
-    return int(n)

@@ -3,13 +3,14 @@
 Subcommands::
 
     ksblow validate       --config cfg.json
-    ksblow simulate       --config cfg.json [--out DIR] [--threads K]
+    ksblow simulate       --config cfg.json [--out DIR]
     ksblow verify-lemmas  --config cfg.json [--out DIR]
-    ksblow blowup         --config cfg.json [--out DIR] [--threads K]
+    ksblow blowup         --config cfg.json [--out DIR]
     ksblow weak-residual  --config cfg.json [--out DIR]
 
-Exit codes are a stable contract: 0 ok, 1 config error, 2 infeasible,
-3 solver failure, 4 lemma-check failure, 5 parameter-selection failure.
+Exit codes are a stable contract: 0 ok, 1 config or usage error,
+2 infeasible, 3 solver failure, 4 lemma-check failure, 5 parameter-selection
+failure.
 
 Every emitted file is declared in the run manifest with its sha256 hash;
 identical configs reproduce byte-identical CSVs.
@@ -25,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (build_testfunction, blowup_indicator, select_blowup_params,
-                       verify_integral_bound, verify_ode_inequality, y_functional)
+from .analysis import (build_testfunction, blowup_indicator, indicator_series,
+                       select_blowup_params, verify_integral_bound,
+                       verify_ode_inequality, y_functional)
 from .config import RunConfig, config_to_dict, load_config
 from .errors import (ConfigError, KsblowError, ParameterError, SelectionError,
                      SolverError)
@@ -128,17 +130,8 @@ def _prepare_run(cfg: RunConfig):
     profile = SignalProfile.from_params(params)
     base = SolverConfig(epsilon=sec.epsilon if sec.epsilon is not None else 0.5,
                         t_end=sec.t_end, output_times=sec.output_times,
-                        cfl_safety=sec.cfl_safety, max_dt=sec.max_dt,
-                        limiter=sec.limiter)
+                        cfl_safety=sec.cfl_safety, max_dt=sec.max_dt)
     return params, profile, mesh, w0, base
-
-
-def _indicator_series(traj, beta=1.0):
-    s = traj.mesh.nodes
-    probe = (s > 0.0) & (s <= traj.mesh.s_max / 2.0)
-    weights = s[probe] ** (-beta)
-    return [(t, float(np.max(w[probe] * weights))) for t, w in
-            zip(traj.times, traj.snapshots)]
 
 
 def _emit_run(traj, run_dir: Path) -> None:
@@ -146,7 +139,7 @@ def _emit_run(traj, run_dir: Path) -> None:
     for k, t in enumerate(traj.times):
         write_csv(traj.mass_function(k), run_dir / f"snapshot_t{t:g}.csv")
     _write_rows(run_dir / "indicator_beta1.csv", "t,indicator",
-                _indicator_series(traj))
+                [(t, value) for t, value, _ in indicator_series(traj, 1.0)])
 
 
 def cmd_validate(cfg_path: str) -> int:
@@ -160,7 +153,7 @@ def cmd_validate(cfg_path: str) -> int:
     return EXIT_OK if params.feasible else EXIT_INFEASIBLE
 
 
-def cmd_simulate(cfg_path: str, out_flag=None, threads: int = 1) -> int:
+def cmd_simulate(cfg_path: str, out_flag=None) -> int:
     cfg = load_config(cfg_path)
     out_dir = _resolve_out(cfg, out_flag)
     params, profile, mesh, w0, base = _prepare_run(cfg)
@@ -169,7 +162,7 @@ def cmd_simulate(cfg_path: str, out_flag=None, threads: int = 1) -> int:
     try:
         if sec.eps_list:
             trajectories, report = proper_sweep(params, w0, base, sec.eps_list,
-                                                profile=profile, threads=threads)
+                                                profile=profile)
             for traj in trajectories:
                 _emit_run(traj, out_dir / f"eps_{traj.epsilon:g}")
                 runs.append(traj.metadata)
@@ -290,7 +283,7 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
     return EXIT_OK
 
 
-def cmd_blowup(cfg_path: str, out_flag=None, threads: int = 1) -> int:
+def cmd_blowup(cfg_path: str, out_flag=None) -> int:
     cfg = load_config(cfg_path)
     out_dir = _resolve_out(cfg, out_flag)
     params = validate(cfg.system)
@@ -311,7 +304,7 @@ def cmd_blowup(cfg_path: str, out_flag=None, threads: int = 1) -> int:
     try:
         if sec.eps_list:
             trajectories, sweep_report = proper_sweep(params, w0, base, sec.eps_list,
-                                                      profile=profile, threads=threads)
+                                                      profile=profile)
             if not trajectories:
                 raise SolverError(f"all sweep runs failed: {sweep_report.failures}")
             traj = trajectories[-1]
@@ -383,8 +376,7 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
         w0_k = w0_from_density(RadialDensity.plateau(params.c0, 1.0), params.n,
                                mesh_k.nodes)
         cfg_k = SolverConfig(epsilon=sec.epsilon, t_end=sec.t_end, output_times=times,
-                             cfl_safety=sec.cfl_safety, max_dt=max_dt,
-                             limiter=sec.limiter)
+                             cfl_safety=sec.cfl_safety, max_dt=max_dt)
         traj = solve_regularized(params, w0_k, cfg_k, profile)
         runs.append(traj.metadata)
         library = field_library(sec.s_max, sec.t_end, epsilon=sec.epsilon,
@@ -433,18 +425,21 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         if name != "validate":
             p.add_argument("--out", default=None)
-        if name in ("simulate", "blowup"):
-            p.add_argument("--threads", type=int, default=1)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage message; its own exit status 2
+        # would read as "infeasible" in the exit-code contract
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         if args.command == "validate":
             return cmd_validate(args.config)
         if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, args.threads)
+            return cmd_simulate(args.config, args.out)
         if args.command == "verify-lemmas":
             return cmd_verify_lemmas(args.config, args.out)
         if args.command == "blowup":
-            return cmd_blowup(args.config, args.out, args.threads)
+            return cmd_blowup(args.config, args.out)
         if args.command == "weak-residual":
             return cmd_weak_residual(args.config, args.out)
     except (ConfigError, ParameterError) as exc:

@@ -18,7 +18,6 @@ _TESTFN_KEYS = {"xi": False, "delta": False, "gamma": False}
 _SOLVER_KEYS = {
     "epsilon": False, "eps_list": False, "s_max": True, "N": True, "ratio": False,
     "t_end": True, "output_times": True, "cfl_safety": False, "max_dt": False,
-    "limiter": False,
 }
 _OUTPUT_KEYS = {"directory": False}
 _BLOWUP_KEYS = {"t0": False, "eta": True, "betas": False, "c_sub_override": False}
@@ -84,7 +83,6 @@ class SolverSection:
     ratio: float | None = None
     cfl_safety: float = 0.4
     max_dt: float | None = None
-    limiter: str | None = None
 
 
 @dataclass(frozen=True)
@@ -149,9 +147,6 @@ def parse_config(doc: dict) -> RunConfig:
         n_cells = _number(sec, "N", "solver")
         if not float(n_cells).is_integer():
             raise ConfigError(f"solver.N must be an integer (got {n_cells!r})")
-        limiter = sec.get("limiter")
-        if limiter is not None and limiter != "minmod":
-            raise ConfigError(f"solver.limiter must be null or 'minmod' (got {limiter!r})")
         solver = SolverSection(
             s_max=_number(sec, "s_max", "solver"),
             N=int(n_cells),
@@ -161,8 +156,7 @@ def parse_config(doc: dict) -> RunConfig:
             eps_list=_number_list(sec, "eps_list", "solver", required=False),
             ratio=_number(sec, "ratio", "solver", required=False),
             cfl_safety=_number(sec, "cfl_safety", "solver", required=False, default=0.4),
-            max_dt=_number(sec, "max_dt", "solver", required=False),
-            limiter=limiter)
+            max_dt=_number(sec, "max_dt", "solver", required=False))
 
     output_directory = None
     if "output" in doc and doc["output"] is not None:
@@ -249,7 +243,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "epsilon": s.epsilon, "eps_list": list(s.eps_list) if s.eps_list else None,
             "s_max": s.s_max, "N": s.N, "ratio": s.ratio, "t_end": s.t_end,
             "output_times": list(s.output_times), "cfl_safety": s.cfl_safety,
-            "max_dt": s.max_dt, "limiter": s.limiter}
+            "max_dt": s.max_dt}
     if cfg.output_directory is not None:
         doc["output"] = {"directory": cfg.output_directory}
     if cfg.blowup is not None:

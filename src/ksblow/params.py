@@ -51,13 +51,17 @@ def _raise_if(violations):
         raise ParameterError(msg, violations)
 
 
-def _check_n_alpha(n, alpha):
+def _n_alpha_violations(n, alpha) -> list:
+    if not (float(n).is_integer() and n >= 3):
+        return [("n", n, "an integer >= 3")]
     violations = []
-    _require(float(n).is_integer() and n >= 3, "n", n, "an integer >= 3", violations)
-    if not violations:
-        _require(alpha > 2, "alpha", alpha, "> 2 (alpha must exceed 2)", violations)
-        _require(alpha < n, "alpha", alpha, f"< n = {n}", violations)
-    _raise_if(violations)
+    _require(alpha > 2, "alpha", alpha, "> 2 (alpha must exceed 2)", violations)
+    _require(alpha < n, "alpha", alpha, f"< n = {n}", violations)
+    return violations
+
+
+def _check_n_alpha(n, alpha):
+    _raise_if(_n_alpha_violations(n, alpha))
 
 
 def f0_threshold(n: int, alpha: float) -> float:
@@ -149,12 +153,7 @@ def validate(params: SystemParams) -> SystemParams:
     admitted as the zero-forcing null case (useful for pure-transport solver
     checks); it is of course infeasible.
     """
-    violations = []
-    n = params.n
-    _require(float(n).is_integer() and n >= 3, "n", n, "an integer >= 3", violations)
-    if not violations:
-        _require(params.alpha > 2, "alpha", params.alpha, "> 2 (alpha must exceed 2)", violations)
-        _require(params.alpha < n, "alpha", params.alpha, f"< n = {n}", violations)
+    violations = _n_alpha_violations(params.n, params.alpha)
     _require(params.f0 >= 0, "f0", params.f0, ">= 0", violations)
     _require(0 < params.R < 1, "R", params.R, "in (0, 1)", violations)
     if 0 < params.R < 1:

@@ -6,10 +6,9 @@ The production profile is
     f(r) = f0 * r**(-alpha)   for r <= R - rho,
     f(r) = 0                  for r >= R + rho,
 
-bridged monotonically and at least C^2 in between.  Two bridges are
-available: the default quintic smoothstep (closed-form extrema, so the
-cutoff constant c_chi is analytic) and a C-infinity exponential bump for
-runs that insist on smoothness.  On the mass scale the accumulated forcing
+bridged monotonically and C^2 in between by a quintic smoothstep (closed-
+form extrema, so the cutoff constant c_chi is analytic).  On the mass scale
+the accumulated forcing
 
     F(s) = integral_0^{s**(1/n)} f(r) r**(n-1) dr
 
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .params import SystemParams, validate
 from .quadrature import gauss_legendre_panels, integrate_adaptive
 
@@ -59,17 +58,6 @@ def smoothstep_d2(x):
     x = np.clip(x, 0.0, 1.0)
     return 60.0 * x * (2.0 * x - 1.0) * (x - 1.0)
 
-
-def _expbump_step(x):
-    """C-infinity monotone step: 0 at x<=0, 1 at x>=1."""
-    x = np.clip(x, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
-        hi = np.where(x < 1.0, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
-    return lo / (lo + hi)
-
-
-_BRIDGES = {"quintic": smoothstep, "exp-bump": _expbump_step}
 
 # Analytic extrema of the base cutoff chi(x) = S(2x - 1) on the ramp [1/2, 1]:
 # sup|chi'| = 2 * sup S' = 15/4, sup|chi''| = 4 * sup|S''| = 40/sqrt(3).
@@ -125,9 +113,8 @@ class SignalProfile:
     interpolated by a monotone cubic Hermite spline whose anchor derivatives
     are the exact F_s values (so finite differences of F reproduce F_s to
     ~1e-9); anchors are produced by fixed-order Gauss-Legendre panels and
-    spot-checked against adaptive quadrature at construction.  If a spot
-    check misses the target accuracy the cache is disabled and every bridge
-    evaluation falls back to direct quadrature.
+    spot-checked against adaptive quadrature at construction.  A spot check
+    that misses the target accuracy raises NumericalError.
     """
 
     f0: float
@@ -135,25 +122,21 @@ class SignalProfile:
     R: float
     rho: float
     n: int
-    bridge: str = "quintic"
     breakpoints: str = "transformed"
     _interp: CubicHermiteSpline | None = field(default=None, init=False,
                                                repr=False, compare=False)
-    _cache_ok: bool = field(default=False, init=False, repr=False, compare=False)
     _F_limit: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.bridge not in _BRIDGES:
-            raise ParameterError(f"unknown bridge {self.bridge!r}; expected one of {sorted(_BRIDGES)}")
         if self.breakpoints not in ("transformed", "direct"):
             raise ParameterError(f"unknown breakpoints mode {self.breakpoints!r}")
         validate(SystemParams(self.n, self.alpha, self.f0, self.R, self.rho, c0=1.0))
         self._build_cache()
 
     @classmethod
-    def from_params(cls, params: SystemParams, bridge="quintic", breakpoints="transformed"):
+    def from_params(cls, params: SystemParams, breakpoints="transformed"):
         return cls(params.f0, params.alpha, params.R, params.rho, params.n,
-                   bridge=bridge, breakpoints=breakpoints)
+                   breakpoints=breakpoints)
 
     # --- profile on the radial axis -------------------------------------
 
@@ -163,7 +146,6 @@ class SignalProfile:
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r_arr <= 0.0):
             raise ParameterError("r must be > 0", [("r", r, "> 0")])
-        step = _BRIDGES[self.bridge]
         lo, hi = self.R - self.rho, self.R + self.rho
         out = np.zeros_like(r_arr)
         inner = r_arr <= lo
@@ -171,7 +153,8 @@ class SignalProfile:
         out[inner] = self.f0 * r_arr[inner] ** (-self.alpha)
         if np.any(mid):
             rm = r_arr[mid]
-            out[mid] = self.f0 * rm ** (-self.alpha) * step((hi - rm) / (2.0 * self.rho))
+            out[mid] = (self.f0 * rm ** (-self.alpha)
+                        * smoothstep((hi - rm) / (2.0 * self.rho)))
         return float(out[0]) if scalar else out
 
     # --- breakpoints on the mass axis ------------------------------------
@@ -201,8 +184,7 @@ class SignalProfile:
         s = np.asarray(s, dtype=float)
         if self.breakpoints == "transformed":
             return self.f(np.power(s, 1.0 / self.n)) / self.n
-        step = _BRIDGES[self.bridge]
-        return (self.f0 / self.n) * np.power(s, -self.alpha / self.n) * step(
+        return (self.f0 / self.n) * np.power(s, -self.alpha / self.n) * smoothstep(
             (self.s_upper - s) / (self.s_upper - self.s_lower))
 
     def _build_cache(self):
@@ -213,27 +195,18 @@ class SignalProfile:
         interp = CubicHermiteSpline(anchors, cum, self._bridge_density(anchors),
                                     extrapolate=False)
         # spot-check the interpolant between anchors against adaptive quadrature
-        ok = True
         scale = max(cum[-1], 1e-300)
         for frac in (0.08, 0.31, 0.52, 0.77, 0.95):
             probe = lo * (hi / lo) ** frac
             direct = integrate_adaptive(lambda u: float(self._bridge_density(u)), lo, probe,
                                         rtol=_CACHE_CHECK_RTOL)
-            if abs(float(interp(probe)) - direct) > 1e-10 * max(scale, abs(direct)):
-                ok = False
-                break
+            cached = float(interp(probe))
+            if abs(cached - direct) > 1e-10 * max(scale, abs(direct)):
+                raise NumericalError(
+                    f"bridge cache misses adaptive quadrature at s = {probe!r}: "
+                    f"{cached!r} vs {direct!r}")
         object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_cache_ok", ok)
         object.__setattr__(self, "_F_limit", self._closed(lo) + float(cum[-1]))
-
-    def _bridge_cumulative(self, s):
-        if self._cache_ok:
-            return self._interp(s)
-        return np.array([
-            integrate_adaptive(lambda u: float(self._bridge_density(u)), self.s_lower, v,
-                               rtol=_CACHE_CHECK_RTOL)
-            for v in np.atleast_1d(s)
-        ]).reshape(np.shape(s))
 
     def F(self, s):
         """Accumulated forcing F(s); relative accuracy 1e-10."""
@@ -249,7 +222,7 @@ class SignalProfile:
         out[inner] = self._closed(s_arr[inner])
         out[outer] = self._F_limit
         if np.any(mid):
-            out[mid] = self._closed(lo) + self._bridge_cumulative(s_arr[mid])
+            out[mid] = self._closed(lo) + self._interp(s_arr[mid])
         return float(out[0]) if scalar else out
 
     def F_s(self, s):
@@ -268,15 +241,3 @@ class SignalProfile:
             if np.any(mid):
                 out[mid] = self._bridge_density(s_arr[mid])
         return float(out[0]) if scalar else out
-
-
-def f_eval(profile: SignalProfile, r):
-    return profile.f(r)
-
-
-def F_eval(profile: SignalProfile, s):
-    return profile.F(s)
-
-
-def Fs_eval(profile: SignalProfile, s):
-    return profile.F_s(s)

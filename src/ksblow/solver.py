@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -40,6 +40,14 @@ from .transform import MassFunction
 
 _RATIO_MAX = 1.2
 _N_MIN = 64
+
+# invariant tolerances: the slacks are relative to the mass cap, the step
+# underflow to the horizon; wiggles above _VIOLATION_LOG are logged, above
+# the slack they raise
+_CAP_SLACK = 1e-8
+_MONOTONE_SLACK = 1e-8
+_DT_UNDERFLOW = 1e-16
+_VIOLATION_LOG = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,14 +118,6 @@ def build_mesh(s_max: float, N: int, ratio: float | None = None) -> Mesh:
 
 
 @dataclass(frozen=True)
-class SolverTolerances:
-    cap_slack: float = 1e-8          # relative to the mass cap
-    monotone_slack: float = 1e-8     # relative to the mass cap
-    dt_underflow: float = 1e-16      # relative to the horizon
-    violation_log: float = 1e-12     # log wiggles above this, raise above slack
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """One regularized run: cutoff epsilon, horizon, output times, stepping.
 
@@ -134,8 +134,6 @@ class SolverConfig:
     cfl_safety: float = 0.4
     max_dt: float | None = None
     dt_fixed: float | None = None
-    limiter: str | None = None       # None (first order) or "minmod"
-    tolerances: SolverTolerances = field(default_factory=SolverTolerances)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -147,8 +145,6 @@ class SolverConfig:
             raise ParameterError("output times must be nonnegative and strictly increasing")
         if times and times[-1] > self.t_end:
             raise ParameterError("output times must not exceed t_end")
-        if self.limiter not in (None, "minmod"):
-            raise ParameterError(f"unknown limiter {self.limiter!r}")
         object.__setattr__(self, "output_times", times)
 
 
@@ -162,6 +158,13 @@ class Trajectory:
     snapshots: tuple            # tuple of read-only arrays, one per time
     far_field: float
     metadata: dict
+
+    @property
+    def n(self) -> int:
+        """Space dimension of the run, as recorded in its metadata."""
+        if "n" not in self.metadata:
+            raise ParameterError("trajectory metadata lacks the dimension n")
+        return int(self.metadata["n"])
 
     def mass_function(self, k: int) -> MassFunction:
         return MassFunction(s=self.mesh.nodes, w=self.snapshots[k],
@@ -179,26 +182,6 @@ class Trajectory:
         return np.interp(s, snap.s, snap.w)
 
 
-def _advection(w, h_fwd, coef, limiter):
-    """Explicit transport term coef * W_s with upwind-from-the-right stencil.
-
-    coef >= 0 moves data toward the origin, so node i draws on [s_i, s_{i+1}].
-    The optional minmod variant blends in the centered slope where it agrees
-    in sign with the upwind one (second order in smooth monotone regions).
-    """
-    ws = np.zeros_like(w)
-    fwd = (w[1:] - w[:-1]) / h_fwd
-    ws[:-1] = fwd
-    if limiter == "minmod":
-        centered = np.zeros_like(w)
-        hl, hr = h_fwd[:-1], h_fwd[1:]
-        centered[1:-1] = (hl ** 2 * w[2:] + (hr ** 2 - hl ** 2) * w[1:-1]
-                          - hr ** 2 * w[:-2]) / (hl * hr * (hl + hr))
-        agree = (np.sign(ws) == np.sign(centered)) & (centered != 0.0)
-        ws = np.where(agree, np.sign(ws) * np.minimum(np.abs(ws), np.abs(centered)), ws)
-    return coef * ws
-
-
 def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConfig,
                       profile: SignalProfile | None = None) -> Trajectory:
     """March the regularized problem from w0 to t_end; snapshot at the
@@ -210,7 +193,6 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     s = mesh.nodes
     n = params.n
     cap = w0.far_field
-    tol = config.tolerances
     if config.epsilon < 2.0 * s[1]:
         raise ParameterError(
             f"epsilon = {config.epsilon} not resolved by the mesh (s_1 = {s[1]})")
@@ -257,20 +239,20 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     def check_invariants(wvec, tnow):
         drops = np.diff(wvec)
         worst = float(drops.min())
-        if worst < -tol.violation_log * cap:
+        if worst < -_VIOLATION_LOG * cap:
             i = int(drops.argmin())
             violations.append({"kind": "monotonicity", "t": tnow,
                                "s": float(s[i]), "magnitude": worst})
-            if worst < -tol.monotone_slack * cap:
+            if worst < -_MONOTONE_SLACK * cap:
                 raise SolverError(
                     f"monotonicity violated by {worst:.3e} at s = {s[i]}, t = {tnow}",
                     location=(float(s[i]), tnow))
         hi = float(wvec.max())
         lo = float(wvec.min())
-        if hi > cap * (1.0 + tol.violation_log) or lo < -tol.violation_log * cap:
+        if hi > cap * (1.0 + _VIOLATION_LOG) or lo < -_VIOLATION_LOG * cap:
             violations.append({"kind": "range", "t": tnow,
                                "low": lo, "high": hi})
-            if hi > cap * (1.0 + tol.cap_slack) or lo < -tol.cap_slack * cap:
+            if hi > cap * (1.0 + _CAP_SLACK) or lo < -_CAP_SLACK * cap:
                 raise SolverError(
                     f"range violated at t = {tnow}: [{lo:.3e}, {hi:.3e}] vs cap {cap}",
                     location=(None, tnow))
@@ -302,11 +284,15 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         on_target = t + dt >= t_target - 1e-12 * max(1.0, t_target)
         if on_target:
             dt = t_target - t
-        if not math.isfinite(dt) or dt <= tol.dt_underflow * max(config.t_end, 1.0):
+        if not math.isfinite(dt) or dt <= _DT_UNDERFLOW * max(config.t_end, 1.0):
             raise SolverError(f"step-size underflow: dt = {dt} at t = {t}",
                               location=(None, t), dt=dt)
 
-        rhs = w + dt * _advection(w, h, coef, config.limiter)
+        # explicit upwind transport: coef >= 0 moves data toward the origin,
+        # so node i draws on the forward difference over [s_i, s_{i+1}]
+        ws = np.zeros_like(w)
+        ws[:-1] = (w[1:] - w[:-1]) / h
+        rhs = w + dt * (coef * ws)
         rhs[0] = 0.0
         rhs[-1] = cap
         ab = np.empty((3, s.size))
@@ -338,8 +324,7 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
                        "max": dt_max_seen if n_steps else None,
                        "mean": (t / n_steps) if n_steps else None},
         "cfl_safety": config.cfl_safety,
-        "limiter": config.limiter,
-        "tolerances": {"cap_slack": tol.cap_slack, "monotone_slack": tol.monotone_slack},
+        "tolerances": {"cap_slack": _CAP_SLACK, "monotone_slack": _MONOTONE_SLACK},
         "violations": violations,
         "wall_time_s": _time.perf_counter() - started,
         "mesh": {"N": mesh.N, "s_max": mesh.s_max, "s1": float(s[1])},
@@ -369,7 +354,7 @@ class SweepReport:
 
 
 def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
-                 eps_list, profile: SignalProfile | None = None, threads: int = 1):
+                 eps_list, profile: SignalProfile | None = None):
     """Run each epsilon on the shared mesh; report how well the family
     increases pointwise as epsilon decreases (the regularized solutions climb
     toward the proper solution).  Violations are reported magnitudes, never
@@ -395,29 +380,15 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
             shared = min(shared, config.max_dt)
         config = replace(config, dt_fixed=shared)
 
-    def run_one(eps):
-        return solve_regularized(params, w0, replace(config, epsilon=eps), profile)
-
-    results: dict = {}
+    trajectories = []
     failures = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    for eps in eps_list:
+        try:
+            trajectories.append(
+                solve_regularized(params, w0, replace(config, epsilon=eps), profile))
+        except SolverError as exc:
+            failures.append((eps, str(exc)))
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {eps: pool.submit(run_one, eps) for eps in eps_list}
-        for eps in eps_list:
-            try:
-                results[eps] = futures[eps].result()
-            except SolverError as exc:
-                failures.append((eps, str(exc)))
-    else:
-        for eps in eps_list:
-            try:
-                results[eps] = run_one(eps)
-            except SolverError as exc:
-                failures.append((eps, str(exc)))
-
-    trajectories = [results[eps] for eps in eps_list if eps in results]
     pair_violations = []
     for a, b in zip(trajectories, trajectories[1:]):
         worst = 0.0

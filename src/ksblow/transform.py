@@ -143,27 +143,17 @@ def w0_from_density(u0: RadialDensity, n: int, mesh_s) -> MassFunction:
     """Initial mass function on the given grid.
 
     Plateau data are transformed exactly (W0(s) = c0 * min(s, r_max**n) is
-    piecewise linear); tabulated data go through cumulative adaptive
-    quadrature on consecutive radial intervals.
+    piecewise linear); tabulated data are integrated exactly as the
+    piecewise-linear interpolants they are.
     """
     s = np.asarray(mesh_s, dtype=float)
     mu = total_mass(u0, n)
     far = n * mu / sphere_area(n)
     if u0.kind == "plateau":
         w = u0.c0 * np.minimum(s, u0.r_max ** n)
-        return MassFunction(s=s, w=w, time=0.0, far_field=far)
-    r_nodes = np.power(s, 1.0 / n)
-    if u0.kind == "tabulated":
-        w = np.array([n * _tabulated_moment(u0, n, r) for r in r_nodes])
+    else:
+        w = np.array([n * _tabulated_moment(u0, n, r) for r in np.power(s, 1.0 / n)])
         w[0] = 0.0
-        return MassFunction(s=s, w=w, time=0.0, far_field=far)
-    w = np.zeros_like(s)
-    acc = 0.0
-    for i in range(1, s.size):
-        lo, hi = r_nodes[i - 1], r_nodes[i]
-        if hi > lo:
-            acc += integrate_adaptive(lambda r: u0(r) * r ** (n - 1), lo, hi, rtol=1e-12)
-        w[i] = n * acc
     return MassFunction(s=s, w=w, time=0.0, far_field=far)
 
 

@@ -210,7 +210,7 @@ def weak_residual(traj: Trajectory, zeta: TestField, profile: SignalProfile,
     if needs_initial and times[0] != 0.0:
         raise ParameterError("field touches t = 0 but the trajectory lacks that snapshot")
 
-    n = _dimension(traj)
+    n = traj.n
     p = (2.0 * n - 2.0) / n
 
     nodes_gl, weights_gl = np.polynomial.legendre.leggauss(gl_order)
@@ -279,10 +279,3 @@ def weak_residual(traj: Trajectory, zeta: TestField, profile: SignalProfile,
     }
     scale = max(max(abs(v) for v in terms.values()), 1e-300)
     return ResidualReport(field=zeta.name, residual=abs(lhs - rhs), scale=scale, terms=terms)
-
-
-def _dimension(traj: Trajectory) -> int:
-    n = traj.metadata.get("n")
-    if n is None:
-        raise ParameterError("trajectory metadata lacks the dimension n")
-    return int(n)

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ksblow.config as config_mod
 from ksblow.cli import main
 from ksblow.config import ConfigError, config_to_dict, load_config, parse_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SCENARIO_SYSTEM = {"n": 3, "alpha": 2.5, "f0": 2.0, "R": 0.5, "rho": 0.1, "c0": 1.0}
 
@@ -64,6 +69,39 @@ def test_unknown_key_rejected(tmp_path):
     doc2["typo_section"] = {}
     with pytest.raises(ConfigError, match="unknown key config.typo_section"):
         load_config(_write(tmp_path, doc2, "c2.json"))
+    # a removed key is unknown too, and the command exits with the config code
+    doc3 = _simulate_doc(tmp_path / "lim")
+    doc3["solver"]["limiter"] = None
+    assert main(["simulate", "--config", _write(tmp_path, doc3, "c3.json")]) == 1
+
+
+def _readme_schema() -> str:
+    return re.search(r"```jsonc\n(.*?)```", README.read_text(encoding="utf-8"),
+                     re.DOTALL).group(1)
+
+
+def test_readme_schema_matches_config_keys():
+    # every documented key parses, and every accepted key is documented
+    block = _readme_schema()
+    parse_config(json.loads(re.sub(r"//.*", "", block)))
+    documented = set(re.findall(r'"(\w+)"\s*:', block))
+    tables = {name: keys for name, keys in vars(config_mod).items()
+              if re.fullmatch(r"_[A-Z]+_KEYS", name)}
+    accepted = set().union(*tables.values())
+    assert len(tables) == 8
+    assert documented <= accepted, documented - accepted
+    assert accepted <= documented, accepted - documented
+
+
+def test_usage_errors_exit1(tmp_path, capsys):
+    # argparse's own status 2 would read as "infeasible"
+    assert main(["simulate"]) == 1
+    assert "required: --config" in capsys.readouterr().err
+    cfg = _write(tmp_path, _simulate_doc(tmp_path / "u"))
+    assert main(["simulate", "--config", cfg, "--threads", "2"]) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--bogus", "1"]) == 1
+    assert main(["--help"]) == 0
 
 
 def test_config_round_trip(tmp_path):
@@ -127,10 +165,15 @@ def test_simulate_sweep_directories(tmp_path):
     assert report["max_violation"] <= 1e-9
 
 
-def test_simulate_requires_epsilon(tmp_path):
+def test_simulate_requires_epsilon(tmp_path, capsys):
     doc = _simulate_doc(tmp_path / "x")
     del doc["solver"]["epsilon"]
     assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
+    # N >= 64 admits an explicit ratio only; the solved grading needs N >= 67
+    doc = _simulate_doc(tmp_path / "y", n_cells=66)
+    assert doc["solver"].get("ratio") is None
+    assert main(["simulate", "--config", _write(tmp_path, doc, "n66.json")]) == 1
+    assert "use N >= 67" in capsys.readouterr().err
 
 
 def test_verify_lemmas_default_grid(tmp_path):

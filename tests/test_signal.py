@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ksblow import (CutoffSpec, ParameterError, SignalProfile, c_chi, chi_eval,
-                    f_eval, F_eval, Fs_eval)
+from ksblow import (CutoffSpec, NumericalError, ParameterError, SignalProfile, c_chi,
+                    chi_eval)
 
 SCEN = dict(f0=2.0, alpha=2.5, R=0.5, rho=0.1, n=3)
 
@@ -47,11 +47,9 @@ def test_f_domain_error(profile):
         profile.f(-0.1)
 
 
-@pytest.mark.parametrize("bridge", ["quintic", "exp-bump"])
-def test_f_monotone_dense(bridge):
-    prof = SignalProfile(**{**SCEN}, bridge=bridge)
+def test_f_monotone_dense(profile):
     r = np.linspace(1e-3, 2.0, 20000)
-    vals = prof.f(r)
+    vals = profile.f(r)
     scale = vals[0]
     assert np.all(np.diff(vals) <= 1e-12 * scale)
 
@@ -198,11 +196,16 @@ def test_direct_breakpoints_mode():
     assert np.all(np.diff(prof.F_s(s)) <= 1e-10 * prof.F_s(s[0]))
 
 
-def test_cache_flag_and_wrappers(profile):
-    assert profile._cache_ok
-    assert f_eval(profile, 0.2) == profile.f(0.2)
-    assert F_eval(profile, 0.1) == profile.F(0.1)
-    assert Fs_eval(profile, 0.1) == profile.F_s(0.1)
+def test_cache_spot_check_failure_raises(monkeypatch):
+    # a bridge cache that misses adaptive quadrature is an error, not a
+    # silent switch to per-point quadrature
+    import ksblow.signal as signal_mod
+
+    real = signal_mod.integrate_adaptive
+    monkeypatch.setattr(signal_mod, "integrate_adaptive",
+                        lambda fn, lo, hi, **kw: real(fn, lo, hi, **kw) * (1.0 + 1e-6))
+    with pytest.raises(NumericalError, match="bridge cache misses"):
+        SignalProfile(**SCEN)
 
 
 def test_zero_forcing_profile():

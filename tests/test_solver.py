@@ -157,19 +157,6 @@ def test_sweep_rejects_non_decreasing(scenario, scenario_profile):
         proper_sweep(scenario, w0, cfg, [1e-2, 1e-2], profile=scenario_profile)
 
 
-def test_sweep_threads_match_serial(scenario, scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
-    serial, _ = proper_sweep(scenario, w0, cfg, [2e-2, 1e-2], profile=scenario_profile)
-    threaded, _ = proper_sweep(scenario, w0, cfg, [2e-2, 1e-2],
-                               profile=scenario_profile, threads=2)
-    for ta, tb in zip(serial, threaded):
-        assert ta.epsilon == tb.epsilon
-        for wa, wb in zip(ta.snapshots, tb.snapshots):
-            np.testing.assert_array_equal(wa, wb)
-
-
 def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
     # a run that dies is recorded as a failure; the remaining runs complete
     import ksblow.solver as solver_mod
@@ -207,19 +194,6 @@ def test_refinement_stability(scenario, scenario_profile):
         d1 = abs(v[1] - v[0])
         d2 = abs(v[2] - v[1])
         assert d1 >= 1.5 * d2, (s_probe, d1, d2)
-
-
-def test_limiter_flag_accepted(scenario, scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,),
-                       limiter="minmod")
-    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
-    for w in traj.snapshots:
-        assert np.min(np.diff(w)) >= -1e-8
-    with pytest.raises(ParameterError, match="limiter"):
-        SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,),
-                     limiter="superbee")
 
 
 def test_trajectory_accessors(small_run):
