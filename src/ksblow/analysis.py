@@ -69,15 +69,14 @@ class TestFunction:
     k0: float
     K0: float
     K0_loose: float
-    profile: SignalProfile | None = field(default=None, repr=False, compare=False)
 
     @property
     def kink(self) -> float:
         return self.xi / self.gamma
 
 
-def build_testfunction(params: SystemParams, xi: float, delta: float, gamma: float,
-                       profile: SignalProfile | None = None) -> TestFunction:
+def build_testfunction(params: SystemParams, xi: float, delta: float,
+                       gamma: float) -> TestFunction:
     """Compute a, b, c1, c2, k0, K0 and verify their positivity.
 
     c2 <= 0 means delta contradicts its lower bound and the construction is
@@ -101,7 +100,7 @@ def build_testfunction(params: SystemParams, xi: float, delta: float, gamma: flo
     K0_loose = a * xi ** (2.0 - delta) / (2.0 - delta) + math.exp(-xi)
     return TestFunction(n=n, alpha=params.alpha, f0=params.f0, R=params.R, rho=params.rho,
                         xi=xi, delta=delta, gamma=gamma, a=a, b=b, c1=c1, c2=c2,
-                        k0=min(c1, c2), K0=K0, K0_loose=K0_loose, profile=profile)
+                        k0=min(c1, c2), K0=K0, K0_loose=K0_loose)
 
 
 def phi_eval(tf: TestFunction, s):
@@ -146,13 +145,15 @@ class OdeMarginReport:
     rate_above_kink: float          # ... and the first one above
     diffusion_rate_above_kink: float  # diffusion part only; attains c1*gamma^(2/n)
     k0_rate: float                  # k0 * gamma^(2/n)
+    grid: np.ndarray = field(repr=False)     # the scanned s values
+    margins: np.ndarray = field(repr=False)  # L phi / phi - k0 gamma^(2/n) on the grid
 
 
-def margin_grid(tf: TestFunction, profile: SignalProfile, n_points: int = 10_000,
-                lo: float = 1e-8, hi: float = 10.0) -> np.ndarray:
-    """Log-spaced scan grid keeping one spacing away from the non-smooth
-    points (the branch point and the bridge breakpoints)."""
-    g = np.geomspace(lo, hi, n_points)
+def margin_grid(tf: TestFunction, profile: SignalProfile) -> np.ndarray:
+    """Log-spaced scan grid of 10^4 points on [1e-8, 10] keeping one spacing
+    away from the non-smooth points (the branch point and the bridge
+    breakpoints)."""
+    g = np.geomspace(1e-8, 10.0, 10_000)
     spacing = math.log(g[1] / g[0])
     keep = np.ones(g.size, dtype=bool)
     for kink in (tf.kink, profile.s_lower, profile.s_upper):
@@ -199,18 +200,15 @@ def l_phi_rate(tf: TestFunction, profile: SignalProfile, s):
     return out
 
 
-def verify_ode_inequality(tf: TestFunction, grid=None,
-                          profile: SignalProfile | None = None,
-                          threshold: float = ANALYTIC_SLACK) -> OdeMarginReport:
-    """Scan (L phi - k0 gamma^(2/n) phi)/phi over the grid; pass iff the
-    minimum stays above -threshold.  Also reports the one-sided rates at the
-    branch point: the diffusion-only rate just above it attains
+def verify_ode_inequality(tf: TestFunction,
+                          profile: SignalProfile | None = None) -> OdeMarginReport:
+    """Scan (L phi - k0 gamma^(2/n) phi)/phi over the margin grid; pass iff
+    the minimum stays above -ANALYTIC_SLACK.  Also reports the one-sided
+    rates at the branch point: the diffusion-only rate just above it attains
     c1 * gamma^(2/n), the sanity anchor for k0 = min{c1, c2}."""
     if profile is None:
-        profile = tf.profile or default_verification_profile(tf)
-    if grid is None:
-        grid = margin_grid(tf, profile)
-    grid = np.asarray(grid, dtype=float)
+        profile = default_verification_profile(tf)
+    grid = margin_grid(tf, profile)
     k0_rate = tf.k0 * tf.gamma ** (2.0 / tf.n)
     rate = l_phi_rate(tf, profile, grid)
     margin = rate - k0_rate
@@ -229,10 +227,11 @@ def verify_ode_inequality(tf: TestFunction, grid=None,
     else:
         diff_rate = math.nan
     return OdeMarginReport(
-        min_margin=float(margin[i]), argmin_s=float(grid[i]), threshold=threshold,
-        passed=bool(margin[i] >= -threshold), n_points=int(grid.size),
+        min_margin=float(margin[i]), argmin_s=float(grid[i]), threshold=ANALYTIC_SLACK,
+        passed=bool(margin[i] >= -ANALYTIC_SLACK), n_points=int(grid.size),
         rate_below_kink=rate_below, rate_above_kink=rate_above,
-        diffusion_rate_above_kink=float(diff_rate), k0_rate=k0_rate)
+        diffusion_rate_above_kink=float(diff_rate), k0_rate=k0_rate,
+        grid=grid, margins=margin)
 
 
 # --- integral bound --------------------------------------------------------
@@ -569,8 +568,8 @@ class YFunctionalReport:
     labels: dict
 
 
-def y_functional(traj: Trajectory, tf: TestFunction, kappa: float, t1: float,
-                 tol_rel: float = COUPLED_SLACK) -> YFunctionalReport:
+def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
+                 t1: float) -> YFunctionalReport:
     """y(t) = integral phi W ds along the trajectory, with the uniform cap
     check, the measured lower bound at t1, and the Riccati domination verdict
     on the overlap of horizons (a finite-epsilon trend, not a limit claim)."""
@@ -600,7 +599,7 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float, t1: float,
     if y_vals[0] > 0.0:
         z = riccati(A, B, y_vals[0], times[0])
         T = z.blow_up_time
-        tol_abs = tol_rel * cap_bound
+        tol_abs = COUPLED_SLACK * cap_bound
         for k, (t, y) in enumerate(zip(times, y_vals)):
             if t - times[0] >= T:
                 break
@@ -613,7 +612,7 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float, t1: float,
         c_gamma=c_gamma, lower_bound_t1=lower, lower_ok=bool(lower_ok),
         riccati_A=A, riccati_B=B, riccati_T=T,
         domination_ok=dom_ok, first_violation_time=first_violation,
-        tolerance=tol_rel,
+        tolerance=COUPLED_SLACK,
         labels={"finite_epsilon_trend": True,
                 "epsilon": traj.epsilon,
                 "w_substitution": "measured finite-epsilon W in place of the proper solution"})

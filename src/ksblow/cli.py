@@ -21,7 +21,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,8 @@ import numpy as np
 from .analysis import (build_testfunction, blowup_indicator, indicator_series,
                        select_blowup_params, verify_integral_bound,
                        verify_ode_inequality, y_functional)
-from .config import RunConfig, config_to_dict, load_config
+from .config import (LemmaSweepSection, RunConfig, SolverSection, TestFnSection,
+                     config_to_dict, load_config)
 from .errors import (ConfigError, KsblowError, ParameterError, SelectionError,
                      SolverError)
 from .params import (SystemParams, TestFnParams, default_testfn_params,
@@ -48,9 +51,6 @@ EXIT_LEMMA = 4
 EXIT_SELECTION = 5
 
 
-import math as _math
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -64,7 +64,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, float) and not _math.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None  # keep the documents strict JSON
     return obj
 
@@ -116,22 +116,41 @@ def _resolve_out(cfg: RunConfig, out_flag) -> Path:
     return path
 
 
-def _prepare_run(cfg: RunConfig):
+def _solver_section(cfg: RunConfig) -> SolverSection:
     if cfg.solver is None:
         raise ConfigError("missing solver section")
-    params = validate(cfg.system)
-    sec = cfg.solver
+    return cfg.solver
+
+
+def _solve(params, profile, sec: SolverSection, runs: list):
+    """Solve the section's problem: a cutoff sweep when ``eps_list`` is set,
+    else one run.  Each finished run's metadata is appended to ``runs``.
+
+    Returns (w0, trajectories, sweep report or None).
+    """
     density = RadialDensity.plateau(params.c0, 1.0)
     if sec.s_max < 4.0 * density.r_max ** params.n:
         raise ConfigError(
             f"solver.s_max must be >= 4 * support^n = {4.0 * density.r_max ** params.n}")
-    mesh = build_mesh(sec.s_max, sec.N, sec.ratio)
-    w0 = w0_from_density(density, params.n, mesh.nodes)
-    profile = SignalProfile.from_params(params)
+    w0 = w0_from_density(density, params.n, build_mesh(sec.s_max, sec.N, sec.ratio).nodes)
     base = SolverConfig(epsilon=sec.epsilon if sec.epsilon is not None else 0.5,
                         t_end=sec.t_end, output_times=sec.output_times,
                         cfl_safety=sec.cfl_safety, max_dt=sec.max_dt)
-    return params, profile, mesh, w0, base
+    if sec.eps_list:
+        trajectories, report = proper_sweep(params, w0, base, sec.eps_list,
+                                            profile=profile)
+    else:
+        if sec.epsilon is None:
+            raise ConfigError("solver.epsilon (or eps_list) is required")
+        trajectories, report = [solve_regularized(params, w0, base, profile)], None
+    runs.extend(traj.metadata for traj in trajectories)
+    return w0, trajectories, report
+
+
+def _solver_failure(out_dir: Path, command: str, cfg: RunConfig, runs, detail) -> int:
+    _manifest(out_dir, command, cfg, runs, failure={"kind": "solver", "detail": detail})
+    print(f"solver failure: {detail}", file=sys.stderr)
+    return EXIT_SOLVER
 
 
 def _emit_run(traj, run_dir: Path) -> None:
@@ -156,37 +175,26 @@ def cmd_validate(cfg_path: str) -> int:
 def cmd_simulate(cfg_path: str, out_flag=None) -> int:
     cfg = load_config(cfg_path)
     out_dir = _resolve_out(cfg, out_flag)
-    params, profile, mesh, w0, base = _prepare_run(cfg)
-    sec = cfg.solver
+    sec = _solver_section(cfg)
+    params = validate(cfg.system)
     runs = []
     try:
-        if sec.eps_list:
-            trajectories, report = proper_sweep(params, w0, base, sec.eps_list,
-                                                profile=profile)
-            for traj in trajectories:
-                _emit_run(traj, out_dir / f"eps_{traj.epsilon:g}")
-                runs.append(traj.metadata)
-            _write_json(out_dir / "sweep_report.json", {
-                "eps_list": list(report.eps_list),
-                "pair_violations": list(report.pair_violations),
-                "max_violation": report.max_violation,
-                "failures": [{"epsilon": e, "message": m} for e, m in report.failures],
-            })
-            if report.failures:
-                _manifest(out_dir, "simulate", cfg, runs,
-                          failure={"kind": "solver", "detail": report.failures})
-                return EXIT_SOLVER
-        else:
-            if sec.epsilon is None:
-                raise ConfigError("solver.epsilon (or eps_list) is required for simulate")
-            traj = solve_regularized(params, w0, base, profile)
-            _emit_run(traj, out_dir)
-            runs.append(traj.metadata)
+        _, trajectories, report = _solve(params, SignalProfile.from_params(params), sec, runs)
     except SolverError as exc:
-        _manifest(out_dir, "simulate", cfg, runs,
-                  failure={"kind": "solver", "detail": str(exc)})
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _solver_failure(out_dir, "simulate", cfg, runs, str(exc))
+    if report is None:
+        _emit_run(trajectories[0], out_dir)
+    else:
+        for traj in trajectories:
+            _emit_run(traj, out_dir / f"eps_{traj.epsilon:g}")
+        _write_json(out_dir / "sweep_report.json", {
+            "eps_list": list(report.eps_list),
+            "pair_violations": list(report.pair_violations),
+            "max_violation": report.max_violation,
+            "failures": [{"epsilon": e, "message": m} for e, m in report.failures],
+        })
+        if report.failures:
+            return _solver_failure(out_dir, "simulate", cfg, runs, report.failures)
     _manifest(out_dir, "simulate", cfg, runs)
     return EXIT_OK
 
@@ -217,23 +225,19 @@ def _default_lemma_grid(system: SystemParams, count: int, seed: int):
 def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
     cfg = load_config(cfg_path)
     out_dir = _resolve_out(cfg, out_flag)
-    sweep = cfg.lemma_sweep
-    if sweep is not None and sweep.tuples:
+    sweep = cfg.lemma_sweep or LemmaSweepSection()
+    if sweep.tuples:
         grid = [dict(t) for t in sweep.tuples]
     else:
-        count = sweep.count if sweep is not None else 100
-        seed = sweep.seed if sweep is not None else 20240808
-        if count <= 0:
+        if sweep.count <= 0:
             raise ConfigError("lemma_sweep grid is empty")
-        grid = _default_lemma_grid(cfg.system, count, seed)
-    if not grid:
-        raise ConfigError("lemma_sweep grid is empty")
+        grid = _default_lemma_grid(cfg.system, sweep.count, sweep.seed)
 
     rows = []
     failing = []
     scan_written = False
     for item in grid:
-        system = SystemParams(n=int(item["n"]), alpha=item["alpha"], f0=item["f0"],
+        system = SystemParams(n=item["n"], alpha=item["alpha"], f0=item["f0"],
                               R=item["R"], rho=item["rho"], c0=cfg.system.c0)
         row = {key: item[key] for key in ("n", "alpha", "f0", "R", "rho",
                                           "xi", "delta", "gamma")}
@@ -241,17 +245,12 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
             system = validate(system)
             feasible = system.feasible
             tf = build_testfunction(system, item["xi"], item["delta"], item["gamma"])
+            ode = verify_ode_inequality(tf)
             if not scan_written:
                 # full margin scan for the first constructible tuple
-                from .analysis import default_verification_profile, l_phi_rate, margin_grid
-
-                profile = default_verification_profile(tf)
-                scan = margin_grid(tf, profile)
-                margins = l_phi_rate(tf, profile, scan) - tf.k0 * tf.gamma ** (2.0 / tf.n)
                 _write_rows(out_dir / "margin_scan.csv", "s,margin",
-                            list(zip(scan, margins)))
+                            list(zip(ode.grid, ode.margins)))
                 scan_written = True
-            ode = verify_ode_inequality(tf)
             bound = verify_integral_bound(tf)
             row.update(constructed=True, feasible=feasible,
                        margin=ode.min_margin, margin_ok=ode.passed,
@@ -293,43 +292,29 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
         return EXIT_INFEASIBLE
     if cfg.blowup is None:
         raise ConfigError("missing blowup section")
-    params_, profile, mesh, w0, base = _prepare_run(cfg)
+    sec = _solver_section(cfg)
     blow = cfg.blowup
     t1 = blow.t0 + blow.eta / 2.0
-    if not any(abs(t - t1) <= 1e-12 * max(1.0, t1) for t in base.output_times):
+    if not any(abs(t - t1) <= 1e-12 * max(1.0, t1) for t in sec.output_times):
         raise ConfigError(f"output_times must contain t0 + eta/2 = {t1}")
 
-    sec = cfg.solver
     runs = []
     try:
-        if sec.eps_list:
-            trajectories, sweep_report = proper_sweep(params, w0, base, sec.eps_list,
-                                                      profile=profile)
-            if not trajectories:
-                raise SolverError(f"all sweep runs failed: {sweep_report.failures}")
-            traj = trajectories[-1]
-            runs.extend(t.metadata for t in trajectories)
-        else:
-            if sec.epsilon is None:
-                raise ConfigError("solver.epsilon (or eps_list) is required for blowup")
-            traj = solve_regularized(params, w0, base, profile)
-            runs.append(traj.metadata)
+        w0, trajectories, sweep_report = _solve(params, SignalProfile.from_params(params),
+                                                sec, runs)
     except SolverError as exc:
-        _manifest(out_dir, "blowup", cfg, runs,
-                  failure={"kind": "solver", "detail": str(exc)})
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _solver_failure(out_dir, "blowup", cfg, runs, str(exc))
+    if sweep_report is not None and sweep_report.failures:
+        return _solver_failure(out_dir, "blowup", cfg, runs, sweep_report.failures)
+    traj = trajectories[-1]
 
     c_sub = blow.c_sub_override if blow.c_sub_override is not None \
         else measured_c_sub(traj, w0)
 
-    tf_section = cfg.test_function
-    if tf_section is not None and tf_section.delta is not None:
-        xi, delta = tf_section.xi, tf_section.delta
-    else:
-        seed_defaults = default_testfn_params(params)
-        xi = tf_section.xi if tf_section is not None else seed_defaults.xi
-        delta = seed_defaults.delta
+    tf_section = cfg.test_function or TestFnSection()
+    xi, delta = tf_section.xi, tf_section.delta
+    if delta is None:
+        delta = default_testfn_params(params).delta
     tf_seed = TestFnParams(xi=xi, delta=delta, gamma=8.0 / (params.R - params.rho))
 
     try:
@@ -364,30 +349,26 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
 def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
     cfg = load_config(cfg_path)
     out_dir = _resolve_out(cfg, out_flag)
-    params, profile, mesh, w0, base = _prepare_run(cfg)
-    sec = cfg.solver
+    # one run at solver.epsilon; an eps_list is not swept here
+    sec = replace(_solver_section(cfg), eps_list=None)
     if sec.epsilon is None:
         raise ConfigError("solver.epsilon is required for weak-residual")
     wr = cfg.weak_residual
+    library = field_library(sec.s_max, sec.t_end, epsilon=sec.epsilon,
+                            constant_window=wr.constant_window)
+    unknown = [name for name in wr.fields if name not in library]
+    if unknown:
+        raise ConfigError(f"unknown weak_residual fields: {unknown}")
+    params = validate(cfg.system)
+    profile = SignalProfile.from_params(params)
     runs = []
 
-    def residuals_for(n_cells, max_dt, times):
-        mesh_k = build_mesh(sec.s_max, n_cells, sec.ratio)
-        w0_k = w0_from_density(RadialDensity.plateau(params.c0, 1.0), params.n,
-                               mesh_k.nodes)
-        cfg_k = SolverConfig(epsilon=sec.epsilon, t_end=sec.t_end, output_times=times,
-                             cfl_safety=sec.cfl_safety, max_dt=max_dt)
-        traj = solve_regularized(params, w0_k, cfg_k, profile)
-        runs.append(traj.metadata)
-        library = field_library(sec.s_max, sec.t_end, epsilon=sec.epsilon,
-                                constant_window=wr.constant_window)
-        unknown = [name for name in wr.fields if name not in library]
-        if unknown:
-            raise ConfigError(f"unknown weak_residual fields: {unknown}")
+    def residuals_for(section):
+        _, (traj,), _ = _solve(params, profile, section, runs)
         return {name: weak_residual(traj, library[name], profile) for name in wr.fields}
 
     try:
-        base_res = residuals_for(sec.N, sec.max_dt, sec.output_times)
+        base_res = residuals_for(sec)
         rows = [(name, rep.residual, rep.scale, rep.relative)
                 for name, rep in base_res.items()]
         payload = {"base": {name: {"residual": rep.residual, "scale": rep.scale,
@@ -395,9 +376,9 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
         if wr.refine:
             times = list(sec.output_times)
             dense = sorted(set(times) | {0.5 * (a + b) for a, b in zip(times, times[1:])})
-            fine_res = residuals_for(2 * sec.N,
-                                     sec.max_dt / 2.0 if sec.max_dt else None,
-                                     tuple(dense))
+            fine_res = residuals_for(replace(
+                sec, N=2 * sec.N, max_dt=sec.max_dt / 2.0 if sec.max_dt else None,
+                output_times=tuple(dense)))
             payload["refined"] = {name: {"residual": rep.residual, "scale": rep.scale}
                                   for name, rep in fine_res.items()}
             payload["orders"] = {
@@ -405,10 +386,7 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
                                     / max(fine_res[name].residual, 1e-300)))
                 for name in base_res}
     except SolverError as exc:
-        _manifest(out_dir, "weak-residual", cfg, runs,
-                  failure={"kind": "solver", "detail": str(exc)})
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _solver_failure(out_dir, "weak-residual", cfg, runs, str(exc))
 
     _write_rows(out_dir / "residuals.csv", "field,residual,scale,relative", rows)
     _write_json(out_dir / "residuals.json", payload)

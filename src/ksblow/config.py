@@ -14,7 +14,7 @@ from .errors import ConfigError
 from .params import SystemParams
 
 _SYSTEM_KEYS = {"n": True, "alpha": True, "f0": True, "R": True, "rho": True, "c0": True}
-_TESTFN_KEYS = {"xi": False, "delta": False, "gamma": False}
+_TESTFN_KEYS = {"xi": False, "delta": False}
 _SOLVER_KEYS = {
     "epsilon": False, "eps_list": False, "s_max": True, "N": True, "ratio": False,
     "t_end": True, "output_times": True, "cfl_safety": False, "max_dt": False,
@@ -49,6 +49,13 @@ def _number(section, key, path, required=True, default=None):
     return float(value)
 
 
+def _integer(section, key, path, required=True, default=None):
+    value = _number(section, key, path, required, default)
+    if value is not None and not float(value).is_integer():
+        raise ConfigError(f"{path}.{key} must be an integer (got {value!r})")
+    return None if value is None else int(value)
+
+
 def _number_list(section, key, path, required=True, default=None):
     if key not in section or section[key] is None:
         if required:
@@ -63,13 +70,13 @@ def _number_list(section, key, path, required=True, default=None):
 
 @dataclass(frozen=True)
 class TestFnSection:
-    """Raw test-function parameters; delta/gamma resolve to defaults later."""
+    """Raw test-function parameters; delta resolves to its default later and
+    gamma is chosen by the blow-up parameter selection."""
 
     __test__ = False  # not a pytest class despite the name
 
     xi: float = 4.0
     delta: float | None = None
-    gamma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -123,11 +130,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     sys_sec = doc["system"]
     _check_keys(sys_sec, _SYSTEM_KEYS, "system")
-    n_raw = _number(sys_sec, "n", "system")
-    if not float(n_raw).is_integer():
-        raise ConfigError(f"system.n must be an integer (got {n_raw!r})")
     system = SystemParams(
-        n=int(n_raw), alpha=_number(sys_sec, "alpha", "system"),
+        n=_integer(sys_sec, "n", "system"), alpha=_number(sys_sec, "alpha", "system"),
         f0=_number(sys_sec, "f0", "system"), R=_number(sys_sec, "R", "system"),
         rho=_number(sys_sec, "rho", "system"), c0=_number(sys_sec, "c0", "system"))
 
@@ -137,19 +141,15 @@ def parse_config(doc: dict) -> RunConfig:
         _check_keys(sec, _TESTFN_KEYS, "test_function")
         test_function = TestFnSection(
             xi=_number(sec, "xi", "test_function", required=False, default=4.0),
-            delta=_number(sec, "delta", "test_function", required=False),
-            gamma=_number(sec, "gamma", "test_function", required=False))
+            delta=_number(sec, "delta", "test_function", required=False))
 
     solver = None
     if "solver" in doc and doc["solver"] is not None:
         sec = doc["solver"]
         _check_keys(sec, _SOLVER_KEYS, "solver")
-        n_cells = _number(sec, "N", "solver")
-        if not float(n_cells).is_integer():
-            raise ConfigError(f"solver.N must be an integer (got {n_cells!r})")
         solver = SolverSection(
             s_max=_number(sec, "s_max", "solver"),
-            N=int(n_cells),
+            N=_integer(sec, "N", "solver"),
             t_end=_number(sec, "t_end", "solver"),
             output_times=_number_list(sec, "output_times", "solver"),
             epsilon=_number(sec, "epsilon", "solver", required=False),
@@ -181,8 +181,10 @@ def parse_config(doc: dict) -> RunConfig:
     if "lemma_sweep" in doc and doc["lemma_sweep"] is not None:
         sec = doc["lemma_sweep"]
         _check_keys(sec, _LEMMA_KEYS, "lemma_sweep")
-        count = _number(sec, "count", "lemma_sweep", required=False, default=100.0)
-        seed = _number(sec, "seed", "lemma_sweep", required=False, default=20240808.0)
+        count = _integer(sec, "count", "lemma_sweep", required=False, default=100)
+        seed = _integer(sec, "seed", "lemma_sweep", required=False, default=20240808)
+        if seed < 0:
+            raise ConfigError(f"lemma_sweep.seed must be >= 0 (got {seed})")
         tuples_raw = sec.get("tuples", [])
         if tuples_raw is None:
             tuples_raw = []
@@ -192,10 +194,11 @@ def parse_config(doc: dict) -> RunConfig:
         keys = {"n": True, "alpha": True, "f0": True, "R": True, "rho": True,
                 "xi": True, "delta": True, "gamma": True}
         for k, item in enumerate(tuples_raw):
-            _check_keys(item, keys, f"lemma_sweep.tuples[{k}]")
-            tuples.append({key: float(item[key]) for key in keys})
-        lemma_sweep = LemmaSweepSection(count=int(count), seed=int(seed),
-                                        tuples=tuple(tuples))
+            path = f"lemma_sweep.tuples[{k}]"
+            _check_keys(item, keys, path)
+            tuples.append({key: _integer(item, key, path) if key == "n"
+                           else _number(item, key, path) for key in keys})
+        lemma_sweep = LemmaSweepSection(count=count, seed=seed, tuples=tuple(tuples))
 
     weak_residual = WeakResidualSection()
     if "weak_residual" in doc and doc["weak_residual"] is not None:
@@ -236,7 +239,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "R": cfg.system.R, "rho": cfg.system.rho, "c0": cfg.system.c0}}
     if cfg.test_function is not None:
         tf = cfg.test_function
-        doc["test_function"] = {"xi": tf.xi, "delta": tf.delta, "gamma": tf.gamma}
+        doc["test_function"] = {"xi": tf.xi, "delta": tf.delta}
     if cfg.solver is not None:
         s = cfg.solver
         doc["solver"] = {

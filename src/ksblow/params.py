@@ -194,10 +194,10 @@ class TestFnParams:
         return self
 
 
-def default_testfn_params(system: SystemParams, gamma: float | None = None) -> TestFnParams:
+def default_testfn_params(system: SystemParams) -> TestFnParams:
     """xi = 4, delta at the midpoint of (delta_lower_bound, 1), gamma twice
-    its geometric floor unless given.  Requires a feasible system (otherwise
-    no sub-unit delta exists)."""
+    its geometric floor.  Requires a feasible system (otherwise no sub-unit
+    delta exists)."""
     system = validate(system)
     bound = system.delta_bound
     if bound >= 1.0:
@@ -206,7 +206,5 @@ def default_testfn_params(system: SystemParams, gamma: float | None = None) -> T
             f"(f0 = {system.f0} is not above the threshold {system.threshold})",
             [("f0", system.f0, f"> {system.threshold}")],
         )
-    if gamma is None:
-        gamma = 8.0 / (system.R - system.rho)
-    tf = TestFnParams(xi=4.0, delta=0.5 * (bound + 1.0), gamma=gamma)
+    tf = TestFnParams(xi=4.0, delta=0.5 * (bound + 1.0), gamma=8.0 / (system.R - system.rho))
     return tf.validate_for(system)

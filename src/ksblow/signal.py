@@ -84,10 +84,6 @@ class CutoffSpec:
                 [("epsilon", self.epsilon, "in (0, 1)")],
             )
 
-    @property
-    def c_chi(self) -> float:
-        return c_chi()
-
 
 def chi_eval(spec: CutoffSpec, s):
     """Return (chi_eps, chi_eps', chi_eps'') at s (scalar or array)."""

@@ -56,7 +56,6 @@ class Mesh:
     toward the degenerate origin."""
 
     nodes: np.ndarray
-    ratio: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -114,7 +113,7 @@ def build_mesh(s_max: float, N: int, ratio: float | None = None) -> Mesh:
     nodes = s_max * np.expm1(i * math.log(ratio)) / np.expm1(N * math.log(ratio))
     nodes[0] = 0.0
     nodes[-1] = s_max
-    return Mesh(nodes=nodes, ratio=float(ratio))
+    return Mesh(nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,8 @@ class SolverConfig:
         if times and times[-1] > self.t_end:
             raise ParameterError("output times must not exceed t_end")
         object.__setattr__(self, "output_times", times)
+        if self.max_dt is not None and not self.max_dt > 0.0:
+            raise ParameterError(f"max_dt must be > 0 (got {self.max_dt})")
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     params = validate(params)
     if profile is None:
         profile = SignalProfile.from_params(params)
-    mesh = Mesh(nodes=w0.s, ratio=float("nan"))
+    mesh = Mesh(nodes=w0.s)
     s = mesh.nodes
     n = params.n
     cap = w0.far_field
@@ -273,9 +274,7 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         if config.dt_fixed is not None:
             dt = config.dt_fixed
         else:
-            with np.errstate(divide="ignore"):
-                limits = np.where(coef[:-1] > 0.0, h / coef[:-1], np.inf)
-            dt = config.cfl_safety * float(limits.min())
+            dt = _cfl_dt(h, coef[:-1], config.cfl_safety)
         if config.max_dt is not None:
             dt = min(dt, config.max_dt)
         t_target = out_times[0] if out_times else config.t_end
@@ -333,14 +332,18 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
                       snapshots=tuple(snapshots), far_field=cap, metadata=metadata)
 
 
-def cap_cfl_bound(mesh: Mesh, chi, nF, cap: float, cfl_safety: float) -> float:
-    """Largest admissible constant dt: the CFL limit with W at its cap, valid
-    for every state in [0, cap]."""
-    h = np.diff(mesh.nodes)
-    coef = np.asarray(chi)[:-1] * (cap + np.asarray(nF)[:-1])
+def _cfl_dt(h, coef, cfl_safety: float) -> float:
+    """cfl_safety * min over cells of h / coef; cells with coef = 0 set no limit."""
     with np.errstate(divide="ignore"):
         limits = np.where(coef > 0.0, h / coef, np.inf)
     return cfl_safety * float(limits.min())
+
+
+def cap_cfl_bound(mesh: Mesh, chi, nF, cap: float, cfl_safety: float) -> float:
+    """Largest admissible constant dt: the CFL limit with W at its cap, valid
+    for every state in [0, cap]."""
+    coef = np.asarray(chi)[:-1] * (cap + np.asarray(nF)[:-1])
+    return _cfl_dt(np.diff(mesh.nodes), coef, cfl_safety)
 
 
 @dataclass(frozen=True)
@@ -370,7 +373,7 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
     # smallest epsilon binds), so the runs are ordered by the discrete
     # comparison argument rather than approximately
     if config.dt_fixed is None:
-        mesh = Mesh(nodes=w0.s, ratio=float("nan"))
+        mesh = Mesh(nodes=w0.s)
         nF = params.n * profile.F(mesh.nodes)
         shared = min(
             cap_cfl_bound(mesh, chi_eval(CutoffSpec(eps), mesh.nodes)[0], nF,

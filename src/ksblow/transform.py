@@ -97,18 +97,13 @@ def total_mass(u0: RadialDensity, n: int) -> float:
 
 @dataclass(frozen=True)
 class MassFunction:
-    """A time-stamped sampling of W on a graded grid starting at s = 0.
-
-    ``far_field`` is the limit n*mu/|S_{n-1}|; ``origin_limit`` an optional
-    estimate of W(0+) (model-based extrapolation, see
-    :func:`estimate_origin_limit`).
-    """
+    """A time-stamped sampling of W on a graded grid starting at s = 0;
+    ``far_field`` is the limit n*mu/|S_{n-1}|."""
 
     s: np.ndarray
     w: np.ndarray
     time: float
     far_field: float
-    origin_limit: float | None = None
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
@@ -120,23 +115,19 @@ class MassFunction:
         if s[0] != 0.0 or not np.all(np.diff(s) > 0):
             raise ParameterError("grid must start at 0 and increase strictly")
 
-    def validate(self, monotone_slack: float = _MONOTONE_SLACK,
-                 cap_slack: float = _CAP_SLACK) -> "MassFunction":
+    def validate(self) -> "MassFunction":
         cap = self.far_field
-        if abs(self.w[0]) > cap_slack * max(cap, 1.0):
+        if abs(self.w[0]) > _CAP_SLACK * max(cap, 1.0):
             raise ParameterError(f"W(0) must vanish (got {self.w[0]!r})")
         worst = float(np.min(np.diff(self.w)))
-        if worst < -monotone_slack * max(cap, 1.0):
+        if worst < -_MONOTONE_SLACK * max(cap, 1.0):
             i = int(np.argmin(np.diff(self.w)))
             raise ParameterError(
                 f"W must be non-decreasing: drop {worst:.3e} at s = {self.s[i]!r}")
-        if float(np.max(self.w)) > cap * (1.0 + cap_slack):
+        if float(np.max(self.w)) > cap * (1.0 + _CAP_SLACK):
             raise ParameterError(
                 f"W exceeds its far-field cap {cap!r}: max {float(np.max(self.w))!r}")
         return self
-
-    def interp(self, s_query):
-        return np.interp(s_query, self.s, self.w)
 
 
 def w0_from_density(u0: RadialDensity, n: int, mesh_s) -> MassFunction:
@@ -217,7 +208,7 @@ def reconstruct(w: MassFunction, n: int):
     Returns (r, u, DiracAtom).  Raises on non-monotone input.
     """
     w.validate()
-    origin = w.origin_limit if w.origin_limit is not None else estimate_origin_limit(w)
+    origin = estimate_origin_limit(w)
     s = w.s
     vals = w.w.astype(float).copy()
     vals[0] = origin

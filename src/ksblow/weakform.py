@@ -190,8 +190,8 @@ class ResidualReport:
         return self.residual / self.scale
 
 
-def weak_residual(traj: Trajectory, zeta: TestField, profile: SignalProfile,
-                  gl_order: int = _GL_ORDER) -> ResidualReport:
+def weak_residual(traj: Trajectory, zeta: TestField,
+                  profile: SignalProfile) -> ResidualReport:
     """Residual of the weak identity for one test field.
 
     Raises when the field support exceeds the computed space-time domain.
@@ -213,7 +213,7 @@ def weak_residual(traj: Trajectory, zeta: TestField, profile: SignalProfile,
     n = traj.n
     p = (2.0 * n - 2.0) / n
 
-    nodes_gl, weights_gl = np.polynomial.legendre.leggauss(gl_order)
+    nodes_gl, weights_gl = np.polynomial.legendre.leggauss(_GL_ORDER)
 
     s_edges = _panels(s_nodes, s_lo, s_hi, extra=(),
                       max_width=(s_hi - s_lo) * _MAX_PANEL_FRACTION)

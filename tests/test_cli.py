@@ -73,6 +73,9 @@ def test_unknown_key_rejected(tmp_path):
     doc3 = _simulate_doc(tmp_path / "lim")
     doc3["solver"]["limiter"] = None
     assert main(["simulate", "--config", _write(tmp_path, doc3, "c3.json")]) == 1
+    # gamma is selected by blowup, never configured
+    doc4 = _base_doc(test_function={"xi": 4.0, "gamma": 20.0})
+    assert main(["validate", "--config", _write(tmp_path, doc4, "c4.json")]) == 1
 
 
 def _readme_schema() -> str:
@@ -106,7 +109,7 @@ def test_usage_errors_exit1(tmp_path, capsys):
 
 def test_config_round_trip(tmp_path):
     doc = _base_doc(
-        test_function={"xi": 4.0, "delta": 0.8, "gamma": 20.0},
+        test_function={"xi": 4.0, "delta": 0.8},
         solver={"epsilon": 0.01, "s_max": 4.0, "N": 128, "t_end": 0.02,
                 "output_times": [0.0, 0.01, 0.02]},
         blowup={"t0": 0.0, "eta": 0.1, "betas": [1.0]},
@@ -165,6 +168,14 @@ def test_simulate_sweep_directories(tmp_path):
     assert report["max_violation"] <= 1e-9
 
 
+@pytest.mark.parametrize("max_dt", [0.0, -1.0])
+def test_max_dt_must_be_positive(tmp_path, capsys, max_dt):
+    doc = _simulate_doc(tmp_path / "dt")
+    doc["solver"]["max_dt"] = max_dt
+    assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
+    assert "max_dt must be > 0" in capsys.readouterr().err
+
+
 def test_simulate_requires_epsilon(tmp_path, capsys):
     doc = _simulate_doc(tmp_path / "x")
     del doc["solver"]["epsilon"]
@@ -206,6 +217,24 @@ def test_verify_lemmas_construction_failure(tmp_path, capsys):
     assert "False" in rows[1]  # the bad tuple is reported as not constructed
 
 
+_GOOD_TUPLE = {"n": 3, "alpha": 2.5, "f0": 2.0, "R": 0.5, "rho": 0.1,
+               "xi": 4.0, "delta": 0.8, "gamma": 20.0}
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"tuples": [dict(_GOOD_TUPLE, n=3.5)]}, "tuples[0].n must be an integer"),
+    ({"tuples": [dict(_GOOD_TUPLE, alpha="abc")]}, "tuples[0].alpha must be a number"),
+    ({"tuples": [dict(_GOOD_TUPLE, alpha=[2.5])]}, "tuples[0].alpha must be a number"),
+    ({"count": 2.5}, "lemma_sweep.count must be an integer"),
+    ({"seed": 1.5}, "lemma_sweep.seed must be an integer"),
+    ({"seed": -1}, "lemma_sweep.seed must be >= 0"),
+], ids=["n-float", "alpha-string", "alpha-list", "count-float", "seed-float", "seed-negative"])
+def test_lemma_sweep_fields_validated(tmp_path, capsys, sweep, message):
+    doc = _base_doc(lemma_sweep=sweep, output={"directory": str(tmp_path / "v")})
+    assert main(["verify-lemmas", "--config", _write(tmp_path, doc)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_lemmas_empty_grid(tmp_path):
     doc = _base_doc(lemma_sweep={"count": 0},
                     output={"directory": str(tmp_path / "z")})
@@ -229,7 +258,8 @@ def test_blowup_requires_t1_snapshot(tmp_path):
     assert main(["blowup", "--config", _write(tmp_path, doc)]) == 1
 
 
-def test_simulate_solver_failure_exit3(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["simulate", "blowup", "weak-residual"])
+def test_simulate_solver_failure_exit3(tmp_path, monkeypatch, command):
     import ksblow.cli as cli_mod
     from ksblow.errors import SolverError
 
@@ -238,11 +268,51 @@ def test_simulate_solver_failure_exit3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "solve_regularized", boom)
     out = tmp_path / "fail"
-    cfg = _write(tmp_path, _simulate_doc(out))
-    assert main(["simulate", "--config", cfg]) == 3
+    doc = _simulate_doc(out)
+    doc["blowup"] = {"eta": 0.01}
+    cfg = _write(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failure"]["kind"] == "solver"
     assert "synthetic breakdown" in manifest["failure"]["detail"]
+
+
+def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
+    # a failed cutoff ends blowup like simulate, instead of analysing the
+    # cutoffs that survived
+    import ksblow.solver as solver_mod
+    from ksblow.errors import SolverError
+
+    real = solver_mod.solve_regularized
+
+    def flaky(params, w0, config, profile=None):
+        if config.epsilon == 0.02:
+            raise SolverError("synthetic breakdown at eps 0.02")
+        return real(params, w0, config, profile)
+
+    monkeypatch.setattr(solver_mod, "solve_regularized", flaky)
+    out = tmp_path / "bsweep"
+    doc = _simulate_doc(out, eps_list=[0.04, 0.02])
+    doc["blowup"] = {"eta": 0.01}
+    assert main(["blowup", "--config", _write(tmp_path, doc)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"]["kind"] == "solver"
+    assert manifest["failure"]["detail"] == [[0.02, "synthetic breakdown at eps 0.02"]]
+    assert [run["epsilon"] for run in manifest["runs"]] == [0.04]
+    assert not (out / "blowup_report.json").exists()
+
+
+def test_weak_residual_rejects_unknown_field_before_solving(tmp_path, monkeypatch, capsys):
+    import ksblow.cli as cli_mod
+
+    def no_solve(*args, **kwargs):
+        pytest.fail("solved before the fields were checked")
+
+    monkeypatch.setattr(cli_mod, "solve_regularized", no_solve)
+    doc = _simulate_doc(tmp_path / "wrf")
+    doc["weak_residual"] = {"fields": ["interior", "bogus"]}
+    assert main(["weak-residual", "--config", _write(tmp_path, doc)]) == 1
+    assert "unknown weak_residual fields: ['bogus']" in capsys.readouterr().err
 
 
 def test_config_c_sub_override_parses(tmp_path):

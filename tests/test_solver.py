@@ -19,7 +19,8 @@ def test_mesh_geometric_identity():
 def test_mesh_auto_ratio_targets_first_cell():
     mesh = build_mesh(4.0, 512)
     assert mesh.nodes[1] <= 1e-6 * 4.0 * (1 + 1e-9)
-    assert 1.0 < mesh.ratio <= 1.2
+    h = np.diff(mesh.nodes)
+    assert 1.0 < h[1] / h[0] <= 1.2
 
 
 def test_mesh_errors():
