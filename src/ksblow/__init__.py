@@ -25,8 +25,7 @@ from .signal import CutoffSpec, SignalProfile, c_chi, chi_eval
 from .solver import (ComparisonReport, Mesh, SolverConfig, SweepReport, Trajectory,
                      build_mesh, comparison_check, measured_c_sub, proper_sweep,
                      solve_regularized, subsolution_candidate)
-from .transform import (DiracAtom, MassFunction, RadialDensity,
-                        estimate_origin_limit, read_csv, reconstruct, total_mass,
+from .transform import (MassFunction, RadialDensity, estimate_origin_limit,
                         w0_from_density, write_csv)
 from .weakform import (BumpFactor, ResidualReport, StepDownFactor, TestField,
                        field_library, weak_residual)

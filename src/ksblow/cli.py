@@ -132,7 +132,13 @@ def _solve(params, profile, sec: SolverSection, runs: list):
     if sec.s_max < 4.0 * density.r_max ** params.n:
         raise ConfigError(
             f"solver.s_max must be >= 4 * support^n = {4.0 * density.r_max ** params.n}")
-    w0 = w0_from_density(density, params.n, build_mesh(sec.s_max, sec.N, sec.ratio).nodes)
+    try:
+        mesh = build_mesh(sec.s_max, sec.N, sec.ratio)
+    except ParameterError as exc:
+        # each build_mesh message opens with the argument at fault, which is
+        # the solver key of the same name
+        raise ConfigError(f"solver.{exc}") from exc
+    w0 = w0_from_density(density, params.n, mesh.nodes)
     base = SolverConfig(epsilon=sec.epsilon if sec.epsilon is not None else 0.5,
                         t_end=sec.t_end, output_times=sec.output_times,
                         cfl_safety=sec.cfl_safety, max_dt=sec.max_dt)

@@ -8,6 +8,7 @@ re-serializes to an equivalent document.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -38,15 +39,26 @@ def _check_keys(section: dict, allowed: dict, path: str):
             raise ConfigError(f"missing key {path}.{key}")
 
 
+def _finite(value, name):
+    """``value`` as a finite float; JSON admits NaN, +-Infinity and integers
+    beyond the double range, none of which is a usable setting."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number (got {value!r})")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite (got {value!r})")
+    return number
+
+
 def _number(section, key, path, required=True, default=None):
     if key not in section or section[key] is None:
         if required:
             raise ConfigError(f"missing key {path}.{key}")
         return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key} must be a number (got {value!r})")
-    return float(value)
+    return _finite(section[key], f"{path}.{key}")
 
 
 def _integer(section, key, path, required=True, default=None):
@@ -62,10 +74,9 @@ def _number_list(section, key, path, required=True, default=None):
             raise ConfigError(f"missing key {path}.{key}")
         return default
     value = section[key]
-    if not isinstance(value, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+    if not isinstance(value, list):
         raise ConfigError(f"{path}.{key} must be a list of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(value))
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,8 @@ class SystemParams:
 
     @property
     def mass_cap(self) -> float:
-        """Far-field value n*mu/|S_{n-1}| of the mass function (= c0)."""
-        return self.n * self.mu / sphere_area(self.n)
+        """Far-field value n*mu/|S_{n-1}| of the mass function, which is c0."""
+        return self.c0
 
     @property
     def delta_bound(self) -> float:

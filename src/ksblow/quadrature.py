@@ -1,6 +1,9 @@
-"""Thin adaptive-quadrature wrapper with an explicit failure contract."""
+"""Thin adaptive-quadrature wrapper with an explicit failure contract, and
+the fixed Gauss-Legendre rule on arrays of intervals."""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy import integrate
@@ -32,14 +35,23 @@ def integrate_adaptive(fn, lo, hi, *, points=None, rtol=1e-10, atol=1e-300, limi
     return value
 
 
-def gauss_legendre_panels(fn, edges, order=16):
-    """Fixed-order Gauss-Legendre on each interval of ``edges``; returns the
-    per-panel integrals.  Vectorized: ``fn`` must accept arrays."""
+@functools.cache
+def _legendre(order):
+    # leggauss solves an eigenproblem per call; every caller shares the result
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_legendre(a, b, order):
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on each
+    interval [a, b].  ``a`` and ``b`` broadcast against each other; the rule
+    runs along a new last axis, so ``sum(fn(nodes) * weights, axis=-1)`` is
+    the integral over each interval."""
+    nodes, weights = _legendre(order)
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    samples = mid[:, None] + half[:, None] * nodes[None, :]
-    values = fn(samples.ravel()).reshape(samples.shape)
-    return (values @ weights) * half
+    return mid + half * nodes, half * weights

@@ -14,7 +14,10 @@ the accumulated forcing
 
 is non-decreasing with F_s(s) = f(s**(1/n)) / n non-increasing, and has the
 closed form f0/(n-alpha) * s**((n-alpha)/n) while the upper limit stays in
-the pure power-law region.
+the pure power-law region.  Across the bridge one fixed 16-point Gauss-
+Legendre rule per query point adds the rest: the integrand is analytic on an
+interval whose endpoints have a ratio below 3 (rho < R/2) and is singular
+only at 0, so the rule is exact to roundoff.
 
 Breakpoint modes.  The substitution r = s**(1/n) puts the natural break-
 points of F and F_s at (R-rho)**n and (R+rho)**n ("transformed" mode, the
@@ -30,17 +33,15 @@ modes differ; both are exposed and neither is silently mixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
-from .errors import NumericalError, ParameterError
+from .errors import ParameterError
 from .params import SystemParams, validate
-from .quadrature import gauss_legendre_panels, integrate_adaptive
+from .quadrature import gauss_legendre
 
-_BRIDGE_ANCHORS = 2048
-_CACHE_CHECK_RTOL = 1e-10
+_BRIDGE_GL_ORDER = 16
 
 
 def smoothstep(x):
@@ -103,15 +104,8 @@ def chi_eval(spec: CutoffSpec, s):
 
 @dataclass(frozen=True)
 class SignalProfile:
-    """Immutable signal-production profile with a cached bridge integral.
-
-    The bridge segment of F is precomputed on a log-spaced anchor grid and
-    interpolated by a monotone cubic Hermite spline whose anchor derivatives
-    are the exact F_s values (so finite differences of F reproduce F_s to
-    ~1e-9); anchors are produced by fixed-order Gauss-Legendre panels and
-    spot-checked against adaptive quadrature at construction.  A spot check
-    that misses the target accuracy raises NumericalError.
-    """
+    """Immutable signal-production profile: f on the radial axis, F and F_s
+    on the mass axis.  Construction only validates the parameters."""
 
     f0: float
     alpha: float
@@ -119,15 +113,11 @@ class SignalProfile:
     rho: float
     n: int
     breakpoints: str = "transformed"
-    _interp: CubicHermiteSpline | None = field(default=None, init=False,
-                                               repr=False, compare=False)
-    _F_limit: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.breakpoints not in ("transformed", "direct"):
             raise ParameterError(f"unknown breakpoints mode {self.breakpoints!r}")
         validate(SystemParams(self.n, self.alpha, self.f0, self.R, self.rho, c0=1.0))
-        self._build_cache()
 
     @classmethod
     def from_params(cls, params: SystemParams, breakpoints="transformed"):
@@ -168,7 +158,7 @@ class SignalProfile:
     @property
     def F_limit(self) -> float:
         """Constant value of F for s >= s_upper."""
-        return self._F_limit
+        return self._closed(self.s_lower) + float(self._bridge_integral(self.s_upper))
 
     # --- F and F_s --------------------------------------------------------
 
@@ -176,36 +166,28 @@ class SignalProfile:
         return self.f0 / (self.n - self.alpha) * np.power(s, (self.n - self.alpha) / self.n)
 
     def _bridge_density(self, s):
-        """dF/ds on the bridge segment, per breakpoints mode."""
-        s = np.asarray(s, dtype=float)
-        if self.breakpoints == "transformed":
-            return self.f(np.power(s, 1.0 / self.n)) / self.n
+        """dF/ds on the bridge segment in direct mode."""
         return (self.f0 / self.n) * np.power(s, -self.alpha / self.n) * smoothstep(
             (self.s_upper - s) / (self.s_upper - self.s_lower))
 
-    def _build_cache(self):
-        lo, hi = self.s_lower, self.s_upper
-        anchors = np.geomspace(lo, hi, _BRIDGE_ANCHORS)
-        seg = gauss_legendre_panels(self._bridge_density, anchors, order=16)
-        cum = np.concatenate(([0.0], np.cumsum(seg)))
-        interp = CubicHermiteSpline(anchors, cum, self._bridge_density(anchors),
-                                    extrapolate=False)
-        # spot-check the interpolant between anchors against adaptive quadrature
-        scale = max(cum[-1], 1e-300)
-        for frac in (0.08, 0.31, 0.52, 0.77, 0.95):
-            probe = lo * (hi / lo) ** frac
-            direct = integrate_adaptive(lambda u: float(self._bridge_density(u)), lo, probe,
-                                        rtol=_CACHE_CHECK_RTOL)
-            cached = float(interp(probe))
-            if abs(cached - direct) > 1e-10 * max(scale, abs(direct)):
-                raise NumericalError(
-                    f"bridge cache misses adaptive quadrature at s = {probe!r}: "
-                    f"{cached!r} vs {direct!r}")
-        object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_F_limit", self._closed(lo) + float(cum[-1]))
+    def _bridge_integral(self, s):
+        """F(s) - F(s_lower) for s_lower <= s <= s_upper, one fixed Gauss-
+        Legendre rule per point: f(r) r**(n-1) in r over [R-rho, s**(1/n)]
+        in transformed mode, the bridge density in s over [R-rho, s] in
+        direct mode."""
+        lo = self.R - self.rho
+        if self.breakpoints == "transformed":
+            r, w = gauss_legendre(lo, np.power(s, 1.0 / self.n), _BRIDGE_GL_ORDER)
+            values = self.f(r) * r ** (self.n - 1)
+        else:
+            x, w = gauss_legendre(lo, s, _BRIDGE_GL_ORDER)
+            values = self._bridge_density(x)
+        return np.sum(values * w, axis=-1)
 
     def F(self, s):
-        """Accumulated forcing F(s); relative accuracy 1e-10."""
+        """Accumulated forcing F(s): closed form up to s_lower, plus the
+        bridge rule up to s_upper, constant F_limit beyond; exact to
+        roundoff."""
         scalar = np.ndim(s) == 0
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s_arr < 0.0):
@@ -216,9 +198,9 @@ class SignalProfile:
         outer = s_arr >= hi
         mid = ~inner & ~outer
         out[inner] = self._closed(s_arr[inner])
-        out[outer] = self._F_limit
+        out[outer] = self.F_limit
         if np.any(mid):
-            out[mid] = self._closed(lo) + self._interp(s_arr[mid])
+            out[mid] = self._closed(lo) + self._bridge_integral(s_arr[mid])
         return float(out[0]) if scalar else out
 
     def F_s(self, s):

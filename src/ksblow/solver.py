@@ -40,6 +40,7 @@ from .transform import MassFunction
 
 _RATIO_MAX = 1.2
 _N_MIN = 64
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # invariant tolerances: the slacks are relative to the mass cap, the step
 # underflow to the horizon; wiggles above _VIOLATION_LOG are logged, above
@@ -97,8 +98,8 @@ def build_mesh(s_max: float, N: int, ratio: float | None = None) -> Mesh:
             n_needed = math.ceil(math.log(target ** -1 * (_RATIO_MAX - 1.0) + 1.0)
                                  / math.log(_RATIO_MAX))
             raise ParameterError(
-                f"grading infeasible: even ratio {_RATIO_MAX} leaves s_1 > 1e-6*s_max "
-                f"at N = {N}; use N >= {n_needed}")
+                f"N = {N} is too small for the grading: even ratio {_RATIO_MAX} "
+                f"leaves s_1 > 1e-6*s_max; use N >= {n_needed}")
         lo, hi = 1.0 + 1e-12, _RATIO_MAX
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -109,6 +110,9 @@ def build_mesh(s_max: float, N: int, ratio: float | None = None) -> Mesh:
         ratio = hi
     if not 1.0 < ratio <= _RATIO_MAX:
         raise ParameterError(f"ratio must be in (1, {_RATIO_MAX}] (got {ratio})")
+    if math.log(max(s_max, 1.0)) + N * math.log(ratio) >= _LOG_FLOAT_MAX:
+        raise ParameterError(f"s_max = {s_max!r} is too large: s_max * ratio**N overflows "
+                             f"a double at N = {N}, ratio = {ratio!r}")
     i = np.arange(N + 1, dtype=float)
     nodes = s_max * np.expm1(i * math.log(ratio)) / np.expm1(N * math.log(ratio))
     nodes[0] = 0.0

@@ -1,5 +1,5 @@
-"""Mass-accumulation transform between radial densities and cumulative mass
-functions, and the measure-valued back-transform.
+"""Mass-accumulation transform of the plateau initial datum, sampled mass
+functions, and the origin limit W(0+).
 
 For a radial density u(r) >= 0 in n dimensions the mass function is
 
@@ -7,20 +7,17 @@ For a radial density u(r) >= 0 in n dimensions the mass function is
 
 so |S_{n-1}|/n * W(s) is the mass inside the ball of radius s**(1/n).
 W vanishes at s = 0, is non-decreasing and tends to n*mu/|S_{n-1}| with the
-total mass mu.  Conversely a density sample is recovered from W_s(|x|^n),
-and a jump W(0+) of W at the origin carries a point mass of
+total mass mu.  A jump W(0+) of W at the origin carries a point mass of
 |S_{n-1}|/n * W(0+) concentrated at x = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
-from .params import sphere_area
-from .quadrature import integrate_adaptive
+from .errors import ParameterError
 
 _MONOTONE_SLACK = 1e-8
 _CAP_SLACK = 1e-10
@@ -28,71 +25,16 @@ _CAP_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class RadialDensity:
-    """Radial density r -> u(r): a plateau on a ball, or tabulated samples."""
+    """Plateau radial density u(r) = c0 on the ball of radius r_max, 0 outside."""
 
-    kind: str
     r_max: float
-    c0: float = 0.0
-    r_table: np.ndarray | None = field(default=None, repr=False)
-    u_table: np.ndarray | None = field(default=None, repr=False)
+    c0: float
 
     @classmethod
     def plateau(cls, c0: float, radius: float = 1.0) -> "RadialDensity":
         if c0 <= 0 or radius <= 0:
             raise ParameterError(f"plateau needs c0 > 0 and radius > 0 (got {c0}, {radius})")
-        return cls(kind="plateau", r_max=radius, c0=c0)
-
-    @classmethod
-    def tabulated(cls, r, u) -> "RadialDensity":
-        r = np.asarray(r, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if r.ndim != 1 or r.shape != u.shape or not np.all(np.diff(r) > 0):
-            raise ParameterError("tabulated density needs strictly increasing r and matching u")
-        if np.any(u < 0):
-            raise ParameterError("density must be nonnegative")
-        ro = r.copy(); ro.flags.writeable = False
-        uo = u.copy(); uo.flags.writeable = False
-        return cls(kind="tabulated", r_max=float(r[-1]), r_table=ro, u_table=uo)
-
-    def __call__(self, r):
-        r_arr = np.asarray(r, dtype=float)
-        if self.kind == "plateau":
-            out = np.where(r_arr <= self.r_max, self.c0, 0.0)
-        else:
-            out = np.interp(r_arr, self.r_table, self.u_table, left=self.u_table[0], right=0.0)
-            out = np.where(r_arr > self.r_max, 0.0, out)
-        return float(out) if np.ndim(r) == 0 else out
-
-
-def _tabulated_moment(u0: RadialDensity, n: int, r_hi: float) -> float:
-    """integral_0^{r_hi} u(r) r^(n-1) dr, exact for the piecewise-linear
-    interpolant the tabulated density is."""
-    r = np.minimum(u0.r_table, r_hi)
-    u = np.interp(r, u0.r_table, u0.u_table)
-    a, b = r[:-1], r[1:]
-    ua, ub = u[:-1], u[1:]
-    keep = b > a
-    a, b, ua, ub = a[keep], b[keep], ua[keep], ub[keep]
-    slope = (ub - ua) / (b - a)
-    inter = ua - slope * a
-    pn = (np.power(b, n) - np.power(a, n)) / n
-    pn1 = (np.power(b, n + 1) - np.power(a, n + 1)) / (n + 1)
-    return float(np.sum(inter * pn + slope * pn1))
-
-
-def total_mass(u0: RadialDensity, n: int) -> float:
-    """mu = |S_{n-1}| * integral u0(r) r**(n-1) dr.
-
-    Plateau data go through adaptive quadrature (relative 1e-12); tabulated
-    data are integrated exactly as the piecewise-linear interpolants they
-    are, which an adaptive rule could only approach.
-    """
-    area = sphere_area(n)
-    if u0.kind == "tabulated":
-        return area * _tabulated_moment(u0, n, u0.r_max)
-    val = integrate_adaptive(lambda r: u0(r) * r ** (n - 1), 0.0, u0.r_max,
-                             points=[u0.r_max * 0.5], rtol=1e-12)
-    return area * val
+        return cls(r_max=radius, c0=c0)
 
 
 @dataclass(frozen=True)
@@ -131,28 +73,11 @@ class MassFunction:
 
 
 def w0_from_density(u0: RadialDensity, n: int, mesh_s) -> MassFunction:
-    """Initial mass function on the given grid.
-
-    Plateau data are transformed exactly (W0(s) = c0 * min(s, r_max**n) is
-    piecewise linear); tabulated data are integrated exactly as the
-    piecewise-linear interpolants they are.
-    """
+    """Initial mass function on the given grid, exactly: W0(s) = c0 *
+    min(s, r_max**n), with far-field cap c0 * r_max**n."""
     s = np.asarray(mesh_s, dtype=float)
-    mu = total_mass(u0, n)
-    far = n * mu / sphere_area(n)
-    if u0.kind == "plateau":
-        w = u0.c0 * np.minimum(s, u0.r_max ** n)
-    else:
-        w = np.array([n * _tabulated_moment(u0, n, r) for r in np.power(s, 1.0 / n)])
-        w[0] = 0.0
-    return MassFunction(s=s, w=w, time=0.0, far_field=far)
-
-
-@dataclass(frozen=True)
-class DiracAtom:
-    """Point mass |S_{n-1}|/n * W(0+) sitting at the origin (cells)."""
-
-    mass: float
+    cap = u0.c0 * u0.r_max ** n
+    return MassFunction(s=s, w=u0.c0 * np.minimum(s, u0.r_max ** n), time=0.0, far_field=cap)
 
 
 def estimate_origin_limit(w: MassFunction) -> float:
@@ -196,52 +121,9 @@ def estimate_origin_limit(w: MassFunction) -> float:
     return float(min(max(j, 0.0), w1))
 
 
-def reconstruct(w: MassFunction, n: int):
-    """Back-transform: density samples u(r_j) = W_s(r_j**n) by centered
-    differences on the graded grid, plus the origin atom.
-
-    The origin jump is removed from the first difference stencil (the value
-    at s = 0 is replaced by the W(0+) estimate), so the returned samples are
-    the regular part of the density and the atom is not double counted:
-    atom + |S_{n-1}| * integral u r^(n-1) dr recovers the total mass.
-
-    Returns (r, u, DiracAtom).  Raises on non-monotone input.
-    """
-    w.validate()
-    origin = estimate_origin_limit(w)
-    s = w.s
-    vals = w.w.astype(float).copy()
-    vals[0] = origin
-    ws = np.empty_like(vals)
-    h = np.diff(s)
-    # nonuniform centered differences in the interior, one-sided at the ends
-    hl, hr = h[:-1], h[1:]
-    ws[1:-1] = (hl ** 2 * vals[2:] + (hr ** 2 - hl ** 2) * vals[1:-1] - hr ** 2 * vals[:-2]) / (
-        hl * hr * (hl + hr))
-    ws[0] = (vals[1] - vals[0]) / h[0]
-    ws[-1] = (vals[-1] - vals[-2]) / h[-1]
-    r = np.power(s[1:], 1.0 / n)
-    u = ws[1:]
-    atom = DiracAtom(mass=sphere_area(n) / n * origin)
-    return r, u, atom
-
-
 def write_csv(w: MassFunction, path) -> None:
     """Snapshot as two-column CSV (header mandatory, full-precision floats)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,W\n")
         for si, wi in zip(w.s, w.w):
             fh.write(f"{float(si)!r},{float(wi)!r}\n")
-
-
-def read_csv(path, time: float = 0.0, far_field: float | None = None) -> MassFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "s,W":
-            raise NumericalError(f"expected header 's,W' in {path}, got {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    s = np.array([float(a) for a, _ in rows])
-    w = np.array([float(b) for _, b in rows])
-    if far_field is None:
-        far_field = float(w[-1])
-    return MassFunction(s=s, w=w, time=time, far_field=far_field)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .quadrature import gauss_legendre
 from .signal import SignalProfile
 from .solver import Trajectory
 
@@ -213,8 +214,6 @@ def weak_residual(traj: Trajectory, zeta: TestField,
     n = traj.n
     p = (2.0 * n - 2.0) / n
 
-    nodes_gl, weights_gl = np.polynomial.legendre.leggauss(_GL_ORDER)
-
     s_edges = _panels(s_nodes, s_lo, s_hi, extra=(),
                       max_width=(s_hi - s_lo) * _MAX_PANEL_FRACTION)
     t_extra = []
@@ -223,16 +222,8 @@ def weak_residual(traj: Trajectory, zeta: TestField,
     t_edges = _panels(times, t_lo, t_hi, extra=t_extra,
                       max_width=(t_hi - t_lo) * _MAX_PANEL_FRACTION)
 
-    def gl_points(edges):
-        a, b = edges[:-1], edges[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        pts = (mid[:, None] + half[:, None] * nodes_gl[None, :]).ravel()
-        wts = (half[:, None] * weights_gl[None, :]).ravel()
-        return pts, wts
-
-    sp, sw = gl_points(s_edges)
-    tp, tw = gl_points(t_edges)
+    sp, sw = (x.ravel() for x in gauss_legendre(s_edges[:-1], s_edges[1:], _GL_ORDER))
+    tp, tw = (x.ravel() for x in gauss_legendre(t_edges[:-1], t_edges[1:], _GL_ORDER))
 
     # bilinear interpolant of W at all (sp, tp)
     w_rows = np.stack([np.interp(sp, s_nodes, w) for w in traj.snapshots])  # (K, P)

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +50,16 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", "--config", bad_path]) == 1
 
 
-def test_validate_malformed_params(tmp_path):
+def test_validate_malformed_params(tmp_path, capsys):
     doc = _base_doc()
     doc["system"]["rho"] = 0.25  # rho = R/2 exactly
     assert main(["validate", "--config", _write(tmp_path, doc)]) == 1
+    # JSON admits Infinity and NaN; neither is a parameter
+    for key, value in (("c0", math.inf), ("alpha", math.nan)):
+        doc = _base_doc()
+        doc["system"][key] = value
+        assert main(["validate", "--config", _write(tmp_path, doc, f"{key}.json")]) == 1
+        assert f"system.{key} must be finite" in capsys.readouterr().err
 
 
 def test_validate_zero_forcing_is_infeasible_not_malformed(tmp_path):
@@ -176,6 +184,21 @@ def test_max_dt_must_be_positive(tmp_path, capsys, max_dt):
     assert "max_dt must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("t_end", math.nan, "solver.t_end must be finite"),
+    ("output_times", [0.0, math.inf], "solver.output_times[1] must be finite"),
+    ("eps_list", [0.01, -math.inf], "solver.eps_list[1] must be finite"),
+    ("s_max", 1e308, "solver.s_max = 1e+308 is too large"),
+], ids=["t_end-nan", "output_times-infinite", "eps_list-infinite", "s_max-overflow"])
+def test_solver_numbers_finite_and_mesh_representable(tmp_path, capsys, key, value, message):
+    doc = _simulate_doc(tmp_path / "x")
+    doc["solver"][key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would fail here
+        assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_requires_epsilon(tmp_path, capsys):
     doc = _simulate_doc(tmp_path / "x")
     del doc["solver"]["epsilon"]
@@ -228,7 +251,10 @@ _GOOD_TUPLE = {"n": 3, "alpha": 2.5, "f0": 2.0, "R": 0.5, "rho": 0.1,
     ({"count": 2.5}, "lemma_sweep.count must be an integer"),
     ({"seed": 1.5}, "lemma_sweep.seed must be an integer"),
     ({"seed": -1}, "lemma_sweep.seed must be >= 0"),
-], ids=["n-float", "alpha-string", "alpha-list", "count-float", "seed-float", "seed-negative"])
+    ({"tuples": [dict(_GOOD_TUPLE, alpha=math.nan)]}, "tuples[0].alpha must be finite"),
+    ({"count": math.inf}, "lemma_sweep.count must be finite"),
+], ids=["n-float", "alpha-string", "alpha-list", "count-float", "seed-float", "seed-negative",
+        "alpha-nan", "count-infinite"])
 def test_lemma_sweep_fields_validated(tmp_path, capsys, sweep, message):
     doc = _base_doc(lemma_sweep=sweep, output={"directory": str(tmp_path / "v")})
     assert main(["verify-lemmas", "--config", _write(tmp_path, doc)]) == 1

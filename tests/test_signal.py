@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ksblow import (CutoffSpec, NumericalError, ParameterError, SignalProfile, c_chi,
-                    chi_eval)
+from ksblow import CutoffSpec, ParameterError, SignalProfile, c_chi, chi_eval
 
 SCEN = dict(f0=2.0, alpha=2.5, R=0.5, rho=0.1, n=3)
 
@@ -16,12 +15,16 @@ def profile():
 
 
 def quad_F(profile, s):
-    """Independent adaptive-quadrature oracle for F."""
-    r_up = s ** (1.0 / profile.n)
-    pts = [x for x in (profile.R - profile.rho, profile.R + profile.rho) if x < r_up]
-    val, _ = quad(lambda r: profile.f(r) * r ** (profile.n - 1), 0.0, r_up,
-                  points=pts or None, limit=400)
-    return val
+    """Independent oracle for F: the closed form up to s_lower plus adaptive
+    quadrature of the public F_s from there, at quad's tightest tolerance
+    (full output: quad may flag roundoff there, the comparison is the check)."""
+    n, lo, hi = profile.n, profile.s_lower, profile.s_upper
+    head = profile.f0 / (n - profile.alpha) * min(s, lo) ** ((n - profile.alpha) / n)
+    if s <= lo:
+        return head
+    val = quad(profile.F_s, lo, min(s, hi), epsabs=0.0, epsrel=1.2e-14, limit=400,
+               full_output=1)[0]
+    return head + val
 
 
 def test_f_power_law_region(profile):
@@ -71,9 +74,24 @@ def test_F_closed_form_region(profile):
     assert profile.F(0.0) == 0.0
 
 
-def test_F_matches_quadrature_oracle(profile):
-    for s in (1e-4, 0.01, 0.05, 0.08, 0.1, 0.15, 0.2, 0.215, 0.3, 1.0):
-        assert profile.F(s) == pytest.approx(quad_F(profile, s), rel=1e-10)
+# (profile, breakpoints, query points): the scenario, then the worst bridge
+# endpoint ratio (rho -> R/2, ratio -> 3) in both modes, probed across the
+# bridge and just below s_upper; None picks those bridge points
+ORACLE_CASES = [(SCEN, "transformed", (1e-4, 0.01, 0.05, 0.08, 0.1, 0.15, 0.2, 0.215, 0.3, 1.0))]
+ORACLE_CASES += [(dict(f0=2.0, alpha=n - 0.5, R=0.5, rho=0.999 * 0.25, n=n), mode, None)
+                 for n in (3, 6) for mode in ("transformed", "direct")]
+
+
+def test_F_matches_quadrature_oracle():
+    for spec, mode, points in ORACLE_CASES:
+        prof = SignalProfile(**spec, breakpoints=mode)
+        lo, hi = prof.s_lower, prof.s_upper
+        if points is None:
+            points = [lo * (hi / lo) ** q for q in (0.01, 0.3, 0.7, 0.99)]
+            points += [hi * (1.0 - 1e-6), hi * (1.0 - 1e-12)]
+        for s in points:
+            assert prof.F(s) == pytest.approx(quad_F(prof, s), rel=1e-13, abs=0.0), (spec, mode, s)
+        assert prof.F_limit == pytest.approx(quad_F(prof, hi), rel=1e-13, abs=0.0), (spec, mode)
 
 
 def test_F_constant_past_upper_breakpoint(profile):
@@ -194,18 +212,6 @@ def test_direct_breakpoints_mode():
     s = np.geomspace(1e-6, 2.0, 2000)
     assert np.all(np.diff(prof.F(s)) >= -1e-14 * prof.F_limit)
     assert np.all(np.diff(prof.F_s(s)) <= 1e-10 * prof.F_s(s[0]))
-
-
-def test_cache_spot_check_failure_raises(monkeypatch):
-    # a bridge cache that misses adaptive quadrature is an error, not a
-    # silent switch to per-point quadrature
-    import ksblow.signal as signal_mod
-
-    real = signal_mod.integrate_adaptive
-    monkeypatch.setattr(signal_mod, "integrate_adaptive",
-                        lambda fn, lo, hi, **kw: real(fn, lo, hi, **kw) * (1.0 + 1e-6))
-    with pytest.raises(NumericalError, match="bridge cache misses"):
-        SignalProfile(**SCEN)
 
 
 def test_zero_forcing_profile():
