@@ -70,6 +70,14 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(w, mf.w)
 
 
+def test_reconstruct_rejects_non_monotone():
+    mesh = build_mesh(2.0, 128)
+    w = np.minimum(mesh.nodes, 1.0)
+    w[60] = w[64]  # create a drop
+    with pytest.raises(ParameterError, match="non-decreasing"):
+        MassFunction(s=mesh.nodes, w=w, time=0.0, far_field=1.0).validate()
+
+
 def test_mass_function_validation():
     s = np.array([0.0, 0.5, 1.0])
     MassFunction(s=s, w=np.array([0.0, 0.5, 1.0]), time=0.0, far_field=1.0).validate()
