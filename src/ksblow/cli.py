@@ -78,12 +78,14 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_rows(path: Path, header: str, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -111,9 +113,7 @@ def _resolve_out(cfg: RunConfig, out_flag) -> Path:
     directory = out_flag or cfg.output_directory
     if directory is None:
         raise ConfigError("no output directory: set output.directory or pass --out")
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(directory)  # created by the first file written into it
 
 
 def _solver_section(cfg: RunConfig) -> SolverSection:

@@ -21,7 +21,11 @@ location, never clamped.
 
 The time step is adaptive, dt <= cfl_safety * min_i ds_i / c_i with
 c = chi_eps (W + nF), recomputed every step and clipped to land exactly on
-requested output times.
+requested output times.  The step matrix I - dt*A is LU-factored (LAPACK
+dgttrf) only when dt differs from the held factors' dt; a clipped step is
+factored aside, so a fixed dt is factored once plus once per clipped step.
+Each step is one in-place dgttrs solve, which does not check its input: a
+non-finite W is caught by the invariant check, with its location.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import time as _time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ParameterError, SolverError
 from .params import SystemParams, validate
@@ -210,17 +214,14 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     chi = chi_eval(cutoff, s)[0]
     nF = n * profile.F(s)
 
-    # implicit diffusion bands (time step factored out)
-    d_coef = n * n * np.power(s, (2.0 * n - 2.0) / n)
+    # the diffusion matrix A as LAPACK's (sub, main, super) diagonals; its
+    # Dirichlet rows 0 and N are zero
+    d_coef = n * n * np.power(s[1:-1], (2.0 * n - 2.0) / n)
     hl, hr = h[:-1], h[1:]
-    wl = 2.0 / (hl * (hl + hr))
-    wr = 2.0 / (hr * (hl + hr))
-    low = np.zeros_like(s)
-    mid = np.zeros_like(s)
-    upp = np.zeros_like(s)
-    low[1:-1] = d_coef[1:-1] * wl
-    upp[1:-1] = d_coef[1:-1] * wr
-    mid[1:-1] = -(low[1:-1] + upp[1:-1])
+    diffusion = sub, main, sup = np.zeros_like(h), np.zeros_like(s), np.zeros_like(h)
+    sub[:-1] = d_coef * (2.0 / (hl * (hl + hr)))
+    sup[1:] = d_coef * (2.0 / (hr * (hl + hr)))
+    main[1:-1] = -(sub[:-1] + sup[1:])
 
     w = w0.w.astype(float).copy()
     w[0] = 0.0
@@ -233,6 +234,10 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     n_steps = 0
     dt_min_seen = math.inf
     dt_max_seen = 0.0
+    # work arrays and LAPACK bands, allocated once and filled in place
+    coef, ws, rhs = np.empty_like(w), np.zeros_like(w), np.empty_like(w)
+    held_bands, clip_bands = ([np.empty_like(a) for a in diffusion] for _ in range(2))
+    held_dt = held = None
     started = _time.perf_counter()
 
     def record(wvec, tnow):
@@ -242,22 +247,22 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         snap_times.append(tnow)
 
     def check_invariants(wvec, tnow):
+        # written so that NaN fails every test; min and argmin propagate it
         drops = np.diff(wvec)
         worst = float(drops.min())
-        if worst < -_VIOLATION_LOG * cap:
+        if not worst >= -_VIOLATION_LOG * cap:
             i = int(drops.argmin())
             violations.append({"kind": "monotonicity", "t": tnow,
                                "s": float(s[i]), "magnitude": worst})
-            if worst < -_MONOTONE_SLACK * cap:
+            if not worst >= -_MONOTONE_SLACK * cap:
                 raise SolverError(
                     f"monotonicity violated by {worst:.3e} at s = {s[i]}, t = {tnow}",
                     location=(float(s[i]), tnow))
-        hi = float(wvec.max())
-        lo = float(wvec.min())
-        if hi > cap * (1.0 + _VIOLATION_LOG) or lo < -_VIOLATION_LOG * cap:
+        lo, hi = float(wvec.min()), float(wvec.max())
+        if not (hi <= cap * (1.0 + _VIOLATION_LOG) and lo >= -_VIOLATION_LOG * cap):
             violations.append({"kind": "range", "t": tnow,
                                "low": lo, "high": hi})
-            if hi > cap * (1.0 + _CAP_SLACK) or lo < -_CAP_SLACK * cap:
+            if not (hi <= cap * (1.0 + _CAP_SLACK) and lo >= -_CAP_SLACK * cap):
                 raise SolverError(
                     f"range violated at t = {tnow}: [{lo:.3e}, {hi:.3e}] vs cap {cap}",
                     location=(None, tnow))
@@ -274,7 +279,8 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
                 f"dt_fixed = {config.dt_fixed} exceeds the worst-case CFL bound {bound}")
 
     while t < config.t_end - 1e-15 * max(config.t_end, 1.0):
-        coef = chi * (w + nF)
+        np.add(w, nF, out=coef)
+        coef *= chi
         if config.dt_fixed is not None:
             dt = config.dt_fixed
         else:
@@ -290,25 +296,29 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         if not math.isfinite(dt) or dt <= _DT_UNDERFLOW * max(config.t_end, 1.0):
             raise SolverError(f"step-size underflow: dt = {dt} at t = {t}",
                               location=(None, t), dt=dt)
+        if dt == held_dt:
+            lu = held
+        else:  # a clipped step is factored aside: the held factors outlive it
+            dl, d, du = clip_bands if on_target else held_bands
+            for band, a in zip((dl, d, du), diffusion):
+                np.multiply(a, -dt, out=band)  # I - dt*A
+            d += 1.0
+            dl[-1] = du[0] = 0.0  # +0, not -dt * 0, in the Dirichlet rows
+            lu = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)[:5]
+            if not on_target:
+                held_dt, held = dt, lu
 
         # explicit upwind transport: coef >= 0 moves data toward the origin,
-        # so node i draws on the forward difference over [s_i, s_{i+1}]
-        ws = np.zeros_like(w)
-        ws[:-1] = (w[1:] - w[:-1]) / h
-        rhs = w + dt * (coef * ws)
-        rhs[0] = 0.0
-        rhs[-1] = cap
-        ab = np.empty((3, s.size))
-        ab[0, 0] = ab[2, -1] = 0.0  # unused corners; solve_banded still validates them
-        ab[0, 1:] = -dt * upp[:-1]
-        ab[1, :] = 1.0 - dt * mid
-        ab[2, :-1] = -dt * low[1:]
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
-        w = solve_banded((1, 1), ab, rhs)
-        w[0] = 0.0
-        w[-1] = cap
+        # so node i draws on the forward difference over [s_i, s_{i+1}];
+        # rhs = w + dt * (coef * ws)
+        np.subtract(w[1:], w[:-1], out=ws[:-1])
+        ws[:-1] /= h
+        np.multiply(coef, ws, out=rhs)
+        rhs *= dt
+        rhs += w
+        rhs[0], rhs[-1] = 0.0, cap
+        w, rhs = solve_banded(lu, rhs), w
+        w[0], w[-1] = 0.0, cap
 
         t = t_target if on_target else t + dt
         n_steps += 1
@@ -334,6 +344,11 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     }
     return Trajectory(mesh=mesh, epsilon=config.epsilon, times=tuple(snap_times),
                       snapshots=tuple(snapshots), far_field=cap, metadata=metadata)
+
+
+def solve_banded(lu, rhs):
+    """Solve the step matrix, factored by dgttrf into ``lu``, for ``rhs`` in place."""
+    return dgttrs(*lu, rhs, overwrite_b=1)[0]
 
 
 def _cfl_dt(h, coef, cfl_safety: float) -> float:

@@ -251,11 +251,11 @@ def test_criterion_8_parameter_selection_pipeline(tmp_path):
     # kappa saturates k0*eta/8 exactly
     k0 = min((9 * 4.0 - 24.0) * 4.0 ** (1.0 / 3.0),
              delta_quadratic(3, 2.5, 2.0, 0.8) * 4.0 ** (-2.0 / 3.0))
-    assert kappa == pytest.approx(k0 * eta / 8.0, rel=1e-14)
+    assert kappa == pytest.approx(k0 * eta / 8.0, rel=1e-14, abs=0.0)
 
     # the report carries both gamma floors, and gamma respects them
-    assert diag["gamma_floor_geometry"] == pytest.approx(10.0, rel=1e-12)
-    assert diag["gamma_floor_kappa"] == pytest.approx((4.0 / kappa) ** 1.5, rel=1e-12)
+    assert diag["gamma_floor_geometry"] == pytest.approx(10.0, rel=1e-12, abs=0.0)
+    assert diag["gamma_floor_kappa"] == pytest.approx((4.0 / kappa) ** 1.5, rel=1e-12, abs=0.0)
     assert gamma > max(diag["gamma_floor_geometry"], diag["gamma_floor_kappa"])
     assert gamma >= max(10.0, 14437.1 * (1.0 - 1e-12))
 

@@ -22,19 +22,20 @@ def tf(scenario):
 
 def test_constants_closed_forms(tf):
     xi, de = 4.0, 0.8
-    assert tf.a == pytest.approx(xi ** (de + 1) / de * math.exp(-xi), rel=1e-14)
-    assert tf.b == pytest.approx((xi / de - 1) * math.exp(-xi), rel=1e-14)
+    assert tf.a == pytest.approx(xi ** (de + 1) / de * math.exp(-xi), rel=1e-14, abs=0.0)
+    assert tf.b == pytest.approx((xi / de - 1) * math.exp(-xi), rel=1e-14, abs=0.0)
     assert tf.a == pytest.approx(0.277613, rel=1e-5)
     assert tf.b == pytest.approx(0.0732626, rel=1e-5)
-    assert tf.c1 == pytest.approx(12.0 * 4.0 ** (1.0 / 3.0), rel=1e-14)
+    assert tf.c1 == pytest.approx(12.0 * 4.0 ** (1.0 / 3.0), rel=1e-14, abs=0.0)
     assert tf.c1 == pytest.approx(19.04881, rel=1e-6)
-    assert tf.c2 == pytest.approx(1.36 * 4.0 ** (-2.0 / 3.0), rel=1e-12)
+    assert tf.c2 == pytest.approx(1.36 * 4.0 ** (-2.0 / 3.0), rel=1e-12, abs=0.0)
     assert tf.c2 == pytest.approx(0.539716, rel=1e-5)
     assert tf.k0 == tf.c2
     assert tf.K0 == pytest.approx(
-        tf.a * 4.0 ** 1.2 / (0.8 * 1.2) + math.exp(-4.0), rel=1e-14)
+        tf.a * 4.0 ** 1.2 / (0.8 * 1.2) + math.exp(-4.0), rel=1e-14, abs=0.0)
     assert tf.K0 == pytest.approx(1.5446189, rel=1e-6)
-    assert tf.K0_loose == pytest.approx(tf.a * 4.0 ** 1.2 / 1.2 + math.exp(-4.0), rel=1e-14)
+    assert tf.K0_loose == pytest.approx(tf.a * 4.0 ** 1.2 / 1.2 + math.exp(-4.0),
+                                        rel=1e-14, abs=0.0)
     assert tf.K0 > tf.K0_loose  # the loose constant misses the 1/delta factor
 
 
@@ -54,7 +55,7 @@ def test_phi_continuity_scenario(tf):
     assert phis_k == -20.0 * math.exp(-4.0)
     inner_val = tf.a / 20.0 ** 0.8 * knot ** -0.8 - tf.b
     inner_slope = -tf.a * 0.8 / 20.0 ** 0.8 * knot ** -1.8
-    assert inner_val == pytest.approx(phi_k, rel=1e-12)
+    assert inner_val == pytest.approx(phi_k, rel=1e-12, abs=0.0)
     assert inner_slope == pytest.approx(phis_k, rel=1e-10)
     assert phis_k == pytest.approx(-0.366313, rel=1e-6)
 
@@ -84,7 +85,7 @@ def test_phi_continuity_random_tuples():
 def test_phi_value_frozen(tf):
     # closed-form oracle: a/gamma^delta * s^-delta - b at s = 0.1
     phi, _, _ = phi_eval(tf, 0.1)
-    assert phi == pytest.approx(0.0861843419622226, rel=1e-12)
+    assert phi == pytest.approx(0.0861843419622226, rel=1e-12, abs=0.0)
 
 
 def test_phi_shape(tf):
@@ -145,11 +146,11 @@ def test_integral_bound_scenario(tf):
     rep = verify_integral_bound(tf)
     assert rep.passed
     assert rep.numeric <= rep.bound
-    assert rep.outer_piece_closed == pytest.approx(math.exp(-4.0) / 400.0, rel=1e-14)
+    assert rep.outer_piece_closed == pytest.approx(math.exp(-4.0) / 400.0, rel=1e-14, abs=0.0)
     assert rep.outer_piece_closed == pytest.approx(4.57891e-5, rel=1e-5)
     assert rep.outer_piece_numeric == pytest.approx(rep.outer_piece_closed, rel=1e-8)
     assert rep.inner_piece_closed == pytest.approx(
-        tf.a * 4.0 ** 1.2 / (0.8 * 1.2 * 400.0), rel=1e-14)
+        tf.a * 4.0 ** 1.2 / (0.8 * 1.2 * 400.0), rel=1e-14, abs=0.0)
     # quadrature oracle for the whole integral
     A = tf.a / 20.0 ** 0.8
     oracle_inner = quad(lambda s: (A * s ** -0.8 - tf.b) ** 2 / (A * 0.8 * s ** -1.8),
@@ -157,34 +158,34 @@ def test_integral_bound_scenario(tf):
     assert rep.numeric == pytest.approx(oracle_inner + rep.outer_piece_closed, rel=1e-9)
     # K0/gamma^2 equals the sum of the two closed-form pieces
     assert rep.bound == pytest.approx(rep.inner_piece_closed + rep.outer_piece_closed,
-                                      rel=1e-14)
+                                      rel=1e-14, abs=0.0)
 
 
 def test_integral_bound_gamma_scaling(scenario):
     t1 = build_testfunction(scenario, 4.0, 0.8, 20.0)
     t2 = build_testfunction(scenario, 4.0, 0.8, 40.0)
     assert verify_integral_bound(t2).bound == pytest.approx(
-        verify_integral_bound(t1).bound / 4.0, rel=1e-12)
+        verify_integral_bound(t1).bound / 4.0, rel=1e-12, abs=0.0)
 
 
 def test_riccati_reference_values():
     sol = riccati(1.0, 1.0, 1.0, t1=0.0)
-    assert sol.blow_up_time == pytest.approx(math.log(2.0), rel=1e-13)
+    assert sol.blow_up_time == pytest.approx(math.log(2.0), rel=1e-13, abs=0.0)
     assert sol(0.0) == 1.0
-    assert sol(0.5) == pytest.approx(4.69348449872319, rel=1e-12)
+    assert sol(0.5) == pytest.approx(4.69348449872319, rel=1e-12, abs=0.0)
 
 
 def test_riccati_linear_limit():
     sol = riccati(2.0, 0.0, 3.0, t1=1.0)
     assert sol.blow_up_time == math.inf
-    assert sol(2.0) == pytest.approx(3.0 * math.exp(2.0), rel=1e-14)
+    assert sol(2.0) == pytest.approx(3.0 * math.exp(2.0), rel=1e-14, abs=0.0)
 
 
 def test_riccati_domain_error_carries_time():
     sol = riccati(1.0, 1.0, 1.0, t1=0.0)
     with pytest.raises(NumericalError) as err:
         sol(math.log(2.0))
-    assert err.value.blow_up_time == pytest.approx(math.log(2.0), rel=1e-13)
+    assert err.value.blow_up_time == pytest.approx(math.log(2.0), rel=1e-13, abs=0.0)
 
 
 def test_riccati_blowup_divergence():
@@ -241,13 +242,13 @@ def test_select_blowup_params_formulas(scenario):
     sel = select_blowup_params(0.0, 0.1, 1.0, 0.5, scenario, seed,
                                w_probe=lambda s: min(float(s), 1.0))
     k0 = 1.36 * 4.0 ** (-2.0 / 3.0)
-    assert sel.kappa == pytest.approx(k0 * 0.1 / 8.0, rel=1e-14)
+    assert sel.kappa == pytest.approx(k0 * 0.1 / 8.0, rel=1e-14, abs=0.0)
     assert sel.kappa == pytest.approx(0.00674645, rel=1e-6)
     assert sel.diagnostics["gamma_floor_kappa"] == pytest.approx(
-        (4.0 / sel.kappa) ** 1.5, rel=1e-12)
+        (4.0 / sel.kappa) ** 1.5, rel=1e-12, abs=0.0)
     assert sel.diagnostics["gamma_floor_kappa"] == pytest.approx(14436.99, rel=1e-6)
     assert sel.diagnostics["s0_upper_bound"] == pytest.approx(
-        (2.0 * sel.kappa ** 3 / 3.0) ** 0.5, rel=1e-12)
+        (2.0 * sel.kappa ** 3 / 3.0) ** 0.5, rel=1e-12, abs=0.0)
     assert sel.diagnostics["s0_upper_bound"] == pytest.approx(4.5245e-4, rel=1e-4)
     assert 0.0 < sel.s0 < sel.diagnostics["s0_upper_bound"]
     assert sel.gamma > max(10.0, sel.diagnostics["gamma_floor_kappa"])
@@ -326,7 +327,7 @@ def test_blowup_indicator_plateau(scenario):
                       far_field=1.0, metadata={"n": 3})
     rep = blowup_indicator(traj, [1.0])
     value, s_at, t_at = rep.sup_w_over_s_beta[1.0]
-    assert value == pytest.approx(1.0, rel=1e-12)  # W0/s = c0 on (0, 1]
+    assert value == pytest.approx(1.0, rel=1e-12, abs=0.0)  # W0/s = c0 on (0, 1]
     assert t_at == 0.0
     assert rep.atom_estimate == pytest.approx(0.0, abs=1e-12)
     payload = rep.to_json_dict()

@@ -197,6 +197,7 @@ def test_solver_numbers_finite_and_mesh_representable(tmp_path, capsys, key, val
         warnings.simplefilter("error")  # an overflow warning would fail here
         assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # checked before the output is created
 
 
 def test_simulate_requires_epsilon(tmp_path, capsys):
@@ -301,6 +302,24 @@ def test_simulate_solver_failure_exit3(tmp_path, monkeypatch, command):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failure"]["kind"] == "solver"
     assert "synthetic breakdown" in manifest["failure"]["detail"]
+
+
+def test_nonfinite_w_exits3(tmp_path, monkeypatch):
+    # a NaN from the tridiagonal solve is a located invariant violation
+    import ksblow.solver as solver_mod
+
+    real = solver_mod.solve_banded
+
+    def nan_at_node_40(*args):
+        x = real(*args)
+        x[40] = np.nan
+        return x
+
+    monkeypatch.setattr(solver_mod, "solve_banded", nan_at_node_40)
+    out = tmp_path / "nan"
+    assert main(["simulate", "--config", _write(tmp_path, _simulate_doc(out))]) == 3
+    detail = json.loads((out / "manifest.json").read_text())["failure"]["detail"]
+    assert "monotonicity violated by nan at s = " in detail
 
 
 def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):

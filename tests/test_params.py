@@ -9,10 +9,10 @@ from ksblow import (ParameterError, SystemParams, TestFnParams, ball_volume,
 
 
 def test_threshold_values():
-    assert f0_threshold(3, 2.5) == pytest.approx(1.2, rel=1e-14)
-    assert f0_threshold(4, 3.0) == pytest.approx(16.0 / 3.0, rel=1e-14)
+    assert f0_threshold(3, 2.5) == pytest.approx(1.2, rel=1e-14, abs=0.0)
+    assert f0_threshold(4, 3.0) == pytest.approx(16.0 / 3.0, rel=1e-14, abs=0.0)
     # alpha -> n forces the threshold to zero
-    assert f0_threshold(3, 2.999) == pytest.approx(2 * 3 / 2.999 * 1 * 0.001, rel=1e-12)
+    assert f0_threshold(3, 2.999) == pytest.approx(2 * 3 / 2.999 * 1 * 0.001, rel=1e-12, abs=0.0)
     assert f0_threshold(3, 2.999) == pytest.approx(0.0020007, rel=1e-4)
 
 
@@ -26,16 +26,17 @@ def test_threshold_domain_errors():
 
 
 def test_h_values():
-    assert h_value(3, 2.5, 2.0) == pytest.approx(0.5, rel=1e-14)
+    assert h_value(3, 2.5, 2.0) == pytest.approx(0.5, rel=1e-14, abs=0.0)
     assert h_value(3, 2.5, 2.5) == 0.0
-    assert h_value(4, 3.0, 1.0) == pytest.approx(7.0, rel=1e-14)
+    assert h_value(4, 3.0, 1.0) == pytest.approx(7.0, rel=1e-14, abs=0.0)
 
 
 def test_delta_lower_bound_values():
-    assert delta_lower_bound(3, 2.5, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert delta_lower_bound(3, 2.5, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-14, abs=0.0)
     # boundary f0 = threshold gives exactly 1: strictness of the amplitude condition
-    assert delta_lower_bound(3, 2.5, 1.2) == pytest.approx(1.0, rel=1e-13)
-    assert delta_lower_bound(3, 2.5, 100.0) == pytest.approx(0.1704929731877627, rel=1e-13)
+    assert delta_lower_bound(3, 2.5, 1.2) == pytest.approx(1.0, rel=1e-13, abs=0.0)
+    assert delta_lower_bound(3, 2.5, 100.0) == pytest.approx(0.1704929731877627,
+                                                             rel=1e-13, abs=0.0)
     assert delta_lower_bound(3, 2.5, 100.0) == pytest.approx(0.170497, rel=5e-5)
     # the first max-argument is not always dominated by a wide margin
     assert delta_lower_bound(3, 2.5, 100.0) > (3 - 2.5) / 3
@@ -82,9 +83,9 @@ def test_delta_bound_monotone_in_f0():
 
 def test_validate_scenario(scenario):
     assert scenario.feasible
-    assert scenario.threshold == pytest.approx(1.2, rel=1e-14)
-    assert scenario.mu == pytest.approx(4 * math.pi / 3, rel=1e-14)
-    assert scenario.mass_cap == pytest.approx(1.0, rel=1e-14)
+    assert scenario.threshold == pytest.approx(1.2, rel=1e-14, abs=0.0)
+    assert scenario.mu == pytest.approx(4 * math.pi / 3, rel=1e-14, abs=0.0)
+    assert scenario.mass_cap == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_validate_boundary_exclusions():
@@ -114,9 +115,9 @@ def test_zero_forcing_is_valid_but_infeasible():
 
 
 def test_geometry_helpers():
-    assert sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
-    assert ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-14)
-    assert sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14)
+    assert sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14, abs=0.0)
+    assert ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-14, abs=0.0)
+    assert sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14, abs=0.0)
 
 
 def test_testfn_params_validation(scenario):
@@ -132,7 +133,7 @@ def test_testfn_params_validation(scenario):
 def test_default_testfn_params(scenario):
     tf = default_testfn_params(scenario)
     assert tf.xi == 4.0
-    assert tf.delta == pytest.approx(0.5 * (2.0 / 3.0 + 1.0), rel=1e-14)
+    assert tf.delta == pytest.approx(0.5 * (2.0 / 3.0 + 1.0), rel=1e-14, abs=0.0)
     assert tf.gamma > 4.0 / (scenario.R - scenario.rho)
     with pytest.raises(ParameterError, match="threshold"):
         default_testfn_params(SystemParams(3, 2.5, 1.0, 0.5, 0.1, 1.0))

@@ -29,7 +29,7 @@ def quad_F(profile, s):
 
 def test_f_power_law_region(profile):
     assert profile.f(0.2) == pytest.approx(111.8034, rel=1e-6)
-    assert profile.f(0.2) == pytest.approx(2.0 * 0.2 ** -2.5, rel=1e-14)
+    assert profile.f(0.2) == pytest.approx(2.0 * 0.2 ** -2.5, rel=1e-14, abs=0.0)
 
 
 def test_f_vanishes_past_support(profile):
@@ -39,7 +39,7 @@ def test_f_vanishes_past_support(profile):
 
 def test_f_bridge_midpoint(profile):
     # quintic smoothstep is 1/2 at its midpoint
-    assert profile.f(0.5) == pytest.approx(2.0 * 0.5 ** -2.5 * 0.5, rel=1e-14)
+    assert profile.f(0.5) == pytest.approx(2.0 * 0.5 ** -2.5 * 0.5, rel=1e-14, abs=0.0)
     assert profile.f(0.5) == pytest.approx(5.656854, rel=1e-6)
 
 
@@ -69,7 +69,7 @@ def test_f_bridge_c2_matching(profile):
 
 
 def test_F_closed_form_region(profile):
-    assert profile.F(0.001) == pytest.approx(4.0 * 0.001 ** (1.0 / 6.0), rel=1e-12)
+    assert profile.F(0.001) == pytest.approx(4.0 * 0.001 ** (1.0 / 6.0), rel=1e-12, abs=0.0)
     assert profile.F(0.001) == pytest.approx(1.264911, rel=1e-6)
     assert profile.F(0.0) == 0.0
 
@@ -96,7 +96,7 @@ def test_F_matches_quadrature_oracle():
 
 def test_F_constant_past_upper_breakpoint(profile):
     hi = (profile.R + profile.rho) ** profile.n
-    assert hi == pytest.approx(0.216, rel=1e-12)
+    assert hi == pytest.approx(0.216, rel=1e-12, abs=0.0)
     vals = profile.F(np.linspace(hi, 50.0, 100))
     assert np.all(vals == vals[0])
     assert vals[0] == profile.F_limit
@@ -111,10 +111,11 @@ def test_F_limit_bound(profile):
 
 
 def test_Fs_values(profile):
-    assert profile.F_s(0.001) == pytest.approx((2.0 / 3.0) * 0.001 ** (-5.0 / 6.0), rel=1e-12)
+    assert profile.F_s(0.001) == pytest.approx((2.0 / 3.0) * 0.001 ** (-5.0 / 6.0),
+                                               rel=1e-12, abs=0.0)
     assert profile.F_s(0.001) == pytest.approx(210.8185, rel=1e-6)
     assert profile.F_s(0.3) == 0.0
-    assert profile.F_s(0.008) == pytest.approx(profile.f(0.2) / 3.0, rel=1e-14)
+    assert profile.F_s(0.008) == pytest.approx(profile.f(0.2) / 3.0, rel=1e-14, abs=0.0)
     assert profile.F_s(0.008) == pytest.approx(37.26780, rel=1e-6)
 
 
@@ -153,7 +154,7 @@ def test_cutoff_endpoint_values():
     assert chi_eval(spec, 0.1) == (0.0, 0.0, 0.0)
     assert chi_eval(spec, 0.2) == (1.0, 0.0, 0.0)
     val, d1, d2 = chi_eval(spec, 0.15)
-    assert val == pytest.approx(0.5, rel=1e-14)
+    assert val == pytest.approx(0.5, rel=1e-14, abs=0.0)
     assert chi_eval(spec, 0.0)[0] == 0.0
     assert chi_eval(spec, 5.0)[0] == 1.0
 
@@ -173,7 +174,7 @@ def test_cutoff_derivatives_consistent():
 
 
 def test_c_chi_analytic_value():
-    assert c_chi() == pytest.approx(15.0 / 4.0 + 40.0 / math.sqrt(3.0), rel=1e-15)
+    assert c_chi() == pytest.approx(15.0 / 4.0 + 40.0 / math.sqrt(3.0), rel=1e-15, abs=0.0)
     assert c_chi() == pytest.approx(26.84401, rel=1e-6)
     assert 15.0 / 4.0 == 3.75
     assert 40.0 / math.sqrt(3.0) == pytest.approx(23.09401, rel=1e-6)
@@ -206,8 +207,8 @@ def test_direct_breakpoints_mode():
     prof = SignalProfile(**SCEN, breakpoints="direct")
     assert prof.s_lower == 0.4 and prof.s_upper == 0.6
     # literal case labels: closed form up to s = R - rho on the s axis
-    assert prof.F(0.3) == pytest.approx(4.0 * 0.3 ** (1.0 / 6.0), rel=1e-14)
-    assert prof.F_s(0.3) == pytest.approx((2.0 / 3.0) * 0.3 ** (-5.0 / 6.0), rel=1e-14)
+    assert prof.F(0.3) == pytest.approx(4.0 * 0.3 ** (1.0 / 6.0), rel=1e-14, abs=0.0)
+    assert prof.F_s(0.3) == pytest.approx((2.0 / 3.0) * 0.3 ** (-5.0 / 6.0), rel=1e-14, abs=0.0)
     assert prof.F_s(0.7) == 0.0
     s = np.geomspace(1e-6, 2.0, 2000)
     assert np.all(np.diff(prof.F(s)) >= -1e-14 * prof.F_limit)

@@ -5,12 +5,13 @@ from ksblow import (MassFunction, ParameterError, RadialDensity, SignalProfile,
                     SolverConfig, SystemParams, build_mesh, comparison_check,
                     measured_c_sub, proper_sweep, solve_regularized,
                     subsolution_candidate, validate, w0_from_density)
+from ksblow.solver import cap_cfl_bound
 
 
 def test_mesh_geometric_identity():
     mesh = build_mesh(1.0, 256, 1.05)
     s1 = 1.0 * (1.05 - 1.0) / (1.05 ** 256 - 1.0)
-    assert mesh.nodes[1] == pytest.approx(s1, rel=1e-12)
+    assert mesh.nodes[1] == pytest.approx(s1, rel=1e-12, abs=0.0)
     assert np.all(np.diff(mesh.nodes) > 0)
     assert mesh.nodes[-1] == 1.0
     assert mesh.nodes[0] == 0.0
@@ -118,7 +119,7 @@ def test_comparison_detector_sanity(small_run):
     rep = comparison_check(traj, candidate, kind="sub")
     assert not rep.passed
     assert rep.worst_margin < -traj.far_field * 0.5
-    assert rep.location[0] == pytest.approx(bump_at, rel=1e-12)
+    assert rep.location[0] == pytest.approx(bump_at, rel=1e-12, abs=0.0)
 
 
 def test_comparison_kind_validation(small_run):
@@ -205,3 +206,122 @@ def test_trajectory_accessors(small_run):
     mf.validate()
     with pytest.raises(ParameterError, match="no snapshot"):
         traj.snapshot_at(0.123)
+
+
+def _step_matrix(s, n, dt):
+    """The step matrix I - dt*A in scipy's (1, 1) banded layout, assembled
+    independently of the solver: nodal coefficient n^2 s^((2n-2)/n) times the
+    nonuniform second difference, identity rows at both ends."""
+    h = np.diff(s)
+    hl, hr = h[:-1], h[1:]
+    coef = n * n * np.power(s[1:-1], (2.0 * n - 2.0) / n)
+    low = coef * (2.0 / (hl * (hl + hr)))
+    upp = coef * (2.0 / (hr * (hl + hr)))
+    ab = np.zeros((3, s.size))
+    ab[0, 2:] = -dt * upp
+    ab[1, 1:-1] = 1.0 + dt * (low + upp)
+    ab[1, 0] = ab[1, -1] = 1.0
+    ab[2, :-2] = -dt * low
+    return ab
+
+
+def _recording_engine(monkeypatch):
+    """Wrap the solver's dgttrf and solve_banded.  Each factorization keeps a
+    copy of the matrix it factored; each solve is checked against scipy's
+    banded solve of that matrix, bit for bit."""
+    import scipy.linalg
+
+    import ksblow.solver as solver_mod
+
+    real_factor, real_solve = solver_mod.dgttrf, solver_mod.solve_banded
+    log = {"factored": {}, "solves": []}
+
+    def dgttrf(dl, d, du, **kwargs):
+        ab = np.zeros((3, d.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        out = real_factor(dl, d, du, **kwargs)
+        log["factored"][id(out[3])] = (ab, out)  # out keeps the id unique
+        return out
+
+    def solve_banded(lu, rhs):
+        ab = log["factored"][id(lu[3])][0]
+        expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        x = real_solve(lu, rhs)
+        assert x.tobytes() == expected.tobytes()
+        log["solves"].append(id(lu[3]))
+        return x
+
+    monkeypatch.setattr(solver_mod, "dgttrf", dgttrf)
+    monkeypatch.setattr(solver_mod, "solve_banded", solve_banded)
+    return log
+
+
+def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch):
+    # a fixed CFL dt and steps clipped to output times that it does not divide
+    from ksblow.signal import CutoffSpec, chi_eval
+
+    mesh = build_mesh(4.0, 128)
+    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    chi = chi_eval(CutoffSpec(1e-2), mesh.nodes)[0]
+    dt = cap_cfl_bound(mesh, chi, 3 * scenario_profile.F(mesh.nodes), w0.far_field, 0.4)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002),
+                       dt_fixed=dt)
+    log = _recording_engine(monkeypatch)
+    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+    assert len(log["solves"]) == traj.metadata["n_steps"]
+    factored = list(log["factored"].values())
+    # the first factors are those of the CFL dt, assembled as the scheme says
+    assert factored[0][0].tobytes() == _step_matrix(mesh.nodes, 3, dt).tobytes()
+    assert len(set(log["solves"])) == len(factored) == 3  # CFL dt + two clipped steps
+    assert traj.metadata["dt_history"]["min"] < dt
+
+
+@pytest.mark.parametrize("stepping", ["dt_fixed", "max_dt", "adaptive"])
+def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, monkeypatch,
+                                                 stepping):
+    mesh = build_mesh(4.0, 128)
+    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    # the adaptive CFL dt here is about 6e-5; the output times and t_end are
+    # no multiples of the fixed and capped steps, so each is a clipped step
+    extra = {"dt_fixed": {"dt_fixed": 3e-5}, "max_dt": {"max_dt": 2.2e-5},
+             "adaptive": {}}[stepping]
+    cfg = SolverConfig(epsilon=1e-2, t_end=2e-3, output_times=(0.0, 7e-4, 1.4e-3),
+                       **extra)
+    log = _recording_engine(monkeypatch)
+    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+    n_steps, clipped = traj.metadata["n_steps"], 3  # 7e-4, 1.4e-3 and t_end
+    if stepping == "max_dt":
+        assert traj.metadata["dt_history"]["max"] == 2.2e-5
+    assert len(log["solves"]) == n_steps
+    if stepping == "adaptive":
+        assert clipped + 1 < len(log["factored"]) <= n_steps
+    else:
+        assert len(log["factored"]) <= 1 + clipped < n_steps
+
+
+def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monkeypatch):
+    # the solve does not check its input; the invariant check after the step
+    # must stop a NaN where it appears instead of marching it to the end
+    import ksblow.solver as solver_mod
+    from ksblow.errors import SolverError
+
+    real = solver_mod.solve_banded
+    calls = []
+
+    def nan_at_node_40(*args):
+        x = real(*args)
+        if not calls:
+            x[40] = np.nan
+        calls.append(1)
+        return x
+
+    monkeypatch.setattr(solver_mod, "solve_banded", nan_at_node_40)
+    mesh = build_mesh(4.0, 128)
+    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
+    with pytest.raises(SolverError, match="nan") as err:
+        solve_regularized(scenario, w0, cfg, scenario_profile)
+    assert len(calls) == 1
+    s_at, t_at = err.value.location
+    assert s_at == mesh.nodes[39]  # the cell [s_39, s_40] holds the NaN drop
+    assert 0.0 < t_at < 0.002
