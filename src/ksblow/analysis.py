@@ -141,9 +141,7 @@ class OdeMarginReport:
     threshold: float
     passed: bool
     n_points: int
-    rate_below_kink: float          # L phi / phi at the last grid point below xi/gamma
-    rate_above_kink: float          # ... and the first one above
-    diffusion_rate_above_kink: float  # diffusion part only; attains c1*gamma^(2/n)
+    diffusion_rate_above_kink: float  # just above xi/gamma; attains c1*gamma^(2/n)
     k0_rate: float                  # k0 * gamma^(2/n)
     grid: np.ndarray = field(repr=False)     # the scanned s values
     margins: np.ndarray = field(repr=False)  # L phi / phi - k0 gamma^(2/n) on the grid
@@ -203,9 +201,9 @@ def l_phi_rate(tf: TestFunction, profile: SignalProfile, s):
 def verify_ode_inequality(tf: TestFunction,
                           profile: SignalProfile | None = None) -> OdeMarginReport:
     """Scan (L phi - k0 gamma^(2/n) phi)/phi over the margin grid; pass iff
-    the minimum stays above -ANALYTIC_SLACK.  Also reports the one-sided
-    rates at the branch point: the diffusion-only rate just above it attains
-    c1 * gamma^(2/n), the sanity anchor for k0 = min{c1, c2}."""
+    the minimum stays above -ANALYTIC_SLACK.  Also reports the diffusion-only
+    rate just above the branch point, which attains c1 * gamma^(2/n), the
+    sanity anchor for k0 = min{c1, c2}."""
     if profile is None:
         profile = default_verification_profile(tf)
     grid = margin_grid(tf, profile)
@@ -214,10 +212,7 @@ def verify_ode_inequality(tf: TestFunction,
     margin = rate - k0_rate
     i = int(np.argmin(margin))
 
-    below = grid[grid < tf.kink]
     above = grid[grid >= tf.kink]
-    rate_below = float(l_phi_rate(tf, profile, below[-1:])[0]) if below.size else math.nan
-    rate_above = float(l_phi_rate(tf, profile, above[:1])[0]) if above.size else math.nan
     if above.size:
         s_a = above[0]
         n = tf.n
@@ -229,7 +224,6 @@ def verify_ode_inequality(tf: TestFunction,
     return OdeMarginReport(
         min_margin=float(margin[i]), argmin_s=float(grid[i]), threshold=ANALYTIC_SLACK,
         passed=bool(margin[i] >= -ANALYTIC_SLACK), n_points=int(grid.size),
-        rate_below_kink=rate_below, rate_above_kink=rate_above,
         diffusion_rate_above_kink=float(diff_rate), k0_rate=k0_rate,
         grid=grid, margins=margin)
 
@@ -330,78 +324,7 @@ def integral_phi_total(tf: TestFunction) -> float:
             + math.exp(-tf.xi) / tf.gamma)
 
 
-# --- Gronwall variant and the Bernoulli comparison solution ----------------
-
-
-class PiecewiseLinearMap:
-    """Non-decreasing piecewise-linear map with constant extrapolation."""
-
-    def __init__(self, knots, values):
-        knots = np.asarray(knots, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
-            raise ParameterError("need matching 1-d knots and values")
-        if not np.all(np.diff(knots) > 0):
-            raise ParameterError("knots must increase strictly")
-        if np.any(np.diff(values) < 0):
-            raise ParameterError("map must be non-decreasing")
-        self.knots = knots
-        self.values = values
-
-    def __call__(self, v):
-        return np.interp(v, self.knots, self.values)
-
-
-def rk4_path(fn, z0: float, t_grid, substeps: int = 64):
-    """Classical RK4 for z' = fn(z) along t_grid (autonomous right side)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty_like(t_grid)
-    z = float(z0)
-    out[0] = z
-    for k in range(1, t_grid.size):
-        h = (t_grid[k] - t_grid[k - 1]) / substeps
-        for _ in range(substeps):
-            k1 = fn(z)
-            k2 = fn(z + 0.5 * h * k1)
-            k3 = fn(z + 0.5 * h * k2)
-            k4 = fn(z + h * k3)
-            z += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k] = z
-    return out
-
-
-@dataclass(frozen=True)
-class GronwallReport:
-    passed: bool
-    first_violation_time: float | None
-    max_deficit: float
-    tolerance: float
-
-
-def gronwall_compare(times, y_values, phi_map, c: float, t1: float,
-                     tol: float = 1e-8, substeps: int = 64) -> GronwallReport:
-    """Check y(t) >= z(t) - tol where z' = phi_map(z), z(t1) = c.
-
-    The comparison needs phi_map non-decreasing (PiecewiseLinearMap enforces
-    it; arbitrary callables are trusted).
-    """
-    times = np.asarray(times, dtype=float)
-    y_values = np.asarray(y_values, dtype=float)
-    if times.size != y_values.size or times.size == 0:
-        raise ParameterError("times and y samples must match and be nonempty")
-    if times[0] < t1 - 1e-12 * max(1.0, abs(t1)):
-        raise ParameterError("samples must start at or after t1")
-    grid = np.concatenate(([t1], times)) if times[0] > t1 else times.copy()
-    z = rk4_path(phi_map, c, grid, substeps=substeps)
-    z_at_samples = z[1:] if grid.size == times.size + 1 else z
-    deficit = z_at_samples - y_values
-    worst = float(np.max(deficit))
-    if worst > tol:
-        k = int(np.argmax(deficit > tol))
-        return GronwallReport(passed=False, first_violation_time=float(times[k]),
-                              max_deficit=worst, tolerance=tol)
-    return GronwallReport(passed=True, first_violation_time=None,
-                          max_deficit=worst, tolerance=tol)
+# --- the Bernoulli comparison solution ------------------------------------
 
 
 @dataclass(frozen=True)

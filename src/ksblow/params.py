@@ -32,11 +32,6 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def ball_volume(n: int) -> float:
-    """Volume of the unit ball in n dimensions."""
-    return sphere_area(n) / n
-
-
 def _require(cond, field, value, admissible, violations):
     if not cond:
         violations.append((field, value, admissible))
@@ -111,7 +106,7 @@ class SystemParams:
     """Scenario parameters: plateau initial data c0 on the unit ball driven
     by the truncated power-law signal production.
 
-    Immutable; derived quantities (threshold, total mass, mass cap) are
+    Immutable; derived quantities (threshold, feasibility, delta bound) are
     properties so a validated instance is self-describing.
     """
 
@@ -129,16 +124,6 @@ class SystemParams:
     @property
     def feasible(self) -> bool:
         return self.f0 > self.threshold
-
-    @property
-    def mu(self) -> float:
-        """Total initial mass of the unit-ball plateau (cells)."""
-        return self.c0 * ball_volume(self.n)
-
-    @property
-    def mass_cap(self) -> float:
-        """Far-field value n*mu/|S_{n-1}| of the mass function, which is c0."""
-        return self.c0
 
     @property
     def delta_bound(self) -> float:

@@ -10,22 +10,20 @@ from scipy import integrate
 
 from .errors import NumericalError
 
+_QUAD_ATOL = 1e-300
+_QUAD_LIMIT = 400
 
-def integrate_adaptive(fn, lo, hi, *, points=None, rtol=1e-10, atol=1e-300, limit=400):
+
+def integrate_adaptive(fn, lo, hi, *, rtol=1e-10):
     """Gauss-Kronrod adaptive quadrature of ``fn`` over [lo, hi].
 
-    ``points`` lists interior breakpoints of the integrand (ignored for
-    infinite ranges, where QUADPACK forbids them).  Raises NumericalError
-    carrying the achieved tolerance when the estimate does not converge.
+    Raises NumericalError carrying the achieved tolerance when the estimate
+    does not converge.
     """
-    kwargs = {"limit": limit, "epsrel": rtol, "epsabs": atol}
-    if points is not None and np.isfinite(hi):
-        pts = [p for p in points if lo < p < hi]
-        if pts:
-            kwargs["points"] = pts
-    value, err, *rest = integrate.quad(fn, lo, hi, full_output=1, **kwargs)
+    value, err, *rest = integrate.quad(fn, lo, hi, full_output=1, limit=_QUAD_LIMIT,
+                                       epsrel=rtol, epsabs=_QUAD_ATOL)
     info_ok = len(rest) == 1  # a message element appears only on trouble
-    achieved = err / max(abs(value), atol)
+    achieved = err / max(abs(value), _QUAD_ATOL)
     if not info_ok and achieved > 10.0 * rtol:
         raise NumericalError(
             f"quadrature over [{lo}, {hi}] did not converge: "

@@ -6,9 +6,8 @@ The production profile is
     f(r) = f0 * r**(-alpha)   for r <= R - rho,
     f(r) = 0                  for r >= R + rho,
 
-bridged monotonically and C^2 in between by a quintic smoothstep (closed-
-form extrema, so the cutoff constant c_chi is analytic).  On the mass scale
-the accumulated forcing
+bridged monotonically and C^2 in between by a quintic smoothstep, which
+also shapes the cutoff chi_eps.  On the mass scale the accumulated forcing
 
     F(s) = integral_0^{s**(1/n)} f(r) r**(n-1) dr
 
@@ -32,7 +31,6 @@ modes differ; both are exposed and neither is silently mixed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,56 +48,18 @@ def smoothstep(x):
     return x * x * x * (10.0 + x * (6.0 * x - 15.0))
 
 
-def smoothstep_d1(x):
-    x = np.clip(x, 0.0, 1.0)
-    return 30.0 * x * x * (x - 1.0) * (x - 1.0)
-
-
-def smoothstep_d2(x):
-    x = np.clip(x, 0.0, 1.0)
-    return 60.0 * x * (2.0 * x - 1.0) * (x - 1.0)
-
-
-# Analytic extrema of the base cutoff chi(x) = S(2x - 1) on the ramp [1/2, 1]:
-# sup|chi'| = 2 * sup S' = 15/4, sup|chi''| = 4 * sup|S''| = 40/sqrt(3).
-SUP_CHI_D1 = 15.0 / 4.0
-SUP_CHI_D2 = 40.0 / math.sqrt(3.0)
-
-
-def c_chi() -> float:
-    """sup|chi'| + sup|chi''| of the base quintic-smoothstep cutoff."""
-    return SUP_CHI_D1 + SUP_CHI_D2
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Cutoff chi_eps(s) = chi(s/eps): identically 0 on [0, eps/2], 1 on
-    [eps, infinity), with |chi_eps'| <= c_chi/eps and |chi_eps''| <= c_chi/eps^2."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(
-                f"epsilon must be in (0, 1) (got {self.epsilon!r})",
-                [("epsilon", self.epsilon, "in (0, 1)")],
-            )
-
-
-def chi_eval(spec: CutoffSpec, s):
-    """Return (chi_eps, chi_eps', chi_eps'') at s (scalar or array)."""
+def chi_eval(epsilon: float, s):
+    """Cutoff chi_eps(s) = S(2s/eps - 1): identically 0 on [0, eps/2] and 1 on
+    [eps, infinity), at s (scalar or array)."""
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0):
         raise ParameterError("s must be >= 0 for the cutoff", [("s", s, ">= 0")])
-    eps = spec.epsilon
-    x = 2.0 * s_arr / eps - 1.0
-    ramp = (s_arr > eps / 2.0) & (s_arr < eps)
-    val = np.where(s_arr >= eps, 1.0, np.where(ramp, smoothstep(x), 0.0))
-    d1 = np.where(ramp, smoothstep_d1(x) * (2.0 / eps), 0.0)
-    d2 = np.where(ramp, smoothstep_d2(x) * (4.0 / (eps * eps)), 0.0)
+    ramp = (s_arr > epsilon / 2.0) & (s_arr < epsilon)
+    val = np.where(s_arr >= epsilon, 1.0,
+                   np.where(ramp, smoothstep(2.0 * s_arr / epsilon - 1.0), 0.0))
     if np.isscalar(s) or s_arr.ndim == 0:
-        return float(val), float(d1), float(d2)
-    return val, d1, d2
+        return float(val)
+    return val
 
 
 @dataclass(frozen=True)
@@ -120,9 +80,8 @@ class SignalProfile:
         validate(SystemParams(self.n, self.alpha, self.f0, self.R, self.rho, c0=1.0))
 
     @classmethod
-    def from_params(cls, params: SystemParams, breakpoints="transformed"):
-        return cls(params.f0, params.alpha, params.R, params.rho, params.n,
-                   breakpoints=breakpoints)
+    def from_params(cls, params: SystemParams):
+        return cls(params.f0, params.alpha, params.R, params.rho, params.n)
 
     # --- profile on the radial axis -------------------------------------
 

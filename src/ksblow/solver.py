@@ -39,7 +39,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ParameterError, SolverError
 from .params import SystemParams, validate
-from .signal import CutoffSpec, SignalProfile, chi_eval
+from .signal import SignalProfile, chi_eval
 from .transform import MassFunction
 
 _RATIO_MAX = 1.2
@@ -192,12 +192,10 @@ class Trajectory:
 
 
 def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConfig,
-                      profile: SignalProfile | None = None) -> Trajectory:
+                      profile: SignalProfile) -> Trajectory:
     """March the regularized problem from w0 to t_end; snapshot at the
     requested output times.  Deterministic for fixed inputs."""
     params = validate(params)
-    if profile is None:
-        profile = SignalProfile.from_params(params)
     mesh = Mesh(nodes=w0.s)
     s = mesh.nodes
     n = params.n
@@ -210,8 +208,7 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
             f"truncation does not reach the far field: W0(s_max) = {w0.w[-1]}, cap = {cap}")
 
     h = np.diff(s)
-    cutoff = CutoffSpec(config.epsilon)
-    chi = chi_eval(cutoff, s)[0]
+    chi = chi_eval(config.epsilon, s)
     nF = n * profile.F(s)
 
     # the diffusion matrix A as LAPACK's (sub, main, super) diagonals; its
@@ -273,7 +270,7 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         out_times.pop(0)
 
     if config.dt_fixed is not None:
-        bound = cap_cfl_bound(mesh, chi, nF, cap, config.cfl_safety)
+        bound = cap_cfl_bound(h, chi, nF, cap, config.cfl_safety)
         if config.dt_fixed > bound * (1.0 + 1e-12):
             raise ParameterError(
                 f"dt_fixed = {config.dt_fixed} exceeds the worst-case CFL bound {bound}")
@@ -358,11 +355,11 @@ def _cfl_dt(h, coef, cfl_safety: float) -> float:
     return cfl_safety * float(limits.min())
 
 
-def cap_cfl_bound(mesh: Mesh, chi, nF, cap: float, cfl_safety: float) -> float:
-    """Largest admissible constant dt: the CFL limit with W at its cap, valid
-    for every state in [0, cap]."""
+def cap_cfl_bound(h, chi, nF, cap: float, cfl_safety: float) -> float:
+    """Largest admissible constant dt on cells of widths ``h``: the CFL limit
+    with W at its cap, valid for every state in [0, cap]."""
     coef = np.asarray(chi)[:-1] * (cap + np.asarray(nF)[:-1])
-    return _cfl_dt(np.diff(mesh.nodes), coef, cfl_safety)
+    return _cfl_dt(h, coef, cfl_safety)
 
 
 @dataclass(frozen=True)
@@ -376,7 +373,7 @@ class SweepReport:
 
 
 def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
-                 eps_list, profile: SignalProfile | None = None):
+                 eps_list, profile: SignalProfile):
     """Run each epsilon on the shared mesh; report how well the family
     increases pointwise as epsilon decreases (the regularized solutions climb
     toward the proper solution).  Violations are reported magnitudes, never
@@ -385,18 +382,15 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
     if any(not 0.0 < e < 1.0 for e in eps_list) or any(
             b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ParameterError("eps_list must be strictly decreasing within (0, 1)")
-    if profile is None:
-        profile = SignalProfile.from_params(params)
 
     # one shared time grid: the worst-case CFL bound over all cutoffs (the
     # smallest epsilon binds), so the runs are ordered by the discrete
     # comparison argument rather than approximately
     if config.dt_fixed is None:
-        mesh = Mesh(nodes=w0.s)
-        nF = params.n * profile.F(mesh.nodes)
+        h = np.diff(w0.s)
+        nF = params.n * profile.F(w0.s)
         shared = min(
-            cap_cfl_bound(mesh, chi_eval(CutoffSpec(eps), mesh.nodes)[0], nF,
-                          w0.far_field, config.cfl_safety)
+            cap_cfl_bound(h, chi_eval(eps, w0.s), nF, w0.far_field, config.cfl_safety)
             for eps in eps_list)
         if config.max_dt is not None:
             shared = min(shared, config.max_dt)
@@ -430,23 +424,20 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    kind: str
     worst_margin: float
     location: tuple             # (s, t) of the worst margin
     tolerance: float
     passed: bool
 
 
-def comparison_check(traj: Trajectory, candidate, kind: str, tol: float = 0.0,
+def comparison_check(traj: Trajectory, candidate, tol: float = 0.0,
                      s_window: tuple | None = None) -> ComparisonReport:
-    """Check the trajectory against a sub- or supersolution candidate.
+    """Check the trajectory against a subsolution candidate.
 
     ``candidate(s_array, t)`` evaluates the comparison function on the mesh;
-    for kind="sub" the run must dominate it (W >= candidate - tol), for
-    kind="super" the reverse.  Violations are report content, not errors.
+    the run must dominate it (W >= candidate - tol).  Violations are report
+    content, not errors.
     """
-    if kind not in ("sub", "super"):
-        raise ParameterError(f"kind must be 'sub' or 'super' (got {kind!r})")
     s = traj.mesh.nodes
     mask = np.ones_like(s, dtype=bool)
     if s_window is not None:
@@ -455,13 +446,12 @@ def comparison_check(traj: Trajectory, candidate, kind: str, tol: float = 0.0,
     where = (float("nan"), float("nan"))
     for t, w in zip(traj.times, traj.snapshots):
         cand = np.asarray(candidate(s, t), dtype=float)
-        margin = (w - cand) if kind == "sub" else (cand - w)
-        margin = margin[mask]
+        margin = (w - cand)[mask]
         i = int(np.argmin(margin))
         if margin[i] < worst:
             worst = float(margin[i])
             where = (float(s[mask][i]), t)
-    return ComparisonReport(kind=kind, worst_margin=worst, location=where,
+    return ComparisonReport(worst_margin=worst, location=where,
                             tolerance=tol, passed=worst >= -tol)
 
 

@@ -24,20 +24,6 @@ _CAP_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
-class RadialDensity:
-    """Plateau radial density u(r) = c0 on the ball of radius r_max, 0 outside."""
-
-    r_max: float
-    c0: float
-
-    @classmethod
-    def plateau(cls, c0: float, radius: float = 1.0) -> "RadialDensity":
-        if c0 <= 0 or radius <= 0:
-            raise ParameterError(f"plateau needs c0 > 0 and radius > 0 (got {c0}, {radius})")
-        return cls(r_max=radius, c0=c0)
-
-
-@dataclass(frozen=True)
 class MassFunction:
     """A time-stamped sampling of W on a graded grid starting at s = 0;
     ``far_field`` is the limit n*mu/|S_{n-1}|."""
@@ -72,12 +58,11 @@ class MassFunction:
         return self
 
 
-def w0_from_density(u0: RadialDensity, n: int, mesh_s) -> MassFunction:
-    """Initial mass function on the given grid, exactly: W0(s) = c0 *
-    min(s, r_max**n), with far-field cap c0 * r_max**n."""
+def w0_from_density(c0: float, mesh_s) -> MassFunction:
+    """Initial mass function of the plateau u0 = c0 on the unit ball, exactly
+    on the given grid: W0(s) = c0 * min(s, 1), with far-field cap c0."""
     s = np.asarray(mesh_s, dtype=float)
-    cap = u0.c0 * u0.r_max ** n
-    return MassFunction(s=s, w=u0.c0 * np.minimum(s, u0.r_max ** n), time=0.0, far_field=cap)
+    return MassFunction(s=s, w=c0 * np.minimum(s, 1.0), time=0.0, far_field=c0)
 
 
 def estimate_origin_limit(w: MassFunction) -> float:

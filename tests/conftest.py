@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ksblow import (RadialDensity, SignalProfile, SolverConfig, SystemParams,
-                    build_mesh, proper_sweep, solve_regularized, validate,
-                    w0_from_density)
+from ksblow import (SignalProfile, SolverConfig, SystemParams, build_mesh,
+                    proper_sweep, solve_regularized, validate, w0_from_density)
 
 SCENARIO = SystemParams(n=3, alpha=2.5, f0=2.0, R=0.5, rho=0.1, c0=1.0)
 
@@ -22,7 +21,7 @@ def scenario_profile(scenario):
 def small_run(scenario, scenario_profile):
     """Cheap scenario run for unit-level checks (N=128, eps=1e-2)."""
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.02,
                        output_times=(0.0, 0.005, 0.01, 0.02))
     return solve_regularized(scenario, w0, cfg, scenario_profile), w0
@@ -35,7 +34,7 @@ def scenario_sweep(scenario, scenario_profile):
     import time
 
     mesh = build_mesh(4.0, 512)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.05,
                        output_times=(0.0, 0.005, 0.01, 0.025, 0.05))
     started = time.perf_counter()

@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from ksblow import (RadialDensity, SignalProfile, SolverConfig, SystemParams,
-                    TestFnParams, build_mesh, build_testfunction, comparison_check,
+from ksblow import (SignalProfile, SolverConfig, SystemParams, TestFnParams,
+                    build_mesh, build_testfunction, comparison_check,
                     delta_lower_bound, delta_quadratic, f0_threshold,
-                    gronwall_compare, measured_c_sub, riccati, solve_regularized,
+                    measured_c_sub, riccati, solve_regularized,
                     subsolution_candidate, validate, verify_integral_bound,
                     verify_ode_inequality, w0_from_density, weak_residual)
 from ksblow.cli import main as cli_main
@@ -101,7 +101,7 @@ def test_criterion_3_solver_invariants(scenario_sweep):
             assert np.min(np.diff(w)) >= -1e-8 * cap
         c_sub = measured_c_sub(traj, sweep["w0"])
         rep = comparison_check(traj, subsolution_candidate(c_sub, sweep["w0"]),
-                               kind="sub", tol=1e-6 * cap, s_window=(0.0, 1.0))
+                               tol=1e-6 * cap, s_window=(0.0, 1.0))
         assert rep.passed, (traj.epsilon, rep)
     assert sweep["elapsed"] < 300.0
     print(f"\n[PASS] criterion 3: invariants + subsolution hold on all "
@@ -184,15 +184,10 @@ def test_criterion_6_riccati_machinery():
             rel = abs(_rk4_oracle(A, B, y1, t) - z(t)) / z(t)
             worst = max(worst, rel)
     assert worst <= 1e-8
-
-    times = np.linspace(0.0, 2.0, 41)
-    rep = gronwall_compare(times, np.exp(times), lambda v: v, c=1.0, t1=0.0, tol=1e-8)
-    assert rep.passed
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     print(f"\n[PASS] criterion 6: Riccati closed form vs RK4 worst rel "
-          f"{worst:.2e} (<= 1e-8), T(1,1,1)=ln2, Gronwall equality case, "
-          f"{elapsed:.1f}s")
+          f"{worst:.2e} (<= 1e-8), T(1,1,1)=ln2, {elapsed:.1f}s")
 
 
 def test_criterion_7_weak_residual_convergence(scenario, scenario_profile):
@@ -200,7 +195,7 @@ def test_criterion_7_weak_residual_convergence(scenario, scenario_profile):
 
     def run(N, max_dt, n_out):
         mesh = build_mesh(4.0, N)
-        w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+        w0 = w0_from_density(1.0, mesh.nodes)
         times = tuple(np.linspace(0.0, 0.05, n_out))
         cfg = SolverConfig(epsilon=1e-2, t_end=0.05, output_times=times,
                            max_dt=max_dt)

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ksblow import (NumericalError, ParameterError, PiecewiseLinearMap,
-                    SelectionError, SignalProfile, SystemParams, TestFnParams,
-                    blowup_indicator, build_testfunction, gronwall_compare,
+from ksblow import (NumericalError, ParameterError, SelectionError, SignalProfile,
+                    SystemParams, TestFnParams, blowup_indicator, build_testfunction,
                     integral_phi_linear, integral_phi_total, phi_eval, riccati,
                     select_blowup_params, validate, verify_integral_bound,
                     verify_ode_inequality, y_functional)
@@ -105,7 +104,7 @@ def test_ode_inequality_scenario_both_modes(scenario, tf):
     assert direct.passed
     assert direct.min_margin > 0.0
     transformed = verify_ode_inequality(
-        tf, profile=SignalProfile.from_params(scenario, breakpoints="transformed"))
+        tf, profile=SignalProfile.from_params(scenario))
     assert transformed.passed
     assert transformed.min_margin > 0.0
 
@@ -203,37 +202,6 @@ def test_riccati_parameter_validation():
         riccati(1.0, -1.0, 1.0, 0.0)
     with pytest.raises(ParameterError):
         riccati(1.0, 1.0, 0.0, 0.0)
-
-
-def test_gronwall_constant_case():
-    times = np.linspace(0.0, 1.0, 11)
-    rep = gronwall_compare(times, np.full(11, 5.0), lambda v: 0.0, c=5.0, t1=0.0)
-    assert rep.passed
-
-
-def test_gronwall_exponential_equality():
-    times = np.linspace(0.0, 2.0, 41)
-    y = np.exp(times)
-    rep = gronwall_compare(times, y, lambda v: v, c=1.0, t1=0.0, tol=1e-8)
-    assert rep.passed
-    assert rep.max_deficit <= 1e-8
-
-
-def test_gronwall_detector():
-    times = np.linspace(0.0, 1.0, 21)
-    y = np.exp(times)
-    y[7] -= 1e-3
-    rep = gronwall_compare(times, y, lambda v: v, c=1.0, t1=0.0, tol=1e-8)
-    assert not rep.passed
-    assert rep.first_violation_time == pytest.approx(times[7])
-
-
-def test_piecewise_linear_map():
-    m = PiecewiseLinearMap([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
-    assert m(0.5) == 0.5
-    assert m(5.0) == 1.5  # constant extrapolation
-    with pytest.raises(ParameterError, match="non-decreasing"):
-        PiecewiseLinearMap([0.0, 1.0], [1.0, 0.0])
 
 
 def test_select_blowup_params_formulas(scenario):

@@ -189,7 +189,9 @@ def test_max_dt_must_be_positive(tmp_path, capsys, max_dt):
     ("output_times", [0.0, math.inf], "solver.output_times[1] must be finite"),
     ("eps_list", [0.01, -math.inf], "solver.eps_list[1] must be finite"),
     ("s_max", 1e308, "solver.s_max = 1e+308 is too large"),
-], ids=["t_end-nan", "output_times-infinite", "eps_list-infinite", "s_max-overflow"])
+    ("s_max", 3.9, "solver.s_max must be >= 4 (got 3.9)"),
+], ids=["t_end-nan", "output_times-infinite", "eps_list-infinite", "s_max-overflow",
+        "s_max-below-4"])
 def test_solver_numbers_finite_and_mesh_representable(tmp_path, capsys, key, value, message):
     doc = _simulate_doc(tmp_path / "x")
     doc["solver"][key] = value

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ksblow import (ParameterError, SystemParams, TestFnParams, ball_volume,
-                    default_testfn_params, delta_lower_bound, delta_quadratic,
-                    f0_threshold, h_value, sphere_area, validate)
+from ksblow import (ParameterError, SystemParams, TestFnParams, default_testfn_params,
+                    delta_lower_bound, delta_quadratic, f0_threshold, h_value,
+                    sphere_area, validate)
 
 
 def test_threshold_values():
@@ -84,8 +84,6 @@ def test_delta_bound_monotone_in_f0():
 def test_validate_scenario(scenario):
     assert scenario.feasible
     assert scenario.threshold == pytest.approx(1.2, rel=1e-14, abs=0.0)
-    assert scenario.mu == pytest.approx(4 * math.pi / 3, rel=1e-14, abs=0.0)
-    assert scenario.mass_cap == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_validate_boundary_exclusions():
@@ -116,7 +114,6 @@ def test_zero_forcing_is_valid_but_infeasible():
 
 def test_geometry_helpers():
     assert sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14, abs=0.0)
-    assert ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-14, abs=0.0)
     assert sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14, abs=0.0)
 
 

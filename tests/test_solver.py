@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ksblow import (MassFunction, ParameterError, RadialDensity, SignalProfile,
-                    SolverConfig, SystemParams, build_mesh, comparison_check,
-                    measured_c_sub, proper_sweep, solve_regularized,
-                    subsolution_candidate, validate, w0_from_density)
+from ksblow import (MassFunction, ParameterError, SignalProfile, SolverConfig,
+                    SystemParams, build_mesh, comparison_check, measured_c_sub,
+                    proper_sweep, solve_regularized, subsolution_candidate,
+                    validate, w0_from_density)
 from ksblow.solver import cap_cfl_bound
 
 
@@ -53,7 +53,7 @@ def test_solver_invariants_small(small_run):
 
 def test_solver_deterministic(scenario, scenario_profile):
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.0, 0.01))
     a = solve_regularized(scenario, w0, cfg, scenario_profile)
     b = solve_regularized(scenario, w0, cfg, scenario_profile)
@@ -65,7 +65,7 @@ def test_zero_forcing_stays_monotone():
     params = validate(SystemParams(3, 2.5, 0.0, 0.5, 0.1, 1.0))
     profile = SignalProfile.from_params(params)
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.0, 0.01))
     traj = solve_regularized(params, w0, cfg, profile)
     for w in traj.snapshots:
@@ -74,7 +74,7 @@ def test_zero_forcing_stays_monotone():
 
 def test_epsilon_must_be_resolved(scenario, scenario_profile):
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=5e-6, t_end=0.01, output_times=(0.01,))
     with pytest.raises(ParameterError, match="not resolved"):
         solve_regularized(scenario, w0, cfg, scenario_profile)
@@ -82,26 +82,17 @@ def test_epsilon_must_be_resolved(scenario, scenario_profile):
 
 def test_truncation_must_reach_far_field(scenario, scenario_profile):
     mesh = build_mesh(0.5, 128)  # support is the unit ball: cap not reached
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.01,))
     with pytest.raises(ParameterError, match="far field"):
         solve_regularized(scenario, w0, cfg, scenario_profile)
-
-
-def test_comparison_supersolution_cap(small_run):
-    traj, _ = small_run
-    cap = traj.far_field
-    rep = comparison_check(traj, lambda s, t: np.full_like(np.asarray(s, float), cap),
-                           kind="super")
-    assert rep.passed
-    assert rep.worst_margin >= 0.0
 
 
 def test_comparison_subsolution(small_run):
     traj, w0 = small_run
     c_sub = measured_c_sub(traj, w0)
     assert 0.0 < c_sub <= 1.0
-    rep = comparison_check(traj, subsolution_candidate(c_sub, w0), kind="sub",
+    rep = comparison_check(traj, subsolution_candidate(c_sub, w0),
                            tol=1e-6 * traj.far_field, s_window=(0.0, 1.0))
     assert rep.passed
 
@@ -116,22 +107,15 @@ def test_comparison_detector_sanity(small_run):
         sq = np.asarray(sq, float)
         return np.where(np.abs(sq - bump_at) < 1e-12, traj.far_field * 2.0, 0.0)
 
-    rep = comparison_check(traj, candidate, kind="sub")
+    rep = comparison_check(traj, candidate)
     assert not rep.passed
     assert rep.worst_margin < -traj.far_field * 0.5
     assert rep.location[0] == pytest.approx(bump_at, rel=1e-12, abs=0.0)
 
 
-def test_comparison_kind_validation(small_run):
-    traj, _ = small_run
-    with pytest.raises(ParameterError, match="kind"):
-        comparison_check(traj, lambda s, t: np.zeros_like(np.asarray(s, float)),
-                         kind="above")
-
-
 def test_sweep_single_epsilon_trivial_report(scenario, scenario_profile):
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
     trajs, report = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
     assert len(trajs) == 1
@@ -141,7 +125,7 @@ def test_sweep_single_epsilon_trivial_report(scenario, scenario_profile):
 
 def test_sweep_determinism_same_epsilon(scenario, scenario_profile):
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
     t1, _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
     t2, _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
@@ -151,7 +135,7 @@ def test_sweep_determinism_same_epsilon(scenario, scenario_profile):
 
 def test_sweep_rejects_non_decreasing(scenario, scenario_profile):
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,))
     with pytest.raises(ParameterError, match="decreasing"):
         proper_sweep(scenario, w0, cfg, [1e-3, 1e-2], profile=scenario_profile)
@@ -173,7 +157,7 @@ def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
 
     monkeypatch.setattr(solver_mod, "solve_regularized", flaky)
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
     trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 2e-2, 1e-2],
                                  profile=scenario_profile)
@@ -187,7 +171,7 @@ def test_refinement_stability(scenario, scenario_profile):
     runs = []
     for N, max_dt in ((96, 4e-5), (192, 2e-5), (384, 1e-5)):
         mesh = build_mesh(4.0, N)
-        w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+        w0 = w0_from_density(1.0, mesh.nodes)
         cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=(0.0, 0.02),
                            max_dt=max_dt)
         runs.append(solve_regularized(scenario, w0, cfg, scenario_profile))
@@ -258,12 +242,12 @@ def _recording_engine(monkeypatch):
 
 def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch):
     # a fixed CFL dt and steps clipped to output times that it does not divide
-    from ksblow.signal import CutoffSpec, chi_eval
+    from ksblow.signal import chi_eval
 
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
-    chi = chi_eval(CutoffSpec(1e-2), mesh.nodes)[0]
-    dt = cap_cfl_bound(mesh, chi, 3 * scenario_profile.F(mesh.nodes), w0.far_field, 0.4)
+    w0 = w0_from_density(1.0, mesh.nodes)
+    chi = chi_eval(1e-2, mesh.nodes)
+    dt = cap_cfl_bound(np.diff(mesh.nodes), chi, 3 * scenario_profile.F(mesh.nodes), w0.far_field, 0.4)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002),
                        dt_fixed=dt)
     log = _recording_engine(monkeypatch)
@@ -280,7 +264,7 @@ def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch
 def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, monkeypatch,
                                                  stepping):
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     # the adaptive CFL dt here is about 6e-5; the output times and t_end are
     # no multiples of the fixed and capped steps, so each is a clipped step
     extra = {"dt_fixed": {"dt_fixed": 3e-5}, "max_dt": {"max_dt": 2.2e-5},
@@ -317,7 +301,7 @@ def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monke
 
     monkeypatch.setattr(solver_mod, "solve_banded", nan_at_node_40)
     mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
     with pytest.raises(SolverError, match="nan") as err:
         solve_regularized(scenario, w0, cfg, scenario_profile)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ksblow import (MassFunction, ParameterError, RadialDensity, SystemParams, build_mesh,
-                    estimate_origin_limit, w0_from_density, write_csv)
+from ksblow import (MassFunction, ParameterError, build_mesh, estimate_origin_limit,
+                    w0_from_density, write_csv)
 
 
 def read_csv(path):
@@ -13,19 +13,18 @@ def read_csv(path):
 
 
 def test_far_field_equals_plateau_height():
-    # n*mu/|S_{n-1}| = c0 for unit-ball plateau data, exactly: these pairs
+    # n*mu/|S_{n-1}| = c0 for unit-ball plateau data, exactly: these heights
     # came out one ulp off when the cap was integrated numerically
     nodes = build_mesh(4.0, 128).nodes
-    for n, c0 in ((3, 1.0), (3, 2.0), (3, 3.3), (3, 10.0), (6, 0.7)):
-        w0 = w0_from_density(RadialDensity.plateau(c0), n, nodes)
+    for c0 in (1.0, 2.0, 3.3, 10.0, 0.7):
+        w0 = w0_from_density(c0, nodes)
         assert w0.far_field == c0
         assert w0.w[-1] == c0
-        assert SystemParams(n, 2.5, 2.0, 0.5, 0.1, c0).mass_cap == c0
 
 
 def test_w0_plateau_exact():
     mesh = build_mesh(4.0, 256)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     exact = np.minimum(mesh.nodes, 1.0)
     assert np.max(np.abs(w0.w - exact)) <= 1e-12
     assert w0.w[0] == 0.0

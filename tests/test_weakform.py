@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ksblow import (BumpFactor, ParameterError, RadialDensity, SolverConfig,
-                    StepDownFactor, TestField, build_mesh, solve_regularized,
+from ksblow import (BumpFactor, ParameterError, SolverConfig, StepDownFactor, TestField, build_mesh, solve_regularized,
                     w0_from_density, weak_residual)
 from ksblow.solver import Trajectory
 from ksblow.weakform import field_library
@@ -81,7 +80,7 @@ def test_stepdown_factor():
 def test_residual_shrinks_under_refinement(scenario, scenario_profile):
     def run(N, max_dt, n_out):
         mesh = build_mesh(4.0, N)
-        w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+        w0 = w0_from_density(1.0, mesh.nodes)
         times = tuple(np.linspace(0.0, 0.02, n_out))
         cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=times,
                            max_dt=max_dt)
@@ -98,7 +97,7 @@ def test_residual_shrinks_under_refinement(scenario, scenario_profile):
 
 def test_real_run_constant_state(scenario, scenario_profile):
     mesh = build_mesh(4.0, 256)
-    w0 = w0_from_density(RadialDensity.plateau(1.0), 3, mesh.nodes)
+    w0 = w0_from_density(1.0, mesh.nodes)
     times = tuple(np.linspace(0.0, 0.02, 33))
     cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=times, max_dt=4e-5)
     traj = solve_regularized(scenario, w0, cfg, scenario_profile)
