@@ -20,12 +20,15 @@ profile up to roundoff; violations beyond tolerance are reported with their
 location, never clamped.
 
 The time step is adaptive, dt <= cfl_safety * min_i ds_i / c_i with
-c = chi_eps (W + nF), recomputed every step and clipped to land exactly on
-requested output times.  The step matrix I - dt*A is LU-factored (LAPACK
-dgttrf) only when dt differs from the held factors' dt; a clipped step is
-factored aside, so a fixed dt is factored once plus once per clipped step.
-Each step is one in-place dgttrs solve, which does not check its input: a
-non-finite W is caught by the invariant check, with its location.
+c = chi_eps (W + nF), recomputed every step over the cells where chi_eps is
+not identically 0 and clipped to land exactly on requested output times.
+Only a step size that comes back, dt_fixed or max_dt, gets held LU factors
+(LAPACK dgttrf once, then one dgttrs solve per step); every other step, an
+adaptive CFL step or one clipped to an output time, is one in-place dgtsv.
+Neither checks its input: a non-finite W is caught by the invariant check,
+with its location.  The check differences W once per step, and the
+transport reuses that difference; a profile whose every difference is >= 0
+runs from W_0 = 0 to W_N = cap, so its range check is skipped.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import time as _time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import ParameterError, SolverError
 from .params import SystemParams, validate
@@ -63,7 +66,7 @@ class Mesh:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)  # a copy: the caller's stays writeable
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         if nodes[0] != 0.0 or not np.all(np.diff(nodes) > 0):
@@ -210,12 +213,20 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     h = np.diff(s)
     chi = chi_eval(config.epsilon, s)
     nF = n * profile.F(s)
+    # chi_eps is 0 on a prefix of the nodes: the cells there set no CFL limit
+    live = h.size - np.trim_zeros(chi[:-1], "f").size
 
-    # the diffusion matrix A as LAPACK's (sub, main, super) diagonals; its
-    # Dirichlet rows 0 and N are zero
+    # the diffusion matrix A as LAPACK's (sub, main, super) diagonals, end to
+    # end in one array so that I - dt*A takes one multiply; its Dirichlet
+    # rows 0 and N are zero
     d_coef = n * n * np.power(s[1:-1], (2.0 * n - 2.0) / n)
     hl, hr = h[:-1], h[1:]
-    diffusion = sub, main, sup = np.zeros_like(h), np.zeros_like(s), np.zeros_like(h)
+
+    def bands_of(a):
+        return a[:h.size], a[h.size:-h.size], a[-h.size:]
+
+    diffusion = np.zeros(3 * h.size + 1)
+    sub, main, sup = bands_of(diffusion)
     sub[:-1] = d_coef * (2.0 / (hl * (hl + hr)))
     sup[1:] = d_coef * (2.0 / (hr * (hl + hr)))
     main[1:-1] = -(sub[:-1] + sup[1:])
@@ -231,9 +242,13 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     n_steps = 0
     dt_min_seen = math.inf
     dt_max_seen = 0.0
-    # work arrays and LAPACK bands, allocated once and filled in place
+    # work arrays and LAPACK bands, allocated once and filled in place; the
+    # invariant check writes the differences W_{i+1} - W_i into ws, and the
+    # next step's transport divides them by h there
     coef, ws, rhs = np.empty_like(w), np.zeros_like(w), np.empty_like(w)
-    held_bands, clip_bands = ([np.empty_like(a) for a in diffusion] for _ in range(2))
+    drops = ws[:-1]
+    held_all, step_all = np.empty_like(diffusion), np.empty_like(diffusion)
+    held_bands, step_bands = bands_of(held_all), bands_of(step_all)
     held_dt = held = None
     started = _time.perf_counter()
 
@@ -245,8 +260,10 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
 
     def check_invariants(wvec, tnow):
         # written so that NaN fails every test; min and argmin propagate it
-        drops = np.diff(wvec)
+        np.subtract(wvec[1:], wvec[:-1], out=drops)
         worst = float(drops.min())
+        if worst >= 0.0:  # non-decreasing from W_0 = 0 to W_N = cap: in range
+            return
         if not worst >= -_VIOLATION_LOG * cap:
             i = int(drops.argmin())
             violations.append({"kind": "monotonicity", "t": tnow,
@@ -281,7 +298,7 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         if config.dt_fixed is not None:
             dt = config.dt_fixed
         else:
-            dt = _cfl_dt(h, coef[:-1], config.cfl_safety)
+            dt = _cfl_dt(h, coef[:-1], config.cfl_safety, live)
         if config.max_dt is not None:
             dt = min(dt, config.max_dt)
         t_target = out_times[0] if out_times else config.t_end
@@ -294,27 +311,28 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
             raise SolverError(f"step-size underflow: dt = {dt} at t = {t}",
                               location=(None, t), dt=dt)
         if dt == held_dt:
-            lu = held
-        else:  # a clipped step is factored aside: the held factors outlive it
-            dl, d, du = clip_bands if on_target else held_bands
-            for band, a in zip((dl, d, du), diffusion):
-                np.multiply(a, -dt, out=band)  # I - dt*A
+            matrix = held
+        else:  # factors are held only for a step size that comes back
+            hold = not on_target and dt in (config.dt_fixed, config.max_dt)
+            bands, matrix = (held_all, held_bands) if hold else (step_all, step_bands)
+            np.multiply(diffusion, -dt, out=bands)  # I - dt*A
+            dl, d, du = matrix
             d += 1.0
             dl[-1] = du[0] = 0.0  # +0, not -dt * 0, in the Dirichlet rows
-            lu = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)[:5]
-            if not on_target:
-                held_dt, held = dt, lu
+            if hold:
+                held_dt = dt
+                matrix = held = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
+                                       overwrite_du=1)[:5]
 
         # explicit upwind transport: coef >= 0 moves data toward the origin,
         # so node i draws on the forward difference over [s_i, s_{i+1}];
-        # rhs = w + dt * (coef * ws)
-        np.subtract(w[1:], w[:-1], out=ws[:-1])
-        ws[:-1] /= h
+        # rhs = w + dt * (coef * ws), with ws[:-1] the check's differences
+        drops /= h
         np.multiply(coef, ws, out=rhs)
         rhs *= dt
         rhs += w
         rhs[0], rhs[-1] = 0.0, cap
-        w, rhs = solve_banded(lu, rhs), w
+        w, rhs = solve_banded(matrix, rhs), w
         w[0], w[-1] = 0.0, cap
 
         t = t_target if on_target else t + dt
@@ -343,16 +361,25 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
                       snapshots=tuple(snapshots), far_field=cap, metadata=metadata)
 
 
-def solve_banded(lu, rhs):
-    """Solve the step matrix, factored by dgttrf into ``lu``, for ``rhs`` in place."""
-    return dgttrs(*lu, rhs, overwrite_b=1)[0]
+def solve_banded(matrix, rhs):
+    """Solve the step matrix for ``rhs`` in place.  ``matrix`` is either its
+    dgttrf factors (5 arrays: one dgttrs) or its (sub, main, super) bands
+    (3 arrays: one dgtsv, which overwrites them)."""
+    if len(matrix) == 5:
+        return dgttrs(*matrix, rhs, overwrite_b=1)[0]
+    return dgtsv(*matrix, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                 overwrite_b=1)[3]
 
 
-def _cfl_dt(h, coef, cfl_safety: float) -> float:
-    """cfl_safety * min over cells of h / coef; cells with coef = 0 set no limit."""
+def _cfl_dt(h, coef, cfl_safety: float, start: int = 0) -> float:
+    """cfl_safety * min over cells of h / coef; cells with coef <= 0 or NaN set
+    no limit, nor do the cells before ``start``."""
+    h, coef = h[start:], coef[start:]
+    if coef.size and coef.min() > 0.0:
+        return cfl_safety * float((h / coef).min())
     with np.errstate(divide="ignore"):
         limits = np.where(coef > 0.0, h / coef, np.inf)
-    return cfl_safety * float(limits.min())
+    return cfl_safety * float(limits.min(initial=np.inf))
 
 
 def cap_cfl_bound(h, chi, nF, cap: float, cfl_safety: float) -> float:
