@@ -96,6 +96,10 @@ def build_testfunction(params: SystemParams, xi: float, delta: float,
             [("delta", delta, f"> {params.delta_bound}")])
     if c1 <= 0.0:
         raise ParameterError(f"c1 = {c1} <= 0: xi = {xi} must exceed 4 - 4/n")
+    if not math.isfinite(gamma * gamma):
+        # the integral bound K0/gamma^2 needs gamma^2 as a double
+        raise ParameterError(f"gamma = {gamma} is too large: gamma^2 overflows a double",
+                             [("gamma", gamma, "small enough that gamma^2 is finite")])
     K0 = a * xi ** (2.0 - delta) / (delta * (2.0 - delta)) + math.exp(-xi)
     K0_loose = a * xi ** (2.0 - delta) / (2.0 - delta) + math.exp(-xi)
     return TestFunction(n=n, alpha=params.alpha, f0=params.f0, R=params.R, rho=params.rho,

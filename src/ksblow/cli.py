@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,8 @@ import numpy as np
 from .analysis import (build_testfunction, blowup_indicator, indicator_series,
                        select_blowup_params, verify_integral_bound,
                        verify_ode_inequality, y_functional)
-from .config import (LemmaSweepSection, RunConfig, SolverSection, TestFnSection,
-                     config_to_dict, load_config)
+from .config import (LemmaSweepSection, LemmaTuple, RunConfig, SolverSection,
+                     TestFnSection, config_to_dict, load_config)
 from .errors import (ConfigError, KsblowError, ParameterError, SelectionError,
                      SolverError)
 from .params import (SystemParams, TestFnParams, default_testfn_params,
@@ -110,7 +110,7 @@ def _manifest(out_dir: Path, command: str, cfg: RunConfig, runs, failure=None) -
 
 
 def _resolve_out(cfg: RunConfig, out_flag) -> Path:
-    directory = out_flag or cfg.output_directory
+    directory = out_flag or (cfg.output and cfg.output.directory)
     if directory is None:
         raise ConfigError("no output directory: set output.directory or pass --out")
     return Path(directory)  # created by the first file written into it
@@ -221,8 +221,8 @@ def _default_lemma_grid(system: SystemParams, count: int, seed: int):
         delta = float(bound + (1.0 - bound) * rng.uniform(0.3, 0.9))
         xi = float(rng.uniform(4.0 - 4.0 / n + 0.1, 4.0))
         gamma = float(4.0 / (R - rho) * 2.0 ** rng.uniform(0.5, 4.0))
-        out.append({"n": n, "alpha": alpha, "f0": f0, "R": R, "rho": rho,
-                    "xi": xi, "delta": delta, "gamma": gamma})
+        out.append(LemmaTuple(n=n, alpha=alpha, f0=f0, R=R, rho=rho,
+                              xi=xi, delta=delta, gamma=gamma))
     return out
 
 
@@ -230,9 +230,8 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
     cfg = load_config(cfg_path)
     out_dir = _resolve_out(cfg, out_flag)
     sweep = cfg.lemma_sweep or LemmaSweepSection()
-    if sweep.tuples:
-        grid = [dict(t) for t in sweep.tuples]
-    else:
+    grid = sweep.tuples
+    if not grid:
         if sweep.count <= 0:
             raise ConfigError("lemma_sweep grid is empty")
         grid = _default_lemma_grid(cfg.system, sweep.count, sweep.seed)
@@ -241,14 +240,13 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
     failing = []
     scan_written = False
     for item in grid:
-        system = SystemParams(n=item["n"], alpha=item["alpha"], f0=item["f0"],
-                              R=item["R"], rho=item["rho"], c0=cfg.system.c0)
-        row = {key: item[key] for key in ("n", "alpha", "f0", "R", "rho",
-                                          "xi", "delta", "gamma")}
+        system = SystemParams(n=item.n, alpha=item.alpha, f0=item.f0,
+                              R=item.R, rho=item.rho, c0=cfg.system.c0)
+        row = asdict(item)
         try:
             system = validate(system)
             feasible = system.feasible
-            tf = build_testfunction(system, item["xi"], item["delta"], item["gamma"])
+            tf = build_testfunction(system, item.xi, item.delta, item.gamma)
             ode = verify_ode_inequality(tf)
             if not scan_written:
                 # full margin scan for the first constructible tuple
@@ -358,6 +356,9 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
     if sec.epsilon is None:
         raise ConfigError("solver.epsilon is required for weak-residual")
     wr = cfg.weak_residual
+    if not wr.constant_window > 0.0:
+        raise ConfigError(f"weak_residual.constant_window must be > 0 "
+                          f"(got {wr.constant_window!r})")
     library = field_library(sec.s_max, sec.t_end, epsilon=sec.epsilon,
                             constant_window=wr.constant_window)
     unknown = [name for name in wr.fields if name not in library]

@@ -1,42 +1,30 @@
 """Run configuration: a single strict JSON document with nested sections.
 
-Unknown keys anywhere are errors (reproducibility beats leniency), floats
-round-trip exactly (shortest-repr serialization), and a parsed configuration
-re-serializes to an equivalent document.
+Each section is a frozen dataclass, and the dataclass is the whole schema of
+that section: every field is a key, a field without a default is a required
+key, and the default is the value of an omitted or ``null`` key (and of an
+empty list, for a list whose default is ``null``).  The annotation picks the
+reader -- ``float`` a finite number, ``int`` an integer, ``tuple`` a list of
+finite numbers, ``bool``, ``str``, or a nested section -- unless the field
+names its own reader in its metadata.
+
+Unknown keys anywhere are errors (reproducibility beats leniency).  A section
+is checked for unknown keys, then for missing keys, then value by value in
+field order, so a document with several faults always reports the same one.
+Floats round-trip exactly (shortest-repr serialization), and
+``config_to_dict`` inverts ``parse_config``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from functools import cache, partial
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .params import SystemParams
-
-_SYSTEM_KEYS = {"n": True, "alpha": True, "f0": True, "R": True, "rho": True, "c0": True}
-_TESTFN_KEYS = {"xi": False, "delta": False}
-_SOLVER_KEYS = {
-    "epsilon": False, "eps_list": False, "s_max": True, "N": True, "ratio": False,
-    "t_end": True, "output_times": True, "cfl_safety": False, "max_dt": False,
-}
-_OUTPUT_KEYS = {"directory": False}
-_BLOWUP_KEYS = {"t0": False, "eta": True, "betas": False, "c_sub_override": False}
-_LEMMA_KEYS = {"count": False, "seed": False, "tuples": False}
-_RESIDUAL_KEYS = {"fields": False, "refine": False, "constant_window": False}
-_TOP_KEYS = {"system": True, "test_function": False, "solver": False, "output": False,
-             "blowup": False, "lemma_sweep": False, "weak_residual": False}
-
-
-def _check_keys(section: dict, allowed: dict, path: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {path!r} must be an object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}")
-    for key, required in allowed.items():
-        if required and key not in section:
-            raise ConfigError(f"missing key {path}.{key}")
 
 
 def _finite(value, name):
@@ -53,30 +41,94 @@ def _finite(value, name):
     return number
 
 
-def _number(section, key, path, required=True, default=None):
-    if key not in section or section[key] is None:
-        if required:
-            raise ConfigError(f"missing key {path}.{key}")
-        return default
-    return _finite(section[key], f"{path}.{key}")
+def _integer(value, name):
+    number = _finite(value, name)
+    if not number.is_integer():
+        raise ConfigError(f"{name} must be an integer (got {number!r})")
+    return int(number)
 
 
-def _integer(section, key, path, required=True, default=None):
-    value = _number(section, key, path, required, default)
-    if value is not None and not float(value).is_integer():
-        raise ConfigError(f"{path}.{key} must be an integer (got {value!r})")
-    return None if value is None else int(value)
-
-
-def _number_list(section, key, path, required=True, default=None):
-    if key not in section or section[key] is None:
-        if required:
-            raise ConfigError(f"missing key {path}.{key}")
-        return default
-    value = section[key]
+def _number_list(value, name):
     if not isinstance(value, list):
-        raise ConfigError(f"{path}.{key} must be a list of numbers")
-    return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(value))
+        raise ConfigError(f"{name} must be a list of numbers")
+    return tuple(_finite(v, f"{name}[{i}]") for i, v in enumerate(value))
+
+
+def _boolean(value, name):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be a boolean")
+    return value
+
+
+def _string(value, name):
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string")
+    return value
+
+
+def _names(value, name):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{name} must be a list of names")
+    return tuple(value)
+
+
+def _seed(value, name):
+    seed = _integer(value, name)
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0 (got {seed})")
+    return seed
+
+
+def _lemma_tuples(value, name):
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list")
+    return tuple(_section(LemmaTuple, item, f"{name}[{k}]") for k, item in enumerate(value))
+
+
+_READERS = {float: _finite, int: _integer, tuple: _number_list, bool: _boolean, str: _string}
+
+
+@cache
+def _schema(cls):
+    """(key, reader, required, unset values, is a section) for each field of
+    the dataclass ``cls``, in field order."""
+    hints = get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        kind = next((t for t in get_args(hints[f.name]) if t is not type(None)),
+                    hints[f.name])
+        read = f.metadata.get("read") or _READERS.get(kind) or partial(_section, kind)
+        required = f.default is MISSING and f.default_factory is MISSING
+        # an empty list leaves a list that defaults to null unset
+        unset = (None, []) if kind is tuple and f.default is None else (None,)
+        schema.append((f.name, read, required, unset, is_dataclass(kind)))
+    return tuple(schema)
+
+
+def _section(cls, raw, path):
+    """Read the object ``raw`` found at ``path`` into the dataclass ``cls``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"section {path!r} must be an object")
+    schema = _schema(cls)
+    known = {key for key, *_ in schema}
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"unknown key {path}.{key}")
+    for key, _, required, _, _ in schema:
+        if required and key not in raw:
+            raise ConfigError(f"missing key {path}.{key}")
+    values = {}
+    for key, read, required, unset, is_section in schema:
+        # sections are named by their own key, not as config.<key>
+        name = key if cls is RunConfig else f"{path}.{key}"
+        value = raw.get(key)
+        if value in unset:
+            if not required:
+                continue  # the dataclass default
+            if not is_section:  # a null section is "not an object" instead
+                raise ConfigError(f"missing key {name}")
+        values[key] = read(value, name)
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -104,6 +156,11 @@ class SolverSection:
 
 
 @dataclass(frozen=True)
+class OutputSection:
+    directory: str | None = None
+
+
+@dataclass(frozen=True)
 class BlowupSection:
     eta: float
     t0: float = 0.0
@@ -112,123 +169,51 @@ class BlowupSection:
 
 
 @dataclass(frozen=True)
+class LemmaTuple:
+    """One configured (system, test function) tuple of the lemma checks."""
+
+    n: int
+    alpha: float
+    f0: float
+    R: float
+    rho: float
+    xi: float
+    delta: float
+    gamma: float
+
+
+@dataclass(frozen=True)
 class LemmaSweepSection:
     count: int = 100
-    seed: int = 20240808
-    tuples: tuple = ()
+    seed: int = field(default=20240808, metadata={"read": _seed})
+    tuples: tuple = field(default=(), metadata={"read": _lemma_tuples})
 
 
 @dataclass(frozen=True)
 class WeakResidualSection:
-    fields: tuple = ("interior", "initial", "origin_window", "constant_state")
+    fields: tuple = field(default=("interior", "initial", "origin_window", "constant_state"),
+                          metadata={"read": _names})
     refine: bool = True
     constant_window: float = 5e-4
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The sections of a document, in the order they are checked."""
+
     system: SystemParams
-    solver: SolverSection | None = None
     test_function: TestFnSection | None = None
-    output_directory: str | None = None
+    solver: SolverSection | None = None
+    output: OutputSection | None = None
     blowup: BlowupSection | None = None
     lemma_sweep: LemmaSweepSection | None = None
     weak_residual: WeakResidualSection = field(default_factory=WeakResidualSection)
 
 
 def parse_config(doc: dict) -> RunConfig:
-    _check_keys(doc, _TOP_KEYS, "config")
-
-    sys_sec = doc["system"]
-    _check_keys(sys_sec, _SYSTEM_KEYS, "system")
-    system = SystemParams(
-        n=_integer(sys_sec, "n", "system"), alpha=_number(sys_sec, "alpha", "system"),
-        f0=_number(sys_sec, "f0", "system"), R=_number(sys_sec, "R", "system"),
-        rho=_number(sys_sec, "rho", "system"), c0=_number(sys_sec, "c0", "system"))
-
-    test_function = None
-    if "test_function" in doc and doc["test_function"] is not None:
-        sec = doc["test_function"]
-        _check_keys(sec, _TESTFN_KEYS, "test_function")
-        test_function = TestFnSection(
-            xi=_number(sec, "xi", "test_function", required=False, default=4.0),
-            delta=_number(sec, "delta", "test_function", required=False))
-
-    solver = None
-    if "solver" in doc and doc["solver"] is not None:
-        sec = doc["solver"]
-        _check_keys(sec, _SOLVER_KEYS, "solver")
-        solver = SolverSection(
-            s_max=_number(sec, "s_max", "solver"),
-            N=_integer(sec, "N", "solver"),
-            t_end=_number(sec, "t_end", "solver"),
-            output_times=_number_list(sec, "output_times", "solver"),
-            epsilon=_number(sec, "epsilon", "solver", required=False),
-            eps_list=_number_list(sec, "eps_list", "solver", required=False),
-            ratio=_number(sec, "ratio", "solver", required=False),
-            cfl_safety=_number(sec, "cfl_safety", "solver", required=False, default=0.4),
-            max_dt=_number(sec, "max_dt", "solver", required=False))
-
-    output_directory = None
-    if "output" in doc and doc["output"] is not None:
-        sec = doc["output"]
-        _check_keys(sec, _OUTPUT_KEYS, "output")
-        directory = sec.get("directory")
-        if directory is not None and not isinstance(directory, str):
-            raise ConfigError("output.directory must be a string")
-        output_directory = directory
-
-    blowup = None
-    if "blowup" in doc and doc["blowup"] is not None:
-        sec = doc["blowup"]
-        _check_keys(sec, _BLOWUP_KEYS, "blowup")
-        blowup = BlowupSection(
-            eta=_number(sec, "eta", "blowup"),
-            t0=_number(sec, "t0", "blowup", required=False, default=0.0),
-            betas=_number_list(sec, "betas", "blowup", required=False, default=(1.0,)),
-            c_sub_override=_number(sec, "c_sub_override", "blowup", required=False))
-
-    lemma_sweep = None
-    if "lemma_sweep" in doc and doc["lemma_sweep"] is not None:
-        sec = doc["lemma_sweep"]
-        _check_keys(sec, _LEMMA_KEYS, "lemma_sweep")
-        count = _integer(sec, "count", "lemma_sweep", required=False, default=100)
-        seed = _integer(sec, "seed", "lemma_sweep", required=False, default=20240808)
-        if seed < 0:
-            raise ConfigError(f"lemma_sweep.seed must be >= 0 (got {seed})")
-        tuples_raw = sec.get("tuples", [])
-        if tuples_raw is None:
-            tuples_raw = []
-        if not isinstance(tuples_raw, list):
-            raise ConfigError("lemma_sweep.tuples must be a list")
-        tuples = []
-        keys = {"n": True, "alpha": True, "f0": True, "R": True, "rho": True,
-                "xi": True, "delta": True, "gamma": True}
-        for k, item in enumerate(tuples_raw):
-            path = f"lemma_sweep.tuples[{k}]"
-            _check_keys(item, keys, path)
-            tuples.append({key: _integer(item, key, path) if key == "n"
-                           else _number(item, key, path) for key in keys})
-        lemma_sweep = LemmaSweepSection(count=count, seed=seed, tuples=tuple(tuples))
-
-    weak_residual = WeakResidualSection()
-    if "weak_residual" in doc and doc["weak_residual"] is not None:
-        sec = doc["weak_residual"]
-        _check_keys(sec, _RESIDUAL_KEYS, "weak_residual")
-        fields = sec.get("fields", list(WeakResidualSection().fields))
-        if not isinstance(fields, list) or not all(isinstance(f, str) for f in fields):
-            raise ConfigError("weak_residual.fields must be a list of names")
-        refine = sec.get("refine", True)
-        if not isinstance(refine, bool):
-            raise ConfigError("weak_residual.refine must be a boolean")
-        weak_residual = WeakResidualSection(
-            fields=tuple(fields), refine=refine,
-            constant_window=_number(sec, "constant_window", "weak_residual",
-                                    required=False, default=5e-4))
-
-    return RunConfig(system=system, solver=solver, test_function=test_function,
-                     output_directory=output_directory, blowup=blowup,
-                     lemma_sweep=lemma_sweep, weak_residual=weak_residual)
+    cfg = _section(RunConfig, doc, "config")
+    # an output section without a directory configures nothing
+    return replace(cfg, output=None) if cfg.output == OutputSection() else cfg
 
 
 def load_config(path) -> RunConfig:
@@ -244,31 +229,15 @@ def load_config(path) -> RunConfig:
     return parse_config(doc)
 
 
+def _plain(value):
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
-    doc: dict = {"system": {
-        "n": cfg.system.n, "alpha": cfg.system.alpha, "f0": cfg.system.f0,
-        "R": cfg.system.R, "rho": cfg.system.rho, "c0": cfg.system.c0}}
-    if cfg.test_function is not None:
-        tf = cfg.test_function
-        doc["test_function"] = {"xi": tf.xi, "delta": tf.delta}
-    if cfg.solver is not None:
-        s = cfg.solver
-        doc["solver"] = {
-            "epsilon": s.epsilon, "eps_list": list(s.eps_list) if s.eps_list else None,
-            "s_max": s.s_max, "N": s.N, "ratio": s.ratio, "t_end": s.t_end,
-            "output_times": list(s.output_times), "cfl_safety": s.cfl_safety,
-            "max_dt": s.max_dt}
-    if cfg.output_directory is not None:
-        doc["output"] = {"directory": cfg.output_directory}
-    if cfg.blowup is not None:
-        b = cfg.blowup
-        doc["blowup"] = {"t0": b.t0, "eta": b.eta, "betas": list(b.betas),
-                         "c_sub_override": b.c_sub_override}
-    if cfg.lemma_sweep is not None:
-        ls = cfg.lemma_sweep
-        doc["lemma_sweep"] = {"count": ls.count, "seed": ls.seed,
-                              "tuples": [dict(t) for t in ls.tuples]}
-    doc["weak_residual"] = {"fields": list(cfg.weak_residual.fields),
-                            "refine": cfg.weak_residual.refine,
-                            "constant_window": cfg.weak_residual.constant_window}
-    return doc
+    """Every section that is set, with every key, as a JSON-ready document."""
+    return {key: _plain(section) for key, section in asdict(cfg).items()
+            if section is not None}

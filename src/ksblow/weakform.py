@@ -195,7 +195,8 @@ def weak_residual(traj: Trajectory, zeta: TestField,
                   profile: SignalProfile) -> ResidualReport:
     """Residual of the weak identity for one test field.
 
-    Raises when the field support exceeds the computed space-time domain.
+    Raises when the field support exceeds the computed space-time domain,
+    which spans the mesh and the first to the last of at least two snapshots.
     """
     s_nodes = traj.mesh.nodes
     times = np.asarray(traj.times, dtype=float)
@@ -204,12 +205,18 @@ def weak_residual(traj: Trajectory, zeta: TestField,
     if s_lo < 0.0 or s_hi > traj.mesh.s_max:
         raise ParameterError(
             f"field {zeta.name!r} s-support ({s_lo}, {s_hi}) exceeds [0, {traj.mesh.s_max}]")
+    if times.size < 2:
+        raise ParameterError(
+            f"field {zeta.name!r} needs at least two snapshots (got {times.size})")
     if t_lo < 0.0 or t_hi > times[-1]:
         raise ParameterError(
             f"field {zeta.name!r} t-support ({t_lo}, {t_hi}) exceeds [0, {times[-1]}]")
     needs_initial = t_lo == 0.0
     if needs_initial and times[0] != 0.0:
         raise ParameterError("field touches t = 0 but the trajectory lacks that snapshot")
+    if t_lo < times[0]:
+        raise ParameterError(f"field {zeta.name!r} t-support ({t_lo}, {t_hi}) starts "
+                             f"before the first snapshot t = {times[0]}")
 
     n = traj.n
     p = (2.0 * n - 2.0) / n

@@ -1,14 +1,18 @@
+import dataclasses
 import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ksblow.config as config_mod
 from ksblow.cli import main
@@ -91,17 +95,36 @@ def _readme_schema() -> str:
                      re.DOTALL).group(1)
 
 
+def _field_kinds(cls):
+    """(field, annotated type without ``| None``) for each field of ``cls``."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        yield f, next((t for t in typing.get_args(hints[f.name]) if t is not type(None)),
+                      hints[f.name])
+
+
 def test_readme_schema_matches_config_keys():
-    # every documented key parses, and every accepted key is documented
+    # every documented key parses, every accepted key is documented, and the
+    # README shows every default that is not null
     block = _readme_schema()
-    parse_config(json.loads(re.sub(r"//.*", "", block)))
+    doc = json.loads(re.sub(r"//.*", "", block))
+    parse_config(doc)
+    sections = {f.name: kind for f, kind in _field_kinds(config_mod.RunConfig)}
+    assert list(sections) == ["system", "test_function", "solver", "output", "blowup",
+                              "lemma_sweep", "weak_residual"]
     documented = set(re.findall(r'"(\w+)"\s*:', block))
-    tables = {name: keys for name, keys in vars(config_mod).items()
-              if re.fullmatch(r"_[A-Z]+_KEYS", name)}
-    accepted = set().union(*tables.values())
-    assert len(tables) == 8
+    accepted = set(sections).union(*({f.name for f in dataclasses.fields(cls)}
+                                     for cls in sections.values()))
     assert documented <= accepted, documented - accepted
     assert accepted <= documented, accepted - documented
+    tuple_keys = re.search(r"each tuple is\s*//\s*\{(.*?)\}", block).group(1).split(", ")
+    assert tuple_keys == [f.name for f in dataclasses.fields(config_mod.LemmaTuple)]
+    for key, cls in sections.items():
+        for f in dataclasses.fields(cls):
+            if f.default is not None and f.default is not dataclasses.MISSING:
+                shown = doc[key][f.name]
+                assert shown == (list(f.default) if isinstance(f.default, tuple)
+                                 else f.default), f"{key}.{f.name}"
 
 
 def test_usage_errors_exit1(tmp_path, capsys):
@@ -126,6 +149,134 @@ def test_config_round_trip(tmp_path):
     doc2 = config_to_dict(cfg)
     cfg2 = parse_config(doc2)
     assert cfg == cfg2
+
+    # every key of every section set: the manifest's config echo, pinned
+    # (integers where floats belong, and the reverse, are echoed converted)
+    tup = {"n": 3.0, "alpha": 2.5, "f0": 2, "R": 0.5, "rho": 0.1,
+           "xi": 4, "delta": 0.8, "gamma": 20.0}
+    full = _base_doc(
+        test_function={"xi": 3.5, "delta": 0.8},
+        solver={"epsilon": 0.01, "eps_list": [0.02, 0.01], "s_max": 4, "N": 128.0,
+                "ratio": 1.1, "t_end": 0.02, "output_times": [0, 0.01, 0.02],
+                "cfl_safety": 0.3, "max_dt": 1e-4},
+        output={"directory": "somewhere"},
+        blowup={"t0": 0.001, "eta": 0.02, "betas": [1, 2.5], "c_sub_override": 0.4},
+        lemma_sweep={"count": 7, "seed": 3, "tuples": [tup]},
+        weak_residual={"fields": ["interior", "initial"], "refine": False,
+                       "constant_window": 1e-3})
+    expected = {
+        "system": {"n": 3, "alpha": 2.5, "f0": 2.0, "R": 0.5, "rho": 0.1, "c0": 1.0},
+        "test_function": {"xi": 3.5, "delta": 0.8},
+        "solver": {"epsilon": 0.01, "eps_list": [0.02, 0.01], "s_max": 4.0, "N": 128,
+                   "ratio": 1.1, "t_end": 0.02, "output_times": [0.0, 0.01, 0.02],
+                   "cfl_safety": 0.3, "max_dt": 1e-4},
+        "output": {"directory": "somewhere"},
+        "blowup": {"t0": 0.001, "eta": 0.02, "betas": [1.0, 2.5], "c_sub_override": 0.4},
+        "lemma_sweep": {"count": 7, "seed": 3, "tuples": [
+            {"n": 3, "alpha": 2.5, "f0": 2.0, "R": 0.5, "rho": 0.1,
+             "xi": 4.0, "delta": 0.8, "gamma": 20.0}]},
+        "weak_residual": {"fields": ["interior", "initial"], "refine": False,
+                          "constant_window": 1e-3},
+    }
+    echo = config_to_dict(load_config(_write(tmp_path, full, "full.json")))
+    assert echo == expected
+    # json text tells 3 from 3.0, which == does not
+    assert json.dumps(echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    assert parse_config(echo) == parse_config(full)
+
+
+def test_config_null_means_unset(tmp_path, capsys):
+    cfg = parse_config(_base_doc(
+        solver={"s_max": 4.0, "N": 96, "t_end": 0.01, "output_times": [0.0],
+                "epsilon": None, "eps_list": [], "cfl_safety": None},
+        output={"directory": None},
+        weak_residual={"fields": None, "refine": None, "constant_window": None}))
+    assert cfg.solver.epsilon is None and cfg.solver.eps_list is None
+    assert cfg.solver.cfl_safety == 0.4
+    assert cfg.output is None
+    assert cfg.weak_residual == config_mod.WeakResidualSection()
+    assert "output" not in config_to_dict(cfg)
+    assert config_to_dict(cfg)["solver"]["eps_list"] is None
+    # a null required key is missing; a null required section is not an object
+    doc = _base_doc()
+    doc["system"]["alpha"] = None
+    with pytest.raises(ConfigError, match=r"^missing key system\.alpha$"):
+        parse_config(doc)
+    assert main(["validate", "--config", _write(tmp_path, {"system": None})]) == 1
+    assert "config error: section 'system' must be an object" in capsys.readouterr().err
+
+
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10**6, 10**6))
+_VALID = {float: _NUMBER, int: st.one_of(st.integers(-10**20, 10**20),
+                                          st.integers(-1000, 1000).map(float)),
+          tuple: st.lists(_NUMBER, max_size=3), bool: st.booleans(),
+          str: st.text("ab", max_size=3)}
+_WRONG = st.one_of(
+    st.none(), st.booleans(), st.text("ab", max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.5]),
+    st.integers(10**308, 10**400), st.integers(-10**400, -10**308),
+    st.lists(st.one_of(st.none(), st.text("ab", max_size=1), _NUMBER), max_size=2),
+    st.dictionaries(st.text("ab", max_size=2), st.integers(), max_size=1))
+
+
+def _valid_docs(cls):
+    """Documents of the declared schema of ``cls``, optional keys sometimes
+    absent."""
+    required, optional = {}, {}
+    for f, kind in _field_kinds(cls):
+        if f.name == "fields":
+            value = st.lists(st.sampled_from(["interior", "initial", "x"]), max_size=3)
+        elif f.name == "tuples":
+            value = st.lists(_valid_docs(config_mod.LemmaTuple), max_size=2)
+        else:
+            value = _valid_docs(kind) if dataclasses.is_dataclass(kind) else _VALID[kind]
+        has_default = f.default is not dataclasses.MISSING or \
+            f.default_factory is not dataclasses.MISSING
+        (optional if has_default else required)[f.name] = value
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+def _objects(node):
+    """Every object nested in ``node``, ``node`` included."""
+    if isinstance(node, dict):
+        yield node
+    for child in (node.values() if isinstance(node, dict) else
+                  node if isinstance(node, list) else ()):
+        yield from _objects(child)
+
+
+_VALID_DOC = _valid_docs(config_mod.RunConfig)
+
+
+@st.composite
+def _config_doc(draw):
+    """A valid document with up to two faults: a key dropped, a key given a
+    wrong value, or an unknown key added."""
+    doc = draw(_VALID_DOC)
+    for _ in range(draw(st.integers(0, 2))):
+        obj = draw(st.sampled_from(list(_objects(doc))))
+        fault = draw(st.sampled_from(["wrong", "drop", "unknown"]))
+        if fault == "unknown" or not obj:
+            obj["unknown"] = 1
+            continue
+        key = draw(st.sampled_from(sorted(obj)))
+        if fault == "drop":
+            del obj[key]
+        else:
+            obj[key] = draw(_WRONG)
+    return doc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_config_doc())
+def test_parse_config_accepts_or_raises_config_error(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    text = json.dumps(config_to_dict(cfg), allow_nan=False)  # strict JSON
+    assert parse_config(json.loads(text)) == cfg
 
 
 def _simulate_doc(out_dir, eps_list=None, n_cells=96, t_end=0.01):
@@ -360,6 +511,43 @@ def test_weak_residual_rejects_unknown_field_before_solving(tmp_path, monkeypatc
     doc["weak_residual"] = {"fields": ["interior", "bogus"]}
     assert main(["weak-residual", "--config", _write(tmp_path, doc)]) == 1
     assert "unknown weak_residual fields: ['bogus']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", [0.0, -1e-3], ids=["zero", "negative"])
+def test_weak_residual_constant_window_positive(tmp_path, capsys, window):
+    doc = _simulate_doc(tmp_path / "cw")
+    doc["weak_residual"] = {"refine": False, "constant_window": window}
+    assert main(["weak-residual", "--config", _write(tmp_path, doc)]) == 1
+    assert (f"weak_residual.constant_window must be > 0 (got {window!r})"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "cw").exists()
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.01], "field 'interior' needs at least two snapshots (got 1)"),
+    ([], "field 'interior' needs at least two snapshots (got 0)"),
+    ([0.005, 0.01], "field 'interior' t-support (0.0025, 0.0085) starts before the "
+                    "first snapshot t = 0.005"),
+], ids=["t_end-only", "none", "late-start"])
+def test_weak_residual_needs_snapshots_over_the_field(tmp_path, capsys, times, message):
+    doc = _simulate_doc(tmp_path / "span")
+    doc["solver"]["output_times"] = times
+    doc["weak_residual"] = {"refine": False, "fields": ["interior"]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide-by-zero on the way
+        assert main(["weak-residual", "--config", _write(tmp_path, doc)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_verify_lemmas_huge_gamma_is_a_construction_failure(tmp_path, capsys):
+    out = tmp_path / "huge"
+    doc = _base_doc(lemma_sweep={"tuples": [_GOOD_TUPLE, dict(_GOOD_TUPLE, gamma=1e300)]},
+                    output={"directory": str(out)})
+    assert main(["verify-lemmas", "--config", _write(tmp_path, doc)]) == 4
+    assert "gamma = 1e+300 is too large" in capsys.readouterr().err
+    rows = (out / "lemma_checks.csv").read_text().splitlines()[1:]
+    assert rows[0].endswith(",True")
+    assert rows[1].split(",")[8] == "False"  # constructed
 
 
 def test_config_c_sub_override_parses(tmp_path):
