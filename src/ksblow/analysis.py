@@ -17,10 +17,14 @@ with k0 = min{c1, c2} built from the two branch constants, and
 
     integral phi^2 / |phi_s| ds  <=  K0 / gamma^2.
 
-K0 here is a*xi^(2-delta)/(delta(2-delta)) + e^-xi: the inner-branch
-integral evaluates to a*xi^(2-delta)/(delta(2-delta) gamma^2), so the
-constant must carry the 1/delta factor; the loose variant without it
-(recorded as ``K0_loose``) fails to bound the integral for delta < 1.
+K0 here is a*xi^(2-delta)/(delta(2-delta)) + e^-xi: the leading term of
+the inner-branch integral is a*xi^(2-delta)/(delta(2-delta) gamma^2), so
+the constant must carry the 1/delta factor.  The loose variant without it
+(recorded as ``K0_loose``) falls below that leading term for delta < 1; it
+still exceeds the whole integral, but only through the inner -b k^2 term.
+Both branches integrate in closed form, so the bound is an exact identity:
+K0/gamma^2 exceeds the integral by (b k^2/delta)(1 - (1 - delta/xi)/(2 + delta))
+with k = xi/gamma, which is positive because xi > delta makes b > 0.
 
 The functional y(t) = integral phi W ds then dominates the solution of the
 Bernoulli problem z' = A z + B z^2 with A = k0 gamma^(2/n), B = gamma^2/(2 K0),
@@ -39,7 +43,6 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError, SelectionError
 from .params import SystemParams, TestFnParams, delta_quadratic, sphere_area, validate
-from .quadrature import integrate_adaptive
 from .signal import SignalProfile
 from .solver import Trajectory
 from .transform import estimate_origin_limit
@@ -237,41 +240,33 @@ def verify_ode_inequality(tf: TestFunction,
 
 @dataclass(frozen=True)
 class IntegralBoundReport:
-    numeric: float
-    bound: float
-    inner_piece_closed: float
-    outer_piece_closed: float
-    outer_piece_numeric: float
-    K0: float
-    K0_loose: float
+    integral: float   # integral phi^2/|phi_s| ds over (0, infinity)
+    bound: float      # K0/gamma^2
+    margin: float     # bound - integral, in its exact cancelled form
     passed: bool
 
 
 def verify_integral_bound(tf: TestFunction) -> IntegralBoundReport:
-    """Adaptive quadrature of integral phi^2/|phi_s| against K0/gamma^2."""
+    """integral phi^2/|phi_s| ds against K0/gamma^2, both in closed form.
+
+    With k = xi/gamma and A = a gamma^-delta the power branch contributes
+    (A k^(2-delta)/(2-delta) - b k^2 + (b^2/A) k^(2+delta)/(2+delta))/delta
+    and the exponential branch e^-xi/gamma^2.  Since A k^(2-delta) =
+    a xi^(2-delta)/gamma^2 and b k^delta/A = 1 - delta/xi, the margin
+    K0/gamma^2 - integral cancels to (b k^2/delta)(1 - (1 - delta/xi)/(2 + delta)).
+    """
     A = tf.a / tf.gamma ** tf.delta
-    knot = tf.kink
+    k = tf.kink
     d = tf.delta
-
-    def inner(s):
-        # (A s^-d - b)^2 / (A d s^(-d-1)) expanded so no factor overflows near 0
-        return (A * s ** (1.0 - d) - 2.0 * tf.b * s + tf.b * tf.b / A * s ** (1.0 + d)) / d
-
-    def outer(s):
-        return math.exp(-tf.gamma * s) / tf.gamma
-
-    inner_num = integrate_adaptive(inner, 0.0, knot, rtol=1e-12)
-    outer_num = integrate_adaptive(outer, knot, math.inf, rtol=1e-12)
-    numeric = inner_num + outer_num
+    b = tf.b
     g2 = tf.gamma ** 2
+    inner = (A * k ** (2.0 - d) / (2.0 - d) - b * k * k
+             + b * b / A * k ** (2.0 + d) / (2.0 + d)) / d
+    integral = inner + math.exp(-tf.xi) / g2
     bound = tf.K0 / g2
-    return IntegralBoundReport(
-        numeric=numeric, bound=bound,
-        inner_piece_closed=tf.a * tf.xi ** (2.0 - tf.delta) / (tf.delta * (2.0 - tf.delta) * g2),
-        outer_piece_closed=math.exp(-tf.xi) / g2,
-        outer_piece_numeric=outer_num,
-        K0=tf.K0, K0_loose=tf.K0_loose,
-        passed=bool(numeric <= bound * (1.0 + ANALYTIC_SLACK)))
+    margin = b * k * k / d * (1.0 - (1.0 - d / tf.xi) / (2.0 + d))
+    return IntegralBoundReport(integral=integral, bound=bound, margin=margin,
+                               passed=bool(integral <= bound * (1.0 + ANALYTIC_SLACK)))
 
 
 # --- exact integrals of phi against piecewise-linear data ------------------

@@ -41,7 +41,7 @@ from .signal import SignalProfile
 from .solver import (SolverConfig, build_mesh, measured_c_sub, proper_sweep,
                      solve_regularized)
 from .transform import w0_from_density, write_csv
-from .weakform import field_library, weak_residual
+from .weakform import check_support, field_library, weak_residual
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -110,9 +110,15 @@ def _manifest(out_dir: Path, command: str, cfg: RunConfig, runs, failure=None) -
 
 
 def _resolve_out(cfg: RunConfig, out_flag) -> Path:
-    directory = out_flag or (cfg.output and cfg.output.directory)
-    if directory is None:
+    if out_flag is not None:
+        directory, source = out_flag, "--out"
+    elif cfg.output is not None:
+        directory, source = cfg.output.directory, "output.directory"
+    else:
         raise ConfigError("no output directory: set output.directory or pass --out")
+    if not directory:
+        # Path("") is the working directory
+        raise ConfigError(f"{source} is empty: name an output directory")
     return Path(directory)  # created by the first file written into it
 
 
@@ -256,7 +262,7 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
             bound = verify_integral_bound(tf)
             row.update(constructed=True, feasible=feasible,
                        margin=ode.min_margin, margin_ok=ode.passed,
-                       integral=bound.numeric, integral_bound=bound.bound,
+                       integral=bound.integral, integral_bound=bound.bound,
                        integral_ok=bound.passed)
             row["pass"] = bool(feasible and ode.passed and bound.passed)
         except ParameterError as exc:
@@ -364,6 +370,10 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
     unknown = [name for name in wr.fields if name not in library]
     if unknown:
         raise ConfigError(f"unknown weak_residual fields: {unknown}")
+    for name in wr.fields:
+        # the refined run keeps the first and last output time, so one check
+        # before solving covers both
+        check_support(library[name], sec.s_max, sec.output_times)
     params = validate(cfg.system)
     profile = SignalProfile.from_params(params)
     runs = []

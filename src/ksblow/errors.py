@@ -18,10 +18,9 @@ class ParameterError(KsblowError, ValueError):
 
 
 class NumericalError(KsblowError, RuntimeError):
-    """A numerical routine failed to reach its accuracy target or was
-    evaluated outside its domain.  Carries diagnostic attributes where the
-    caller can act on them (e.g. ``achieved`` for quadrature, ``blow_up_time``
-    for Riccati evaluation)."""
+    """A numerical routine was evaluated outside its domain.  Carries
+    diagnostic attributes where the caller can act on them (e.g.
+    ``blow_up_time`` for Riccati evaluation)."""
 
     def __init__(self, message, **diagnostics):
         super().__init__(message)

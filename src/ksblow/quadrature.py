@@ -1,36 +1,10 @@
-"""Thin adaptive-quadrature wrapper with an explicit failure contract, and
-the fixed Gauss-Legendre rule on arrays of intervals."""
+"""The fixed Gauss-Legendre rule on arrays of intervals."""
 
 from __future__ import annotations
 
 import functools
 
 import numpy as np
-from scipy import integrate
-
-from .errors import NumericalError
-
-_QUAD_ATOL = 1e-300
-_QUAD_LIMIT = 400
-
-
-def integrate_adaptive(fn, lo, hi, *, rtol=1e-10):
-    """Gauss-Kronrod adaptive quadrature of ``fn`` over [lo, hi].
-
-    Raises NumericalError carrying the achieved tolerance when the estimate
-    does not converge.
-    """
-    value, err, *rest = integrate.quad(fn, lo, hi, full_output=1, limit=_QUAD_LIMIT,
-                                       epsrel=rtol, epsabs=_QUAD_ATOL)
-    info_ok = len(rest) == 1  # a message element appears only on trouble
-    achieved = err / max(abs(value), _QUAD_ATOL)
-    if not info_ok and achieved > 10.0 * rtol:
-        raise NumericalError(
-            f"quadrature over [{lo}, {hi}] did not converge: "
-            f"achieved relative error {achieved:.3e} (target {rtol:.1e})",
-            achieved=achieved,
-        )
-    return value
 
 
 @functools.cache

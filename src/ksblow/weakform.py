@@ -191,32 +191,41 @@ class ResidualReport:
         return self.residual / self.scale
 
 
-def weak_residual(traj: Trajectory, zeta: TestField,
-                  profile: SignalProfile) -> ResidualReport:
-    """Residual of the weak identity for one test field.
-
-    Raises when the field support exceeds the computed space-time domain,
-    which spans the mesh and the first to the last of at least two snapshots.
-    """
-    s_nodes = traj.mesh.nodes
-    times = np.asarray(traj.times, dtype=float)
+def check_support(zeta: TestField, s_max: float, times) -> None:
+    """Raise ParameterError unless the field's support lies in the computed
+    space-time domain: [0, s_max] in s, and in t the first to the last of
+    at least two snapshot times, which must include t = 0 when the field
+    touches it."""
+    times = np.asarray(times, dtype=float)
     s_lo, s_hi = zeta.s_support
     t_lo, t_hi = zeta.t_support
-    if s_lo < 0.0 or s_hi > traj.mesh.s_max:
+    if s_lo < 0.0 or s_hi > s_max:
         raise ParameterError(
-            f"field {zeta.name!r} s-support ({s_lo}, {s_hi}) exceeds [0, {traj.mesh.s_max}]")
+            f"field {zeta.name!r} s-support ({s_lo}, {s_hi}) exceeds [0, {s_max}]")
     if times.size < 2:
         raise ParameterError(
             f"field {zeta.name!r} needs at least two snapshots (got {times.size})")
-    if t_lo < 0.0 or t_hi > times[-1]:
+    first, last = times.min(), times.max()
+    if t_lo < 0.0 or t_hi > last:
         raise ParameterError(
-            f"field {zeta.name!r} t-support ({t_lo}, {t_hi}) exceeds [0, {times[-1]}]")
-    needs_initial = t_lo == 0.0
-    if needs_initial and times[0] != 0.0:
+            f"field {zeta.name!r} t-support ({t_lo}, {t_hi}) exceeds [0, {last}]")
+    if t_lo == 0.0 and first != 0.0:
         raise ParameterError("field touches t = 0 but the trajectory lacks that snapshot")
-    if t_lo < times[0]:
+    if t_lo < first:
         raise ParameterError(f"field {zeta.name!r} t-support ({t_lo}, {t_hi}) starts "
-                             f"before the first snapshot t = {times[0]}")
+                             f"before the first snapshot t = {first}")
+
+
+def weak_residual(traj: Trajectory, zeta: TestField,
+                  profile: SignalProfile) -> ResidualReport:
+    """Residual of the weak identity for one test field; raises as
+    ``check_support`` does when the field leaves the computed domain."""
+    s_nodes = traj.mesh.nodes
+    times = np.asarray(traj.times, dtype=float)
+    check_support(zeta, traj.mesh.s_max, times)
+    s_lo, s_hi = zeta.s_support
+    t_lo, t_hi = zeta.t_support
+    needs_initial = t_lo == 0.0
 
     n = traj.n
     p = (2.0 * n - 2.0) / n

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,24 @@ def scenario_sweep(scenario, scenario_profile):
     elapsed = time.perf_counter() - started
     return {"trajectories": trajectories, "report": report, "w0": w0,
             "elapsed": elapsed}
+
+
+@pytest.fixture(scope="session")
+def quad_phi_integral():
+    """Adaptive-quadrature oracle for integral phi^2/|phi_s| ds over (0, inf),
+    independent of the closed form in ``verify_integral_bound``."""
+    from scipy.integrate import quad
+
+    def integral(tf):
+        A = tf.a / tf.gamma ** tf.delta
+        d, b = tf.delta, tf.b
+        # (A s^-d - b)^2 / (A d s^(-d-1)) expanded so no factor overflows near 0
+        inner = quad(lambda s: (A * s ** (1.0 - d) - 2.0 * b * s
+                                + b * b / A * s ** (1.0 + d)) / d,
+                     0.0, tf.kink, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        # the exponential branch in u = gamma s, free of the gamma scale
+        outer = quad(lambda u: math.exp(-u), tf.xi, math.inf,
+                     epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        return inner + outer / tf.gamma ** 2
+
+    return integral

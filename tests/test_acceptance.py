@@ -50,7 +50,7 @@ def test_criterion_1_feasibility_algebra():
           f"0 disagreements, {elapsed:.1f}s")
 
 
-def test_criterion_2_testfunction_certification():
+def test_criterion_2_testfunction_certification(quad_phi_integral):
     started = time.perf_counter()
     rng = np.random.default_rng(321)
     worst_margin = math.inf
@@ -82,9 +82,10 @@ def test_criterion_2_testfunction_certification():
         worst_margin = min(worst_margin, ode.min_margin)
 
         ib = verify_integral_bound(tf)
-        assert ib.numeric <= ib.bound * (1.0 + 1e-9)
-        assert abs(ib.outer_piece_numeric - ib.outer_piece_closed) \
-            <= 1e-8 * ib.outer_piece_closed
+        assert ib.integral <= ib.bound * (1.0 + 1e-9)
+        assert ib.margin > 0.0
+        assert abs(ib.margin - (ib.bound - ib.integral)) <= 1e-12 * ib.bound
+        assert abs(ib.integral - quad_phi_integral(tf)) <= 1e-11 * ib.integral
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     print(f"\n[PASS] criterion 2: 200 tuples certified, worst margin "

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from ksblow import (NumericalError, ParameterError, SelectionError, SignalProfile,
                     SystemParams, TestFnParams, blowup_indicator, build_testfunction,
-                    integral_phi_linear, integral_phi_total, phi_eval, riccati,
+                    f0_threshold, integral_phi_linear, integral_phi_total, phi_eval, riccati,
                     select_blowup_params, validate, verify_integral_bound,
                     verify_ode_inequality, y_functional)
 from ksblow.analysis import l_phi_rate, margin_grid
@@ -141,23 +141,46 @@ def test_margin_grid_avoids_kinks(tf):
         assert np.min(np.abs(np.log(g / kink))) > spacing
 
 
-def test_integral_bound_scenario(tf):
+def test_integral_bound_scenario(tf, quad_phi_integral):
     rep = verify_integral_bound(tf)
     assert rep.passed
-    assert rep.numeric <= rep.bound
-    assert rep.outer_piece_closed == pytest.approx(math.exp(-4.0) / 400.0, rel=1e-14, abs=0.0)
-    assert rep.outer_piece_closed == pytest.approx(4.57891e-5, rel=1e-5)
-    assert rep.outer_piece_numeric == pytest.approx(rep.outer_piece_closed, rel=1e-8)
-    assert rep.inner_piece_closed == pytest.approx(
-        tf.a * 4.0 ** 1.2 / (0.8 * 1.2 * 400.0), rel=1e-14, abs=0.0)
-    # quadrature oracle for the whole integral
+    assert rep.integral <= rep.bound
+    assert rep.bound == pytest.approx(
+        (tf.a * 4.0 ** 1.2 / (0.8 * 1.2) + math.exp(-4.0)) / 400.0, rel=1e-14, abs=0.0)
+    # the power branch's closed form on its own terms; the exponential
+    # branch integrates to e^-xi/gamma^2 = 4.57891e-5
     A = tf.a / 20.0 ** 0.8
-    oracle_inner = quad(lambda s: (A * s ** -0.8 - tf.b) ** 2 / (A * 0.8 * s ** -1.8),
-                        0.0, tf.kink, limit=200)[0]
-    assert rep.numeric == pytest.approx(oracle_inner + rep.outer_piece_closed, rel=1e-9)
-    # K0/gamma^2 equals the sum of the two closed-form pieces
-    assert rep.bound == pytest.approx(rep.inner_piece_closed + rep.outer_piece_closed,
-                                      rel=1e-14, abs=0.0)
+    k = 0.2
+    inner = (A * k ** 1.2 / 1.2 - tf.b * k * k + tf.b ** 2 / A * k ** 2.8 / 2.8) / 0.8
+    assert rep.integral == pytest.approx(inner + math.exp(-4.0) / 400.0, rel=1e-14, abs=0.0)
+    assert rep.integral == pytest.approx(quad_phi_integral(tf), rel=1e-12, abs=0.0)
+    assert rep.margin == pytest.approx(
+        tf.b * k * k / 0.8 * (1.0 - (1.0 - 0.2) / 2.8), rel=1e-14, abs=0.0)
+
+
+def test_integral_bound_matches_quadrature_oracle(quad_phi_integral):
+    """The closed form against adaptive quadrature on a seeded grid over
+    n = 3..8, and the cancelled margin against bound - integral."""
+    rng = np.random.default_rng(20240808)
+    checked = {n: 0 for n in range(3, 9)}
+    for n in checked:
+        while checked[n] < 8:
+            alpha = float(rng.uniform(2.05, n - 0.05))
+            R = float(rng.uniform(0.2, 0.9))
+            rho = float(rng.uniform(0.05, 0.45) * R)
+            f0 = f0_threshold(n, alpha) * float(rng.uniform(1.1, 6.0))
+            params = validate(SystemParams(n, alpha, f0, R, rho, 1.0))
+            if params.delta_bound >= 1.0:
+                continue
+            delta = float(params.delta_bound + (1 - params.delta_bound) * rng.uniform(0.1, 0.9))
+            xi = float(rng.uniform(4 - 4 / n + 0.02, 4.0))
+            gamma = 4.0 / (R - rho) * 2 ** float(rng.uniform(0.1, 12.0))
+            tf = build_testfunction(params, xi, delta, gamma)
+            rep = verify_integral_bound(tf)
+            assert rep.integral == pytest.approx(quad_phi_integral(tf), rel=1e-11, abs=0.0)
+            assert rep.margin == pytest.approx(rep.bound - rep.integral, rel=1e-12, abs=0.0)
+            assert rep.margin > 0.0 and rep.passed
+            checked[n] += 1
 
 
 def test_integral_bound_gamma_scaling(scenario):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -529,7 +530,12 @@ def test_weak_residual_constant_window_positive(tmp_path, capsys, window):
     ([0.005, 0.01], "field 'interior' t-support (0.0025, 0.0085) starts before the "
                     "first snapshot t = 0.005"),
 ], ids=["t_end-only", "none", "late-start"])
-def test_weak_residual_needs_snapshots_over_the_field(tmp_path, capsys, times, message):
+def test_weak_residual_needs_snapshots_over_the_field(tmp_path, capsys, monkeypatch,
+                                                      times, message):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before checking the field window")
+
+    monkeypatch.setattr("ksblow.cli.solve_regularized", no_solve)
     doc = _simulate_doc(tmp_path / "span")
     doc["solver"]["output_times"] = times
     doc["weak_residual"] = {"refine": False, "fields": ["interior"]}
@@ -537,6 +543,25 @@ def test_weak_residual_needs_snapshots_over_the_field(tmp_path, capsys, times, m
         warnings.simplefilter("error")  # no divide-by-zero on the way
         assert main(["weak-residual", "--config", _write(tmp_path, doc)]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "span").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-lemmas", "blowup", "weak-residual"])
+@pytest.mark.parametrize("source", ["output.directory", "--out"])
+def test_empty_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                  command, source):
+    # Path("") is the working directory, which must stay untouched
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    doc = _simulate_doc("" if source == "output.directory" else tmp_path / "configured")
+    doc["blowup"] = {"eta": 0.01}
+    cfg = _write(tmp_path, doc)
+    argv = [command, "--config", cfg] + (["--out", ""] if source == "--out" else [])
+    assert main(argv) == 1
+    assert f"config error: {source} is empty" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "work"]
 
 
 def test_verify_lemmas_huge_gamma_is_a_construction_failure(tmp_path, capsys):
@@ -556,6 +581,17 @@ def test_config_c_sub_override_parses(tmp_path):
     assert cfg.blowup.c_sub_override == 0.4
     assert cfg.blowup.t0 == 0.0
     assert cfg.blowup.betas == (1.0,)
+
+
+def test_import_leaves_out_unused_scipy_modules():
+    # scipy.integrate alone made up most of the start-up every command pays
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; import ksblow.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point(tmp_path):
