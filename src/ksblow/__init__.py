@@ -17,12 +17,11 @@ from .analysis import (BlowupReport, BlowupSelection, IntegralBoundReport,
                        verify_ode_inequality, y_functional)
 from .errors import (ConfigError, KsblowError, NumericalError, ParameterError,
                      SelectionError, SolverError)
-from .params import (SystemParams, TestFnParams, default_testfn_params,
-                     delta_lower_bound, delta_quadratic, f0_threshold, h_value,
-                     sphere_area, validate)
+from .params import (SystemParams, default_delta, delta_lower_bound, delta_quadratic,
+                     f0_threshold, h_value, sphere_area, validate, validate_testfn)
 from .signal import SignalProfile, chi_eval
-from .solver import (ComparisonReport, Mesh, SolverConfig, SweepReport, Trajectory,
-                     build_mesh, comparison_check, measured_c_sub, proper_sweep,
+from .solver import (ComparisonReport, SolverConfig, SweepReport, Trajectory, build_mesh,
+                     check_eps_list, comparison_check, measured_c_sub, proper_sweep,
                      solve_regularized, subsolution_candidate)
 from .transform import MassFunction, estimate_origin_limit, w0_from_density, write_csv
 from .weakform import (BumpFactor, ResidualReport, StepDownFactor, TestField,

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError, SelectionError
-from .params import SystemParams, TestFnParams, delta_quadratic, sphere_area, validate
+from .params import SystemParams, delta_quadratic, sphere_area, validate_testfn
 from .signal import SignalProfile
 from .solver import Trajectory
 from .transform import estimate_origin_limit
@@ -85,8 +85,7 @@ def build_testfunction(params: SystemParams, xi: float, delta: float,
     c2 <= 0 means delta contradicts its lower bound and the construction is
     infeasible; this raises rather than returning a broken object.
     """
-    params = validate(params)
-    TestFnParams(xi=xi, delta=delta, gamma=gamma).validate_for(params)
+    validate_testfn(params, xi, delta, gamma)
     n = params.n
     a = xi ** (delta + 1.0) / delta * math.exp(-xi)
     b = (xi / delta - 1.0) * math.exp(-xi)
@@ -154,17 +153,20 @@ class OdeMarginReport:
     margins: np.ndarray = field(repr=False)  # L phi / phi - k0 gamma^(2/n) on the grid
 
 
+# the scan grid: 10^4 log-spaced points on [1e-8, 10], and its log spacing
+_SCAN = np.geomspace(1e-8, 10.0, 10_000)
+_SCAN.flags.writeable = False
+_SCAN_SPACING = math.log(_SCAN[1] / _SCAN[0])
+
+
 def margin_grid(tf: TestFunction, profile: SignalProfile) -> np.ndarray:
-    """Log-spaced scan grid of 10^4 points on [1e-8, 10] keeping one spacing
-    away from the non-smooth points (the branch point and the bridge
-    breakpoints)."""
-    g = np.geomspace(1e-8, 10.0, 10_000)
-    spacing = math.log(g[1] / g[0])
-    keep = np.ones(g.size, dtype=bool)
+    """The scan grid less the points within one spacing of a non-smooth
+    point (the branch point and the bridge breakpoints)."""
+    keep = np.ones(_SCAN.size, dtype=bool)
     for kink in (tf.kink, profile.s_lower, profile.s_upper):
         if kink > 0:
-            keep &= np.abs(np.log(g / kink)) > spacing
-    return g[keep]
+            keep &= np.abs(np.log(_SCAN / kink)) > _SCAN_SPACING
+    return _SCAN[keep]
 
 
 def default_verification_profile(tf: TestFunction) -> SignalProfile:
@@ -373,7 +375,7 @@ class BlowupSelection:
 
 
 def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
-                         params: SystemParams, tf_seed: TestFnParams,
+                         params: SystemParams, xi: float, delta: float,
                          w_probe, gamma_cap: float = 2.0 ** 60) -> BlowupSelection:
     """Pick (kappa, s0, gamma) for the blow-up window (t0, t0 + eta).
 
@@ -391,10 +393,9 @@ def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
     """
     if eta <= 0 or c_sub <= 0 or c0 <= 0:
         raise ParameterError(f"need eta, c0, c_sub > 0 (got {eta}, {c0}, {c_sub})")
-    params = validate(params)
     n = params.n
-    seed_gamma = max(tf_seed.gamma, 8.0 / (params.R - params.rho))
-    tf = build_testfunction(params, tf_seed.xi, tf_seed.delta, seed_gamma)
+    # k0 and K0 do not depend on gamma: any admissible one builds them
+    tf = build_testfunction(params, xi, delta, 8.0 / (params.R - params.rho))
     k0, K0 = tf.k0, tf.K0
     kappa = k0 * eta / 8.0
 
@@ -431,7 +432,7 @@ def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
                              failing="sinh_condition")
 
     floor_geometry = 4.0 / (params.R - params.rho)
-    floor_kappa = (tf_seed.xi / kappa) ** (n / 2.0)
+    floor_kappa = (xi / kappa) ** (n / 2.0)
     gamma = max(floor_geometry, floor_kappa) * (1.0 + 1e-9)
     probe_s = probe_w = None
     while True:
@@ -497,7 +498,7 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
     on the overlap of horizons (a finite-epsilon trend, not a limit claim)."""
     if traj.times[-1] < t1 - 1e-12:
         raise ParameterError(f"trajectory horizon {traj.times[-1]} shorter than t1 = {t1}")
-    s = traj.mesh.nodes
+    s = traj.s
     sel = [(t, w) for t, w in zip(traj.times, traj.snapshots) if t >= t1 - 1e-12]
     times = tuple(t for t, _ in sel)
     y_vals = tuple(integral_phi_linear(tf, s, w) for _, w in sel)
@@ -588,8 +589,8 @@ class BlowupReport:
 def indicator_series(traj: Trajectory, beta: float) -> list:
     """sup W/s^beta over the probes 0 < s <= s_max/2 at each snapshot, as
     (t, value, s) rows."""
-    s = traj.mesh.nodes
-    probe = (s > 0.0) & (s <= traj.mesh.s_max / 2.0)
+    s = traj.s
+    probe = (s > 0.0) & (s <= s[-1] / 2.0)
     sp = s[probe]
     weights = sp ** (-beta)
     rows = []
@@ -612,8 +613,8 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
         # max keeps the earliest snapshot on ties
         t, value, s_at = max(indicator_series(traj, beta), key=lambda row: row[1])
         sup[beta] = (value, s_at, t)
-    s = traj.mesh.nodes
-    probe = (s > 0.0) & (s <= traj.mesh.s_max / 2.0)
+    s = traj.s
+    probe = (s > 0.0) & (s <= s[-1] / 2.0)
     h = np.diff(s)
     probe_cell = probe[:-1]
     lip, lip_where = -math.inf, (math.nan, math.nan)
@@ -634,7 +635,7 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
         epsilon=traj.epsilon, betas=betas, sup_w_over_s_beta=sup,
         lipschitz_estimate=lip, lipschitz_location=lip_where,
         atom_estimate=atom,
-        provenance={"N": traj.mesh.N, "s_max": traj.mesh.s_max,
+        provenance={"N": s.size - 1, "s_max": float(s[-1]),
                     "times": list(traj.times), "epsilon": traj.epsilon,
                     "atom_model": "jump-plus-power extrapolation at the origin"},
         y_report=y_report, verdicts=verdicts)

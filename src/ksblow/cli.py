@@ -35,11 +35,10 @@ from .config import (LemmaSweepSection, LemmaTuple, RunConfig, SolverSection,
                      TestFnSection, config_to_dict, load_config)
 from .errors import (ConfigError, KsblowError, ParameterError, SelectionError,
                      SolverError)
-from .params import (SystemParams, TestFnParams, default_testfn_params,
-                     delta_lower_bound, validate)
+from .params import SystemParams, default_delta, delta_lower_bound, validate
 from .signal import SignalProfile
-from .solver import (SolverConfig, build_mesh, measured_c_sub, proper_sweep,
-                     solve_regularized)
+from .solver import (SolverConfig, build_mesh, check_eps_list, measured_c_sub,
+                     proper_sweep, solve_regularized)
 from .transform import w0_from_density, write_csv
 from .weakform import check_support, field_library, weak_residual
 
@@ -137,15 +136,17 @@ def _solve(params, profile, sec: SolverSection, runs: list):
     if sec.s_max < 4.0:
         raise ConfigError(f"solver.s_max must be >= 4 (got {sec.s_max!r})")
     try:
-        mesh = build_mesh(sec.s_max, sec.N, sec.ratio)
+        s = build_mesh(sec.s_max, sec.N, sec.ratio)
+        base = SolverConfig(epsilon=sec.epsilon if sec.epsilon is not None else 0.5,
+                            t_end=sec.t_end, output_times=sec.output_times,
+                            cfl_safety=sec.cfl_safety, max_dt=sec.max_dt)
+        if sec.eps_list:
+            check_eps_list(sec.eps_list)
     except ParameterError as exc:
-        # each build_mesh message opens with the argument at fault, which is
+        # each of these messages opens with the argument at fault, which is
         # the solver key of the same name
         raise ConfigError(f"solver.{exc}") from exc
-    w0 = w0_from_density(params.c0, mesh.nodes)
-    base = SolverConfig(epsilon=sec.epsilon if sec.epsilon is not None else 0.5,
-                        t_end=sec.t_end, output_times=sec.output_times,
-                        cfl_safety=sec.cfl_safety, max_dt=sec.max_dt)
+    w0 = w0_from_density(params.c0, s)
     if sec.eps_list:
         trajectories, report = proper_sweep(params, w0, base, sec.eps_list,
                                             profile=profile)
@@ -322,12 +323,11 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
     tf_section = cfg.test_function or TestFnSection()
     xi, delta = tf_section.xi, tf_section.delta
     if delta is None:
-        delta = default_testfn_params(params).delta
-    tf_seed = TestFnParams(xi=xi, delta=delta, gamma=8.0 / (params.R - params.rho))
+        delta = default_delta(params)
 
     try:
         selection = select_blowup_params(
-            blow.t0, blow.eta, params.c0, c_sub, params, tf_seed,
+            blow.t0, blow.eta, params.c0, c_sub, params, xi, delta,
             w_probe=lambda s: traj.w_at(s, t1))
     except SelectionError as exc:
         _manifest(out_dir, "blowup", cfg, runs,
@@ -362,11 +362,7 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
     if sec.epsilon is None:
         raise ConfigError("solver.epsilon is required for weak-residual")
     wr = cfg.weak_residual
-    if not wr.constant_window > 0.0:
-        raise ConfigError(f"weak_residual.constant_window must be > 0 "
-                          f"(got {wr.constant_window!r})")
-    library = field_library(sec.s_max, sec.t_end, epsilon=sec.epsilon,
-                            constant_window=wr.constant_window)
+    library = field_library(sec.s_max, sec.t_end, epsilon=sec.epsilon)
     unknown = [name for name in wr.fields if name not in library]
     if unknown:
         raise ConfigError(f"unknown weak_residual fields: {unknown}")

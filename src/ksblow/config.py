@@ -194,7 +194,6 @@ class WeakResidualSection:
     fields: tuple = field(default=("interior", "initial", "origin_window", "constant_state"),
                           metadata={"read": _names})
     refine: bool = True
-    constant_window: float = 5e-4
 
 
 @dataclass(frozen=True)

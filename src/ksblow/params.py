@@ -149,40 +149,29 @@ def validate(params: SystemParams) -> SystemParams:
     return params
 
 
-@dataclass(frozen=True)
-class TestFnParams:
-    """Exponents of the comparison test function: xi in (4 - 4/n, 4],
-    delta in (delta_lower_bound, 1), gamma > 4/(R - rho)."""
-
-    __test__ = False  # not a pytest class despite the name
-
-    xi: float
-    delta: float
-    gamma: float
-
-    def validate_for(self, system: SystemParams) -> "TestFnParams":
-        system = validate(system)
-        violations = []
-        n = system.n
-        _require(4.0 - 4.0 / n < self.xi <= 4.0, "xi", self.xi,
-                 f"in (4 - 4/n, 4] = ({4.0 - 4.0 / n}, 4]", violations)
-        bound = system.delta_bound
-        _require(0 < self.delta < 1, "delta", self.delta, "in (0, 1)", violations)
-        if 0 < self.delta < 1:
-            _require(self.delta > bound, "delta", self.delta,
-                     f"> delta_lower_bound = {bound}", violations)
-        floor = 4.0 / (system.R - system.rho)
-        _require(self.gamma > floor, "gamma", self.gamma, f"> 4/(R-rho) = {floor}", violations)
-        _require((system.R - system.rho) * self.gamma > self.xi, "gamma", self.gamma,
-                 f"such that (R-rho)*gamma > xi = {self.xi}", violations)
-        _raise_if(violations)
-        return self
+def validate_testfn(system: SystemParams, xi: float, delta: float, gamma: float) -> None:
+    """Check the system, then the test-function exponents against it:
+    xi in (4 - 4/n, 4], delta in (delta_lower_bound, 1), gamma > 4/(R - rho)
+    and (R - rho) * gamma > xi."""
+    system = validate(system)
+    violations = []
+    n = system.n
+    _require(4.0 - 4.0 / n < xi <= 4.0, "xi", xi,
+             f"in (4 - 4/n, 4] = ({4.0 - 4.0 / n}, 4]", violations)
+    bound = system.delta_bound
+    _require(0 < delta < 1, "delta", delta, "in (0, 1)", violations)
+    if 0 < delta < 1:
+        _require(delta > bound, "delta", delta, f"> delta_lower_bound = {bound}", violations)
+    floor = 4.0 / (system.R - system.rho)
+    _require(gamma > floor, "gamma", gamma, f"> 4/(R-rho) = {floor}", violations)
+    _require((system.R - system.rho) * gamma > xi, "gamma", gamma,
+             f"such that (R-rho)*gamma > xi = {xi}", violations)
+    _raise_if(violations)
 
 
-def default_testfn_params(system: SystemParams) -> TestFnParams:
-    """xi = 4, delta at the midpoint of (delta_lower_bound, 1), gamma twice
-    its geometric floor.  Requires a feasible system (otherwise no sub-unit
-    delta exists)."""
+def default_delta(system: SystemParams) -> float:
+    """The midpoint of delta's admissible range (delta_lower_bound, 1).
+    Requires a feasible system (otherwise no sub-unit delta exists)."""
     system = validate(system)
     bound = system.delta_bound
     if bound >= 1.0:
@@ -191,5 +180,4 @@ def default_testfn_params(system: SystemParams) -> TestFnParams:
             f"(f0 = {system.f0} is not above the threshold {system.threshold})",
             [("f0", system.f0, f"> {system.threshold}")],
         )
-    tf = TestFnParams(xi=4.0, delta=0.5 * (bound + 1.0), gamma=8.0 / (system.R - system.rho))
-    return tf.validate_for(system)
+    return 0.5 * (bound + 1.0)

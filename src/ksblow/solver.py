@@ -58,31 +58,9 @@ _DT_UNDERFLOW = 1e-16
 _VIOLATION_LOG = 1e-12
 
 
-@dataclass(frozen=True)
-class Mesh:
-    """Graded mesh 0 = s_0 < ... < s_N = s_max with geometric refinement
-    toward the degenerate origin."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)  # a copy: the caller's stays writeable
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        if nodes[0] != 0.0 or not np.all(np.diff(nodes) > 0):
-            raise ParameterError("mesh nodes must start at 0 and increase strictly")
-
-    @property
-    def s_max(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def N(self) -> int:
-        return self.nodes.size - 1
-
-
-def build_mesh(s_max: float, N: int, ratio: float | None = None) -> Mesh:
-    """Geometric mesh with s_i = s_max (r^i - 1)/(r^N - 1).
+def build_mesh(s_max: float, N: int, ratio: float | None = None) -> np.ndarray:
+    """Read-only nodes 0 = s_0 < ... < s_N = s_max of the geometric mesh
+    s_i = s_max (r^i - 1)/(r^N - 1), refined toward the degenerate origin.
 
     With ratio omitted, the smallest admissible ratio achieving
     s_1 <= 1e-6 * s_max is solved for; if even ratio = 1.2 cannot reach that,
@@ -124,7 +102,8 @@ def build_mesh(s_max: float, N: int, ratio: float | None = None) -> Mesh:
     nodes = s_max * np.expm1(i * math.log(ratio)) / np.expm1(N * math.log(ratio))
     nodes[0] = 0.0
     nodes[-1] = s_max
-    return Mesh(nodes=nodes)
+    nodes.flags.writeable = False
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -152,9 +131,11 @@ class SolverConfig:
             raise ParameterError(f"cfl_safety must be in (0, 1) (got {self.cfl_safety})")
         times = tuple(float(t) for t in self.output_times)
         if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-            raise ParameterError("output times must be nonnegative and strictly increasing")
+            raise ParameterError(f"output_times must be nonnegative and strictly increasing "
+                                 f"(got {list(times)})")
         if times and times[-1] > self.t_end:
-            raise ParameterError("output times must not exceed t_end")
+            raise ParameterError(f"output_times must not exceed t_end = {self.t_end} "
+                                 f"(got {times[-1]})")
         object.__setattr__(self, "output_times", times)
         if self.max_dt is not None and not self.max_dt > 0.0:
             raise ParameterError(f"max_dt must be > 0 (got {self.max_dt})")
@@ -162,9 +143,10 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one (epsilon, mesh, stepping) run plus run metadata."""
+    """Snapshots of one (epsilon, mesh, stepping) run on the read-only mesh
+    nodes ``s``, plus run metadata."""
 
-    mesh: Mesh
+    s: np.ndarray
     epsilon: float
     times: tuple
     snapshots: tuple            # tuple of read-only arrays, one per time
@@ -179,7 +161,7 @@ class Trajectory:
         return int(self.metadata["n"])
 
     def mass_function(self, k: int) -> MassFunction:
-        return MassFunction(s=self.mesh.nodes, w=self.snapshots[k],
+        return MassFunction(s=self.s, w=self.snapshots[k],
                             time=self.times[k], far_field=self.far_field)
 
     def snapshot_at(self, t: float) -> MassFunction:
@@ -199,8 +181,7 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     """March the regularized problem from w0 to t_end; snapshot at the
     requested output times.  Deterministic for fixed inputs."""
     params = validate(params)
-    mesh = Mesh(nodes=w0.s)
-    s = mesh.nodes
+    s = w0.s
     n = params.n
     cap = w0.far_field
     if config.epsilon < 2.0 * s[1]:
@@ -355,9 +336,9 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         "tolerances": {"cap_slack": _CAP_SLACK, "monotone_slack": _MONOTONE_SLACK},
         "violations": violations,
         "wall_time_s": _time.perf_counter() - started,
-        "mesh": {"N": mesh.N, "s_max": mesh.s_max, "s1": float(s[1])},
+        "mesh": {"N": s.size - 1, "s_max": float(s[-1]), "s1": float(s[1])},
     }
-    return Trajectory(mesh=mesh, epsilon=config.epsilon, times=tuple(snap_times),
+    return Trajectory(s=s, epsilon=config.epsilon, times=tuple(snap_times),
                       snapshots=tuple(snapshots), far_field=cap, metadata=metadata)
 
 
@@ -399,16 +380,24 @@ class SweepReport:
     failures: tuple             # (epsilon, message) for runs that errored
 
 
+def check_eps_list(eps_list) -> list:
+    """The cutoffs of a sweep as floats; they must decrease strictly within
+    (0, 1)."""
+    eps_list = [float(e) for e in eps_list]
+    if any(not 0.0 < e < 1.0 for e in eps_list) or any(
+            b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ParameterError(f"eps_list must be strictly decreasing within (0, 1) "
+                             f"(got {eps_list})")
+    return eps_list
+
+
 def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
                  eps_list, profile: SignalProfile):
     """Run each epsilon on the shared mesh; report how well the family
     increases pointwise as epsilon decreases (the regularized solutions climb
     toward the proper solution).  Violations are reported magnitudes, never
     asserted away; failed runs are recorded and the rest continue."""
-    eps_list = [float(e) for e in eps_list]
-    if any(not 0.0 < e < 1.0 for e in eps_list) or any(
-            b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ParameterError("eps_list must be strictly decreasing within (0, 1)")
+    eps_list = check_eps_list(eps_list)
 
     # one shared time grid: the worst-case CFL bound over all cutoffs (the
     # smallest epsilon binds), so the runs are ordered by the discrete
@@ -465,7 +454,7 @@ def comparison_check(traj: Trajectory, candidate, tol: float = 0.0,
     the run must dominate it (W >= candidate - tol).  Violations are report
     content, not errors.
     """
-    s = traj.mesh.nodes
+    s = traj.s
     mask = np.ones_like(s, dtype=bool)
     if s_window is not None:
         mask = (s >= s_window[0]) & (s <= s_window[1])
@@ -488,7 +477,7 @@ def measured_c_sub(traj: Trajectory, w0: MassFunction) -> float:
     w0_at_1 = float(np.interp(1.0, w0.s, w0.w))
     if w0_at_1 <= 0:
         raise ParameterError("W0(1) must be positive to scale a subsolution")
-    vals = [float(np.interp(0.5, traj.mesh.nodes, w)) for w in traj.snapshots]
+    vals = [float(np.interp(0.5, traj.s, w)) for w in traj.snapshots]
     return min(1.0, min(vals) / w0_at_1)
 
 

@@ -26,7 +26,8 @@ _CAP_SLACK = 1e-10
 @dataclass(frozen=True)
 class MassFunction:
     """A time-stamped sampling of W on a graded grid starting at s = 0;
-    ``far_field`` is the limit n*mu/|S_{n-1}|."""
+    ``far_field`` is the limit n*mu/|S_{n-1}|.  The grid is held read-only:
+    a writeable one is copied, so the caller's own array stays writeable."""
 
     s: np.ndarray
     w: np.ndarray
@@ -35,6 +36,9 @@ class MassFunction:
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
+        if s.flags.writeable:
+            s = s.copy()
+            s.flags.writeable = False
         w = np.asarray(self.w, dtype=float)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "w", w)

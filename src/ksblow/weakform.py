@@ -42,6 +42,9 @@ from .solver import Trajectory
 _GL_ORDER = 12
 _MAX_PANEL_FRACTION = 1.0 / 8.0
 _BUMP_POWER = 8
+# the constant_state field's time window, short enough that W stays at its
+# far-field constant on the field's support
+_CONSTANT_WINDOW = 5e-4
 
 
 @dataclass(frozen=True)
@@ -139,8 +142,7 @@ class TestField:
         return self.t_factor.support
 
 
-def field_library(s_max: float, t_end: float, epsilon: float = 0.0,
-                  constant_window: float = 5e-4) -> dict:
+def field_library(s_max: float, t_end: float, epsilon: float = 0.0) -> dict:
     """The standard four test fields, scaled to the computed domain.
 
     ``origin_window`` keeps clear of the cutoff region [0, epsilon] so the
@@ -149,6 +151,7 @@ def field_library(s_max: float, t_end: float, epsilon: float = 0.0,
     short initial window, the structural-cancellation case.
     """
     lo_origin = max(4.0 * epsilon, 0.0125 * s_max)
+    window = min(_CONSTANT_WINDOW, 0.25 * t_end)
     return {
         "interior": TestField("interior", BumpFactor(0.075 * s_max, 0.45 * s_max),
                               BumpFactor(0.25 * t_end, 0.85 * t_end)),
@@ -159,9 +162,7 @@ def field_library(s_max: float, t_end: float, epsilon: float = 0.0,
                                    StepDownFactor(hi=0.7 * t_end, width=0.3 * t_end)),
         "constant_state": TestField("constant_state",
                                     BumpFactor(0.6 * s_max, 0.9 * s_max),
-                                    StepDownFactor(hi=min(constant_window, 0.25 * t_end),
-                                                   width=0.5 * min(constant_window,
-                                                                   0.25 * t_end))),
+                                    StepDownFactor(hi=window, width=0.5 * window)),
     }
 
 
@@ -220,9 +221,9 @@ def weak_residual(traj: Trajectory, zeta: TestField,
                   profile: SignalProfile) -> ResidualReport:
     """Residual of the weak identity for one test field; raises as
     ``check_support`` does when the field leaves the computed domain."""
-    s_nodes = traj.mesh.nodes
+    s_nodes = traj.s
     times = np.asarray(traj.times, dtype=float)
-    check_support(zeta, traj.mesh.s_max, times)
+    check_support(zeta, float(s_nodes[-1]), times)
     s_lo, s_hi = zeta.s_support
     t_lo, t_hi = zeta.t_support
     needs_initial = t_lo == 0.0

@@ -22,8 +22,8 @@ def scenario_profile(scenario):
 @pytest.fixture(scope="session")
 def small_run(scenario, scenario_profile):
     """Cheap scenario run for unit-level checks (N=128, eps=1e-2)."""
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.02,
                        output_times=(0.0, 0.005, 0.01, 0.02))
     return solve_regularized(scenario, w0, cfg, scenario_profile), w0
@@ -35,8 +35,8 @@ def scenario_sweep(scenario, scenario_profile):
     t_end = 0.05.  Shared by several acceptance criteria."""
     import time
 
-    mesh = build_mesh(4.0, 512)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 512)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.05,
                        output_times=(0.0, 0.005, 0.01, 0.025, 0.05))
     started = time.perf_counter()

@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from ksblow import (SignalProfile, SolverConfig, SystemParams, TestFnParams,
-                    build_mesh, build_testfunction, comparison_check,
+from ksblow import (SignalProfile, SolverConfig, SystemParams, build_mesh,
+                    build_testfunction, comparison_check,
                     delta_lower_bound, delta_quadratic, f0_threshold,
                     measured_c_sub, riccati, solve_regularized,
                     subsolution_candidate, validate, verify_integral_bound,
@@ -129,9 +129,9 @@ def test_criterion_5_blowup_trend(scenario_sweep):
     slopes = {}
     for traj in trajs:
         k = list(traj.times).index(0.01)
-        s = traj.mesh.nodes
+        s = traj.s
         w = traj.snapshots[k]
-        probe_cells = (s[:-1] > 0.0) & (s[:-1] <= traj.mesh.s_max / 2.0)
+        probe_cells = (s[:-1] > 0.0) & (s[:-1] <= traj.s[-1] / 2.0)
         slopes[traj.epsilon] = float(np.max(np.diff(w)[probe_cells]
                                             / np.diff(s)[probe_cells]))
     factor = slopes[1e-4] / slopes[1e-2]
@@ -141,9 +141,9 @@ def test_criterion_5_blowup_trend(scenario_sweep):
         sup = []
         for traj in trajs:
             k = list(traj.times).index(t)
-            s = traj.mesh.nodes
+            s = traj.s
             w = traj.snapshots[k]
-            probe = (s > 0.0) & (s <= traj.mesh.s_max / 2.0)
+            probe = (s > 0.0) & (s <= traj.s[-1] / 2.0)
             sup.append(float(np.max(w[probe] / s[probe])))
         assert sup[0] <= sup[1] <= sup[2], (t, sup)
     print(f"\n[PASS] criterion 5: slope grows x{factor:.0f} from eps=1e-2 to "
@@ -238,8 +238,8 @@ def test_criterion_7_weak_residual_convergence(scenario, scenario_profile):
     started = time.perf_counter()
 
     def run(N, max_dt, n_out):
-        mesh = build_mesh(4.0, N)
-        w0 = w0_from_density(1.0, mesh.nodes)
+        s = build_mesh(4.0, N)
+        w0 = w0_from_density(1.0, s)
         times = tuple(np.linspace(0.0, 0.05, n_out))
         cfg = SolverConfig(epsilon=1e-2, t_end=0.05, output_times=times,
                            max_dt=max_dt)

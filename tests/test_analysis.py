@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from ksblow import (NumericalError, ParameterError, SelectionError, SignalProfile,
-                    SystemParams, TestFnParams, blowup_indicator, build_testfunction,
+                    SystemParams, blowup_indicator, build_testfunction,
                     f0_threshold, integral_phi_linear, integral_phi_total, phi_eval, riccati,
                     select_blowup_params, validate, verify_integral_bound,
                     verify_ode_inequality, y_functional)
@@ -228,9 +228,8 @@ def test_riccati_parameter_validation():
 
 
 def test_select_blowup_params_formulas(scenario):
-    seed = TestFnParams(xi=4.0, delta=0.8, gamma=20.0)
     # synthetic measured W: linear ramp capped at 1
-    sel = select_blowup_params(0.0, 0.1, 1.0, 0.5, scenario, seed,
+    sel = select_blowup_params(0.0, 0.1, 1.0, 0.5, scenario, 4.0, 0.8,
                                w_probe=lambda s: min(float(s), 1.0))
     k0 = 1.36 * 4.0 ** (-2.0 / 3.0)
     assert sel.kappa == pytest.approx(k0 * 0.1 / 8.0, rel=1e-14, abs=0.0)
@@ -250,18 +249,17 @@ def test_select_blowup_params_formulas(scenario):
 
 
 def test_select_blowup_params_failure_path(scenario):
-    seed = TestFnParams(xi=4.0, delta=0.8, gamma=20.0)
     with pytest.raises(SelectionError) as err:
-        select_blowup_params(0.0, 0.1, 1.0, 0.5, scenario, seed,
+        select_blowup_params(0.0, 0.1, 1.0, 0.5, scenario, 4.0, 0.8,
                              w_probe=lambda s: 0.0, gamma_cap=2.0 ** 25)
     assert err.value.failing == "measured_w_inequality"
 
 
 def _constant_trajectory(cap=1.0, n=3):
-    mesh = build_mesh(4.0, 128)
+    s = build_mesh(4.0, 128)
     times = (0.0, 0.05, 0.1)
-    snaps = tuple(np.where(mesh.nodes > 0, cap, 0.0) for _ in times)
-    return Trajectory(mesh=mesh, epsilon=1e-2, times=times, snapshots=snaps,
+    snaps = tuple(np.where(s > 0, cap, 0.0) for _ in times)
+    return Trajectory(s=s, epsilon=1e-2, times=times, snapshots=snaps,
                       far_field=cap, metadata={"n": n})
 
 
@@ -285,8 +283,7 @@ def test_y_functional_horizon_error(scenario):
 
 def test_integral_phi_linear_matches_quadrature(scenario):
     tf = build_testfunction(scenario, 4.0, 0.8, 20.0)
-    mesh = build_mesh(4.0, 256)
-    s = mesh.nodes
+    s = build_mesh(4.0, 256)
     w = np.minimum(s, 1.0)
     exact = integral_phi_linear(tf, s, w)
 
@@ -311,10 +308,10 @@ def test_integral_phi_total_closed_form(scenario):
 
 
 def test_blowup_indicator_plateau(scenario):
-    mesh = build_mesh(4.0, 256)
+    s = build_mesh(4.0, 256)
     times = (0.0,)
-    snaps = (np.minimum(mesh.nodes, 1.0),)
-    traj = Trajectory(mesh=mesh, epsilon=1e-2, times=times, snapshots=snaps,
+    snaps = (np.minimum(s, 1.0),)
+    traj = Trajectory(s=s, epsilon=1e-2, times=times, snapshots=snaps,
                       far_field=1.0, metadata={"n": 3})
     rep = blowup_indicator(traj, [1.0])
     value, s_at, t_at = rep.sup_w_over_s_beta[1.0]

@@ -73,7 +73,7 @@ def test_validate_zero_forcing_is_infeasible_not_malformed(tmp_path):
     assert main(["validate", "--config", _write(tmp_path, doc)]) == 2
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
     doc = _base_doc()
     doc["system"]["extra"] = 1.0
     with pytest.raises(ConfigError, match="unknown key system.extra"):
@@ -89,6 +89,12 @@ def test_unknown_key_rejected(tmp_path):
     # gamma is selected by blowup, never configured
     doc4 = _base_doc(test_function={"xi": 4.0, "gamma": 20.0})
     assert main(["validate", "--config", _write(tmp_path, doc4, "c4.json")]) == 1
+    # the constant_state field's window is a constant of the field library
+    doc5 = _simulate_doc(tmp_path / "cw")
+    doc5["weak_residual"] = {"refine": False, "constant_window": 1e-3}
+    assert main(["weak-residual", "--config", _write(tmp_path, doc5, "c5.json")]) == 1
+    assert "unknown key weak_residual.constant_window" in capsys.readouterr().err
+    assert not (tmp_path / "cw").exists()
 
 
 def _readme_schema() -> str:
@@ -163,8 +169,7 @@ def test_config_round_trip(tmp_path):
         output={"directory": "somewhere"},
         blowup={"t0": 0.001, "eta": 0.02, "betas": [1, 2.5], "c_sub_override": 0.4},
         lemma_sweep={"count": 7, "seed": 3, "tuples": [tup]},
-        weak_residual={"fields": ["interior", "initial"], "refine": False,
-                       "constant_window": 1e-3})
+        weak_residual={"fields": ["interior", "initial"], "refine": False})
     expected = {
         "system": {"n": 3, "alpha": 2.5, "f0": 2.0, "R": 0.5, "rho": 0.1, "c0": 1.0},
         "test_function": {"xi": 3.5, "delta": 0.8},
@@ -176,8 +181,7 @@ def test_config_round_trip(tmp_path):
         "lemma_sweep": {"count": 7, "seed": 3, "tuples": [
             {"n": 3, "alpha": 2.5, "f0": 2.0, "R": 0.5, "rho": 0.1,
              "xi": 4.0, "delta": 0.8, "gamma": 20.0}]},
-        "weak_residual": {"fields": ["interior", "initial"], "refine": False,
-                          "constant_window": 1e-3},
+        "weak_residual": {"fields": ["interior", "initial"], "refine": False},
     }
     echo = config_to_dict(load_config(_write(tmp_path, full, "full.json")))
     assert echo == expected
@@ -191,7 +195,7 @@ def test_config_null_means_unset(tmp_path, capsys):
         solver={"s_max": 4.0, "N": 96, "t_end": 0.01, "output_times": [0.0],
                 "epsilon": None, "eps_list": [], "cfl_safety": None},
         output={"directory": None},
-        weak_residual={"fields": None, "refine": None, "constant_window": None}))
+        weak_residual={"fields": None, "refine": None}))
     assert cfg.solver.epsilon is None and cfg.solver.eps_list is None
     assert cfg.solver.cfl_safety == 0.4
     assert cfg.output is None
@@ -334,6 +338,25 @@ def test_max_dt_must_be_positive(tmp_path, capsys, max_dt):
     doc["solver"]["max_dt"] = max_dt
     assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
     assert "max_dt must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilon", 1.5, "solver.epsilon must be in (0, 1) (got 1.5)"),
+    ("cfl_safety", 0.0, "solver.cfl_safety must be in (0, 1) (got 0.0)"),
+    ("output_times", [0.0, 0.01, 0.005],
+     "solver.output_times must be nonnegative and strictly increasing"),
+    ("output_times", [0.0, 0.02], "solver.output_times must not exceed t_end"),
+    ("max_dt", -1e-4, "solver.max_dt must be > 0 (got -0.0001)"),
+    ("eps_list", [0.01, 0.02], "solver.eps_list must be strictly decreasing within (0, 1)"),
+    ("eps_list", [0.5, 1.0], "solver.eps_list must be strictly decreasing within (0, 1)"),
+], ids=["epsilon", "cfl_safety", "output_times-decreasing", "output_times-past-t_end",
+        "max_dt", "eps_list-increasing", "eps_list-range"])
+def test_solver_errors_name_their_key(tmp_path, capsys, key, value, message):
+    doc = _simulate_doc(tmp_path / "x")
+    doc["solver"][key] = value
+    assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # checked before the output is created
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -512,16 +535,6 @@ def test_weak_residual_rejects_unknown_field_before_solving(tmp_path, monkeypatc
     doc["weak_residual"] = {"fields": ["interior", "bogus"]}
     assert main(["weak-residual", "--config", _write(tmp_path, doc)]) == 1
     assert "unknown weak_residual fields: ['bogus']" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("window", [0.0, -1e-3], ids=["zero", "negative"])
-def test_weak_residual_constant_window_positive(tmp_path, capsys, window):
-    doc = _simulate_doc(tmp_path / "cw")
-    doc["weak_residual"] = {"refine": False, "constant_window": window}
-    assert main(["weak-residual", "--config", _write(tmp_path, doc)]) == 1
-    assert (f"weak_residual.constant_window must be > 0 (got {window!r})"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "cw").exists()
 
 
 @pytest.mark.parametrize("times, message", [

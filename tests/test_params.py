@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ksblow import (ParameterError, SystemParams, TestFnParams, default_testfn_params,
-                    delta_lower_bound, delta_quadratic, f0_threshold, h_value,
-                    sphere_area, validate)
+from ksblow import (ParameterError, SystemParams, default_delta, delta_lower_bound,
+                    delta_quadratic, f0_threshold, h_value, sphere_area, validate,
+                    validate_testfn)
 
 
 def test_threshold_values():
@@ -118,19 +118,27 @@ def test_geometry_helpers():
 
 
 def test_testfn_params_validation(scenario):
-    TestFnParams(xi=4.0, delta=0.8, gamma=20.0).validate_for(scenario)
+    validate_testfn(scenario, 4.0, 0.8, 20.0)
     with pytest.raises(ParameterError, match="gamma"):
-        TestFnParams(xi=4.0, delta=0.8, gamma=9.0).validate_for(scenario)  # 4/(R-rho) = 10
+        validate_testfn(scenario, 4.0, 0.8, 9.0)  # 4/(R-rho) = 10
     with pytest.raises(ParameterError, match="delta"):
-        TestFnParams(xi=4.0, delta=0.6, gamma=20.0).validate_for(scenario)
+        validate_testfn(scenario, 4.0, 0.6, 20.0)
     with pytest.raises(ParameterError, match="xi"):
-        TestFnParams(xi=2.0, delta=0.8, gamma=20.0).validate_for(scenario)
+        validate_testfn(scenario, 2.0, 0.8, 20.0)
+    # every violation is collected, one (field, value, admissible) triple each
+    with pytest.raises(ParameterError) as err:
+        validate_testfn(scenario, 2.0, 0.6, 1.0)
+    assert err.value.violations == [
+        ("xi", 2.0, "in (4 - 4/n, 4] = (2.666666666666667, 4]"),
+        ("delta", 0.6, "> delta_lower_bound = 0.6666666666666666"),
+        ("gamma", 1.0, "> 4/(R-rho) = 10.0"),
+        ("gamma", 1.0, "such that (R-rho)*gamma > xi = 2.0")]
 
 
-def test_default_testfn_params(scenario):
-    tf = default_testfn_params(scenario)
-    assert tf.xi == 4.0
-    assert tf.delta == pytest.approx(0.5 * (2.0 / 3.0 + 1.0), rel=1e-14, abs=0.0)
-    assert tf.gamma > 4.0 / (scenario.R - scenario.rho)
+def test_default_delta(scenario):
+    delta = default_delta(scenario)
+    assert delta == pytest.approx(0.5 * (2.0 / 3.0 + 1.0), rel=1e-14, abs=0.0)
+    # xi = 4 and gamma = 8/(R-rho), the exponents blowup builds with it, are admissible
+    validate_testfn(scenario, 4.0, delta, 8.0 / (scenario.R - scenario.rho))
     with pytest.raises(ParameterError, match="threshold"):
-        default_testfn_params(SystemParams(3, 2.5, 1.0, 0.5, 0.1, 1.0))
+        default_delta(SystemParams(3, 2.5, 1.0, 0.5, 0.1, 1.0))

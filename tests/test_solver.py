@@ -9,18 +9,18 @@ from ksblow.solver import cap_cfl_bound
 
 
 def test_mesh_geometric_identity():
-    mesh = build_mesh(1.0, 256, 1.05)
+    s = build_mesh(1.0, 256, 1.05)
     s1 = 1.0 * (1.05 - 1.0) / (1.05 ** 256 - 1.0)
-    assert mesh.nodes[1] == pytest.approx(s1, rel=1e-12, abs=0.0)
-    assert np.all(np.diff(mesh.nodes) > 0)
-    assert mesh.nodes[-1] == 1.0
-    assert mesh.nodes[0] == 0.0
+    assert s[1] == pytest.approx(s1, rel=1e-12, abs=0.0)
+    assert np.all(np.diff(s) > 0)
+    assert s[-1] == 1.0
+    assert s[0] == 0.0
 
 
 def test_mesh_auto_ratio_targets_first_cell():
-    mesh = build_mesh(4.0, 512)
-    assert mesh.nodes[1] <= 1e-6 * 4.0 * (1 + 1e-9)
-    h = np.diff(mesh.nodes)
+    s = build_mesh(4.0, 512)
+    assert s[1] <= 1e-6 * 4.0 * (1 + 1e-9)
+    h = np.diff(s)
     assert 1.0 < h[1] / h[0] <= 1.2
 
 
@@ -52,8 +52,8 @@ def test_solver_invariants_small(small_run):
 
 
 def test_solver_deterministic(scenario, scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.0, 0.01))
     a = solve_regularized(scenario, w0, cfg, scenario_profile)
     b = solve_regularized(scenario, w0, cfg, scenario_profile)
@@ -64,8 +64,8 @@ def test_solver_deterministic(scenario, scenario_profile):
 def test_zero_forcing_stays_monotone():
     params = validate(SystemParams(3, 2.5, 0.0, 0.5, 0.1, 1.0))
     profile = SignalProfile.from_params(params)
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.0, 0.01))
     traj = solve_regularized(params, w0, cfg, profile)
     for w in traj.snapshots:
@@ -73,16 +73,16 @@ def test_zero_forcing_stays_monotone():
 
 
 def test_epsilon_must_be_resolved(scenario, scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=5e-6, t_end=0.01, output_times=(0.01,))
     with pytest.raises(ParameterError, match="not resolved"):
         solve_regularized(scenario, w0, cfg, scenario_profile)
 
 
 def test_truncation_must_reach_far_field(scenario, scenario_profile):
-    mesh = build_mesh(0.5, 128)  # support is the unit ball: cap not reached
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(0.5, 128)  # support is the unit ball: cap not reached
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.01,))
     with pytest.raises(ParameterError, match="far field"):
         solve_regularized(scenario, w0, cfg, scenario_profile)
@@ -100,7 +100,7 @@ def test_comparison_subsolution(small_run):
 def test_comparison_detector_sanity(small_run):
     # a fabricated candidate exceeding W somewhere must be flagged there
     traj, _ = small_run
-    s = traj.mesh.nodes
+    s = traj.s
     bump_at = s[64]
 
     def candidate(sq, t):
@@ -114,8 +114,8 @@ def test_comparison_detector_sanity(small_run):
 
 
 def test_sweep_single_epsilon_trivial_report(scenario, scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
     trajs, report = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
     assert len(trajs) == 1
@@ -124,8 +124,8 @@ def test_sweep_single_epsilon_trivial_report(scenario, scenario_profile):
 
 
 def test_sweep_determinism_same_epsilon(scenario, scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
     t1, _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
     t2, _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
@@ -134,8 +134,8 @@ def test_sweep_determinism_same_epsilon(scenario, scenario_profile):
 
 
 def test_sweep_rejects_non_decreasing(scenario, scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,))
     with pytest.raises(ParameterError, match="decreasing"):
         proper_sweep(scenario, w0, cfg, [1e-3, 1e-2], profile=scenario_profile)
@@ -156,8 +156,8 @@ def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
         return real(params, w0, config, profile)
 
     monkeypatch.setattr(solver_mod, "solve_regularized", flaky)
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
     trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 2e-2, 1e-2],
                                  profile=scenario_profile)
@@ -170,8 +170,8 @@ def test_refinement_stability(scenario, scenario_profile):
     probes = [(0.3, 0.02), (0.7, 0.02)]
     runs = []
     for N, max_dt in ((96, 4e-5), (192, 2e-5), (384, 1e-5)):
-        mesh = build_mesh(4.0, N)
-        w0 = w0_from_density(1.0, mesh.nodes)
+        s = build_mesh(4.0, N)
+        w0 = w0_from_density(1.0, s)
         cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=(0.0, 0.02),
                            max_dt=max_dt)
         runs.append(solve_regularized(scenario, w0, cfg, scenario_profile))
@@ -252,10 +252,10 @@ def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch
     # a fixed CFL dt and steps clipped to output times that it does not divide
     from ksblow.signal import chi_eval
 
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
-    chi = chi_eval(1e-2, mesh.nodes)
-    dt = cap_cfl_bound(np.diff(mesh.nodes), chi, 3 * scenario_profile.F(mesh.nodes), w0.far_field, 0.4)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    chi = chi_eval(1e-2, s)
+    dt = cap_cfl_bound(np.diff(s), chi, 3 * scenario_profile.F(s), w0.far_field, 0.4)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002),
                        dt_fixed=dt)
     log = _recording_engine(monkeypatch)
@@ -264,7 +264,7 @@ def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch
     factored = list(log["factored"].values())
     # the only factors are those of the CFL dt, assembled as the scheme says
     assert len(factored) == 1
-    assert factored[0][0].tobytes() == _step_matrix(mesh.nodes, 3, dt).tobytes()
+    assert factored[0][0].tobytes() == _step_matrix(s, 3, dt).tobytes()
     # the two clipped steps are one band solve each
     assert log["solves"].count("bands") == 2
     assert set(log["solves"]) == set(log["factored"]) | {"bands"}
@@ -274,8 +274,8 @@ def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch
 @pytest.mark.parametrize("stepping", ["dt_fixed", "max_dt", "adaptive"])
 def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, monkeypatch,
                                                  stepping):
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     # the adaptive CFL dt here is about 6e-5; the output times and t_end are
     # no multiples of the fixed and capped steps, so each is a clipped step
     extra = {"dt_fixed": {"dt_fixed": 3e-5}, "max_dt": {"max_dt": 2.2e-5},
@@ -326,26 +326,26 @@ def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monke
         x[40] = np.nan
 
     calls = _inject_once(monkeypatch, nan_at_node_40)
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
     with pytest.raises(SolverError, match="nan") as err:
         solve_regularized(scenario, w0, cfg, scenario_profile)
     assert len(calls) == 1
     s_at, t_at = err.value.location
-    assert s_at == mesh.nodes[39]  # the cell [s_39, s_40] holds the NaN drop
+    assert s_at == s[39]  # the cell [s_39, s_40] holds the NaN drop
     assert 0.0 < t_at < 0.002
 
 
 def test_solve_leaves_caller_grid_writeable(scenario, scenario_profile):
-    # the mesh freezes a copy of the nodes, not the caller's own array
-    s = build_mesh(4.0, 128).nodes.copy()
+    # the mass function freezes a copy of a writeable grid, not the caller's own array
+    s = build_mesh(4.0, 128).copy()
     w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=1e-3, output_times=(1e-3,))
     traj = solve_regularized(scenario, w0, cfg, scenario_profile)
     assert s.flags.writeable
-    assert not traj.mesh.nodes.flags.writeable
-    np.testing.assert_array_equal(traj.mesh.nodes, s)
+    assert not traj.s.flags.writeable
+    np.testing.assert_array_equal(traj.s, s)
 
 
 def test_cfl_fast_path_matches_masked_formula():
@@ -361,7 +361,7 @@ def test_cfl_fast_path_matches_masked_formula():
     rng = np.random.default_rng(31)
     specials = (None, 0.0, -0.0, -1.0, np.nan)
     for trial in range(200):
-        s = build_mesh(4.0, int(rng.integers(96, 200))).nodes
+        s = build_mesh(4.0, int(rng.integers(96, 200)))
         h = np.diff(s)
         chi = chi_eval(float(10 ** rng.uniform(-5, -0.5)), s)
         start = int(np.argmax(chi[:-1] > 0))  # chi is 0 before the first live cell
@@ -374,7 +374,7 @@ def test_cfl_fast_path_matches_masked_formula():
         got = _cfl_dt(h, coef, cfl, start)
         assert np.float64(got).tobytes() == np.float64(masked(h, coef, cfl)).tobytes()
     # chi identically 0: no cell limits the step
-    h = np.diff(build_mesh(4.0, 128).nodes)
+    h = np.diff(build_mesh(4.0, 128))
     for start in (0, h.size):
         assert _cfl_dt(h, np.zeros_like(h), 0.4, start) == np.inf
 
@@ -390,14 +390,14 @@ def test_small_violation_is_logged(scenario, scenario_profile, monkeypatch, kind
             x[1] = -1e-10 * cap
 
     _inject_once(monkeypatch, dip)
-    mesh = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
     traj = solve_regularized(scenario, w0, cfg, scenario_profile)
     logged = [v for v in traj.metadata["violations"] if v["kind"] == kind]
     assert len(logged) == 1
     if kind == "monotonicity":
-        assert logged[0]["s"] == mesh.nodes[63]
+        assert logged[0]["s"] == s[63]
         assert logged[0]["magnitude"] == pytest.approx(-1e-10, rel=1e-3, abs=0.0)
     else:
         assert logged[0]["low"] == -1e-10 * w0.far_field

@@ -15,7 +15,7 @@ def read_csv(path):
 def test_far_field_equals_plateau_height():
     # n*mu/|S_{n-1}| = c0 for unit-ball plateau data, exactly: these heights
     # came out one ulp off when the cap was integrated numerically
-    nodes = build_mesh(4.0, 128).nodes
+    nodes = build_mesh(4.0, 128)
     for c0 in (1.0, 2.0, 3.3, 10.0, 0.7):
         w0 = w0_from_density(c0, nodes)
         assert w0.far_field == c0
@@ -23,9 +23,9 @@ def test_far_field_equals_plateau_height():
 
 
 def test_w0_plateau_exact():
-    mesh = build_mesh(4.0, 256)
-    w0 = w0_from_density(1.0, mesh.nodes)
-    exact = np.minimum(mesh.nodes, 1.0)
+    s = build_mesh(4.0, 256)
+    w0 = w0_from_density(1.0, s)
+    exact = np.minimum(s, 1.0)
     assert np.max(np.abs(w0.w - exact)) <= 1e-12
     assert w0.w[0] == 0.0
     assert np.all(np.diff(w0.w) >= 0.0)
@@ -33,8 +33,7 @@ def test_w0_plateau_exact():
 
 
 def test_origin_limit_jump_data():
-    mesh = build_mesh(4.0, 256)
-    s = mesh.nodes
+    s = build_mesh(4.0, 256)
     w = np.where(s > 0, 0.3 + 0.7 * np.minimum(s, 1.0), 0.0)
     mf = MassFunction(s=s, w=w, time=0.0, far_field=1.0)
     assert estimate_origin_limit(mf) == pytest.approx(0.3, rel=1e-9)
@@ -42,15 +41,13 @@ def test_origin_limit_jump_data():
 
 def test_origin_limit_power_data():
     # pure power data j=0: W = s^0.5 on the first nodes
-    mesh = build_mesh(1.0, 128)
-    s = mesh.nodes
+    s = build_mesh(1.0, 128)
     mf = MassFunction(s=s, w=np.sqrt(np.minimum(s, 1.0)), time=0.0, far_field=1.0)
     assert estimate_origin_limit(mf) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_origin_limit_clamped():
-    mesh = build_mesh(1.0, 128)
-    s = mesh.nodes
+    s = build_mesh(1.0, 128)
     # strongly convex start: naive extrapolation would go negative
     mf = MassFunction(s=s, w=np.minimum(s, 1.0) ** 2 * 0.5 + 0.5 * np.minimum(s, 1.0),
                       time=0.0, far_field=1.0)
@@ -59,8 +56,8 @@ def test_origin_limit_clamped():
 
 
 def test_csv_round_trip(tmp_path):
-    mesh = build_mesh(2.0, 128)
-    mf = MassFunction(s=mesh.nodes, w=np.minimum(mesh.nodes, 1.0), time=0.5,
+    s = build_mesh(2.0, 128)
+    mf = MassFunction(s=s, w=np.minimum(s, 1.0), time=0.5,
                       far_field=1.0)
     path = tmp_path / "snap.csv"
     write_csv(mf, path)
@@ -70,11 +67,11 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_reconstruct_rejects_non_monotone():
-    mesh = build_mesh(2.0, 128)
-    w = np.minimum(mesh.nodes, 1.0)
+    s = build_mesh(2.0, 128)
+    w = np.minimum(s, 1.0)
     w[60] = w[64]  # create a drop
     with pytest.raises(ParameterError, match="non-decreasing"):
-        MassFunction(s=mesh.nodes, w=w, time=0.0, far_field=1.0).validate()
+        MassFunction(s=s, w=w, time=0.0, far_field=1.0).validate()
 
 
 def test_mass_function_validation():

@@ -7,9 +7,9 @@ from ksblow.solver import Trajectory
 from ksblow.weakform import field_library
 
 
-def _constant_trajectory(mesh, cap=1.0, times=(0.0, 0.025, 0.05)):
-    snaps = tuple(np.full_like(mesh.nodes, cap) for _ in times)
-    return Trajectory(mesh=mesh, epsilon=1e-2, times=times, snapshots=snaps,
+def _constant_trajectory(s, cap=1.0, times=(0.0, 0.025, 0.05)):
+    snaps = tuple(np.full_like(s, cap) for _ in times)
+    return Trajectory(s=s, epsilon=1e-2, times=times, snapshots=snaps,
                       far_field=cap, metadata={"n": 3})
 
 
@@ -25,24 +25,24 @@ class _ZeroFactor:
 
 
 def test_zero_field_zero_residual(scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    traj = _constant_trajectory(mesh)
+    s = build_mesh(4.0, 128)
+    traj = _constant_trajectory(s)
     zero = TestField("zero", _ZeroFactor(1.0, 2.0), _ZeroFactor(0.01, 0.04))
     rep = weak_residual(traj, zero, scenario_profile)
     assert rep.residual == 0.0
 
 
 def test_constant_state_cancellation(scenario_profile):
-    mesh = build_mesh(4.0, 256)
-    traj = _constant_trajectory(mesh)
+    s = build_mesh(4.0, 256)
+    traj = _constant_trajectory(s)
     lib = field_library(4.0, 0.05, epsilon=1e-2)
     rep = weak_residual(traj, lib["constant_state"], scenario_profile)
     assert rep.residual <= 1e-12 * rep.scale
 
 
 def test_support_validation(scenario_profile):
-    mesh = build_mesh(4.0, 128)
-    traj = _constant_trajectory(mesh)
+    s = build_mesh(4.0, 128)
+    traj = _constant_trajectory(s)
     too_wide = TestField("wide", BumpFactor(1.0, 5.0), BumpFactor(0.01, 0.02))
     with pytest.raises(ParameterError, match="s-support"):
         weak_residual(traj, too_wide, scenario_profile)
@@ -79,8 +79,8 @@ def test_stepdown_factor():
 
 def test_residual_shrinks_under_refinement(scenario, scenario_profile):
     def run(N, max_dt, n_out):
-        mesh = build_mesh(4.0, N)
-        w0 = w0_from_density(1.0, mesh.nodes)
+        s = build_mesh(4.0, N)
+        w0 = w0_from_density(1.0, s)
         times = tuple(np.linspace(0.0, 0.02, n_out))
         cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=times,
                            max_dt=max_dt)
@@ -96,8 +96,8 @@ def test_residual_shrinks_under_refinement(scenario, scenario_profile):
 
 
 def test_real_run_constant_state(scenario, scenario_profile):
-    mesh = build_mesh(4.0, 256)
-    w0 = w0_from_density(1.0, mesh.nodes)
+    s = build_mesh(4.0, 256)
+    w0 = w0_from_density(1.0, s)
     times = tuple(np.linspace(0.0, 0.02, 33))
     cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=times, max_dt=4e-5)
     traj = solve_regularized(scenario, w0, cfg, scenario_profile)
