@@ -37,8 +37,8 @@ from .errors import (ConfigError, KsblowError, ParameterError, SelectionError,
                      SolverError)
 from .params import SystemParams, default_delta, delta_lower_bound, validate
 from .signal import SignalProfile
-from .solver import (SolverConfig, build_mesh, check_eps_list, measured_c_sub,
-                     proper_sweep, solve_regularized)
+from .solver import (SolverConfig, build_mesh, check_eps_list, check_resolved,
+                     measured_c_sub, proper_sweep, solve_regularized)
 from .transform import w0_from_density, write_csv
 from .weakform import check_support, field_library, weak_residual
 
@@ -140,8 +140,11 @@ def _solve(params, profile, sec: SolverSection, runs: list):
         base = SolverConfig(epsilon=sec.epsilon if sec.epsilon is not None else 0.5,
                             t_end=sec.t_end, output_times=sec.output_times,
                             cfl_safety=sec.cfl_safety, max_dt=sec.max_dt)
+        # every cutoff is checked against the mesh before any step
         if sec.eps_list:
-            check_eps_list(sec.eps_list)
+            check_resolved("eps_list", check_eps_list(sec.eps_list), s)
+        elif sec.epsilon is not None:
+            check_resolved("epsilon", [sec.epsilon], s)
     except ParameterError as exc:
         # each of these messages opens with the argument at fault, which is
         # the solver key of the same name

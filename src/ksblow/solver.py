@@ -29,6 +29,15 @@ Neither checks its input: a non-finite W is caught by the invariant check,
 with its location.  The check differences W once per step, and the
 transport reuses that difference; a profile whose every difference is >= 0
 runs from W_0 = 0 to W_N = cap, so its range check is skipped.
+
+One stepping engine marches a stack of k cutoffs on one shared dt_fixed
+grid: a single run is the stack of one, and a cutoff sweep is one stack
+with one k-column LAPACK solve per step.  The k rows of W are one C-ordered
+(k, N+1) buffer, whose transpose is the (N+1, k) right-hand side; the
+transport, the right-hand side and the differences run elementwise on its
+flat view, so every row is computed exactly as its own run would be.  One
+min over the differences of all rows clears the usual step; a row that
+fails its check is recorded as that cutoff's failure and leaves the stack.
 """
 
 from __future__ import annotations
@@ -180,22 +189,47 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
                       profile: SignalProfile) -> Trajectory:
     """March the regularized problem from w0 to t_end; snapshot at the
     requested output times.  Deterministic for fixed inputs."""
+    check_resolved("epsilon", [config.epsilon], w0.s)
+    trajectories, failures = _march(params, w0, config, [config.epsilon], profile)
+    if failures:
+        raise failures[0][1]
+    return trajectories[0]
+
+
+def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_list,
+           profile: SignalProfile):
+    """March the cutoffs ``eps_list`` from w0 as one stack on one time grid.
+
+    Row r of the C-ordered (k, N+1) state is the run at eps_list[r]; its
+    transpose is the (N+1, k) right-hand side of one LAPACK solve per step,
+    and the elementwise work runs on its flat view, with nF and h tiled and
+    chi stacked per row.  A stack of k > 1 needs ``config.dt_fixed``.
+    Returns (trajectories, failures): a row whose invariant check fails
+    becomes its (epsilon, SolverError) in failures and leaves the stack, and
+    the other rows go on unchanged.  Every trajectory carries the metadata of
+    its own run, except wall_time_s, which is the whole march's.
+    """
     params = validate(params)
     s = w0.s
     n = params.n
     cap = w0.far_field
-    if config.epsilon < 2.0 * s[1]:
-        raise ParameterError(
-            f"epsilon = {config.epsilon} not resolved by the mesh (s_1 = {s[1]})")
     if abs(w0.w[-1] - cap) > 1e-8 * max(cap, 1.0):
         raise ParameterError(
             f"truncation does not reach the far field: W0(s_max) = {w0.w[-1]}, cap = {cap}")
+    if len(eps_list) > 1 and config.dt_fixed is None:
+        raise ParameterError("a stack of cutoffs needs dt_fixed: it shares one time grid")
 
     h = np.diff(s)
-    chi = chi_eval(config.epsilon, s)
     nF = n * profile.F(s)
+    chis = [chi_eval(eps, s) for eps in eps_list]
+    if config.dt_fixed is not None:
+        bound = min(cap_cfl_bound(h, chi, nF, cap, config.cfl_safety) for chi in chis)
+        if config.dt_fixed > bound * (1.0 + 1e-12):
+            raise ParameterError(
+                f"dt_fixed = {config.dt_fixed} exceeds the worst-case CFL bound {bound}")
     # chi_eps is 0 on a prefix of the nodes: the cells there set no CFL limit
-    live = h.size - np.trim_zeros(chi[:-1], "f").size
+    # (an adaptive step needs k = 1, so the first row is the run)
+    live = h.size - np.trim_zeros(chis[0][:-1], "f").size
 
     # the diffusion matrix A as LAPACK's (sub, main, super) diagonals, end to
     # end in one array so that I - dt*A takes one multiply; its Dirichlet
@@ -212,69 +246,94 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     sup[1:] = d_coef * (2.0 / (hr * (hl + hr)))
     main[1:-1] = -(sub[:-1] + sup[1:])
 
-    w = w0.w.astype(float).copy()
-    w[0] = 0.0
-    w[-1] = cap
     t = 0.0
     out_times = list(config.output_times)
-    snapshots = []
     snap_times = []
-    violations = []
+    snapshots = [[] for _ in eps_list]
+    violations = [[] for _ in eps_list]
+    failures = []
     n_steps = 0
     dt_min_seen = math.inf
     dt_max_seen = 0.0
-    # work arrays and LAPACK bands, allocated once and filled in place; the
-    # invariant check writes the differences W_{i+1} - W_i into ws, and the
-    # next step's transport divides them by h there
-    coef, ws, rhs = np.empty_like(w), np.zeros_like(w), np.empty_like(w)
-    drops = ws[:-1]
     held_all, step_all = np.empty_like(diffusion), np.empty_like(diffusion)
     held_bands, step_bands = bands_of(held_all), bands_of(step_all)
     held_dt = held = None
-    started = _time.perf_counter()
+    size = s.size
 
-    def record(wvec, tnow):
-        arr = wvec.copy()
-        arr.flags.writeable = False
-        snapshots.append(arr)
+    def stack(rows, w_rows, ws_rows):
+        """The flat state and work arrays of the rows ``rows`` (indices into
+        eps_list), from their W and difference rows.  Each row's differences
+        W_{i+1} - W_i sit in ws[:N] (the check writes them, the next step's
+        transport divides them by h there) and its ws[N] stays 0; the k - 1
+        differences across rows are zeroed."""
+        k = len(rows)
+        w = np.array(w_rows, dtype=float).reshape(-1)
+        ws = np.array(ws_rows, dtype=float).reshape(-1)
+        rhs, coef = np.empty_like(w), np.empty_like(w)
+        chi = np.array([chis[r] for r in rows], dtype=float).reshape(-1)
+        # the (N+1, k) transposes that the solves take, and the boundary nodes
+        # of every row; a stack of one keeps the plain vector and scalar indices
+        if k == 1:
+            w_cols, rhs_cols, first, last = w, rhs, 0, -1
+        else:
+            w_cols, rhs_cols = w.reshape(k, size).T, rhs.reshape(k, size).T
+            first, last = slice(0, None, size), slice(h.size, None, size)
+        return (k, rows, w, ws, ws[:-1], rhs, coef, w_cols, rhs_cols, chi,
+                np.tile(nF, k), np.tile(np.append(h, 1.0), k)[:-1], first, last)
+
+    def check(tnow):
+        """Check every row's invariants after a step; returns the positions
+        of the rows that failed, whose failures are recorded."""
+        # written so that NaN fails every test; min and argmin propagate it
+        np.subtract(w[1:], w[:-1], out=drops)
+        if k > 1:
+            drops[h.size::size] = 0.0
+        worst = float(drops.min())
+        if worst >= 0.0:  # all non-decreasing from 0 to cap: in range
+            return []
+        # the min of a row of ws is that row's worst difference, or its 0 at N
+        worsts = ws.reshape(k, size).min(axis=1).tolist() if k > 1 else [worst]
+        failed = []
+        for pos, (r, row_worst, w_row, ws_row) in enumerate(
+                zip(rows, worsts, w.reshape(k, size), ws.reshape(k, size))):
+            if row_worst >= 0.0:
+                continue
+            try:
+                _check_row(row_worst, w_row, ws_row[:-1], s, cap, tnow, violations[r])
+            except SolverError as exc:
+                failures.append((r, exc))
+                failed.append(pos)
+        return failed
+
+    def drop(failed):
+        keep = [pos for pos in range(k) if pos not in failed]
+        return stack([rows[pos] for pos in keep], w.reshape(k, size)[keep],
+                     ws.reshape(k, size)[keep])
+
+    def record(tnow):
+        for r, w_row in zip(rows, w.reshape(k, size)):
+            arr = w_row.copy()
+            arr.flags.writeable = False
+            snapshots[r].append(arr)
         snap_times.append(tnow)
 
-    def check_invariants(wvec, tnow):
-        # written so that NaN fails every test; min and argmin propagate it
-        np.subtract(wvec[1:], wvec[:-1], out=drops)
-        worst = float(drops.min())
-        if worst >= 0.0:  # non-decreasing from W_0 = 0 to W_N = cap: in range
-            return
-        if not worst >= -_VIOLATION_LOG * cap:
-            i = int(drops.argmin())
-            violations.append({"kind": "monotonicity", "t": tnow,
-                               "s": float(s[i]), "magnitude": worst})
-            if not worst >= -_MONOTONE_SLACK * cap:
-                raise SolverError(
-                    f"monotonicity violated by {worst:.3e} at s = {s[i]}, t = {tnow}",
-                    location=(float(s[i]), tnow))
-        lo, hi = float(wvec.min()), float(wvec.max())
-        if not (hi <= cap * (1.0 + _VIOLATION_LOG) and lo >= -_VIOLATION_LOG * cap):
-            violations.append({"kind": "range", "t": tnow,
-                               "low": lo, "high": hi})
-            if not (hi <= cap * (1.0 + _CAP_SLACK) and lo >= -_CAP_SLACK * cap):
-                raise SolverError(
-                    f"range violated at t = {tnow}: [{lo:.3e}, {hi:.3e}] vs cap {cap}",
-                    location=(None, tnow))
+    w_init = np.concatenate(([0.0], w0.w[1:-1], [cap]))
+    (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, chi, nF_k, h_k,
+     first, last) = stack(list(range(len(eps_list))), [w_init] * len(eps_list),
+                          np.zeros((len(eps_list), size)))
+    started = _time.perf_counter()
+    failed = check(t)
+    while True:
+        if failed:
+            (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, chi, nF_k, h_k,
+             first, last) = drop(failed)
+        if out_times and t == out_times[0]:
+            record(t)
+            out_times.pop(0)
+        if not (rows and t < config.t_end - 1e-15 * max(config.t_end, 1.0)):
+            break
 
-    check_invariants(w, t)
-    if out_times and out_times[0] == 0.0:
-        record(w, 0.0)
-        out_times.pop(0)
-
-    if config.dt_fixed is not None:
-        bound = cap_cfl_bound(h, chi, nF, cap, config.cfl_safety)
-        if config.dt_fixed > bound * (1.0 + 1e-12):
-            raise ParameterError(
-                f"dt_fixed = {config.dt_fixed} exceeds the worst-case CFL bound {bound}")
-
-    while t < config.t_end - 1e-15 * max(config.t_end, 1.0):
-        np.add(w, nF, out=coef)
+        np.add(w, nF_k, out=coef)
         coef *= chi
         if config.dt_fixed is not None:
             dt = config.dt_fixed
@@ -289,8 +348,10 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         if on_target:
             dt = t_target - t
         if not math.isfinite(dt) or dt <= _DT_UNDERFLOW * max(config.t_end, 1.0):
-            raise SolverError(f"step-size underflow: dt = {dt} at t = {t}",
+            exc = SolverError(f"step-size underflow: dt = {dt} at t = {t}",
                               location=(None, t), dt=dt)
+            failures.extend((r, exc) for r in rows)
+            break
         if dt == held_dt:
             matrix = held
         else:  # factors are held only for a step size that comes back
@@ -308,38 +369,64 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
         # explicit upwind transport: coef >= 0 moves data toward the origin,
         # so node i draws on the forward difference over [s_i, s_{i+1}];
         # rhs = w + dt * (coef * ws), with ws[:-1] the check's differences
-        drops /= h
+        drops /= h_k
         np.multiply(coef, ws, out=rhs)
         rhs *= dt
         rhs += w
-        rhs[0], rhs[-1] = 0.0, cap
-        w, rhs = solve_banded(matrix, rhs), w
-        w[0], w[-1] = 0.0, cap
+        rhs[first], rhs[last] = 0.0, cap
+        solve_banded(matrix, rhs_cols)  # one solve for all k columns, in place
+        w, rhs, w_cols, rhs_cols = rhs, w, rhs_cols, w_cols
+        w[first], w[last] = 0.0, cap
 
         t = t_target if on_target else t + dt
         n_steps += 1
         dt_min_seen = min(dt_min_seen, dt)
         dt_max_seen = max(dt_max_seen, dt)
-        check_invariants(w, t)
-        if out_times and t == out_times[0]:
-            record(w, t)
-            out_times.pop(0)
+        failed = check(t)
 
-    metadata = {
-        "epsilon": config.epsilon,
-        "n": n,
-        "n_steps": n_steps,
-        "dt_history": {"min": dt_min_seen if n_steps else None,
-                       "max": dt_max_seen if n_steps else None,
-                       "mean": (t / n_steps) if n_steps else None},
-        "cfl_safety": config.cfl_safety,
-        "tolerances": {"cap_slack": _CAP_SLACK, "monotone_slack": _MONOTONE_SLACK},
-        "violations": violations,
-        "wall_time_s": _time.perf_counter() - started,
-        "mesh": {"N": s.size - 1, "s_max": float(s[-1]), "s1": float(s[1])},
-    }
-    return Trajectory(s=s, epsilon=config.epsilon, times=tuple(snap_times),
-                      snapshots=tuple(snapshots), far_field=cap, metadata=metadata)
+    wall_time = _time.perf_counter() - started
+    trajectories = []
+    for r in rows:
+        metadata = {
+            "epsilon": eps_list[r],
+            "n": n,
+            "n_steps": n_steps,
+            "dt_history": {"min": dt_min_seen if n_steps else None,
+                           "max": dt_max_seen if n_steps else None,
+                           "mean": (t / n_steps) if n_steps else None},
+            "cfl_safety": config.cfl_safety,
+            "tolerances": {"cap_slack": _CAP_SLACK, "monotone_slack": _MONOTONE_SLACK},
+            "violations": violations[r],
+            "wall_time_s": wall_time,
+            "mesh": {"N": h.size, "s_max": float(s[-1]), "s1": float(s[1])},
+        }
+        trajectories.append(Trajectory(
+            s=s, epsilon=eps_list[r], times=tuple(snap_times), snapshots=tuple(snapshots[r]),
+            far_field=cap, metadata=metadata))
+    return trajectories, [(eps_list[r], exc) for r, exc in sorted(failures, key=lambda f: f[0])]
+
+
+def _check_row(worst: float, w, drops, s, cap: float, tnow: float, violations: list) -> None:
+    """The invariants of one run's W whose differences ``drops`` have the
+    negative (or NaN) minimum ``worst``: a non-decreasing profile within the
+    slack, then 0 <= W <= cap.  Wiggles above the log level are appended to
+    ``violations``; beyond the slack they raise."""
+    if not worst >= -_VIOLATION_LOG * cap:
+        i = int(drops.argmin())
+        violations.append({"kind": "monotonicity", "t": tnow,
+                           "s": float(s[i]), "magnitude": worst})
+        if not worst >= -_MONOTONE_SLACK * cap:
+            raise SolverError(
+                f"monotonicity violated by {worst:.3e} at s = {s[i]}, t = {tnow}",
+                location=(float(s[i]), tnow))
+    lo, hi = float(w.min()), float(w.max())
+    if not (hi <= cap * (1.0 + _VIOLATION_LOG) and lo >= -_VIOLATION_LOG * cap):
+        violations.append({"kind": "range", "t": tnow,
+                           "low": lo, "high": hi})
+        if not (hi <= cap * (1.0 + _CAP_SLACK) and lo >= -_CAP_SLACK * cap):
+            raise SolverError(
+                f"range violated at t = {tnow}: [{lo:.3e}, {hi:.3e}] vs cap {cap}",
+                location=(None, tnow))
 
 
 def solve_banded(matrix, rhs):
@@ -391,13 +478,25 @@ def check_eps_list(eps_list) -> list:
     return eps_list
 
 
+def check_resolved(key: str, eps_list, s) -> None:
+    """Each cutoff must be resolved by the mesh nodes ``s``: epsilon >= 2 s_1.
+    Checked for every cutoff before any step; the message opens with ``key``,
+    the argument that holds the cutoffs."""
+    for eps in eps_list:
+        if eps < 2.0 * s[1]:
+            raise ParameterError(f"{key}: {eps} is not resolved by the mesh: a cutoff "
+                                 f"must be >= 2*s_1 = {2.0 * s[1]}")
+
+
 def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
                  eps_list, profile: SignalProfile):
     """Run each epsilon on the shared mesh; report how well the family
     increases pointwise as epsilon decreases (the regularized solutions climb
-    toward the proper solution).  Violations are reported magnitudes, never
+    toward the proper solution).  The cutoffs march as one stack, one
+    k-column solve per step.  Violations are reported magnitudes, never
     asserted away; failed runs are recorded and the rest continue."""
     eps_list = check_eps_list(eps_list)
+    check_resolved("eps_list", eps_list, w0.s)
 
     # one shared time grid: the worst-case CFL bound over all cutoffs (the
     # smallest epsilon binds), so the runs are ordered by the discrete
@@ -412,14 +511,8 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
             shared = min(shared, config.max_dt)
         config = replace(config, dt_fixed=shared)
 
-    trajectories = []
-    failures = []
-    for eps in eps_list:
-        try:
-            trajectories.append(
-                solve_regularized(params, w0, replace(config, epsilon=eps), profile))
-        except SolverError as exc:
-            failures.append((eps, str(exc)))
+    trajectories, failed = _march(params, w0, config, eps_list, profile)
+    failures = [(eps, str(exc)) for eps, exc in failed]
 
     pair_violations = []
     for a, b in zip(trajectories, trajectories[1:]):

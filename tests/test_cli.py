@@ -503,25 +503,67 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     # a failed cutoff ends blowup like simulate, instead of analysing the
     # cutoffs that survived
     import ksblow.solver as solver_mod
-    from ksblow.errors import SolverError
+    from ksblow import (SignalProfile, SolverConfig, SystemParams, build_mesh, chi_eval,
+                        solve_regularized, validate, w0_from_density)
 
-    real = solver_mod.solve_regularized
-
-    def flaky(params, w0, config, profile=None):
-        if config.epsilon == 0.02:
-            raise SolverError("synthetic breakdown at eps 0.02")
-        return real(params, w0, config, profile)
-
-    monkeypatch.setattr(solver_mod, "solve_regularized", flaky)
     out = tmp_path / "bsweep"
     doc = _simulate_doc(out, eps_list=[0.04, 0.02])
     doc["blowup"] = {"eta": 0.01}
+    # the survivor's solo run, at the sweep's shared dt
+    sec = doc["solver"]
+    params = validate(SystemParams(**SCENARIO_SYSTEM))
+    profile = SignalProfile.from_params(params)
+    s = build_mesh(sec["s_max"], sec["N"])
+    w0 = w0_from_density(params.c0, s)
+    dt = min(solver_mod.cap_cfl_bound(np.diff(s), chi_eval(eps, s), 3 * profile.F(s),
+                                      w0.far_field, 0.4) for eps in sec["eps_list"])
+    solo = solve_regularized(params, w0, SolverConfig(
+        epsilon=0.04, t_end=sec["t_end"], output_times=sec["output_times"], dt_fixed=dt),
+        profile)
+
+    # a NaN in the 0.02 column of the fourth shared solve
+    real = solver_mod.solve_banded
+    calls = []
+
+    def nan_in_second_column(matrix, rhs):
+        x = real(matrix, rhs)
+        calls.append(1)
+        if len(calls) == 4:
+            x[40, 1] = np.nan
+        return x
+
+    monkeypatch.setattr(solver_mod, "solve_banded", nan_in_second_column)
     assert main(["blowup", "--config", _write(tmp_path, doc)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failure"]["kind"] == "solver"
-    assert manifest["failure"]["detail"] == [[0.02, "synthetic breakdown at eps 0.02"]]
-    assert [run["epsilon"] for run in manifest["runs"]] == [0.04]
+    [[eps, detail]] = manifest["failure"]["detail"]
+    assert eps == 0.02
+    assert detail.startswith(f"monotonicity violated by nan at s = {s[39]}, t = ")
+    [run] = manifest["runs"]
+    assert run["epsilon"] == 0.04
+    for key in ("n_steps", "dt_history", "violations"):
+        assert run[key] == solo.metadata[key], key
     assert not (out / "blowup_report.json").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("eps_list", [1e-2, 1e-9], "solver.eps_list: 1e-09 is not resolved by the mesh"),
+    ("epsilon", 1e-9, "solver.epsilon: 1e-09 is not resolved by the mesh"),
+])
+def test_unresolved_cutoff_is_a_config_error(tmp_path, capsys, monkeypatch, key, value,
+                                             message):
+    # every cutoff is checked against the mesh before the first step
+    import ksblow.solver as solver_mod
+
+    def no_solve(*_args):
+        raise AssertionError("stepped before every cutoff was checked")
+
+    monkeypatch.setattr(solver_mod, "solve_banded", no_solve)
+    doc = _simulate_doc(tmp_path / "x")
+    doc["solver"][key] = value
+    assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_weak_residual_rejects_unknown_field_before_solving(tmp_path, monkeypatch, capsys):

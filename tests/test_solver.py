@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,21 @@ def test_sweep_determinism_same_epsilon(scenario, scenario_profile):
         np.testing.assert_array_equal(wa, wb)
 
 
+def test_sweep_checks_every_cutoff_before_any_step(scenario, scenario_profile,
+                                                   monkeypatch):
+    import ksblow.solver as solver_mod
+
+    def no_solve(*_args):
+        raise AssertionError("stepped before every cutoff was checked")
+
+    monkeypatch.setattr(solver_mod, "solve_banded", no_solve)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,))
+    with pytest.raises(ParameterError, match=r"^eps_list: 5e-06 is not resolved by the mesh"):
+        proper_sweep(scenario, w0, cfg, [1e-2, 5e-6], profile=scenario_profile)
+
+
 def test_sweep_rejects_non_decreasing(scenario, scenario_profile):
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
@@ -143,26 +160,91 @@ def test_sweep_rejects_non_decreasing(scenario, scenario_profile):
         proper_sweep(scenario, w0, cfg, [1e-2, 1e-2], profile=scenario_profile)
 
 
-def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
-    # a run that dies is recorded as a failure; the remaining runs complete
-    import ksblow.solver as solver_mod
-    from ksblow.errors import SolverError
+def _assert_same_run(a, b):
+    """``a`` and ``b`` are the same run, bit for bit: snapshots, times, step
+    count, step-size history and logged violations."""
+    assert a.epsilon == b.epsilon
+    assert a.times == b.times
+    assert len(a.snapshots) == len(b.snapshots)
+    for wa, wb in zip(a.snapshots, b.snapshots):
+        assert wa.tobytes() == wb.tobytes()
+    for key in ("n_steps", "dt_history", "violations"):
+        assert a.metadata[key] == b.metadata[key], key
 
-    real = solver_mod.solve_regularized
 
-    def flaky(params, w0, config, profile=None):
-        if config.epsilon == 2e-2:
-            raise SolverError("synthetic failure", location=(0.1, 0.0))
-        return real(params, w0, config, profile)
+def _shared_dt(scenario_profile, s, w0, eps_list):
+    from ksblow.signal import chi_eval
 
-    monkeypatch.setattr(solver_mod, "solve_regularized", flaky)
+    return min(cap_cfl_bound(np.diff(s), chi_eval(eps, s), 3 * scenario_profile.F(s),
+                             w0.far_field, 0.4) for eps in eps_list)
+
+
+def test_sweep_rows_match_solo_runs(scenario, scenario_profile):
+    # the stack marches each cutoff as its own run would, clipped steps too
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
-    trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 2e-2, 1e-2],
-                                 profile=scenario_profile)
+    eps_list = (1e-2, 1e-3, 1e-4)
+    dt = _shared_dt(scenario_profile, s, w0, eps_list)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002))
+    trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    assert report.failures == ()
+    assert [t.epsilon for t in trajs] == list(eps_list)
+    for traj in trajs:
+        solo = solve_regularized(scenario, w0, replace(cfg, epsilon=traj.epsilon,
+                                                       dt_fixed=dt), scenario_profile)
+        assert solo.metadata["dt_history"]["min"] < dt  # steps were clipped
+        _assert_same_run(traj, solo)
+
+
+def _nan_in_column(monkeypatch, column, at_call):
+    """Wrap the solver's solve_banded so that its ``at_call``-th solve puts a
+    NaN at node 40 of the given column of its (N+1, k) solution, before the
+    step's invariant check; returns the list that counts the solves."""
+    import ksblow.solver as solver_mod
+
+    real = solver_mod.solve_banded
+    calls = []
+
+    def solve_banded(matrix, rhs):
+        x = real(matrix, rhs)
+        calls.append(x.shape)
+        if len(calls) == at_call:
+            x[40, column] = np.nan
+        return x
+
+    monkeypatch.setattr(solver_mod, "solve_banded", solve_banded)
+    return calls
+
+
+def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
+    # a run that dies mid-march is recorded as a failure and leaves the
+    # stack; the remaining runs complete, each as its solo run would
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    eps_list = [4e-2, 2e-2, 1e-2]
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005),
+                       dt_fixed=0.9 * _shared_dt(scenario_profile, s, w0, eps_list))
+    solo = [solve_regularized(scenario, w0, replace(cfg, epsilon=eps), scenario_profile)
+            for eps in eps_list]
+    calls = _nan_in_column(monkeypatch, 1, at_call=5)
+    trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
     assert [t.epsilon for t in trajs] == [4e-2, 1e-2]
-    assert report.failures == ((2e-2, "synthetic failure"),)
+    (eps, message), = report.failures
+    assert eps == 2e-2
+    assert message.startswith(f"monotonicity violated by nan at s = {s[39]}, t = ")
+    assert calls[0] == (129, 3) and calls[-1] == (129, 2)  # the stack shrank
+    _assert_same_run(trajs[0], solo[0])
+    _assert_same_run(trajs[1], solo[2])
+
+
+def test_stack_needs_dt_fixed(scenario, scenario_profile):
+    from ksblow.solver import _march
+
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,))
+    with pytest.raises(ParameterError, match="needs dt_fixed"):
+        _march(scenario, w0, cfg, [2e-2, 1e-2], scenario_profile)
 
 
 def test_refinement_stability(scenario, scenario_profile):
