@@ -8,27 +8,45 @@ The regularized problem for W(s, t) is
 
 where chi_eps is the cutoff switching the transport off near the degenerate
 origin.  The scheme is IMEX: the degenerate diffusion is implicit (one
-tridiagonal solve per step; the coefficient n^2 s^((2n-2)/n) is evaluated at
-the nodes, which are the centers of their dual cells, and the s = 0 row is
-the Dirichlet identity row), while the transport is explicit with the
-coefficient lagged, chi_eps(s)(W^k + nF)(W^k)_s, and first-order upwinding.
-The transport coefficient is nonnegative, so characteristics run toward the
-origin and the upwind stencil is the forward difference.  Under the
-advection CFL bound both substeps are monotone, so the discrete solution
+tridiagonal solve per step; the coefficient d_i = n^2 s_i^((2n-2)/n) is
+evaluated at the nodes, which are the centers of their dual cells, and the
+s = 0 row is the Dirichlet identity row), while the transport is explicit
+with the coefficient lagged, chi_eps(s)(W^k + nF)(W^k)_s, and first-order
+upwinding.  The transport coefficient is nonnegative, so characteristics run
+toward the origin and the upwind stencil is the forward difference.  Under
+the advection CFL bound both substeps are monotone, so the discrete solution
 inherits the maximum principle (0 <= W <= cap) and the non-decreasing
 profile up to roundoff; violations beyond tolerance are reported with their
 location, never clamped.
 
+The implicit step (I - dt*A) W^{k+1} = rhs is solved in its mass-matrix
+form.  Row i of the diffusion matrix A is 2 d_i/(h_{i-1} + h_i) times the
+stencil [1/h_{i-1}, -(1/h_{i-1} + 1/h_i), 1/h_i], so A = -diag(mu)^-1 K
+with the dual-cell mass mu_i = (h_{i-1} + h_i)/(2 d_i) (mu = 1 on the two
+Dirichlet rows) and the stiffness matrix K, K_ii = 1/h_{i-1} + 1/h_i and
+K_{i,i+1} = K_{i+1,i} = -1/h_i, which is symmetric.  Each step solves
+
+    (diag(mu) + dt*K) W^{k+1} = mu * rhs,
+
+with the Dirichlet rows kept as identity rows: the coupling of row N-1 to
+W_N = cap moves to the right-hand side as + dt*cap/h_{N-1}, and the one of
+row 1 to W_0 = 0 adds nothing.  The matrix is symmetric with a positive
+diagonal and strictly diagonally dominant (each diagonal entry exceeds the
+sum of its row's off-diagonal moduli by at least mu_i > 0), so it is
+positive definite for every dt > 0 and LAPACK's pivot-free routines apply.
+Its solution solves the nonsymmetric form up to roundoff.
+
 The time step is adaptive, dt <= cfl_safety * min_i ds_i / c_i with
 c = chi_eps (W + nF), recomputed every step over the cells where chi_eps is
 not identically 0 and clipped to land exactly on requested output times.
-Only a step size that comes back, dt_fixed or max_dt, gets held LU factors
-(LAPACK dgttrf once, then one dgttrs solve per step); every other step, an
-adaptive CFL step or one clipped to an output time, is one in-place dgtsv.
+Only a step size that comes back, dt_fixed or max_dt, gets held factors
+(LAPACK dpttrf once, then one dpttrs solve per step); every other step, an
+adaptive CFL step or one clipped to an output time, is one in-place dptsv.
 Neither checks its input: a non-finite W is caught by the invariant check,
 with its location.  The check differences W once per step, and the
-transport reuses that difference; a profile whose every difference is >= 0
-runs from W_0 = 0 to W_N = cap, so its range check is skipped.
+transport reuses that difference; when the smallest difference is above the
+log level and W lies within [0, cap] up to that level, the step records
+nothing and the per-row checks are skipped.
 
 One stepping engine marches a stack of k cutoffs on one shared dt_fixed
 grid: a single run is the stack of one, and a cutoff sweep is one stack
@@ -47,7 +65,7 @@ import time as _time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 from .errors import ParameterError, SolverError
 from .params import SystemParams, validate
@@ -196,6 +214,8 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     return trajectories[0]
 
 
+# a coef of 0 in an adaptive CFL step divides to inf, which sets no limit
+@np.errstate(divide="ignore")
 def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_list,
            profile: SignalProfile):
     """March the cutoffs ``eps_list`` from w0 as one stack on one time grid.
@@ -231,20 +251,18 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     # (an adaptive step needs k = 1, so the first row is the run)
     live = h.size - np.trim_zeros(chis[0][:-1], "f").size
 
-    # the diffusion matrix A as LAPACK's (sub, main, super) diagonals, end to
-    # end in one array so that I - dt*A takes one multiply; its Dirichlet
-    # rows 0 and N are zero
+    # the step matrix diag(mu) + dt*K as LAPACK's (diagonal, off-diagonal)
+    # pair: the stiffness K end to end in one array, so that the pair takes
+    # one multiply and one add of mu; K is zero in the Dirichlet rows and
+    # their couplings, and mu is 1 there
+    size = s.size
     d_coef = n * n * np.power(s[1:-1], (2.0 * n - 2.0) / n)
-    hl, hr = h[:-1], h[1:]
-
-    def bands_of(a):
-        return a[:h.size], a[h.size:-h.size], a[-h.size:]
-
-    diffusion = np.zeros(3 * h.size + 1)
-    sub, main, sup = bands_of(diffusion)
-    sub[:-1] = d_coef * (2.0 / (hl * (hl + hr)))
-    sup[1:] = d_coef * (2.0 / (hr * (hl + hr)))
-    main[1:-1] = -(sub[:-1] + sup[1:])
+    mu = np.ones(size)
+    mu[1:-1] = (h[:-1] + h[1:]) / (2.0 * d_coef)
+    stiffness = np.zeros(size + h.size)
+    stiffness[1:h.size] = 1.0 / h[:-1] + 1.0 / h[1:]
+    stiffness[size + 1:-1] = -1.0 / h[1:-1]
+    edge = cap / h[-1]  # row N-1's coupling to W_N = cap, per unit dt
 
     t = 0.0
     out_times = list(config.output_times)
@@ -255,10 +273,10 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     n_steps = 0
     dt_min_seen = math.inf
     dt_max_seen = 0.0
-    held_all, step_all = np.empty_like(diffusion), np.empty_like(diffusion)
-    held_bands, step_bands = bands_of(held_all), bands_of(step_all)
+    held_all, step_all = np.empty_like(stiffness), np.empty_like(stiffness)
     held_dt = held = None
-    size = s.size
+    # the adaptive CFL step's h / coef over the live cells
+    h_live, limits = h[live:], np.empty(h.size - live)
 
     def stack(rows, w_rows, ws_rows):
         """The flat state and work arrays of the rows ``rows`` (indices into
@@ -272,14 +290,17 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         rhs, coef = np.empty_like(w), np.empty_like(w)
         chi = np.array([chis[r] for r in rows], dtype=float).reshape(-1)
         # the (N+1, k) transposes that the solves take, and the boundary nodes
-        # of every row; a stack of one keeps the plain vector and scalar indices
+        # and the nodes next to s_max of every row; a stack of one keeps the
+        # plain vector and scalar indices
         if k == 1:
-            w_cols, rhs_cols, first, last = w, rhs, 0, -1
+            w_cols, rhs_cols, first, inner, last = w, rhs, 0, -2, -1
         else:
             w_cols, rhs_cols = w.reshape(k, size).T, rhs.reshape(k, size).T
-            first, last = slice(0, None, size), slice(h.size, None, size)
+            first, inner, last = (slice(0, None, size), slice(h.size - 1, None, size),
+                                  slice(h.size, None, size))
         return (k, rows, w, ws, ws[:-1], rhs, coef, w_cols, rhs_cols, chi,
-                np.tile(nF, k), np.tile(np.append(h, 1.0), k)[:-1], first, last)
+                np.tile(nF, k), np.tile(np.append(h, 1.0), k)[:-1], np.tile(mu, k),
+                first, inner, last)
 
     def check(tnow):
         """Check every row's invariants after a step; returns the positions
@@ -289,7 +310,11 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         if k > 1:
             drops[h.size::size] = 0.0
         worst = float(drops.min())
-        if worst >= 0.0:  # all non-decreasing from 0 to cap: in range
+        # non-decreasing from 0 to cap is in range; otherwise a stack whose
+        # every dip and excursion is within the log level records nothing
+        if worst >= 0.0 or (worst >= -_VIOLATION_LOG * cap
+                            and w.max() <= cap * (1.0 + _VIOLATION_LOG)
+                            and w.min() >= -_VIOLATION_LOG * cap):
             return []
         # the min of a row of ws is that row's worst difference, or its 0 at N
         worsts = ws.reshape(k, size).min(axis=1).tolist() if k > 1 else [worst]
@@ -318,15 +343,15 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         snap_times.append(tnow)
 
     w_init = np.concatenate(([0.0], w0.w[1:-1], [cap]))
-    (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, chi, nF_k, h_k,
-     first, last) = stack(list(range(len(eps_list))), [w_init] * len(eps_list),
-                          np.zeros((len(eps_list), size)))
+    (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, chi, nF_k, h_k, mu_k,
+     first, inner, last) = stack(list(range(len(eps_list))), [w_init] * len(eps_list),
+                                 np.zeros((len(eps_list), size)))
     started = _time.perf_counter()
     failed = check(t)
     while True:
         if failed:
-            (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, chi, nF_k, h_k,
-             first, last) = drop(failed)
+            (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, chi, nF_k, h_k, mu_k,
+             first, inner, last) = drop(failed)
         if out_times and t == out_times[0]:
             record(t)
             out_times.pop(0)
@@ -338,7 +363,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         if config.dt_fixed is not None:
             dt = config.dt_fixed
         else:
-            dt = _cfl_dt(h, coef[:-1], config.cfl_safety, live)
+            dt = _cfl_min(h_live, coef[live:-1], config.cfl_safety, limits)
         if config.max_dt is not None:
             dt = min(dt, config.max_dt)
         t_target = out_times[0] if out_times else config.t_end
@@ -356,24 +381,27 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             matrix = held
         else:  # factors are held only for a step size that comes back
             hold = not on_target and dt in (config.dt_fixed, config.max_dt)
-            bands, matrix = (held_all, held_bands) if hold else (step_all, step_bands)
-            np.multiply(diffusion, -dt, out=bands)  # I - dt*A
-            dl, d, du = matrix
-            d += 1.0
-            dl[-1] = du[0] = 0.0  # +0, not -dt * 0, in the Dirichlet rows
+            bands = held_all if hold else step_all
+            np.multiply(stiffness, dt, out=bands)
+            diag, off = bands[:size], bands[size:]
+            diag += mu
+            matrix = (diag, off, False)
             if hold:
                 held_dt = dt
-                matrix = held = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
-                                       overwrite_du=1)[:5]
+                diag, off = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[:2]
+                matrix = held = (diag, off, True)
 
         # explicit upwind transport: coef >= 0 moves data toward the origin,
         # so node i draws on the forward difference over [s_i, s_{i+1}];
-        # rhs = w + dt * (coef * ws), with ws[:-1] the check's differences
+        # rhs = mu * (w + dt * (coef * ws)), with ws[:-1] the check's
+        # differences, and row N-1 takes its coupling to W_N = cap
         drops /= h_k
         np.multiply(coef, ws, out=rhs)
         rhs *= dt
         rhs += w
         rhs[first], rhs[last] = 0.0, cap
+        rhs *= mu_k
+        rhs[inner] += dt * edge
         solve_banded(matrix, rhs_cols)  # one solve for all k columns, in place
         w, rhs, w_cols, rhs_cols = rhs, w, rhs_cols, w_cols
         w[first], w[last] = 0.0, cap
@@ -430,24 +458,34 @@ def _check_row(worst: float, w, drops, s, cap: float, tnow: float, violations: l
 
 
 def solve_banded(matrix, rhs):
-    """Solve the step matrix for ``rhs`` in place.  ``matrix`` is either its
-    dgttrf factors (5 arrays: one dgttrs) or its (sub, main, super) bands
-    (3 arrays: one dgtsv, which overwrites them)."""
-    if len(matrix) == 5:
-        return dgttrs(*matrix, rhs, overwrite_b=1)[0]
-    return dgtsv(*matrix, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                 overwrite_b=1)[3]
+    """Solve the symmetric positive definite step matrix for ``rhs`` in
+    place.  ``matrix`` is (diagonal, off-diagonal, factored): with factored
+    true, the pair is its dpttrf factors (one dpttrs); otherwise it is the
+    matrix itself (one dptsv, which overwrites it)."""
+    diag, off, factored = matrix
+    if factored:
+        return dpttrs(diag, off, rhs, overwrite_b=1)[0]
+    return dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2]
 
 
 def _cfl_dt(h, coef, cfl_safety: float, start: int = 0) -> float:
     """cfl_safety * min over cells of h / coef; cells with coef <= 0 or NaN set
     no limit, nor do the cells before ``start``."""
-    h, coef = h[start:], coef[start:]
-    if coef.size and coef.min() > 0.0:
-        return cfl_safety * float((h / coef).min())
+    h = h[start:]
     with np.errstate(divide="ignore"):
-        limits = np.where(coef > 0.0, h / coef, np.inf)
-    return cfl_safety * float(limits.min(initial=np.inf))
+        return _cfl_min(h, coef[start:], cfl_safety, np.empty_like(h))
+
+
+def _cfl_min(h, coef, cfl_safety: float, limits) -> float:
+    """_cfl_dt over all cells, with ``limits`` the buffer for h / coef: one
+    division and one min, and the masked formula only when a coef <= 0 or
+    NaN makes that min not positive.  A coef of 0 divides by zero: callers
+    hold np.errstate(divide="ignore")."""
+    np.divide(h, coef, out=limits)
+    dt = limits.min(initial=np.inf)
+    if not dt > 0.0:
+        dt = np.where(coef > 0.0, limits, np.inf).min(initial=np.inf)
+    return cfl_safety * float(dt)
 
 
 def cap_cfl_bound(h, chi, nF, cap: float, cfl_safety: float) -> float:

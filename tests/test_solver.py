@@ -291,47 +291,104 @@ def _step_matrix(s, n, dt):
     return ab
 
 
-def _recording_engine(monkeypatch):
-    """Wrap the solver's dgttrf and solve_banded.  Each factorization keeps a
-    copy of the matrix it factored.  Each solve, of held factors or of raw
-    bands (logged as "bands"), is checked against scipy's banded solve of its
-    matrix, bit for bit."""
-    import scipy.linalg
+def _mass_form(s, n, dt):
+    """The symmetric step matrix diag(mu) + dt*K as LAPACK's (diagonal,
+    off-diagonal) pair, assembled independently of the solver: the dual-cell
+    mass mu_i = (h_{i-1} + h_i) / (2 d_i) with the nodal coefficient d_i, the
+    stiffness K_ii = 1/h_{i-1} + 1/h_i and K_{i,i+1} = -1/h_i, identity rows
+    without couplings at both ends."""
+    h = np.diff(s)
+    coef = n * n * np.power(s[1:-1], (2.0 * n - 2.0) / n)
+    mu = np.ones(s.size)
+    mu[1:-1] = (h[:-1] + h[1:]) / (2.0 * coef)
+    diag = np.zeros(s.size)
+    diag[1:-1] = 1.0 / h[:-1] + 1.0 / h[1:]
+    off = np.zeros(h.size)
+    off[1:-1] = -1.0 / h[1:-1]
+    return dt * diag + mu, dt * off
+
+
+def _assembled_dt(s, n, diag, off):
+    """The step size whose _mass_form is (diag, off) bit for bit, or None."""
+    dt = float(off[1] * -(s[2] - s[1]))
+    candidates = [dt]
+    for direction in (np.inf, -np.inf):
+        step = dt
+        for _ in range(4):
+            step = float(np.nextafter(step, direction))
+            candidates.append(step)
+    for dt in candidates:
+        d, e = _mass_form(s, n, dt)
+        if d.tobytes() == diag.tobytes() and e.tobytes() == off.tobytes():
+            return dt
+    return None
+
+
+_RESIDUAL_MAX = 1e-13  # relative to the cap
+
+
+def _recording_engine(monkeypatch, params, profile, w0, epsilon):
+    """Wrap the solver's dpttrf and solve_banded for one run from ``w0``.
+    Each factorization keeps a copy of the matrix it factored.  Each solve,
+    of held factors or of a matrix (logged as "bands"), is checked three ways:
+    the matrix is _mass_form at some dt, bit for bit; the solution is the
+    test's own dpttrs or dptsv call, bit for bit; and it solves the scheme's
+    nonsymmetric step (I - dt*A) x = W + dt*c*W_s from the previous solution,
+    with the transport c = chi_eps (W + nF) and the Dirichlet values, to a
+    residual of at most _RESIDUAL_MAX * cap.  The log holds each solve's key,
+    its dt and the last solution."""
+    from scipy.linalg.lapack import dptsv, dpttrs
 
     import ksblow.solver as solver_mod
+    from ksblow.signal import chi_eval
 
-    real_factor, real_solve = solver_mod.dgttrf, solver_mod.solve_banded
-    log = {"factored": {}, "solves": []}
+    s, n, cap = w0.s, params.n, w0.far_field
+    h = np.diff(s)
+    chi, nF = chi_eval(epsilon, s), n * profile.F(s)
+    real_factor, real_solve = solver_mod.dpttrf, solver_mod.solve_banded
+    log = {"factored": {}, "solves": [], "dts": [],
+           "w": np.concatenate(([0.0], w0.w[1:-1], [cap]))}
 
-    def banded(dl, d, du):
-        ab = np.zeros((3, d.size))
-        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-        return ab
-
-    def dgttrf(dl, d, du, **kwargs):
-        ab = banded(dl, d, du)
-        out = real_factor(dl, d, du, **kwargs)
-        log["factored"][id(out[3])] = (ab, out)  # out keeps the id unique
+    def dpttrf(d, e, **kwargs):
+        matrix = (d.copy(), e.copy())
+        out = real_factor(d, e, **kwargs)
+        log["factored"][id(out[0])] = (matrix, out)  # out keeps the id unique
         return out
 
     def solve_banded(matrix, rhs):
-        if len(matrix) == 5:
-            ab, key = log["factored"][id(matrix[3])][0], id(matrix[3])
+        diag, off, factored = matrix
+        if factored:
+            key = id(diag)
+            assembled = log["factored"][key][0]
+            expected = dpttrs(diag, off, rhs)[0]
         else:
-            ab, key = banded(*matrix), "bands"
-        expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+            key, assembled = "bands", (diag.copy(), off.copy())
+            expected = dptsv(diag, off, rhs)[2]
         x = real_solve(matrix, rhs)
         assert x.tobytes() == expected.tobytes()
+        dt = _assembled_dt(s, n, *assembled)
+        assert dt is not None
+        w = log["w"]
+        step_rhs = w + dt * (chi * (w + nF)) * np.append(np.diff(w) / h, 0.0)
+        step_rhs[0], step_rhs[-1] = 0.0, cap
+        ab = _step_matrix(s, n, dt)
+        lhs = ab[1] * x
+        lhs[:-1] += ab[0, 1:] * x[1:]
+        lhs[1:] += ab[2, :-1] * x[:-1]
+        assert np.max(np.abs(lhs - step_rhs)) <= _RESIDUAL_MAX * cap
         log["solves"].append(key)
+        log["dts"].append(dt)
+        log["w"] = x.copy()
         return x
 
-    monkeypatch.setattr(solver_mod, "dgttrf", dgttrf)
+    monkeypatch.setattr(solver_mod, "dpttrf", dpttrf)
     monkeypatch.setattr(solver_mod, "solve_banded", solve_banded)
     return log
 
 
 def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch):
-    # a fixed CFL dt and steps clipped to output times that it does not divide
+    # a fixed CFL dt and steps clipped to output times that it does not divide;
+    # every step solves the banded step matrix I - dt*A of the scheme
     from ksblow.signal import chi_eval
 
     s = build_mesh(4.0, 128)
@@ -340,17 +397,22 @@ def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch
     dt = cap_cfl_bound(np.diff(s), chi, 3 * scenario_profile.F(s), w0.far_field, 0.4)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002),
                        dt_fixed=dt)
-    log = _recording_engine(monkeypatch)
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, 1e-2)
     traj = solve_regularized(scenario, w0, cfg, scenario_profile)
     assert len(log["solves"]) == traj.metadata["n_steps"]
     factored = list(log["factored"].values())
     # the only factors are those of the CFL dt, assembled as the scheme says
     assert len(factored) == 1
-    assert factored[0][0].tobytes() == _step_matrix(s, 3, dt).tobytes()
-    # the two clipped steps are one band solve each
+    diag, off = _mass_form(s, 3, dt)
+    assert factored[0][0][0].tobytes() == diag.tobytes()
+    assert factored[0][0][1].tobytes() == off.tobytes()
+    # the two clipped steps are one matrix solve each
     assert log["solves"].count("bands") == 2
     assert set(log["solves"]) == set(log["factored"]) | {"bands"}
+    assert all(step == dt for key, step in zip(log["solves"], log["dts"]) if key != "bands")
     assert traj.metadata["dt_history"]["min"] < dt
+    assert sum(log["dts"]) == pytest.approx(0.002, rel=1e-12, abs=0.0)
+    assert log["w"].tobytes() == traj.snapshots[-1].tobytes()
 
 
 @pytest.mark.parametrize("stepping", ["dt_fixed", "max_dt", "adaptive"])
@@ -364,7 +426,7 @@ def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, mon
              "adaptive": {}}[stepping]
     cfg = SolverConfig(epsilon=1e-2, t_end=2e-3, output_times=(0.0, 7e-4, 1.4e-3),
                        **extra)
-    log = _recording_engine(monkeypatch)
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, 1e-2)
     traj = solve_regularized(scenario, w0, cfg, scenario_profile)
     n_steps, clipped = traj.metadata["n_steps"], 3  # 7e-4, 1.4e-3 and t_end
     if stepping == "max_dt":
@@ -374,7 +436,7 @@ def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, mon
     if stepping == "adaptive":  # no CFL step size comes back: nothing is factored
         assert not log["factored"]
         assert bands == n_steps
-    else:  # one factorization; the clipped steps are band solves
+    else:  # one factorization; the clipped steps are matrix solves
         assert len(log["factored"]) == 1
         assert bands == clipped < n_steps
 
@@ -397,6 +459,53 @@ def _inject_once(monkeypatch, change):
 
     monkeypatch.setattr(solver_mod, "solve_banded", solve_banded)
     return calls
+
+
+@pytest.mark.parametrize("change", ["dip", "low", "high"])
+def test_stack_check_skips_rows_within_log_level(scenario, scenario_profile, monkeypatch,
+                                                 change):
+    # one row of a stack is changed after the first step.  A dip of 5e-13 cap
+    # is within the log level and in range: no row is checked and nothing is
+    # recorded.  A row that leaves the range, by 2e-12 cap with a dip (low)
+    # or by 1.8e-12 cap with every difference within the log level (high),
+    # records it
+    import ksblow.solver as solver_mod
+
+    real_check, checked = solver_mod._check_row, []
+
+    def check_row(*args):
+        checked.append(args[0])
+        return real_check(*args)
+
+    def edit(x, cap):
+        if change == "dip":
+            x[64, 1] = x[63, 1] - 5e-13 * cap[1]
+        elif change == "low":
+            x[1, 1] = -2e-12 * cap[1]
+        else:  # up by 1.8e-12 cap, then down to cap in two steps of 0.9e-12 cap
+            x[-3, 1], x[-2, 1] = cap[1] * (1.0 + 1.8e-12), cap[1] * (1.0 + 0.9e-12)
+
+    monkeypatch.setattr(solver_mod, "_check_row", check_row)
+    calls = _inject_once(monkeypatch, edit)
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    cap = w0.far_field
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
+    trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 2e-2, 1e-2],
+                                 profile=scenario_profile)
+    assert calls and report.failures == ()
+    assert trajs[0].metadata["violations"] == trajs[2].metadata["violations"] == []
+    logged = trajs[1].metadata["violations"]
+    ranges = [(v["low"], v["high"]) for v in logged if v["kind"] == "range"]
+    if change == "dip":
+        assert checked == [] and logged == []
+    elif change == "low":
+        assert -2e-12 * cap in checked
+        assert ranges[0][0] == -2e-12 * cap
+    else:
+        assert checked and min(checked) >= -1e-12 * cap
+        assert ranges[0][1] == cap * (1.0 + 1.8e-12)
+        assert all(v["kind"] == "range" for v in logged)
 
 
 def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monkeypatch):
