@@ -36,6 +36,7 @@ eventually fail near T; reports label it as a finite-epsilon trend.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,6 +77,12 @@ class TestFunction:
     @property
     def kink(self) -> float:
         return self.xi / self.gamma
+
+    @functools.cached_property
+    def profile(self) -> SignalProfile:
+        """The forcing profile of (f0, alpha, R, rho, n), the one the solver
+        marches."""
+        return SignalProfile(self.f0, self.alpha, self.R, self.rho, self.n)
 
 
 def build_testfunction(params: SystemParams, xi: float, delta: float,
@@ -159,65 +166,59 @@ _SCAN.flags.writeable = False
 _SCAN_SPACING = math.log(_SCAN[1] / _SCAN[0])
 
 
-def margin_grid(tf: TestFunction, profile: SignalProfile) -> np.ndarray:
+def margin_grid(tf: TestFunction) -> np.ndarray:
     """The scan grid less the points within one spacing of a non-smooth
-    point (the branch point and the bridge breakpoints)."""
+    point: the branch point and the bridge ends s_lower and s_upper."""
     keep = np.ones(_SCAN.size, dtype=bool)
+    profile = tf.profile
     for kink in (tf.kink, profile.s_lower, profile.s_upper):
         if kink > 0:
-            keep &= np.abs(np.log(_SCAN / kink)) > _SCAN_SPACING
+            # only the two points on either side can lie within one spacing
+            j = int(np.searchsorted(_SCAN, kink))
+            near = slice(max(j - 2, 0), j + 2)
+            keep[near] &= np.abs(np.log(_SCAN[near] / kink)) > _SCAN_SPACING
     return _SCAN[keep]
 
 
-def default_verification_profile(tf: TestFunction) -> SignalProfile:
-    # direct breakpoints: the inner-branch estimates are tied to the literal
-    # case labels of F and F_s, and fail for some admissible parameter sets
-    # under the transformed breakpoints (see the signal module docs)
-    return SignalProfile(tf.f0, tf.alpha, tf.R, tf.rho, tf.n, breakpoints="direct")
-
-
-def l_phi_rate(tf: TestFunction, profile: SignalProfile, s):
-    """L phi / phi on the grid s, branch by branch.
+def l_phi_rate(tf: TestFunction, s):
+    """L phi / phi on the ascending grid s, branch by branch, with the
+    forcing F of the profile the solver marches.
 
     On the exponential branch the factor e^(-gamma s) cancels exactly, so the
     rate is formed without it (dividing the underflowed factor out would turn
-    far-field points into 0/0 for large gamma).
+    far-field points into 0/0 for large gamma).  The coefficients take one
+    power, s^((2n-2)/n) = s * s^((n-2)/n), and phi and its derivatives on the
+    power branch one more, s^-delta.
     """
     s = np.asarray(s, dtype=float)
     n = tf.n
-    p_hi = (2.0 * n - 2.0) / n
-    p_lo = (n - 2.0) / n
-    F = np.asarray(profile.F(s), dtype=float)
-    Fs = np.asarray(profile.F_s(s), dtype=float)
-    out = np.empty_like(s)
-    inner = s < tf.kink
-    if np.any(inner):
-        si = s[inner]
-        phi, phis, phiss = phi_eval(tf, si)
-        L = (n * n * np.power(si, p_hi) * phiss
-             + 4.0 * (n * n - n) * np.power(si, p_lo) * phis
-             - n * F[inner] * phis - n * Fs[inner] * phi)
-        out[inner] = L / phi
-    if np.any(~inner):
-        so = s[~inner]
-        g = tf.gamma
-        out[~inner] = (n * n * np.power(so, p_hi) * g * g
-                       - 4.0 * (n * n - n) * np.power(so, p_lo) * g
-                       + n * g * F[~inner] - n * Fs[~inner])
-    return out
+    c_diff, c_drift = n * n, 4.0 * (n * n - n)
+    F = tf.profile.F(s)
+    Fs = tf.profile.F_s(s)
+    s_lo = np.power(s, (n - 2.0) / n)
+    k = int(np.searchsorted(s, tf.kink))  # s[:k] is the power branch
+    si, si_lo = s[:k], s_lo[:k]
+    q = tf.a / tf.gamma ** tf.delta * np.power(si, -tf.delta)
+    phi = q - tf.b
+    phis = -tf.delta * q / si
+    phiss = -(tf.delta + 1.0) * phis / si
+    inner = (c_diff * si * si_lo * phiss + c_drift * si_lo * phis
+             - n * F[:k] * phis - n * Fs[:k] * phi) / phi
+    g = tf.gamma
+    outer = (c_diff * s[k:] * s_lo[k:] * g * g - c_drift * s_lo[k:] * g
+             + n * g * F[k:] - n * Fs[k:])
+    return np.concatenate((inner, outer))
 
 
-def verify_ode_inequality(tf: TestFunction,
-                          profile: SignalProfile | None = None) -> OdeMarginReport:
-    """Scan (L phi - k0 gamma^(2/n) phi)/phi over the margin grid; pass iff
-    the minimum stays above -ANALYTIC_SLACK.  Also reports the diffusion-only
-    rate just above the branch point, which attains c1 * gamma^(2/n), the
-    sanity anchor for k0 = min{c1, c2}."""
-    if profile is None:
-        profile = default_verification_profile(tf)
-    grid = margin_grid(tf, profile)
+def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
+    """Scan (L phi - k0 gamma^(2/n) phi)/phi over the margin grid, against
+    the forcing the solver marches; pass iff the minimum stays above
+    -ANALYTIC_SLACK.  Also reports the diffusion-only rate just above the
+    branch point, which attains c1 * gamma^(2/n), the sanity anchor for
+    k0 = min{c1, c2}."""
+    grid = margin_grid(tf)
     k0_rate = tf.k0 * tf.gamma ** (2.0 / tf.n)
-    rate = l_phi_rate(tf, profile, grid)
+    rate = l_phi_rate(tf, grid)
     margin = rate - k0_rate
     i = int(np.argmin(margin))
 

@@ -294,6 +294,23 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
     return EXIT_OK
 
 
+def _lemma_certificate(tf) -> dict:
+    """The differential inequality and the integral bound of ``tf``, both on
+    the forcing profile the solver marches.  xi/gamma <= (R-rho)^n is
+    reported beside them: every tuple that failed in a seeded random scan
+    broke it, but it is not a proved condition, so it gates nothing."""
+    ode = verify_ode_inequality(tf)
+    bound = verify_integral_bound(tf)
+    return {
+        "ode_min_margin": ode.min_margin, "ode_argmin_s": ode.argmin_s,
+        "k0_rate": ode.k0_rate, "integral_margin": bound.margin,
+        "passed": ode.passed and bound.passed,
+        "kink_below_bridge": {"xi_over_gamma": tf.kink, "s_lower": tf.profile.s_lower,
+                              "holds": tf.kink <= tf.profile.s_lower,
+                              "role": "measured sufficient condition, not a gate"},
+    }
+
+
 def cmd_blowup(cfg_path: str, out_flag=None) -> int:
     cfg = load_config(cfg_path)
     out_dir = _resolve_out(cfg, out_flag)
@@ -340,6 +357,14 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
         return EXIT_SELECTION
 
     tf = build_testfunction(params, xi, delta, selection.gamma)
+    certificate = _lemma_certificate(tf)
+    if not certificate["passed"]:
+        _manifest(out_dir, "blowup", cfg, runs,
+                  failure={"kind": "lemma", "lemma_certificate": certificate})
+        print(f"lemma-check failure: gamma = {selection.gamma!r} is not certified "
+              f"(ODE margin {certificate['ode_min_margin']!r}, integral-bound margin "
+              f"{certificate['integral_margin']!r})", file=sys.stderr)
+        return EXIT_LEMMA
     y_rep = y_functional(traj, tf, selection.kappa, t1)
     report = blowup_indicator(traj, blow.betas, y_report=y_rep)
 
@@ -352,6 +377,7 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
         "c_sub": c_sub, "xi": xi, "delta": delta,
         "diagnostics": selection.diagnostics,
     }
+    payload["lemma_certificate"] = certificate
     _write_json(out_dir / "blowup_report.json", payload)
     _manifest(out_dir, "blowup", cfg, runs)
     return EXIT_OK

@@ -7,26 +7,25 @@ The production profile is
     f(r) = 0                  for r >= R + rho,
 
 bridged monotonically and C^2 in between by a quintic smoothstep, which
-also shapes the cutoff chi_eps.  On the mass scale the accumulated forcing
+also shapes the cutoff chi_eps.  On the mass scale s = r**n the accumulated
+forcing
 
     F(s) = integral_0^{s**(1/n)} f(r) r**(n-1) dr
 
-is non-decreasing with F_s(s) = f(s**(1/n)) / n non-increasing, and has the
-closed form f0/(n-alpha) * s**((n-alpha)/n) while the upper limit stays in
-the pure power-law region.  Across the bridge one fixed 16-point Gauss-
-Legendre rule per query point adds the rest: the integrand is analytic on an
-interval whose endpoints have a ratio below 3 (rho < R/2) and is singular
-only at 0, so the rule is exact to roundoff.
+is non-decreasing with F_s(s) = f(s**(1/n)) / n non-increasing.  The radial
+cut-offs |x| = R -+ rho sit at s_lower = (R-rho)**n and s_upper = (R+rho)**n,
+so F is the closed form f0/(n-alpha) * s**((n-alpha)/n) up to s_lower and
+constant from s_upper on.  Across the bridge one fixed 16-point
+Gauss-Legendre rule per query point adds the rest: the integrand is analytic
+on an interval whose endpoints have a ratio below 3 (rho < R/2) and is
+singular only at 0, so the rule is exact to roundoff.
 
-Breakpoint modes.  The substitution r = s**(1/n) puts the natural break-
-points of F and F_s at (R-rho)**n and (R+rho)**n ("transformed" mode, the
-default).  The "direct" mode instead places them literally at R-rho and
-R+rho on the s axis, with the bridge built directly in s; lemma-verification
-sweeps use it because the inner-branch estimates of the test-function
-differential inequality are tied to those literal case labels, and with the
-transformed breakpoints that inequality genuinely fails for admissible
-parameter sets with small R-rho and larger n.  Since R - rho < 1 the two
-modes differ; both are exposed and neither is silently mixed.
+This is the one profile: every solve marches it, and the test-function
+inequality is certified against it.  The literal case labels R -+ rho on
+the s axis are not the image of |x| = R -+ rho on the mass axis.  Measured,
+not proved: on this profile the inequality fails for some admissible tuples
+with small R - rho and larger n, and in a seeded random scan every failing
+tuple had its branch point xi/gamma above s_lower.
 """
 
 from __future__ import annotations
@@ -72,11 +71,8 @@ class SignalProfile:
     R: float
     rho: float
     n: int
-    breakpoints: str = "transformed"
 
     def __post_init__(self):
-        if self.breakpoints not in ("transformed", "direct"):
-            raise ParameterError(f"unknown breakpoints mode {self.breakpoints!r}")
         validate(SystemParams(self.n, self.alpha, self.f0, self.R, self.rho, c0=1.0))
 
     @classmethod
@@ -86,67 +82,43 @@ class SignalProfile:
     # --- profile on the radial axis -------------------------------------
 
     def f(self, r):
-        """Signal production at radius r > 0."""
+        """Signal production at radius r > 0: the power law times a factor
+        that is 1 up to R - rho, the smoothstep across the bridge and 0 from
+        R + rho on."""
         scalar = np.ndim(r) == 0
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r_arr <= 0.0):
             raise ParameterError("r must be > 0", [("r", r, "> 0")])
         lo, hi = self.R - self.rho, self.R + self.rho
-        out = np.zeros_like(r_arr)
-        inner = r_arr <= lo
-        mid = (r_arr > lo) & (r_arr < hi)
-        out[inner] = self.f0 * r_arr[inner] ** (-self.alpha)
-        if np.any(mid):
-            rm = r_arr[mid]
-            out[mid] = (self.f0 * rm ** (-self.alpha)
-                        * smoothstep((hi - rm) / (2.0 * self.rho)))
+        # the smoothstep rounds to 1 only a few ulps below R - rho
+        ramp = np.where(r_arr <= lo, 1.0, smoothstep((hi - r_arr) / (2.0 * self.rho)))
+        out = self.f0 * r_arr ** (-self.alpha) * ramp
         return float(out[0]) if scalar else out
 
-    # --- breakpoints on the mass axis ------------------------------------
+    # --- the radial cut-offs on the mass axis ------------------------------
 
     @property
     def s_lower(self) -> float:
-        lo = self.R - self.rho
-        return lo ** self.n if self.breakpoints == "transformed" else lo
+        return (self.R - self.rho) ** self.n
 
     @property
     def s_upper(self) -> float:
-        hi = self.R + self.rho
-        return hi ** self.n if self.breakpoints == "transformed" else hi
-
-    @property
-    def F_limit(self) -> float:
-        """Constant value of F for s >= s_upper."""
-        return self._closed(self.s_lower) + float(self._bridge_integral(self.s_upper))
+        return (self.R + self.rho) ** self.n
 
     # --- F and F_s --------------------------------------------------------
 
     def _closed(self, s):
         return self.f0 / (self.n - self.alpha) * np.power(s, (self.n - self.alpha) / self.n)
 
-    def _bridge_density(self, s):
-        """dF/ds on the bridge segment in direct mode."""
-        return (self.f0 / self.n) * np.power(s, -self.alpha / self.n) * smoothstep(
-            (self.s_upper - s) / (self.s_upper - self.s_lower))
-
     def _bridge_integral(self, s):
-        """F(s) - F(s_lower) for s_lower <= s <= s_upper, one fixed Gauss-
-        Legendre rule per point: f(r) r**(n-1) in r over [R-rho, s**(1/n)]
-        in transformed mode, the bridge density in s over [R-rho, s] in
-        direct mode."""
-        lo = self.R - self.rho
-        if self.breakpoints == "transformed":
-            r, w = gauss_legendre(lo, np.power(s, 1.0 / self.n), _BRIDGE_GL_ORDER)
-            values = self.f(r) * r ** (self.n - 1)
-        else:
-            x, w = gauss_legendre(lo, s, _BRIDGE_GL_ORDER)
-            values = self._bridge_density(x)
-        return np.sum(values * w, axis=-1)
+        """F(s) - F(s_lower) for s_lower <= s <= s_upper: one fixed Gauss-
+        Legendre rule per point for f(r) r**(n-1) over [R-rho, s**(1/n)]."""
+        r, w = gauss_legendre(self.R - self.rho, np.power(s, 1.0 / self.n), _BRIDGE_GL_ORDER)
+        return np.sum(self.f(r) * r ** (self.n - 1) * w, axis=-1)
 
     def F(self, s):
         """Accumulated forcing F(s): closed form up to s_lower, plus the
-        bridge rule up to s_upper, constant F_limit beyond; exact to
-        roundoff."""
+        bridge rule up to s_upper, constant beyond; exact to roundoff."""
         scalar = np.ndim(s) == 0
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s_arr < 0.0):
@@ -157,24 +129,24 @@ class SignalProfile:
         outer = s_arr >= hi
         mid = ~inner & ~outer
         out[inner] = self._closed(s_arr[inner])
-        out[outer] = self.F_limit
-        if np.any(mid):
-            out[mid] = self._closed(lo) + self._bridge_integral(s_arr[mid])
+        if not np.all(inner):
+            # the bridge points and s_upper, which gives the constant, in one rule
+            bridge = self._closed(lo) + self._bridge_integral(np.append(s_arr[mid], hi))
+            out[mid] = bridge[:-1]
+            out[outer] = bridge[-1]
         return float(out[0]) if scalar else out
 
     def F_s(self, s):
-        """dF/ds; equals f(s**(1/n))/n in transformed mode."""
+        """dF/ds = f(s**(1/n))/n: the power law (f0/n) s**(-alpha/n) up to
+        s_lower, f(s**(1/n))/n on the bridge and 0 from s_upper on."""
         scalar = np.ndim(s) == 0
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s_arr <= 0.0):
             raise ParameterError("s must be > 0", [("s", s, "> 0")])
-        if self.breakpoints == "transformed":
-            out = np.atleast_1d(self.f(np.power(s_arr, 1.0 / self.n))) / self.n
-        else:
-            out = np.zeros_like(s_arr)
-            inner = s_arr <= self.s_lower
-            mid = (s_arr > self.s_lower) & (s_arr < self.s_upper)
-            out[inner] = (self.f0 / self.n) * s_arr[inner] ** (-self.alpha / self.n)
-            if np.any(mid):
-                out[mid] = self._bridge_density(s_arr[mid])
+        out = np.zeros_like(s_arr)
+        inner = s_arr <= self.s_lower
+        mid = (s_arr > self.s_lower) & (s_arr < self.s_upper)
+        out[inner] = (self.f0 / self.n) * s_arr[inner] ** (-self.alpha / self.n)
+        if np.any(mid):
+            out[mid] = self.f(np.power(s_arr[mid], 1.0 / self.n)) / self.n
         return float(out[0]) if scalar else out

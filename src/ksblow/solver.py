@@ -468,19 +468,12 @@ def solve_banded(matrix, rhs):
     return dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2]
 
 
-def _cfl_dt(h, coef, cfl_safety: float, start: int = 0) -> float:
-    """cfl_safety * min over cells of h / coef; cells with coef <= 0 or NaN set
-    no limit, nor do the cells before ``start``."""
-    h = h[start:]
-    with np.errstate(divide="ignore"):
-        return _cfl_min(h, coef[start:], cfl_safety, np.empty_like(h))
-
-
 def _cfl_min(h, coef, cfl_safety: float, limits) -> float:
-    """_cfl_dt over all cells, with ``limits`` the buffer for h / coef: one
-    division and one min, and the masked formula only when a coef <= 0 or
-    NaN makes that min not positive.  A coef of 0 divides by zero: callers
-    hold np.errstate(divide="ignore")."""
+    """cfl_safety * min over cells of h / coef, where cells with coef <= 0
+    or NaN set no limit; ``limits`` is the buffer for h / coef.  One division
+    and one min, and the masked formula only when a coef <= 0 or NaN makes
+    that min not positive.  A coef of 0 divides by zero: callers hold
+    np.errstate(divide="ignore")."""
     np.divide(h, coef, out=limits)
     dt = limits.min(initial=np.inf)
     if not dt > 0.0:
@@ -492,7 +485,8 @@ def cap_cfl_bound(h, chi, nF, cap: float, cfl_safety: float) -> float:
     """Largest admissible constant dt on cells of widths ``h``: the CFL limit
     with W at its cap, valid for every state in [0, cap]."""
     coef = np.asarray(chi)[:-1] * (cap + np.asarray(nF)[:-1])
-    return _cfl_dt(h, coef, cfl_safety)
+    with np.errstate(divide="ignore"):
+        return _cfl_min(h, coef, cfl_safety, np.empty_like(h))
 
 
 @dataclass(frozen=True)

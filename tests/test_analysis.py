@@ -99,27 +99,40 @@ def test_phi_shape(tf):
         phi_eval(tf, 0.0)
 
 
-def test_ode_inequality_scenario_both_modes(scenario, tf):
-    direct = verify_ode_inequality(tf)
-    assert direct.passed
-    assert direct.min_margin > 0.0
-    transformed = verify_ode_inequality(
-        tf, profile=SignalProfile.from_params(scenario))
-    assert transformed.passed
-    assert transformed.min_margin > 0.0
+def test_ode_inequality_scenario(tf):
+    # certified on the profile the solver marches, the only one there is
+    assert tf.profile == SignalProfile(tf.f0, tf.alpha, tf.R, tf.rho, tf.n)
+    report = verify_ode_inequality(tf)
+    assert report.passed
+    assert report.min_margin > 0.0
 
 
 def test_ode_inequality_forcing_term_vanishes_beyond_support(tf):
     # beyond the support the derivative term contributes exactly zero
-    profile = SignalProfile(tf.f0, tf.alpha, tf.R, tf.rho, tf.n, breakpoints="direct")
+    profile = tf.profile
     s = np.geomspace(profile.s_upper * 1.01, 5.0, 200)
     assert np.all(profile.F_s(s) == 0.0)
-    with_term = l_phi_rate(tf, profile, s)
-    phi, phis, _ = phi_eval(tf, s)
+    with_term = l_phi_rate(tf, s)
     # recompute dropping the F_s term entirely: identical values
     n = tf.n
     no_term = with_term + n * profile.F_s(s) * np.ones_like(s)
     np.testing.assert_array_equal(with_term, no_term)
+
+
+def test_l_phi_rate_matches_phi_eval(tf):
+    # the rate takes phi and its derivatives from one power of s; phi_eval
+    # builds each from its own power
+    n = tf.n
+    profile = tf.profile
+    s = np.geomspace(1e-8, 10.0, 3000)
+    phi, phis, phiss = phi_eval(tf, s)
+    inner = s < tf.kink
+    L = (n * n * s ** ((2.0 * n - 2.0) / n) * phiss + 4.0 * (n * n - n) * s ** ((n - 2.0) / n) * phis
+         - n * profile.F(s) * phis - n * profile.F_s(s) * phi)
+    rate = l_phi_rate(tf, s)
+    np.testing.assert_allclose(rate[inner], L[inner] / phi[inner], rtol=1e-12)
+    keep = inner | (phi > 1e-280)  # past that the exponential has underflowed
+    np.testing.assert_allclose(rate[keep], (L / phi)[keep], rtol=1e-10)
 
 
 def test_ode_inequality_k0_sanity_on_c1_binding_tuple():
@@ -133,12 +146,31 @@ def test_ode_inequality_k0_sanity_on_c1_binding_tuple():
     assert report.diffusion_rate_above_kink == pytest.approx(report.k0_rate, rel=0.1)
 
 
+@pytest.mark.parametrize("gamma", [14437.1, 28874.0, 1e6])
+def test_blowup_selection_range_is_certified(scenario, gamma):
+    # criterion 8's test function across the gammas blowup selects on its
+    # config (14437.1 is the floor criterion 8 pins): the margin stays far
+    # above the threshold, with the branch point below the bridge
+    tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=gamma)
+    report = verify_ode_inequality(tf)
+    assert report.min_margin >= 66.0 * report.k0_rate
+    assert verify_integral_bound(tf).passed
+    assert tf.kink <= tf.profile.s_lower
+
+
 def test_margin_grid_avoids_kinks(tf):
-    profile = SignalProfile(tf.f0, tf.alpha, tf.R, tf.rho, tf.n, breakpoints="direct")
-    g = margin_grid(tf, profile)
+    profile = tf.profile
+    g = margin_grid(tf)
+    full = np.geomspace(1e-8, 10.0, 10_000)
     spacing = math.log(10.0 / 1e-8) / 9999
-    for kink in (tf.kink, profile.s_lower, profile.s_upper):
+    kinks = (tf.kink, profile.s_lower, profile.s_upper)
+    for kink in kinks:
         assert np.min(np.abs(np.log(g / kink))) > spacing
+    # every point farther than one spacing from each kink is kept
+    far = np.ones(full.size, dtype=bool)
+    for kink in kinks:
+        far &= np.abs(np.log(full / kink)) > spacing
+    np.testing.assert_array_equal(g, full[far])
 
 
 def test_integral_bound_scenario(tf, quad_phi_integral):

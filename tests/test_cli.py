@@ -630,6 +630,65 @@ def test_verify_lemmas_huge_gamma_is_a_construction_failure(tmp_path, capsys):
     assert rows[1].split(",")[8] == "False"  # constructed
 
 
+# an admissible tuple that passes with the bridge placed at R -+ rho on the s
+# axis, but fails on the marched profile: its minimum margin there is
+# -3.45 k0 gamma^(2/n) at s ~ 8.7e-3, past s_upper = (R + rho)^n ~ 1e-6
+_N8_TUPLE = {"n": 8, "alpha": 5.0197, "f0": 155.1674, "R": 0.1608, "rho": 0.018,
+             "xi": 3.9674, "delta": 0.7603, "gamma": 455.193}
+
+
+def test_verify_lemmas_n8_tuple_fails_on_the_marched_profile(tmp_path, capsys):
+    out = tmp_path / "n8"
+    doc = _base_doc(lemma_sweep={"tuples": [_N8_TUPLE]}, output={"directory": str(out)})
+    assert main(["verify-lemmas", "--config", _write(tmp_path, doc)]) == 4
+    assert "FAIL" in capsys.readouterr().err
+    lines = (out / "lemma_checks.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["constructed"] == "True" and row["feasible"] == "True"
+    assert row["margin_ok"] == "False" and row["pass"] == "False"
+    assert float(row["margin"]) < 0.0
+    scan = np.array([[float(x) for x in line.split(",")]
+                     for line in (out / "margin_scan.csv").read_text().splitlines()[1:]])
+    s_worst = scan[np.argmin(scan[:, 1]), 0]
+    assert 8e-3 < s_worst < 9.5e-3
+    assert s_worst > (_N8_TUPLE["R"] + _N8_TUPLE["rho"]) ** 8
+
+
+def _blowup_doc(out_dir):
+    doc = _simulate_doc(out_dir)  # output times 0, 0.005, 0.01
+    doc.update(test_function={"xi": 4.0, "delta": 0.8}, blowup={"eta": 0.01})
+    return doc
+
+
+def test_blowup_reports_lemma_certificate(tmp_path):
+    out = tmp_path / "b"
+    assert main(["blowup", "--config", _write(tmp_path, _blowup_doc(out))]) == 0
+    report = json.loads((out / "blowup_report.json").read_text())
+    cert = report["lemma_certificate"]
+    assert cert["passed"] is True
+    assert cert["ode_min_margin"] > 0.0 and cert["integral_margin"] > 0.0
+    gamma = report["selection"]["gamma"]
+    assert cert["kink_below_bridge"]["xi_over_gamma"] == pytest.approx(
+        4.0 / gamma, rel=1e-15, abs=0.0)
+    assert cert["kink_below_bridge"]["holds"] is True
+
+
+def test_blowup_failed_lemma_certificate_exits4(tmp_path, monkeypatch, capsys):
+    import ksblow.cli as cli_mod
+
+    real = cli_mod.verify_ode_inequality
+    monkeypatch.setattr(cli_mod, "verify_ode_inequality", lambda tf: dataclasses.replace(
+        real(tf), min_margin=-1.0, passed=False))
+    out = tmp_path / "b"
+    assert main(["blowup", "--config", _write(tmp_path, _blowup_doc(out))]) == 4
+    assert "lemma-check failure" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"]["kind"] == "lemma"
+    cert = manifest["failure"]["lemma_certificate"]
+    assert cert["passed"] is False and cert["ode_min_margin"] == -1.0
+    assert not (out / "blowup_report.json").exists()
+
+
 def test_config_c_sub_override_parses(tmp_path):
     doc = _base_doc(blowup={"eta": 0.1, "c_sub_override": 0.4})
     cfg = load_config(_write(tmp_path, doc))

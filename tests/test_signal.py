@@ -72,24 +72,24 @@ def test_F_closed_form_region(profile):
     assert profile.F(0.0) == 0.0
 
 
-# (profile, breakpoints, query points): the scenario, then the worst bridge
-# endpoint ratio (rho -> R/2, ratio -> 3) in both modes, probed across the
-# bridge and just below s_upper; None picks those bridge points
-ORACLE_CASES = [(SCEN, "transformed", (1e-4, 0.01, 0.05, 0.08, 0.1, 0.15, 0.2, 0.215, 0.3, 1.0))]
-ORACLE_CASES += [(dict(f0=2.0, alpha=n - 0.5, R=0.5, rho=0.999 * 0.25, n=n), mode, None)
-                 for n in (3, 6) for mode in ("transformed", "direct")]
+# (profile, query points): the scenario, then the worst bridge endpoint
+# ratio (rho -> R/2, ratio -> 3), probed across the bridge and just below
+# s_upper; None picks those bridge points
+ORACLE_CASES = [(SCEN, (1e-4, 0.01, 0.05, 0.08, 0.1, 0.15, 0.2, 0.215, 0.3, 1.0))]
+ORACLE_CASES += [(dict(f0=2.0, alpha=n - 0.5, R=0.5, rho=0.999 * 0.25, n=n), None)
+                 for n in (3, 6)]
 
 
 def test_F_matches_quadrature_oracle():
-    for spec, mode, points in ORACLE_CASES:
-        prof = SignalProfile(**spec, breakpoints=mode)
+    for spec, points in ORACLE_CASES:
+        prof = SignalProfile(**spec)
         lo, hi = prof.s_lower, prof.s_upper
         if points is None:
             points = [lo * (hi / lo) ** q for q in (0.01, 0.3, 0.7, 0.99)]
             points += [hi * (1.0 - 1e-6), hi * (1.0 - 1e-12)]
         for s in points:
-            assert prof.F(s) == pytest.approx(quad_F(prof, s), rel=1e-13, abs=0.0), (spec, mode, s)
-        assert prof.F_limit == pytest.approx(quad_F(prof, hi), rel=1e-13, abs=0.0), (spec, mode)
+            assert prof.F(s) == pytest.approx(quad_F(prof, s), rel=1e-13, abs=0.0), (spec, s)
+        assert prof.F(hi) == pytest.approx(quad_F(prof, hi), rel=1e-13, abs=0.0), spec
 
 
 def test_F_constant_past_upper_breakpoint(profile):
@@ -97,7 +97,9 @@ def test_F_constant_past_upper_breakpoint(profile):
     assert hi == pytest.approx(0.216, rel=1e-12, abs=0.0)
     vals = profile.F(np.linspace(hi, 50.0, 100))
     assert np.all(vals == vals[0])
-    assert vals[0] == profile.F_limit
+    assert vals[0] == profile.F(hi)
+    # a call with one point past s_upper takes the same constant
+    assert profile.F(np.array([0.1, 0.2, 1.0]))[2] == vals[0]
 
 
 def test_F_limit_bound(profile):
@@ -105,7 +107,7 @@ def test_F_limit_bound(profile):
     # radial integral with the power law extended across the bridge
     bound = 2.0 / 0.5 * 0.6 ** 0.5
     assert bound == pytest.approx(3.098387, rel=1e-6)
-    assert profile.F_limit <= bound
+    assert profile.F(profile.s_upper) <= bound
 
 
 def test_Fs_values(profile):
@@ -164,18 +166,6 @@ def test_cutoff_non_decreasing():
         assert np.all(np.diff(chi) >= 0.0)
     for coarse, fine in zip(chis, chis[1:]):
         assert np.all(fine >= coarse)
-
-
-def test_direct_breakpoints_mode():
-    prof = SignalProfile(**SCEN, breakpoints="direct")
-    assert prof.s_lower == 0.4 and prof.s_upper == 0.6
-    # literal case labels: closed form up to s = R - rho on the s axis
-    assert prof.F(0.3) == pytest.approx(4.0 * 0.3 ** (1.0 / 6.0), rel=1e-14, abs=0.0)
-    assert prof.F_s(0.3) == pytest.approx((2.0 / 3.0) * 0.3 ** (-5.0 / 6.0), rel=1e-14, abs=0.0)
-    assert prof.F_s(0.7) == 0.0
-    s = np.geomspace(1e-6, 2.0, 2000)
-    assert np.all(np.diff(prof.F(s)) >= -1e-14 * prof.F_limit)
-    assert np.all(np.diff(prof.F_s(s)) <= 1e-10 * prof.F_s(s[0]))
 
 
 def test_zero_forcing_profile():
