@@ -486,7 +486,8 @@ class YFunctionalReport:
     riccati_A: float
     riccati_B: float
     riccati_T: float
-    domination_ok: bool
+    n_compared: int             # output times in (t1, t1 + T) compared with z
+    domination_ok: bool | None  # None when n_compared is 0
     first_violation_time: float | None
     tolerance: float
     labels: dict
@@ -496,7 +497,10 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
                  t1: float) -> YFunctionalReport:
     """y(t) = integral phi W ds along the trajectory, with the uniform cap
     check, the measured lower bound at t1, and the Riccati domination verdict
-    on the overlap of horizons (a finite-epsilon trend, not a limit claim)."""
+    on the overlap of horizons (a finite-epsilon trend, not a limit claim).
+    y(t1) = z(t1) holds by construction, so the verdict counts only the
+    output times strictly between t1 and z's blow-up time; with none of
+    them it is None, not a pass."""
     if traj.times[-1] < t1 - 1e-12:
         raise ParameterError(f"trajectory horizon {traj.times[-1]} shorter than t1 = {t1}")
     s = traj.s
@@ -517,6 +521,7 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
     A = tf.k0 * tf.gamma ** (2.0 / n)
     B = tf.gamma ** 2 / (2.0 * tf.K0)
     dom_ok = True
+    n_compared = 0
     first_violation = None
     T = math.inf
     z_vals = [math.nan] * len(times)
@@ -528,14 +533,15 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
             if t - times[0] >= T:
                 break
             z_vals[k] = z(t)
+            n_compared += t > times[0]
             if dom_ok and y < z_vals[k] - tol_abs:
                 dom_ok = False
                 first_violation = t
     return YFunctionalReport(
         times=times, y=y_vals, z=tuple(z_vals), cap_bound=cap_bound, cap_ok=cap_ok,
         c_gamma=c_gamma, lower_bound_t1=lower, lower_ok=bool(lower_ok),
-        riccati_A=A, riccati_B=B, riccati_T=T,
-        domination_ok=dom_ok, first_violation_time=first_violation,
+        riccati_A=A, riccati_B=B, riccati_T=T, n_compared=n_compared,
+        domination_ok=dom_ok if n_compared else None, first_violation_time=first_violation,
         tolerance=COUPLED_SLACK,
         labels={"finite_epsilon_trend": True,
                 "epsilon": traj.epsilon,
@@ -579,6 +585,7 @@ class BlowupReport:
                 "c_gamma": r.c_gamma,
                 "lower_bound_t1": r.lower_bound_t1, "lower_ok": r.lower_ok,
                 "riccati": {"A": r.riccati_A, "B": r.riccati_B, "T": r.riccati_T},
+                "n_compared": r.n_compared,
                 "domination_ok": r.domination_ok,
                 "first_violation_time": r.first_violation_time,
                 "tolerance": r.tolerance,

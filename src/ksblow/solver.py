@@ -36,17 +36,21 @@ sum of its row's off-diagonal moduli by at least mu_i > 0), so it is
 positive definite for every dt > 0 and LAPACK's pivot-free routines apply.
 Its solution solves the nonsymmetric form up to roundoff.
 
-The time step is adaptive, dt <= cfl_safety * min_i ds_i / c_i with
-c = chi_eps (W + nF), recomputed every step over the cells where chi_eps is
-not identically 0 and clipped to land exactly on requested output times.
-Only a step size that comes back, dt_fixed or max_dt, gets held factors
-(LAPACK dpttrf once, then one dpttrs solve per step); every other step, an
-adaptive CFL step or one clipped to an output time, is one in-place dptsv.
-Neither checks its input: a non-finite W is caught by the invariant check,
-with its location.  The check differences W once per step, and the
-transport reuses that difference; when the smallest difference is above the
-log level and W lies within [0, cap] up to that level, the step records
-nothing and the per-row checks are skipped.
+The time step is adaptive and never exceeds the CFL limit
+L = cfl_safety * min_i ds_i / c_i with c = chi_eps (W + nF), recomputed from
+the pre-step W every step over the cells where chi_eps is not identically 0.
+The step in use is held while it stays in the band
+(1 - 2*theta) L <= dt <= L, theta = _HOLD_BAND; once L leaves that band the
+step becomes (1 - theta) L.  max_dt caps it and an output time clips it, so
+it lands exactly on each requested time.  Every step size that is not
+clipped, adaptive, dt_fixed or max_dt alike, gets held factors (LAPACK
+dpttrf once, then one dpttrs solve per step for as long as it is held); a
+step clipped to an output time is one in-place dptsv.  Neither checks its
+input: a non-finite W is caught by the invariant check, with its location.
+The check differences W once per step, and the transport reuses that
+difference; when the smallest difference is above the log level and W lies
+within [0, cap] up to that level, the step records nothing and the per-row
+checks are skipped.
 
 One stepping engine marches a stack of k cutoffs on one shared dt_fixed
 grid: a single run is the stack of one, and a cutoff sweep is one stack
@@ -73,6 +77,9 @@ from .signal import SignalProfile, chi_eval
 from .transform import MassFunction
 
 _RATIO_MAX = 1.2
+# theta of the adaptive step's hold band [(1 - 2 theta) L, L] below the CFL
+# limit L; a step that leaves the band is reset to (1 - theta) L
+_HOLD_BAND = 0.01
 _N_MIN = 64
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -270,7 +277,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     snapshots = [[] for _ in eps_list]
     violations = [[] for _ in eps_list]
     failures = []
-    n_steps = 0
+    n_steps = n_factorizations = 0
     dt_min_seen = math.inf
     dt_max_seen = 0.0
     held_all, step_all = np.empty_like(stiffness), np.empty_like(stiffness)
@@ -363,7 +370,11 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         if config.dt_fixed is not None:
             dt = config.dt_fixed
         else:
-            dt = _cfl_min(h_live, coef[live:-1], config.cfl_safety, limits)
+            limit = _cfl_min(h_live, coef[live:-1], config.cfl_safety, limits)
+            if held_dt is not None and (1.0 - 2.0 * _HOLD_BAND) * limit <= held_dt <= limit:
+                dt = held_dt
+            else:
+                dt = (1.0 - _HOLD_BAND) * limit
         if config.max_dt is not None:
             dt = min(dt, config.max_dt)
         t_target = out_times[0] if out_times else config.t_end
@@ -379,15 +390,15 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             break
         if dt == held_dt:
             matrix = held
-        else:  # factors are held only for a step size that comes back
-            hold = not on_target and dt in (config.dt_fixed, config.max_dt)
-            bands = held_all if hold else step_all
+        else:  # a step clipped to an output time is not held
+            bands = step_all if on_target else held_all
             np.multiply(stiffness, dt, out=bands)
             diag, off = bands[:size], bands[size:]
             diag += mu
             matrix = (diag, off, False)
-            if hold:
+            if not on_target:
                 held_dt = dt
+                n_factorizations += 1
                 diag, off = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[:2]
                 matrix = held = (diag, off, True)
 
@@ -419,6 +430,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             "epsilon": eps_list[r],
             "n": n,
             "n_steps": n_steps,
+            "n_factorizations": n_factorizations,
             "dt_history": {"min": dt_min_seen if n_steps else None,
                            "max": dt_max_seen if n_steps else None,
                            "mean": (t / n_steps) if n_steps else None},

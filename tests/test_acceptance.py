@@ -338,6 +338,10 @@ def test_criterion_8_parameter_selection_pipeline(tmp_path):
     assert report["verdicts"]["finite_epsilon_trend"] is True
     assert report["verdicts"]["cap_ok"] is True
     assert report["verdicts"]["lower_bound_ok"] is True
+    # z blows up before the first output time after t1, so the Riccati
+    # domination compared nothing and is no verdict
+    assert report["y_functional"]["n_compared"] == 0
+    assert report["verdicts"]["riccati_domination_ok"] is None
 
     # every emitted file is declared in the manifest with a matching hash
     import hashlib

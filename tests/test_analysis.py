@@ -306,6 +306,31 @@ def test_y_functional_constant_state(scenario):
     assert rep.labels["finite_epsilon_trend"]
 
 
+@pytest.mark.parametrize("t1, late_w, T, verdict, n_compared", [
+    # y(0) = 0.069 and z blows up at T = 0.0925: only t = 0.05 is compared
+    (0.0, 1.0, 0.0925, False, 1),   # y stays flat while z doubles: fails at 0.05
+    (0.0, 3.0, 0.0925, True, 1),    # y triples by 0.05, above z(0.05) = 2.41 y(0)
+    # y(0.05) = 0.207 and z blows up 0.0348 later, before t = 0.1
+    (0.05, 3.0, 0.0348, None, 0),
+])
+def test_y_functional_domination_verdict(scenario, t1, late_w, T, verdict, n_compared):
+    # y(t1) = z(t1) by construction, so the verdict counts only the output
+    # times strictly between t1 and t1 + T; with none it is None, not a pass
+    tf = build_testfunction(scenario, 4.0, 0.8, 20.0)
+    flat = _constant_trajectory(cap=3.0)
+    snaps = (flat.snapshots[0] / 3.0,) + tuple(w * late_w / 3.0 for w in flat.snapshots[1:])
+    traj = Trajectory(s=flat.s, epsilon=1e-2, times=flat.times, snapshots=snaps,
+                      far_field=3.0, metadata={"n": 3})
+    rep = y_functional(traj, tf, kappa=0.0067, t1=t1)
+    assert rep.riccati_T == pytest.approx(T, rel=2e-3)
+    assert rep.n_compared == n_compared
+    assert rep.domination_ok is verdict
+    assert rep.first_violation_time == (0.05 if verdict is False else None)
+    report = blowup_indicator(traj, [1.0], y_report=rep).to_json_dict()
+    assert report["y_functional"]["n_compared"] == n_compared
+    assert report["verdicts"]["riccati_domination_ok"] is verdict
+
+
 def test_y_functional_horizon_error(scenario):
     tf = build_testfunction(scenario, 4.0, 0.8, 20.0)
     traj = _constant_trajectory()

@@ -162,13 +162,13 @@ def test_sweep_rejects_non_decreasing(scenario, scenario_profile):
 
 def _assert_same_run(a, b):
     """``a`` and ``b`` are the same run, bit for bit: snapshots, times, step
-    count, step-size history and logged violations."""
+    and factorization counts, step-size history and logged violations."""
     assert a.epsilon == b.epsilon
     assert a.times == b.times
     assert len(a.snapshots) == len(b.snapshots)
     for wa, wb in zip(a.snapshots, b.snapshots):
         assert wa.tobytes() == wb.tobytes()
-    for key in ("n_steps", "dt_history", "violations"):
+    for key in ("n_steps", "n_factorizations", "dt_history", "violations"):
         assert a.metadata[key] == b.metadata[key], key
 
 
@@ -193,6 +193,7 @@ def test_sweep_rows_match_solo_runs(scenario, scenario_profile):
         solo = solve_regularized(scenario, w0, replace(cfg, epsilon=traj.epsilon,
                                                        dt_fixed=dt), scenario_profile)
         assert solo.metadata["dt_history"]["min"] < dt  # steps were clipped
+        assert traj.metadata["n_factorizations"] == 1  # the shared dt, once
         _assert_same_run(traj, solo)
 
 
@@ -336,7 +337,8 @@ def _recording_engine(monkeypatch, params, profile, w0, epsilon):
     nonsymmetric step (I - dt*A) x = W + dt*c*W_s from the previous solution,
     with the transport c = chi_eps (W + nF) and the Dirichlet values, to a
     residual of at most _RESIDUAL_MAX * cap.  The log holds each solve's key,
-    its dt and the last solution."""
+    its dt, the CFL limit of the W it starts from per unit cfl_safety (the
+    min of h / c over the cells with c > 0), and the last solution."""
     from scipy.linalg.lapack import dptsv, dpttrs
 
     import ksblow.solver as solver_mod
@@ -346,7 +348,7 @@ def _recording_engine(monkeypatch, params, profile, w0, epsilon):
     h = np.diff(s)
     chi, nF = chi_eval(epsilon, s), n * profile.F(s)
     real_factor, real_solve = solver_mod.dpttrf, solver_mod.solve_banded
-    log = {"factored": {}, "solves": [], "dts": [],
+    log = {"factored": {}, "solves": [], "dts": [], "cfl": [],
            "w": np.concatenate(([0.0], w0.w[1:-1], [cap]))}
 
     def dpttrf(d, e, **kwargs):
@@ -369,7 +371,10 @@ def _recording_engine(monkeypatch, params, profile, w0, epsilon):
         dt = _assembled_dt(s, n, *assembled)
         assert dt is not None
         w = log["w"]
-        step_rhs = w + dt * (chi * (w + nF)) * np.append(np.diff(w) / h, 0.0)
+        c = chi * (w + nF)
+        limited = c[:-1] > 0.0
+        log["cfl"].append(float(np.min(h[limited] / c[:-1][limited])))
+        step_rhs = w + dt * c * np.append(np.diff(w) / h, 0.0)
         step_rhs[0], step_rhs[-1] = 0.0, cap
         ab = _step_matrix(s, n, dt)
         lhs = ab[1] * x
@@ -433,12 +438,47 @@ def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, mon
         assert traj.metadata["dt_history"]["max"] == 2.2e-5
     assert len(log["solves"]) == n_steps
     bands = log["solves"].count("bands")
-    if stepping == "adaptive":  # no CFL step size comes back: nothing is factored
-        assert not log["factored"]
-        assert bands == n_steps
-    else:  # one factorization; the clipped steps are matrix solves
+    if stepping == "adaptive":  # the held CFL step reuses its factors
+        assert 1 <= len(log["factored"]) < n_steps
+    else:  # one factorization
         assert len(log["factored"]) == 1
-        assert bands == clipped < n_steps
+    assert traj.metadata["n_factorizations"] == len(log["factored"])
+    assert bands == clipped < n_steps  # the clipped steps are the matrix solves
+
+
+@pytest.mark.parametrize("max_dt", [None, 6.3e-5])
+def test_adaptive_step_held_within_cfl_band(scenario, scenario_profile, monkeypatch, max_dt):
+    # the CFL limit L falls by about 5% over this run, from 6.51e-5 to
+    # 6.21e-5, so the held step is replaced a few times.  Every step is at
+    # most the L of the W it starts from; a step not clipped to an output
+    # time lies within [(1 - 2 theta) L, L], unless it is max_dt, and it is
+    # exactly max_dt wherever the cap lies below that band
+    from ksblow.solver import _HOLD_BAND
+
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.05, output_times=(0.0, 0.0175, 0.035),
+                       max_dt=max_dt)
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, 1e-2)
+    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+    assert len(log["solves"]) == traj.metadata["n_steps"]
+    capped = free = 0
+    for key, dt, cfl in zip(log["solves"], log["dts"], log["cfl"]):
+        limit = cfg.cfl_safety * cfl
+        assert dt <= limit
+        if key == "bands":  # clipped to an output time
+            continue
+        if max_dt is not None and max_dt < (1.0 - 2.0 * _HOLD_BAND) * limit:
+            assert dt == max_dt
+            capped += 1
+        elif dt != max_dt:
+            assert (1.0 - 2.0 * _HOLD_BAND) * limit <= dt
+            free += 1
+    assert free > 0
+    assert 1 < traj.metadata["n_factorizations"] == len(log["factored"])
+    if max_dt is not None:  # the cap binds on some steps, not all
+        assert capped > 0
+        assert traj.metadata["dt_history"]["max"] == max_dt
 
 
 def _inject_once(monkeypatch, change):
