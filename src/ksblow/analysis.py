@@ -480,9 +480,11 @@ class YFunctionalReport:
     z: tuple                    # Riccati comparison values; nan past blow-up
     cap_bound: float
     cap_ok: bool
+    cap_headroom: float         # 1 - max y / cap_bound
     c_gamma: float
     lower_bound_t1: float
     lower_ok: bool
+    lower_bound_margin_log10: float | None  # log10(y(t1) / lower_bound_t1)
     riccati_A: float
     riccati_B: float
     riccati_T: float
@@ -496,8 +498,10 @@ class YFunctionalReport:
 def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
                  t1: float) -> YFunctionalReport:
     """y(t) = integral phi W ds along the trajectory, with the uniform cap
-    check, the measured lower bound at t1, and the Riccati domination verdict
-    on the overlap of horizons (a finite-epsilon trend, not a limit claim).
+    check and its headroom 1 - max y / cap_bound, the measured lower bound at
+    t1 and the decades log10(y(t1) / bound) by which y(t1) clears it (None
+    when a side is <= 0), and the Riccati domination verdict on the overlap
+    of horizons (a finite-epsilon trend, not a limit claim).
     y(t1) = z(t1) holds by construction, so the verdict counts only the
     output times strictly between t1 and z's blow-up time; with none of
     them it is None, not a pass."""
@@ -517,6 +521,9 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
     with np.errstate(under="ignore"):
         lower = c_gamma / tf.gamma * math.exp(-kappa * tf.gamma ** (2.0 / n))
     lower_ok = y_vals[0] >= lower * (1.0 - ANALYTIC_SLACK)
+    # the difference of the logs: the ratio overflows if the bound underflows
+    margin = (math.log10(y_vals[0]) - math.log10(lower)
+              if y_vals[0] > 0.0 and lower > 0.0 else None)
 
     A = tf.k0 * tf.gamma ** (2.0 / n)
     B = tf.gamma ** 2 / (2.0 * tf.K0)
@@ -539,7 +546,8 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
                 first_violation = t
     return YFunctionalReport(
         times=times, y=y_vals, z=tuple(z_vals), cap_bound=cap_bound, cap_ok=cap_ok,
-        c_gamma=c_gamma, lower_bound_t1=lower, lower_ok=bool(lower_ok),
+        cap_headroom=1.0 - max(y_vals) / cap_bound, c_gamma=c_gamma,
+        lower_bound_t1=lower, lower_ok=bool(lower_ok), lower_bound_margin_log10=margin,
         riccati_A=A, riccati_B=B, riccati_T=T, n_compared=n_compared,
         domination_ok=dom_ok if n_compared else None, first_violation_time=first_violation,
         tolerance=COUPLED_SLACK,
@@ -581,9 +589,10 @@ class BlowupReport:
             r = self.y_report
             out["y_functional"] = {
                 "times": list(r.times), "y": list(r.y), "z": list(r.z),
-                "cap_bound": r.cap_bound, "cap_ok": r.cap_ok,
+                "cap_bound": r.cap_bound, "cap_ok": r.cap_ok, "cap_headroom": r.cap_headroom,
                 "c_gamma": r.c_gamma,
                 "lower_bound_t1": r.lower_bound_t1, "lower_ok": r.lower_ok,
+                "lower_bound_margin_log10": r.lower_bound_margin_log10,
                 "riccati": {"A": r.riccati_A, "B": r.riccati_B, "T": r.riccati_T},
                 "n_compared": r.n_compared,
                 "domination_ok": r.domination_ok,

@@ -36,16 +36,18 @@ sum of its row's off-diagonal moduli by at least mu_i > 0), so it is
 positive definite for every dt > 0 and LAPACK's pivot-free routines apply.
 Its solution solves the nonsymmetric form up to roundoff.
 
-The time step is adaptive and never exceeds the CFL limit
-L = cfl_safety * min_i ds_i / c_i with c = chi_eps (W + nF), recomputed from
-the pre-step W every step over the cells where chi_eps is not identically 0.
-The step in use is held while it stays in the band
-(1 - 2*theta) L <= dt <= L, theta = _HOLD_BAND; once L leaves that band the
-step becomes (1 - theta) L.  max_dt caps it and an output time clips it, so
+The transport is one rate per node, r_i = chi_eps(s_i)(W_i + nF_i)/h_i, times
+W_{i+1} - W_i; its factor chi_eps/h is built once and is 0 at both ends.  The
+step is adaptive and never exceeds the CFL limit L = cfl_safety / max_i r_i
+of the pre-step W (inf when no rate is positive).  The step in use is held
+while it stays in the band (1 - 2*theta) L <= dt <= L, theta = _HOLD_BAND;
+once L leaves that band the step becomes (1 - theta) L, a reset recorded with
+the node of the fastest rate.  max_dt caps it and an output time clips it, so
 it lands exactly on each requested time.  Every step size that is not
-clipped, adaptive, dt_fixed or max_dt alike, gets held factors (LAPACK
-dpttrf once, then one dpttrs solve per step for as long as it is held); a
-step clipped to an output time is one in-place dptsv.  Neither checks its
+clipped gets held factors (dpttrf once, then one dpttrs solve per step while
+it is held); a clipped step is one in-place dptsv.  The boundary rows need no
+writes: with r = 0 there, the right-hand side is W_0 = 0 and W_N = cap, which
+the identity rows without coupling return exactly.  Neither solve checks its
 input: a non-finite W is caught by the invariant check, with its location.
 The check differences W once per step, and the transport reuses that
 difference; when the smallest difference is above the log level and W lies
@@ -221,16 +223,14 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     return trajectories[0]
 
 
-# a coef of 0 in an adaptive CFL step divides to inf, which sets no limit
-@np.errstate(divide="ignore")
 def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_list,
            profile: SignalProfile):
     """March the cutoffs ``eps_list`` from w0 as one stack on one time grid.
 
     Row r of the C-ordered (k, N+1) state is the run at eps_list[r]; its
     transpose is the (N+1, k) right-hand side of one LAPACK solve per step,
-    and the elementwise work runs on its flat view, with nF and h tiled and
-    chi stacked per row.  A stack of k > 1 needs ``config.dt_fixed``.
+    and the elementwise work runs on its flat view, with nF tiled and chi/h
+    stacked per row.  A stack of k > 1 needs ``config.dt_fixed``.
     Returns (trajectories, failures): a row whose invariant check fails
     becomes its (epsilon, SolverError) in failures and leaves the stack, and
     the other rows go on unchanged.  Every trajectory carries the metadata of
@@ -254,9 +254,9 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         if config.dt_fixed > bound * (1.0 + 1e-12):
             raise ParameterError(
                 f"dt_fixed = {config.dt_fixed} exceeds the worst-case CFL bound {bound}")
-    # chi_eps is 0 on a prefix of the nodes: the cells there set no CFL limit
-    # (an adaptive step needs k = 1, so the first row is the run)
-    live = h.size - np.trim_zeros(chis[0][:-1], "f").size
+    # the transport rate per unit W + nF, chi/h over the cell [s_i, s_{i+1}]:
+    # 0 at s = 0, where chi is, and at s_max, which has no cell
+    factors = [np.append(chi[:-1] / h, 0.0) for chi in chis]
 
     # the step matrix diag(mu) + dt*K as LAPACK's (diagonal, off-diagonal)
     # pair: the stiffness K end to end in one array, so that the pair takes
@@ -272,51 +272,54 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     edge = cap / h[-1]  # row N-1's coupling to W_N = cap, per unit dt
 
     t = 0.0
-    out_times = list(config.output_times)
+    t_end, dt_fixed, max_dt, cfl = config.t_end, config.dt_fixed, config.max_dt, config.cfl_safety
+    t_stop = t_end - 1e-15 * max(t_end, 1.0)
+    dt_floor = _DT_UNDERFLOW * max(t_end, 1.0)
+    band, reset = 1.0 - 2.0 * _HOLD_BAND, 1.0 - _HOLD_BAND
+    # the times to land on, each with the t + dt from which a step lands on it
+    # exactly (the tolerance absorbs summation drift when dt divides it); t_end
+    # comes last, so a target with others after it is an output time
+    targets = [(tt, tt - 1e-12 * max(1.0, tt)) for tt in (*config.output_times, t_end)]
     snap_times = []
     snapshots = [[] for _ in eps_list]
     violations = [[] for _ in eps_list]
     failures = []
+    cfl_resets = []
     n_steps = n_factorizations = 0
     dt_min_seen = math.inf
     dt_max_seen = 0.0
     held_all, step_all = np.empty_like(stiffness), np.empty_like(stiffness)
-    held_dt = held = None
-    # the adaptive CFL step's h / coef over the live cells
-    h_live, limits = h[live:], np.empty(h.size - live)
+    held_dt = held = last_dt = None
 
     def stack(rows, w_rows, ws_rows):
         """The flat state and work arrays of the rows ``rows`` (indices into
         eps_list), from their W and difference rows.  Each row's differences
         W_{i+1} - W_i sit in ws[:N] (the check writes them, the next step's
-        transport divides them by h there) and its ws[N] stays 0; the k - 1
-        differences across rows are zeroed."""
+        transport multiplies them by the rate) and its ws[N] stays 0; the
+        k - 1 differences across rows are zeroed."""
         k = len(rows)
         w = np.array(w_rows, dtype=float).reshape(-1)
         ws = np.array(ws_rows, dtype=float).reshape(-1)
         rhs, coef = np.empty_like(w), np.empty_like(w)
-        chi = np.array([chis[r] for r in rows], dtype=float).reshape(-1)
-        # the (N+1, k) transposes that the solves take, and the boundary nodes
-        # and the nodes next to s_max of every row; a stack of one keeps the
-        # plain vector and scalar indices
+        # the (N+1, k) transposes that the solves take, and the nodes next to
+        # s_max of every row; a stack of one keeps the plain vector and index
         if k == 1:
-            w_cols, rhs_cols, first, inner, last = w, rhs, 0, -2, -1
+            w_cols, rhs_cols, inner = w, rhs, -2
         else:
             w_cols, rhs_cols = w.reshape(k, size).T, rhs.reshape(k, size).T
-            first, inner, last = (slice(0, None, size), slice(h.size - 1, None, size),
-                                  slice(h.size, None, size))
-        return (k, rows, w, ws, ws[:-1], rhs, coef, w_cols, rhs_cols, chi,
-                np.tile(nF, k), np.tile(np.append(h, 1.0), k)[:-1], np.tile(mu, k),
-                first, inner, last)
+            inner = slice(h.size - 1, None, size)
+        return (k, rows, w, ws, ws[:-1], rhs, coef, w_cols, rhs_cols, w[1:], w[:-1],
+                rhs[1:], rhs[:-1], np.array([factors[r] for r in rows], dtype=float).reshape(-1),
+                np.tile(nF, k), np.tile(mu, k), inner)
 
     def check(tnow):
         """Check every row's invariants after a step; returns the positions
         of the rows that failed, whose failures are recorded."""
         # written so that NaN fails every test; min and argmin propagate it
-        np.subtract(w[1:], w[:-1], out=drops)
+        np.subtract(w_hi, w_lo, out=drops)
         if k > 1:
             drops[h.size::size] = 0.0
-        worst = float(drops.min())
+        worst = float(np.minimum.reduce(drops))
         # non-decreasing from 0 to cap is in range; otherwise a stack whose
         # every dip and excursion is within the log level records nothing
         if worst >= 0.0 or (worst >= -_VIOLATION_LOG * cap
@@ -350,40 +353,41 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         snap_times.append(tnow)
 
     w_init = np.concatenate(([0.0], w0.w[1:-1], [cap]))
-    (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, chi, nF_k, h_k, mu_k,
-     first, inner, last) = stack(list(range(len(eps_list))), [w_init] * len(eps_list),
-                                 np.zeros((len(eps_list), size)))
+    (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, w_hi, w_lo, rhs_hi, rhs_lo,
+     factor, nF_k, mu_k, inner) = stack(list(range(len(eps_list))), [w_init] * len(eps_list),
+                                      np.zeros((len(eps_list), size)))
+    t_target, landing = targets.pop(0)
     started = _time.perf_counter()
     failed = check(t)
     while True:
         if failed:
-            (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, chi, nF_k, h_k, mu_k,
-             first, inner, last) = drop(failed)
-        if out_times and t == out_times[0]:
+            (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, w_hi, w_lo, rhs_hi, rhs_lo,
+             factor, nF_k, mu_k, inner) = drop(failed)
+            if not rows:
+                break
+        if t == t_target and targets:
             record(t)
-            out_times.pop(0)
-        if not (rows and t < config.t_end - 1e-15 * max(config.t_end, 1.0)):
+            t_target, landing = targets.pop(0)
+        if not t < t_stop:
             break
 
-        np.add(w, nF_k, out=coef)
-        coef *= chi
-        if config.dt_fixed is not None:
-            dt = config.dt_fixed
-        else:
-            limit = _cfl_min(h_live, coef[live:-1], config.cfl_safety, limits)
-            if held_dt is not None and (1.0 - 2.0 * _HOLD_BAND) * limit <= held_dt <= limit:
+        np.add(w, nF_k, out=coef)  # the rate chi (W + nF) / h
+        coef *= factor
+        if dt_fixed is not None:
+            dt = dt_fixed
+        else:  # the CFL limit L = cfl / max rate (an adaptive run has k = 1)
+            fastest = float(np.maximum.reduce(coef))
+            limit = cfl / fastest if fastest > 0.0 else math.inf
+            if held_dt is not None and band * limit <= held_dt <= limit:
                 dt = held_dt
             else:
-                dt = (1.0 - _HOLD_BAND) * limit
-        if config.max_dt is not None:
-            dt = min(dt, config.max_dt)
-        t_target = out_times[0] if out_times else config.t_end
-        # tolerance absorbs accumulated summation drift when dt divides the
-        # target evenly, so output times are always landed on exactly
-        on_target = t + dt >= t_target - 1e-12 * max(1.0, t_target)
+                dt = reset * limit
+        if max_dt is not None and dt > max_dt:
+            dt = max_dt
+        on_target = t + dt >= landing
         if on_target:
             dt = t_target - t
-        if not math.isfinite(dt) or dt <= _DT_UNDERFLOW * max(config.t_end, 1.0):
+        if not dt_floor < dt < math.inf:
             exc = SolverError(f"step-size underflow: dt = {dt} at t = {t}",
                               location=(None, t), dt=dt)
             failures.extend((r, exc) for r in rows)
@@ -401,26 +405,28 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
                 n_factorizations += 1
                 diag, off = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[:2]
                 matrix = held = (diag, off, True)
+                if dt_fixed is None and dt != max_dt:  # the CFL limit reset the step
+                    cfl_resets.append({"t": t, "s": float(s[int(np.argmax(coef))]), "dt": dt})
 
         # explicit upwind transport: coef >= 0 moves data toward the origin,
-        # so node i draws on the forward difference over [s_i, s_{i+1}];
-        # rhs = mu * (w + dt * (coef * ws)), with ws[:-1] the check's
-        # differences, and row N-1 takes its coupling to W_N = cap
-        drops /= h_k
+        # so rhs = mu * (W + dt * coef * dW), with dW the check's differences,
+        # and row N-1 takes its coupling to W_N = cap.  The Dirichlet rows
+        # need no writes: coef is 0 at both ends, so there rhs is W_0 = 0 and
+        # W_N = cap, and their matrix rows are identity rows without coupling,
+        # which LAPACK's pivot-free solves return exactly
         np.multiply(coef, ws, out=rhs)
         rhs *= dt
         rhs += w
-        rhs[first], rhs[last] = 0.0, cap
         rhs *= mu_k
         rhs[inner] += dt * edge
         solve_banded(matrix, rhs_cols)  # one solve for all k columns, in place
-        w, rhs, w_cols, rhs_cols = rhs, w, rhs_cols, w_cols
-        w[first], w[last] = 0.0, cap
+        w, rhs, w_cols, rhs_cols, w_hi, rhs_hi, w_lo, rhs_lo = (
+            rhs, w, rhs_cols, w_cols, rhs_hi, w_hi, rhs_lo, w_lo)
 
         t = t_target if on_target else t + dt
         n_steps += 1
-        dt_min_seen = min(dt_min_seen, dt)
-        dt_max_seen = max(dt_max_seen, dt)
+        if dt != last_dt:
+            last_dt, dt_min_seen, dt_max_seen = dt, min(dt_min_seen, dt), max(dt_max_seen, dt)
         failed = check(t)
 
     wall_time = _time.perf_counter() - started
@@ -431,10 +437,11 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             "n": n,
             "n_steps": n_steps,
             "n_factorizations": n_factorizations,
+            "cfl_resets": list(cfl_resets),
             "dt_history": {"min": dt_min_seen if n_steps else None,
                            "max": dt_max_seen if n_steps else None,
                            "mean": (t / n_steps) if n_steps else None},
-            "cfl_safety": config.cfl_safety,
+            "cfl_safety": cfl,
             "tolerances": {"cap_slack": _CAP_SLACK, "monotone_slack": _MONOTONE_SLACK},
             "violations": violations[r],
             "wall_time_s": wall_time,
@@ -480,13 +487,12 @@ def solve_banded(matrix, rhs):
     return dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2]
 
 
-def _cfl_min(h, coef, cfl_safety: float, limits) -> float:
+def _cfl_min(h, coef, cfl_safety: float) -> float:
     """cfl_safety * min over cells of h / coef, where cells with coef <= 0
-    or NaN set no limit; ``limits`` is the buffer for h / coef.  One division
-    and one min, and the masked formula only when a coef <= 0 or NaN makes
-    that min not positive.  A coef of 0 divides by zero: callers hold
-    np.errstate(divide="ignore")."""
-    np.divide(h, coef, out=limits)
+    or NaN set no limit: one division and one min, and the masked formula
+    only when a coef <= 0 or NaN makes that min not positive."""
+    with np.errstate(divide="ignore"):  # a coef of 0 sets no limit
+        limits = h / coef
     dt = limits.min(initial=np.inf)
     if not dt > 0.0:
         dt = np.where(coef > 0.0, limits, np.inf).min(initial=np.inf)
@@ -496,9 +502,7 @@ def _cfl_min(h, coef, cfl_safety: float, limits) -> float:
 def cap_cfl_bound(h, chi, nF, cap: float, cfl_safety: float) -> float:
     """Largest admissible constant dt on cells of widths ``h``: the CFL limit
     with W at its cap, valid for every state in [0, cap]."""
-    coef = np.asarray(chi)[:-1] * (cap + np.asarray(nF)[:-1])
-    with np.errstate(divide="ignore"):
-        return _cfl_min(h, coef, cfl_safety, np.empty_like(h))
+    return _cfl_min(h, np.asarray(chi)[:-1] * (cap + np.asarray(nF)[:-1]), cfl_safety)
 
 
 @dataclass(frozen=True)

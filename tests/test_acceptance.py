@@ -338,6 +338,15 @@ def test_criterion_8_parameter_selection_pipeline(tmp_path):
     assert report["verdicts"]["finite_epsilon_trend"] is True
     assert report["verdicts"]["cap_ok"] is True
     assert report["verdicts"]["lower_bound_ok"] is True
+    # each verdict's margin, recomputed from the report: y(t1) clears the
+    # lower bound by about 16 decades, and max y stays below the cap bound
+    y_rep = report["y_functional"]
+    margin = math.log10(y_rep["y"][0] / y_rep["lower_bound_t1"])
+    assert y_rep["lower_bound_margin_log10"] == pytest.approx(margin, rel=1e-14, abs=0.0)
+    assert 15.0 < margin < 17.0
+    headroom = 1.0 - max(y_rep["y"]) / y_rep["cap_bound"]
+    assert y_rep["cap_headroom"] == pytest.approx(headroom, rel=1e-14, abs=0.0)
+    assert 0.0 < headroom < 1.0
     # z blows up before the first output time after t1, so the Riccati
     # domination compared nothing and is no verdict
     assert report["y_functional"]["n_compared"] == 0

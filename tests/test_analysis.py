@@ -331,6 +331,31 @@ def test_y_functional_domination_verdict(scenario, t1, late_w, T, verdict, n_com
     assert report["verdicts"]["riccati_domination_ok"] is verdict
 
 
+@pytest.mark.parametrize("first", [0.5, 0.0])
+def test_y_functional_verdict_margins(scenario, first):
+    # each verdict's margin, recomputed from the report: the decades by which
+    # y(t1) clears the lower bound (null when a side is 0), and the headroom
+    # of max y below the cap bound; the verdicts themselves do not change
+    tf = build_testfunction(scenario, 4.0, 0.8, 20.0)
+    flat = _constant_trajectory(cap=3.0)
+    snaps = tuple(w * scale for w, scale in zip(flat.snapshots, (first, 0.8, 0.6)))
+    traj = Trajectory(s=flat.s, epsilon=1e-2, times=flat.times, snapshots=snaps,
+                      far_field=3.0, metadata={"n": 3})
+    rep = y_functional(traj, tf, kappa=0.0067, t1=0.0)
+    report = blowup_indicator(traj, [1.0], y_report=rep).to_json_dict()["y_functional"]
+    y, lower = report["y"], report["lower_bound_t1"]
+    assert report["cap_headroom"] == pytest.approx(1.0 - max(y) / report["cap_bound"],
+                                                   rel=1e-15, abs=0.0)
+    assert report["cap_headroom"] > 0.2  # max y is 0.8 of a y within the cap
+    assert report["cap_ok"] is True and report["lower_ok"] is True
+    if first:
+        assert report["lower_bound_margin_log10"] == pytest.approx(
+            math.log10(y[0] / lower), rel=1e-14, abs=0.0)
+    else:  # W = 0 at t1: y(t1) and the bound are both 0
+        assert y[0] == lower == 0.0
+        assert report["lower_bound_margin_log10"] is None
+
+
 def test_y_functional_horizon_error(scenario):
     tf = build_testfunction(scenario, 4.0, 0.8, 20.0)
     traj = _constant_trajectory()

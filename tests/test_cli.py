@@ -541,7 +541,7 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     assert detail.startswith(f"monotonicity violated by nan at s = {s[39]}, t = ")
     [run] = manifest["runs"]
     assert run["epsilon"] == 0.04
-    for key in ("n_steps", "n_factorizations", "dt_history", "violations"):
+    for key in ("n_steps", "n_factorizations", "cfl_resets", "dt_history", "violations"):
         assert run[key] == solo.metadata[key], key
     assert not (out / "blowup_report.json").exists()
 

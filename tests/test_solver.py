@@ -168,7 +168,7 @@ def _assert_same_run(a, b):
     assert len(a.snapshots) == len(b.snapshots)
     for wa, wb in zip(a.snapshots, b.snapshots):
         assert wa.tobytes() == wb.tobytes()
-    for key in ("n_steps", "n_factorizations", "dt_history", "violations"):
+    for key in ("n_steps", "n_factorizations", "cfl_resets", "dt_history", "violations"):
         assert a.metadata[key] == b.metadata[key], key
 
 
@@ -338,7 +338,8 @@ def _recording_engine(monkeypatch, params, profile, w0, epsilon):
     with the transport c = chi_eps (W + nF) and the Dirichlet values, to a
     residual of at most _RESIDUAL_MAX * cap.  The log holds each solve's key,
     its dt, the CFL limit of the W it starts from per unit cfl_safety (the
-    min of h / c over the cells with c > 0), and the last solution."""
+    min of h / c over the cells with c > 0), the node of the cell that sets
+    that limit, and the last solution."""
     from scipy.linalg.lapack import dptsv, dpttrs
 
     import ksblow.solver as solver_mod
@@ -348,7 +349,7 @@ def _recording_engine(monkeypatch, params, profile, w0, epsilon):
     h = np.diff(s)
     chi, nF = chi_eval(epsilon, s), n * profile.F(s)
     real_factor, real_solve = solver_mod.dpttrf, solver_mod.solve_banded
-    log = {"factored": {}, "solves": [], "dts": [], "cfl": [],
+    log = {"factored": {}, "solves": [], "dts": [], "cfl": [], "cell": [],
            "w": np.concatenate(([0.0], w0.w[1:-1], [cap]))}
 
     def dpttrf(d, e, **kwargs):
@@ -373,7 +374,10 @@ def _recording_engine(monkeypatch, params, profile, w0, epsilon):
         w = log["w"]
         c = chi * (w + nF)
         limited = c[:-1] > 0.0
-        log["cfl"].append(float(np.min(h[limited] / c[:-1][limited])))
+        limits = np.full(h.size, np.inf)
+        limits[limited] = h[limited] / c[:-1][limited]
+        log["cfl"].append(float(np.min(limits)))
+        log["cell"].append(int(np.argmin(limits)))
         step_rhs = w + dt * c * np.append(np.diff(w) / h, 0.0)
         step_rhs[0], step_rhs[-1] = 0.0, cap
         ab = _step_matrix(s, n, dt)
@@ -452,7 +456,8 @@ def test_adaptive_step_held_within_cfl_band(scenario, scenario_profile, monkeypa
     # 6.21e-5, so the held step is replaced a few times.  Every step is at
     # most the L of the W it starts from; a step not clipped to an output
     # time lies within [(1 - 2 theta) L, L], unless it is max_dt, and it is
-    # exactly max_dt wherever the cap lies below that band
+    # exactly max_dt wherever the cap lies below that band.  Each step that
+    # the CFL limit resets is recorded with the node of the cell that set it
     from ksblow.solver import _HOLD_BAND
 
     s = build_mesh(4.0, 128)
@@ -479,6 +484,44 @@ def test_adaptive_step_held_within_cfl_band(scenario, scenario_profile, monkeypa
     if max_dt is not None:  # the cap binds on some steps, not all
         assert capped > 0
         assert traj.metadata["dt_history"]["max"] == max_dt
+    # the first solve with new factors is the step that factored them
+    first = [i for i, key in enumerate(log["solves"])
+             if key != "bands" and key not in log["solves"][:i]]
+    resets = traj.metadata["cfl_resets"]
+    reset_steps = [i for i in first if log["dts"][i] != max_dt]
+    assert len(resets) == len(reset_steps) > 0
+    if max_dt is None:  # every factorization is a reset
+        assert len(resets) == traj.metadata["n_factorizations"]
+    for reset, i in zip(resets, reset_steps):
+        assert reset["dt"] == log["dts"][i]
+        assert reset["dt"] == pytest.approx((1.0 - _HOLD_BAND) * cfg.cfl_safety * log["cfl"][i],
+                                            rel=1e-14, abs=0.0)
+        assert reset["s"] == s[log["cell"][i]]
+    assert [r["t"] for r in resets] == sorted(r["t"] for r in resets)
+
+
+@pytest.mark.parametrize("stepping", ["adaptive", "max_dt", "stack"])
+def test_boundary_values_exact_without_writes(scenario, scenario_profile, stepping):
+    # the step writes no boundary value: the transport rate is 0 at s = 0 and
+    # at s_max, and the Dirichlet rows of the step matrix are identity rows
+    # without coupling, so every snapshot holds W_0 = 0 and W_N = cap bit for
+    # bit, on held, reset and clipped steps and in every row of a stack
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    cap = w0.far_field
+    cfg = SolverConfig(epsilon=1e-2, t_end=2e-3, output_times=(0.0, 7e-4, 1.4e-3, 2e-3),
+                       max_dt=2.2e-5 if stepping == "max_dt" else None)
+    if stepping == "stack":  # three cutoffs on one shared dt_fixed
+        trajs, report = proper_sweep(scenario, w0, cfg, [1e-2, 1e-3, 1e-4],
+                                     profile=scenario_profile)
+        assert report.failures == () and len(trajs) == 3
+    else:
+        trajs = [solve_regularized(scenario, w0, cfg, scenario_profile)]
+    for traj in trajs:
+        assert traj.times == cfg.output_times
+        for w in traj.snapshots:
+            assert w[0].tobytes() == np.float64(0.0).tobytes()
+            assert w[-1].tobytes() == np.float64(cap).tobytes()
 
 
 def _inject_once(monkeypatch, change):
@@ -580,15 +623,14 @@ def test_solve_leaves_caller_grid_writeable(scenario, scenario_profile):
 
 
 def test_cfl_fast_path_matches_masked_formula():
-    # over the live cells, min(h / coef) when every coef > 0, else the masked
-    # formula; both must give the masked formula's bits, with no warning
+    # cap_cfl_bound's min(h / coef) when every coef > 0, else the masked
+    # formula; both must give the masked formula's bits, with no warning, on
+    # every cell and on the cells from the first live one on
     from ksblow.signal import chi_eval
     from ksblow.solver import _cfl_min
 
     def live_min(h, coef, cfl, start):
-        # the step loop's call: the cells before the first live one are cut
-        with np.errstate(divide="ignore"):
-            return _cfl_min(h[start:], coef[start:], cfl, np.empty(h.size - start))
+        return _cfl_min(h[start:], coef[start:], cfl)
 
     def masked(h, coef, cfl):
         with np.errstate(divide="ignore"):
