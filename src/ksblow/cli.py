@@ -421,9 +421,14 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
                 output_times=tuple(dense)))
             payload["refined"] = {name: {"residual": rep.residual, "scale": rep.scale}
                                   for name, rep in fine_res.items()}
+            # the ratio of two roundoff residuals is noise, not an order
+            floor = {name: base_res[name].at_roundoff and fine_res[name].at_roundoff
+                     for name in base_res}
+            payload["at_roundoff"] = floor
             payload["orders"] = {
-                name: float(np.log2(max(base_res[name].residual, 1e-300)
-                                    / max(fine_res[name].residual, 1e-300)))
+                name: None if floor[name] else
+                float(np.log2(max(base_res[name].residual, 1e-300)
+                              / max(fine_res[name].residual, 1e-300)))
                 for name in base_res}
     except SolverError as exc:
         return _solver_failure(out_dir, "weak-residual", cfg, runs, str(exc))

@@ -487,22 +487,14 @@ def solve_banded(matrix, rhs):
     return dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2]
 
 
-def _cfl_min(h, coef, cfl_safety: float) -> float:
-    """cfl_safety * min over cells of h / coef, where cells with coef <= 0
-    or NaN set no limit: one division and one min, and the masked formula
-    only when a coef <= 0 or NaN makes that min not positive."""
-    with np.errstate(divide="ignore"):  # a coef of 0 sets no limit
-        limits = h / coef
-    dt = limits.min(initial=np.inf)
-    if not dt > 0.0:
-        dt = np.where(coef > 0.0, limits, np.inf).min(initial=np.inf)
-    return cfl_safety * float(dt)
-
-
 def cap_cfl_bound(h, chi, nF, cap: float, cfl_safety: float) -> float:
     """Largest admissible constant dt on cells of widths ``h``: the CFL limit
-    with W at its cap, valid for every state in [0, cap]."""
-    return _cfl_min(h, np.asarray(chi)[:-1] * (cap + np.asarray(nF)[:-1]), cfl_safety)
+    with W at its cap, valid for every state in [0, cap].  A cell whose
+    coefficient chi (cap + nF) is <= 0 or NaN sets no limit."""
+    coef = np.asarray(chi)[:-1] * (cap + np.asarray(nF)[:-1])
+    with np.errstate(divide="ignore"):  # a coef of 0 sets no limit
+        limits = np.where(coef > 0.0, h / coef, np.inf)
+    return cfl_safety * float(limits.min(initial=np.inf))
 
 
 @dataclass(frozen=True)

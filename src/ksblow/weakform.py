@@ -13,7 +13,13 @@ The residual is the absolute mismatch of the two sides with every integral
 evaluated by composite Gauss-Legendre panels over the trajectory's mesh
 cells and snapshot intervals, applied to the closed-form field factors times
 the bilinear interpolant of W (linear in s on each cell, linear in t between
-snapshots).
+snapshots).  Because W is linear in t between snapshots, each double
+integral is a sum over snapshots of a time weight times a space integral of
+that snapshot (the W^2 term adds the products of neighbouring snapshots), so
+the interpolant is never formed on the (time x space) grid of quadrature
+points: memory is O(K P) for K snapshots and P space points, not O(Q P) for
+Q time points.  A residual at or below ROUNDOFF_FLOOR times its largest term
+is roundoff.
 
 The library fields are tensor products of polynomial windows: the space
 factor is the C^7 bump (1 - x^2)^8 and the time factor either that bump or a
@@ -45,6 +51,8 @@ _BUMP_POWER = 8
 # the constant_state field's time window, short enough that W stays at its
 # far-field constant on the field's support
 _CONSTANT_WINDOW = 5e-4
+# a residual at or below this fraction of its largest term is roundoff
+ROUNDOFF_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,10 @@ class ResidualReport:
     def relative(self) -> float:
         return self.residual / self.scale
 
+    @property
+    def at_roundoff(self) -> bool:
+        return self.residual <= ROUNDOFF_FLOOR * self.scale
+
 
 def check_support(zeta: TestField, s_max: float, times) -> None:
     """Raise ParameterError unless the field's support lies in the computed
@@ -217,20 +229,12 @@ def check_support(zeta: TestField, s_max: float, times) -> None:
                              f"before the first snapshot t = {first}")
 
 
-def weak_residual(traj: Trajectory, zeta: TestField,
-                  profile: SignalProfile) -> ResidualReport:
-    """Residual of the weak identity for one test field; raises as
-    ``check_support`` does when the field leaves the computed domain."""
-    s_nodes = traj.s
-    times = np.asarray(traj.times, dtype=float)
-    check_support(zeta, float(s_nodes[-1]), times)
+def _rules(zeta: TestField, s_nodes, times) -> tuple:
+    """Points and weights (sp, sw, tp, tw) of the composite Gauss-Legendre
+    rules over the field's support: s panels split at the mesh nodes, t
+    panels at the snapshot times and at a step-down's ramp start."""
     s_lo, s_hi = zeta.s_support
     t_lo, t_hi = zeta.t_support
-    needs_initial = t_lo == 0.0
-
-    n = traj.n
-    p = (2.0 * n - 2.0) / n
-
     s_edges = _panels(s_nodes, s_lo, s_hi, extra=(),
                       max_width=(s_hi - s_lo) * _MAX_PANEL_FRACTION)
     t_extra = []
@@ -238,15 +242,28 @@ def weak_residual(traj: Trajectory, zeta: TestField,
         t_extra.append(zeta.t_factor.hi - zeta.t_factor.width)
     t_edges = _panels(times, t_lo, t_hi, extra=t_extra,
                       max_width=(t_hi - t_lo) * _MAX_PANEL_FRACTION)
-
     sp, sw = (x.ravel() for x in gauss_legendre(s_edges[:-1], s_edges[1:], _GL_ORDER))
     tp, tw = (x.ravel() for x in gauss_legendre(t_edges[:-1], t_edges[1:], _GL_ORDER))
+    return sp, sw, tp, tw
 
-    # bilinear interpolant of W at all (sp, tp)
+
+def weak_residual(traj: Trajectory, zeta: TestField,
+                  profile: SignalProfile) -> ResidualReport:
+    """Residual of the weak identity for one test field; raises as
+    ``check_support`` does when the field leaves the computed domain."""
+    s_nodes = traj.s
+    times = np.asarray(traj.times, dtype=float)
+    check_support(zeta, float(s_nodes[-1]), times)
+    n = traj.n
+    p = (2.0 * n - 2.0) / n
+    sp, sw, tp, tw = _rules(zeta, s_nodes, times)
+
+    # W is linear in t between snapshots: at a t-point in [t_k, t_{k+1}] it
+    # is (1 - f) w_k + f w_{k+1}, with w_k snapshot k at the s-points
     w_rows = np.stack([np.interp(sp, s_nodes, w) for w in traj.snapshots])  # (K, P)
-    idx = np.clip(np.searchsorted(times, tp, side="right") - 1, 0, times.size - 2)
+    k_snaps = times.size
+    idx = np.clip(np.searchsorted(times, tp, side="right") - 1, 0, k_snaps - 2)
     frac = (tp - times[idx]) / (times[idx + 1] - times[idx])
-    W = w_rows[idx] * (1.0 - frac[:, None]) + w_rows[idx + 1] * frac[:, None]  # (Q, P)
 
     g = zeta.s_factor.value(sp)
     g1 = zeta.s_factor.d1(sp)
@@ -261,18 +278,34 @@ def weak_residual(traj: Trajectory, zeta: TestField,
                    + np.power(sp, p) * g2)
     forcing_kernel = Fs * g + F * g1
 
-    def double(kernel_s, kernel_t, data):
-        inner = data @ (sw * kernel_s)          # (Q,)
-        return float(np.dot(tw * kernel_t, inner))
+    def snap_weights(at_left, at_right):
+        # per-snapshot sums of t-point values: at_left to idx, at_right to idx + 1
+        return np.bincount(idx, at_left, k_snaps) + np.bincount(idx + 1, at_right, k_snaps)
 
-    term_time = double(g, sig1, W)              # int int zeta_t W
-    term_diff = double(diff_kernel, sig, W)     # int int (s^p zeta)_ss W
-    term_adv = double(g1, sig, W * W)           # int int zeta_s W^2
-    term_forcing = double(forcing_kernel, sig, W)
-    if needs_initial:
-        w0 = np.interp(sp, s_nodes, traj.snapshots[0])
+    def linear(kernel_s, kernel_t):
+        # int int kernel_t kernel_s W = sum_k c_k (w_k . v)
+        u = tw * kernel_t
+        return float(np.dot(snap_weights(u * (1.0 - frac), u * frac),
+                            w_rows @ (sw * kernel_s)))
+
+    def quadratic(kernel_s, kernel_t):
+        # int int kernel_t kernel_s W^2 from (1-f)^2 w_k^2 + 2f(1-f) w_k w_{k+1}
+        # + f^2 w_{k+1}^2, with the space sums taken without a (K, P) product
+        u = tw * kernel_t
+        v = sw * kernel_s
+        square = np.einsum("kp,kp,p->k", w_rows, w_rows, v)
+        cross = np.einsum("kp,kp,p->k", w_rows[:-1], w_rows[1:], v)
+        c_square = snap_weights(u * (1.0 - frac) ** 2, u * frac * frac)
+        c_cross = np.bincount(idx, 2.0 * u * frac * (1.0 - frac), k_snaps - 1)
+        return float(np.dot(c_square, square) + np.dot(c_cross, cross))
+
+    term_time = linear(g, sig1)                 # int int zeta_t W
+    term_diff = linear(diff_kernel, sig)        # int int (s^p zeta)_ss W
+    term_adv = quadratic(g1, sig)               # int int zeta_s W^2
+    term_forcing = linear(forcing_kernel, sig)
+    if zeta.t_support[0] == 0.0:
         sigma0 = float(np.asarray(zeta.t_factor.value(0.0)))
-        term_initial = sigma0 * float(np.dot(sw * g, w0))
+        term_initial = sigma0 * float(np.dot(sw * g, w_rows[0]))
     else:
         term_initial = 0.0
 

@@ -728,3 +728,30 @@ def test_weak_residual_command(tmp_path):
     rows = (out / "residuals.csv").read_text().splitlines()
     assert rows[0] == "field,residual,scale,relative"
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("N, floor", [(96, False), (256, True)])
+def test_weak_residual_order_at_roundoff_is_null(tmp_path, N, floor):
+    # constant_state's residual is roundoff on both meshes at N = 256, and the
+    # log of their ratio is no order: it reads null and is flagged.  At N = 96
+    # only the refined residual is roundoff, and the order stays a number.
+    out = tmp_path / "wr"
+    doc = _base_doc(
+        solver={"epsilon": 0.01, "s_max": 4.0, "N": N, "t_end": 0.01,
+                "max_dt": 4e-5,
+                "output_times": list(np.linspace(0.0, 0.01, 9))},
+        weak_residual={"refine": True},
+        output={"directory": str(out)})
+    assert main(["weak-residual", "--config", _write(tmp_path, doc)]) == 0
+    payload = json.loads((out / "residuals.json").read_text())
+    assert payload["at_roundoff"] == {"interior": False, "initial": False,
+                                      "origin_window": False, "constant_state": floor}
+    for name, order in payload["orders"].items():
+        if name == "constant_state" and floor:
+            assert order is None
+        else:
+            assert isinstance(order, float)
+    const = payload["refined"]["constant_state"]
+    assert const["residual"] <= 1e-12 * const["scale"]
+    const = payload["base"]["constant_state"]
+    assert (const["residual"] <= 1e-12 * const["scale"]) == floor

@@ -622,15 +622,10 @@ def test_solve_leaves_caller_grid_writeable(scenario, scenario_profile):
     np.testing.assert_array_equal(traj.s, s)
 
 
-def test_cfl_fast_path_matches_masked_formula():
-    # cap_cfl_bound's min(h / coef) when every coef > 0, else the masked
-    # formula; both must give the masked formula's bits, with no warning, on
-    # every cell and on the cells from the first live one on
+def test_cap_cfl_bound_matches_masked_formula():
+    # a cell whose coefficient chi (cap + nF) is 0, -0, negative or NaN sets
+    # no limit; the bound has the masked formula's bits and raises no warning
     from ksblow.signal import chi_eval
-    from ksblow.solver import _cfl_min
-
-    def live_min(h, coef, cfl, start):
-        return _cfl_min(h[start:], coef[start:], cfl)
 
     def masked(h, coef, cfl):
         with np.errstate(divide="ignore"):
@@ -643,18 +638,19 @@ def test_cfl_fast_path_matches_masked_formula():
         h = np.diff(s)
         chi = chi_eval(float(10 ** rng.uniform(-5, -0.5)), s)
         start = int(np.argmax(chi[:-1] > 0))  # chi is 0 before the first live cell
-        w = np.sort(rng.uniform(0.0, 1.0, s.size))
-        coef = (chi * (w + rng.uniform(0.0, 5.0, s.size)))[:-1]
+        nF = rng.uniform(0.0, 5.0, s.size)
+        cap = float(rng.uniform(0.5, 2.0))
         special = specials[trial % len(specials)]
         if special is not None:
-            coef[rng.integers(start, h.size)] = special
+            chi[rng.integers(start, h.size)] = special
         cfl = float(rng.uniform(0.1, 0.9))
-        got = live_min(h, coef, cfl, start)
-        assert np.float64(got).tobytes() == np.float64(masked(h, coef, cfl)).tobytes()
-    # chi identically 0: no cell limits the step
-    h = np.diff(build_mesh(4.0, 128))
-    for start in (0, h.size):
-        assert live_min(h, np.zeros_like(h), 0.4, start) == np.inf
+        got = cap_cfl_bound(h, chi, nF, cap, cfl)
+        want = masked(h, chi[:-1] * (cap + nF[:-1]), cfl)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # chi identically 0, or no cell at all: nothing limits the step
+    s = build_mesh(4.0, 128)
+    assert cap_cfl_bound(np.diff(s), np.zeros_like(s), s, 1.0, 0.4) == np.inf
+    assert cap_cfl_bound(np.diff(s[:1]), np.zeros(1), s[:1], 1.0, 0.4) == np.inf
 
 
 @pytest.mark.parametrize("kind", ["monotonicity", "range"])

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ksblow import (BumpFactor, ParameterError, SolverConfig, StepDownFactor, TestField, build_mesh, solve_regularized,
                     w0_from_density, weak_residual)
+from ksblow import weakform
+from ksblow.quadrature import gauss_legendre
 from ksblow.solver import Trajectory
 from ksblow.weakform import field_library
 
@@ -104,3 +108,92 @@ def test_real_run_constant_state(scenario, scenario_profile):
     lib = field_library(4.0, 0.02, epsilon=1e-2)
     rep = weak_residual(traj, lib["constant_state"], scenario_profile)
     assert rep.residual <= 1e-8 * rep.scale
+
+
+def _monotone_trajectory(N, n_snaps, t_end=0.05):
+    # non-decreasing in s, every snapshot different, irregular snapshot times
+    s = build_mesh(4.0, N)
+    rng = np.random.default_rng(7)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, t_end, n_snaps - 2)), [t_end]])
+    snaps = tuple(1.0 - np.exp(-s * (1.0 + 3.0 * t / t_end)) * (1.0 - s / 4.0) for t in times)
+    return Trajectory(s=s, epsilon=1e-2, times=tuple(times), snapshots=snaps,
+                      far_field=1.0, metadata={"n": 3})
+
+
+def _dense_terms(traj, zeta, profile):
+    # the reference: the bilinear interpolant W on the full (t-point x s-point) grid
+    times = np.asarray(traj.times)
+    sp, sw, tp, tw = weakform._rules(zeta, traj.s, times)
+    w_rows = np.stack([np.interp(sp, traj.s, w) for w in traj.snapshots])
+    idx = np.clip(np.searchsorted(times, tp, side="right") - 1, 0, times.size - 2)
+    frac = ((tp - times[idx]) / (times[idx + 1] - times[idx]))[:, None]
+    W = w_rows[idx] * (1.0 - frac) + w_rows[idx + 1] * frac
+    n = traj.n
+    p = (2.0 * n - 2.0) / n
+    g, g1, g2 = zeta.s_factor.value(sp), zeta.s_factor.d1(sp), zeta.s_factor.d2(sp)
+    sig, sig1 = zeta.t_factor.value(tp), zeta.t_factor.d1(tp)
+    diff = p * (p - 1.0) * sp ** (p - 2.0) * g + 2.0 * p * sp ** (p - 1.0) * g1 + sp ** p * g2
+    forcing = profile.F_s(sp) * g + profile.F(sp) * g1
+
+    def double(kernel_s, kernel_t, data):
+        return float(np.dot(tw * kernel_t, data @ (sw * kernel_s)))
+
+    initial = (float(zeta.t_factor.value(0.0)) * float(np.dot(sw * g, w_rows[0]))
+               if zeta.t_support[0] == 0.0 else 0.0)
+    return {"time": double(g, sig1, W), "initial": initial,
+            "diffusion": n * n * double(diff, sig, W),
+            "advection": 0.5 * double(g1, sig, W * W), "forcing": n * double(forcing, sig, W)}
+
+
+class _Ramp:
+    """sigma(t) = 1 + t / hi on [0, hi]: nonzero at the end of its support."""
+
+    def __init__(self, hi):
+        self.hi = hi
+        self.support = (0.0, hi)
+
+    def value(self, t):
+        return 1.0 + np.asarray(t, dtype=float) / self.hi
+
+    def d1(self, t):
+        return np.full_like(np.asarray(t, dtype=float), 1.0 / self.hi)
+
+
+def _rule_with_ends(a, b, order):
+    # Gauss-Legendre plus both interval ends: puts a t-point on the last snapshot
+    nodes, weights = gauss_legendre(a, b, order)
+    ends = np.stack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)], axis=-1)
+    end_weights = np.repeat(0.25 * (ends[..., 1:] - ends[..., :1]), 2, axis=-1)
+    return np.concatenate([nodes, ends], axis=-1), np.concatenate([weights, end_weights], axis=-1)
+
+
+@pytest.mark.parametrize("rule", ["gauss", "with_ends"])
+def test_residual_matches_dense_interpolant(scenario_profile, monkeypatch, rule):
+    # per-snapshot space integrals times time weights give every term of the
+    # dense (time x space) evaluation
+    if rule == "with_ends":
+        monkeypatch.setattr(weakform, "gauss_legendre", _rule_with_ends)
+    traj = _monotone_trajectory(96, 9)
+    fields = field_library(4.0, 0.05, epsilon=1e-2)
+    # reaches the last snapshot time, where frac = 1 at idx = K - 2
+    fields["to_end"] = TestField("to_end", BumpFactor(0.5, 2.5), _Ramp(0.05))
+    for name, zeta in fields.items():
+        rep = weak_residual(traj, zeta, scenario_profile)
+        want = _dense_terms(traj, zeta, scenario_profile)
+        assert rep.terms.keys() == want.keys()
+        for term, value in want.items():
+            assert abs(rep.terms[term] - value) <= 1e-13 * rep.scale, (name, term)
+
+
+def test_residual_memory_is_per_snapshot(scenario_profile):
+    # 129 snapshots at N = 512: a dense (time x space) interpolant of
+    # origin_window alone peaks at about 49e6 bytes
+    traj = _monotone_trajectory(512, 129)
+    zeta = field_library(4.0, 0.05, epsilon=1e-2)["origin_window"]
+    tracemalloc.start()
+    try:
+        weak_residual(traj, zeta, scenario_profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
