@@ -13,7 +13,10 @@ admissible (xi, delta) and any gamma > 4/(R - rho),
     L phi := n^2 s^((2n-2)/n) phi_ss + 4(n^2-n) s^((n-2)/n) phi_s
              - n F phi_s - n F_s phi  >=  k0 gamma^(2/n) phi      a.e.,
 
-with k0 = min{c1, c2} built from the two branch constants, and
+with k0 = min{c1, c2} built from the two branch constants (checked on a
+10^4-point scan in a reduced form that needs one power of s per dimension,
+m = s^(-2/n), for both coefficients: s^((2n-2)/n) = s^2 m and
+s^((n-2)/n) = s m), and
 
     integral phi^2 / |phi_s| ds  <=  K0 / gamma^2.
 
@@ -36,6 +39,7 @@ eventually fail near T; reports label it as a finite-epsilon trend.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -154,10 +158,21 @@ class OdeMarginReport:
     threshold: float
     passed: bool
     n_points: int
+    n_power_branch: int             # checked points below xi/gamma; 0 leaves that branch unseen
     diffusion_rate_above_kink: float  # just above xi/gamma; attains c1*gamma^(2/n)
     k0_rate: float                  # k0 * gamma^(2/n)
-    grid: np.ndarray = field(repr=False)     # the scanned s values
-    margins: np.ndarray = field(repr=False)  # L phi / phi - k0 gamma^(2/n) on the grid
+    skipped: tuple                  # scan indices within one spacing of a kink
+    scan_margins: np.ndarray = field(repr=False)  # L phi / phi - k0 gamma^(2/n); inf where skipped
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The checked s values."""
+        return np.delete(_SCAN, self.skipped)
+
+    @property
+    def margins(self) -> np.ndarray:
+        """The margins at the checked s values."""
+        return np.delete(self.scan_margins, self.skipped)
 
 
 # the scan grid: 10^4 log-spaced points on [1e-8, 10], and its log spacing
@@ -166,76 +181,95 @@ _SCAN.flags.writeable = False
 _SCAN_SPACING = math.log(_SCAN[1] / _SCAN[0])
 
 
-def margin_grid(tf: TestFunction) -> np.ndarray:
-    """The scan grid less the points within one spacing of a non-smooth
-    point: the branch point and the bridge ends s_lower and s_upper."""
-    keep = np.ones(_SCAN.size, dtype=bool)
+@functools.cache
+def _scan_m(n: int) -> np.ndarray:
+    """s^(-2/n) on the scan, shared by every tuple of dimension n."""
+    m = np.power(_SCAN, -2.0 / n)
+    m.flags.writeable = False
+    return m
+
+
+def near_kinks(tf: TestFunction) -> tuple:
+    """The ascending indices of the scan points within one spacing of a
+    non-smooth point: the branch point and the bridge ends s_lower and
+    s_upper.  At most 12; the scan checks all the others."""
     profile = tf.profile
+    near = set()
     for kink in (tf.kink, profile.s_lower, profile.s_upper):
         if kink > 0:
             # only the two points on either side can lie within one spacing
-            j = int(np.searchsorted(_SCAN, kink))
-            near = slice(max(j - 2, 0), j + 2)
-            keep[near] &= np.abs(np.log(_SCAN[near] / kink)) > _SCAN_SPACING
-    return _SCAN[keep]
+            j = bisect.bisect_left(_SCAN, kink)
+            near.update(i for i in range(max(j - 2, 0), min(j + 2, _SCAN.size))
+                        if abs(math.log(_SCAN[i] / kink)) <= _SCAN_SPACING)
+    return tuple(sorted(near))
 
 
-def l_phi_rate(tf: TestFunction, s):
+def l_phi_rate(tf: TestFunction, s, m=None):
     """L phi / phi on the ascending grid s, branch by branch, with the
-    forcing F of the profile the solver marches.
+    forcing (F, F_s) of the profile the solver marches.  ``m`` is
+    s^(-2/n) when the caller has it.
+
+    With q = a gamma^-delta s^-delta the power branch has phi = q - b,
+    phi_s = -delta q/s and phi_ss = delta (delta+1) q/s^2, so the two
+    coefficients s^((2n-2)/n) and s^((n-2)/n) collapse onto m:
+
+        L phi / phi = [delta q (m (n^2 (delta+1) - 4(n^2-n)) + n F/s)
+                       - n F_s (q - b)] / (q - b).
 
     On the exponential branch the factor e^(-gamma s) cancels exactly, so the
-    rate is formed without it (dividing the underflowed factor out would turn
-    far-field points into 0/0 for large gamma).  The coefficients take one
-    power, s^((2n-2)/n) = s * s^((n-2)/n), and phi and its derivatives on the
-    power branch one more, s^-delta.
+    rate gamma s m (n^2 gamma s - 4(n^2-n)) + n (gamma F - F_s) is formed
+    without it (dividing the underflowed factor out would turn far-field
+    points into 0/0 for large gamma).
     """
     s = np.asarray(s, dtype=float)
     n = tf.n
-    c_diff, c_drift = n * n, 4.0 * (n * n - n)
-    F = tf.profile.F(s)
-    Fs = tf.profile.F_s(s)
-    s_lo = np.power(s, (n - 2.0) / n)
+    if m is None:
+        m = np.power(s, -2.0 / n)
+    F, Fs = tf.profile.forcing(s)
     k = int(np.searchsorted(s, tf.kink))  # s[:k] is the power branch
-    si, si_lo = s[:k], s_lo[:k]
-    q = tf.a / tf.gamma ** tf.delta * np.power(si, -tf.delta)
+    d = tf.delta
+    si = s[:k]
+    q = tf.a / tf.gamma ** d * np.power(si, -d)
     phi = q - tf.b
-    phis = -tf.delta * q / si
-    phiss = -(tf.delta + 1.0) * phis / si
-    inner = (c_diff * si * si_lo * phiss + c_drift * si_lo * phis
-             - n * F[:k] * phis - n * Fs[:k] * phi) / phi
-    g = tf.gamma
-    outer = (c_diff * s[k:] * s_lo[k:] * g * g - c_drift * s_lo[k:] * g
-             + n * g * F[k:] - n * Fs[k:])
+    inner = (d * q * (m[:k] * (n * n * (d + 1.0) - 4.0 * (n * n - n)) + n * F[:k] / si)
+             - n * Fs[:k] * phi) / phi
+    gs = tf.gamma * s[k:]
+    outer = gs * m[k:] * (n * n * gs - 4.0 * (n * n - n)) + n * (tf.gamma * F[k:] - Fs[k:])
     return np.concatenate((inner, outer))
 
 
 def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
-    """Scan (L phi - k0 gamma^(2/n) phi)/phi over the margin grid, against
-    the forcing the solver marches; pass iff the minimum stays above
-    -ANALYTIC_SLACK.  Also reports the diffusion-only rate just above the
-    branch point, which attains c1 * gamma^(2/n), the sanity anchor for
+    """Scan (L phi - k0 gamma^(2/n) phi)/phi over the scan less the points
+    next to a kink, against the forcing the solver marches; pass iff the
+    minimum stays above -ANALYTIC_SLACK.  Also reports how many checked
+    points lie on the power branch, and the diffusion-only rate just above
+    the branch point, which attains c1 * gamma^(2/n), the sanity anchor for
     k0 = min{c1, c2}."""
-    grid = margin_grid(tf)
-    k0_rate = tf.k0 * tf.gamma ** (2.0 / tf.n)
-    rate = l_phi_rate(tf, grid)
-    margin = rate - k0_rate
+    n = tf.n
+    skipped = near_kinks(tf)
+    k0_rate = tf.k0 * tf.gamma ** (2.0 / n)
+    margin = l_phi_rate(tf, _SCAN, _scan_m(n))
+    margin -= k0_rate
+    margin[list(skipped)] = np.inf
     i = int(np.argmin(margin))
 
-    above = grid[grid >= tf.kink]
-    if above.size:
-        s_a = above[0]
-        n = tf.n
+    k = bisect.bisect_left(_SCAN, tf.kink)  # _SCAN[:k] is the power branch
+    above = k
+    while above in skipped:
+        above += 1
+    if above < _SCAN.size:
+        s_a = float(_SCAN[above])
         g = tf.gamma
         diff_rate = (n * n * s_a ** ((2.0 * n - 2.0) / n) * g * g
                      - 4.0 * (n * n - n) * s_a ** ((n - 2.0) / n) * g)
     else:
         diff_rate = math.nan
     return OdeMarginReport(
-        min_margin=float(margin[i]), argmin_s=float(grid[i]), threshold=ANALYTIC_SLACK,
-        passed=bool(margin[i] >= -ANALYTIC_SLACK), n_points=int(grid.size),
+        min_margin=float(margin[i]), argmin_s=float(_SCAN[i]), threshold=ANALYTIC_SLACK,
+        passed=bool(margin[i] >= -ANALYTIC_SLACK), n_points=_SCAN.size - len(skipped),
+        n_power_branch=k - bisect.bisect_left(skipped, k),
         diffusion_rate_above_kink=float(diff_rate), k0_rate=k0_rate,
-        grid=grid, margins=margin)
+        skipped=skipped, scan_margins=margin)
 
 
 # --- integral bound --------------------------------------------------------

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,8 @@ from .config import (LemmaSweepSection, LemmaTuple, RunConfig, SolverSection,
                      TestFnSection, config_to_dict, load_config)
 from .errors import (ConfigError, KsblowError, ParameterError, SelectionError,
                      SolverError)
-from .params import SystemParams, default_delta, delta_lower_bound, validate
+from .params import (SystemParams, default_delta, delta_lower_bound, f0_threshold,
+                     validate)
 from .signal import SignalProfile
 from .solver import (SolverConfig, build_mesh, check_eps_list, check_resolved,
                      measured_c_sub, proper_sweep, solve_regularized)
@@ -218,10 +219,10 @@ def _default_lemma_grid(system: SystemParams, count: int, seed: int):
     out = []
     while len(out) < count:
         n = system.n
-        alpha = float(np.clip(system.alpha + rng.uniform(-0.3, 0.3), 2.05, n - 0.05))
-        R = float(np.clip(system.R + rng.uniform(-0.1, 0.1), 0.15, 0.9))
-        rho = float(np.clip(system.rho + rng.uniform(-0.03, 0.03), 0.01, 0.45 * R))
-        thr = SystemParams(n, alpha, 1.0, R, rho, system.c0).threshold
+        alpha = min(max(system.alpha + rng.uniform(-0.3, 0.3), 2.05), n - 0.05)
+        R = min(max(system.R + rng.uniform(-0.1, 0.1), 0.15), 0.9)
+        rho = min(max(system.rho + rng.uniform(-0.03, 0.03), 0.01), 0.45 * R)
+        thr = f0_threshold(n, alpha)
         f0 = system.f0 * rng.uniform(0.8, 1.5)
         if f0 <= thr:
             f0 = thr * rng.uniform(1.2, 2.0)
@@ -252,16 +253,16 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
     for item in grid:
         system = SystemParams(n=item.n, alpha=item.alpha, f0=item.f0,
                               R=item.R, rho=item.rho, c0=cfg.system.c0)
-        row = asdict(item)
+        row = dict(vars(item))
         try:
-            system = validate(system)
-            feasible = system.feasible
+            # validates the system with the test-function exponents
             tf = build_testfunction(system, item.xi, item.delta, item.gamma)
+            feasible = system.feasible
             ode = verify_ode_inequality(tf)
             if not scan_written:
                 # full margin scan for the first constructible tuple
                 _write_rows(out_dir / "margin_scan.csv", "s,margin",
-                            list(zip(ode.grid, ode.margins)))
+                            zip(ode.grid.tolist(), ode.margins.tolist()))
                 scan_written = True
             bound = verify_integral_bound(tf)
             row.update(constructed=True, feasible=feasible,
@@ -303,6 +304,7 @@ def _lemma_certificate(tf) -> dict:
     bound = verify_integral_bound(tf)
     return {
         "ode_min_margin": ode.min_margin, "ode_argmin_s": ode.argmin_s,
+        "n_power_branch": ode.n_power_branch,
         "k0_rate": ode.k0_rate, "integral_margin": bound.margin,
         "passed": ode.passed and bound.passed,
         "kink_below_bridge": {"xi_over_gamma": tf.kink, "s_lower": tf.profile.s_lower,
@@ -421,8 +423,9 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
                 output_times=tuple(dense)))
             payload["refined"] = {name: {"residual": rep.residual, "scale": rep.scale}
                                   for name, rep in fine_res.items()}
-            # the ratio of two roundoff residuals is noise, not an order
-            floor = {name: base_res[name].at_roundoff and fine_res[name].at_roundoff
+            # a ratio with a roundoff residual on either side measures that
+            # floor, not an order
+            floor = {name: base_res[name].at_roundoff or fine_res[name].at_roundoff
                      for name in base_res}
             payload["at_roundoff"] = floor
             payload["orders"] = {

@@ -8,8 +8,10 @@ import numpy as np
 
 
 @functools.cache
-def _legendre(order):
-    # leggauss solves an eigenproblem per call; every caller shares the result
+def legendre_rule(order):
+    """Read-only nodes and weights of the ``order``-point Gauss-Legendre rule
+    on [-1, 1]; leggauss solves an eigenproblem per call, so every caller
+    shares one result."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -21,7 +23,7 @@ def gauss_legendre(a, b, order):
     interval [a, b].  ``a`` and ``b`` broadcast against each other; the rule
     runs along a new last axis, so ``sum(fn(nodes) * weights, axis=-1)`` is
     the integral over each interval."""
-    nodes, weights = _legendre(order)
+    nodes, weights = legendre_rule(order)
     a = np.asarray(a, dtype=float)[..., None]
     b = np.asarray(b, dtype=float)[..., None]
     mid = 0.5 * (a + b)

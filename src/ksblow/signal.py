@@ -18,7 +18,10 @@ so F is the closed form f0/(n-alpha) * s**((n-alpha)/n) up to s_lower and
 constant from s_upper on.  Across the bridge one fixed 16-point
 Gauss-Legendre rule per query point adds the rest: the integrand is analytic
 on an interval whose endpoints have a ratio below 3 (rho < R/2) and is
-singular only at 0, so the rule is exact to roundoff.
+singular only at 0, so the rule is exact to roundoff.  One evaluation,
+``SignalProfile.forcing``, gives F and F_s together: the power that forms F
+up to s_lower also gives F_s there, and the root s**(1/n) that ends a bridge
+point's rule is also the radius of its F_s.
 
 This is the one profile: every solve marches it, and the test-function
 inequality is certified against it.  The literal case labels R -+ rho on
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .params import SystemParams, validate
-from .quadrature import gauss_legendre
+from .quadrature import legendre_rule
 
 _BRIDGE_GL_ORDER = 16
 
@@ -107,46 +110,57 @@ class SignalProfile:
 
     # --- F and F_s --------------------------------------------------------
 
-    def _closed(self, s):
-        return self.f0 / (self.n - self.alpha) * np.power(s, (self.n - self.alpha) / self.n)
+    def forcing(self, s):
+        """(F(s), F_s(s)) at s >= 0 from one evaluation, exact to roundoff.
 
-    def _bridge_integral(self, s):
-        """F(s) - F(s_lower) for s_lower <= s <= s_upper: one fixed Gauss-
-        Legendre rule per point for f(r) r**(n-1) over [R-rho, s**(1/n)]."""
-        r, w = gauss_legendre(self.R - self.rho, np.power(s, 1.0 / self.n), _BRIDGE_GL_ORDER)
-        return np.sum(self.f(r) * r ** (self.n - 1) * w, axis=-1)
-
-    def F(self, s):
-        """Accumulated forcing F(s): closed form up to s_lower, plus the
-        bridge rule up to s_upper, constant beyond; exact to roundoff."""
+        Up to s_lower one power p = s**((n-alpha)/n) gives both, the closed
+        form F = f0/(n-alpha) p and F_s = (f0/n) p/s (nan at s = 0, where
+        F_s is unbounded).  On the bridge one root b = s**(1/n) is both the
+        upper limit of the Gauss-Legendre rule for f(r) r**(n-1) over
+        [R-rho, b], added to F(s_lower), and the radius of F_s = f(b)/n.
+        From s_upper on F is the rule at s_upper and F_s is 0.
+        """
         scalar = np.ndim(s) == 0
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         if np.any(s_arr < 0.0):
             raise ParameterError("s must be >= 0", [("s", s, ">= 0")])
-        out = np.empty_like(s_arr)
-        lo, hi = self.s_lower, self.s_upper
-        inner = s_arr <= lo
-        outer = s_arr >= hi
-        mid = ~inner & ~outer
-        out[inner] = self._closed(s_arr[inner])
-        if not np.all(inner):
+        n, alpha, f0 = self.n, self.alpha, self.f0
+        # the closed form at every point; the bridge and beyond overwrite it
+        p = np.power(s_arr, (n - alpha) / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Fs = f0 / n * p / s_arr
+        F = f0 / (n - alpha) * p
+        beyond = s_arr > self.s_lower
+        if beyond.any():
+            outer = s_arr >= self.s_upper
+            mid = beyond & ~outer
             # the bridge points and s_upper, which gives the constant, in one rule
-            bridge = self._closed(lo) + self._bridge_integral(np.append(s_arr[mid], hi))
-            out[mid] = bridge[:-1]
-            out[outer] = bridge[-1]
-        return float(out[0]) if scalar else out
+            b = np.power(np.append(s_arr[mid], self.s_upper), 1.0 / n)
+            lo, hi = self.R - self.rho, self.R + self.rho
+            # the rule runs along the first axis: node j of point i is r[j, i]
+            nodes, weights = legendre_rule(_BRIDGE_GL_ORDER)
+            half = 0.5 * (b - lo)
+            r = 0.5 * (lo + b) + half * nodes[:, None]
+            # f(r) at nodes strictly inside (lo, hi), where the smoothstep
+            # needs no clip and f no branch
+            x = (hi - r) / (2.0 * self.rho)
+            f = f0 * r ** (-alpha) * (x * x * x * (10.0 + x * (6.0 * x - 15.0)))
+            F_lower = f0 / (n - alpha) * np.power(self.s_lower, (n - alpha) / n)
+            bridge = F_lower + half * (f * r ** (n - 1) * weights[:, None]).sum(axis=0)
+            F[mid] = bridge[:-1]
+            F[outer] = bridge[-1]
+            Fs[mid] = self.f(b[:-1]) / n
+            Fs[outer] = 0.0
+        if scalar:
+            return float(F[0]), float(Fs[0])
+        return F, Fs
+
+    def F(self, s):
+        """Accumulated forcing F(s) at s >= 0: the first part of ``forcing``."""
+        return self.forcing(s)[0]
 
     def F_s(self, s):
-        """dF/ds = f(s**(1/n))/n: the power law (f0/n) s**(-alpha/n) up to
-        s_lower, f(s**(1/n))/n on the bridge and 0 from s_upper on."""
-        scalar = np.ndim(s) == 0
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if np.any(s_arr <= 0.0):
+        """dF/ds = f(s**(1/n))/n at s > 0: the second part of ``forcing``."""
+        if np.any(np.asarray(s) <= 0.0):
             raise ParameterError("s must be > 0", [("s", s, "> 0")])
-        out = np.zeros_like(s_arr)
-        inner = s_arr <= self.s_lower
-        mid = (s_arr > self.s_lower) & (s_arr < self.s_upper)
-        out[inner] = (self.f0 / self.n) * s_arr[inner] ** (-self.alpha / self.n)
-        if np.any(mid):
-            out[mid] = self.f(np.power(s_arr[mid], 1.0 / self.n)) / self.n
-        return float(out[0]) if scalar else out
+        return self.forcing(s)[1]

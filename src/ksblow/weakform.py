@@ -270,8 +270,7 @@ def weak_residual(traj: Trajectory, zeta: TestField,
     g2 = zeta.s_factor.d2(sp)
     sig = np.asarray(zeta.t_factor.value(tp), dtype=float)
     sig1 = np.asarray(zeta.t_factor.d1(tp), dtype=float)
-    F = np.asarray(profile.F(sp), dtype=float)
-    Fs = np.asarray(profile.F_s(sp), dtype=float)
+    F, Fs = profile.forcing(sp)
 
     diff_kernel = (p * (p - 1.0) * np.power(sp, p - 2.0) * g
                    + 2.0 * p * np.power(sp, p - 1.0) * g1

@@ -6,11 +6,11 @@ import pytest
 from scipy.integrate import quad
 
 from ksblow import (NumericalError, ParameterError, SelectionError, SignalProfile,
-                    SystemParams, blowup_indicator, build_testfunction,
+                    SystemParams, blowup_indicator, build_testfunction, default_delta,
                     f0_threshold, integral_phi_linear, integral_phi_total, phi_eval, riccati,
                     select_blowup_params, validate, verify_integral_bound,
                     verify_ode_inequality, y_functional)
-from ksblow.analysis import l_phi_rate, margin_grid
+from ksblow.analysis import l_phi_rate, near_kinks
 from ksblow.solver import Trajectory, build_mesh
 
 
@@ -120,19 +120,31 @@ def test_ode_inequality_forcing_term_vanishes_beyond_support(tf):
 
 
 def test_l_phi_rate_matches_phi_eval(tf):
-    # the rate takes phi and its derivatives from one power of s; phi_eval
-    # builds each from its own power
-    n = tf.n
-    profile = tf.profile
-    s = np.geomspace(1e-8, 10.0, 3000)
-    phi, phis, phiss = phi_eval(tf, s)
-    inner = s < tf.kink
-    L = (n * n * s ** ((2.0 * n - 2.0) / n) * phiss + 4.0 * (n * n - n) * s ** ((n - 2.0) / n) * phis
-         - n * profile.F(s) * phis - n * profile.F_s(s) * phi)
-    rate = l_phi_rate(tf, s)
-    np.testing.assert_allclose(rate[inner], L[inner] / phi[inner], rtol=1e-12)
-    keep = inner | (phi > 1e-280)  # past that the exponential has underflowed
-    np.testing.assert_allclose(rate[keep], (L / phi)[keep], rtol=1e-10)
+    # the rate is the reduced form on m = s^(-2/n); phi_eval builds phi and
+    # its derivatives each from its own power, and L takes the coefficients
+    # as written.  Also at the scan points next to the three kinks.
+    scan = np.geomspace(1e-8, 10.0, 10_000)
+    for n in (3, 4, 6, 8):
+        if n == 3:
+            t = tf
+        else:
+            alpha = n - 0.5
+            params = validate(SystemParams(n, alpha, 2.0 * f0_threshold(n, alpha), 0.5, 0.1, 1.0))
+            t = build_testfunction(params, 4.0, default_delta(params), 20.0)
+        profile = t.profile
+        near = []
+        for kink in (t.kink, profile.s_lower, profile.s_upper):
+            j = int(np.searchsorted(scan, kink))
+            near += list(scan[max(j - 2, 0):j + 2])
+        s = np.unique(np.concatenate((np.geomspace(1e-8, 10.0, 3000), near)))
+        phi, phis, phiss = phi_eval(t, s)
+        L = (n * n * s ** ((2.0 * n - 2.0) / n) * phiss
+             + 4.0 * (n * n - n) * s ** ((n - 2.0) / n) * phis
+             - n * profile.F(s) * phis - n * profile.F_s(s) * phi)
+        rate = l_phi_rate(t, s)
+        keep = (s < t.kink) | (phi > 1e-280)  # past that the exponential has underflowed
+        assert np.isin(near, s[keep]).all()
+        np.testing.assert_allclose(rate[keep], (L / phi)[keep], rtol=1e-12, err_msg=f"n = {n}")
 
 
 def test_ode_inequality_k0_sanity_on_c1_binding_tuple():
@@ -158,10 +170,21 @@ def test_blowup_selection_range_is_certified(scenario, gamma):
     assert tf.kink <= tf.profile.s_lower
 
 
+def test_power_branch_points_are_counted(scenario):
+    # once xi/gamma falls below the scan's first point, no checked point lies
+    # on the power branch: the count says so, the verdict does not change
+    low = verify_ode_inequality(build_testfunction(scenario, xi=4.0, delta=0.8, gamma=1e9))
+    assert low.n_power_branch == 0 and low.passed
+    tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=14437.1)
+    report = verify_ode_inequality(tf)
+    assert report.n_power_branch > 0 and report.passed
+    assert report.n_power_branch == np.count_nonzero(report.grid < tf.kink)
+
+
 def test_margin_grid_avoids_kinks(tf):
     profile = tf.profile
-    g = margin_grid(tf)
     full = np.geomspace(1e-8, 10.0, 10_000)
+    g = np.delete(full, near_kinks(tf))
     spacing = math.log(10.0 / 1e-8) / 9999
     kinks = (tf.kink, profile.s_lower, profile.s_upper)
     for kink in kinks:
@@ -171,6 +194,7 @@ def test_margin_grid_avoids_kinks(tf):
     for kink in kinks:
         far &= np.abs(np.log(full / kink)) > spacing
     np.testing.assert_array_equal(g, full[far])
+    np.testing.assert_array_equal(verify_ode_inequality(tf).grid, full[far])
 
 
 def test_integral_bound_scenario(tf, quad_phi_integral):

@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from ksblow import ParameterError, SignalProfile, chi_eval
+from ksblow.quadrature import gauss_legendre
+from ksblow.solver import build_mesh
 
 SCEN = dict(f0=2.0, alpha=2.5, R=0.5, rho=0.1, n=3)
 
@@ -90,6 +92,40 @@ def test_F_matches_quadrature_oracle():
         for s in points:
             assert prof.F(s) == pytest.approx(quad_F(prof, s), rel=1e-13, abs=0.0), (spec, s)
         assert prof.F(hi) == pytest.approx(quad_F(prof, hi), rel=1e-13, abs=0.0), spec
+
+
+def _per_point_F(prof, s):
+    """F by the per-point rule: the closed form up to s_lower, else F(s_lower)
+    plus the 16-point Gauss-Legendre rule of f(r) r**(n-1) over
+    [R - rho, min(s, s_upper)**(1/n)], with the profile's own f."""
+    n, alpha, f0 = prof.n, prof.alpha, prof.f0
+    out = f0 / (n - alpha) * np.power(s, (n - alpha) / n)
+    bridge = s > prof.s_lower
+    top = np.power(np.minimum(s[bridge], prof.s_upper), 1.0 / n)
+    r, w = gauss_legendre(prof.R - prof.rho, top, 16)
+    out[bridge] = (f0 / (n - alpha) * np.power(prof.s_lower, (n - alpha) / n)
+                   + np.sum(prof.f(r) * r ** (n - 1) * w, axis=-1))
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_forcing_is_F_and_F_s_in_one_pass(n):
+    # on the scan, the N = 512 mesh and exactly at both bridge ends: F is the
+    # per-point rule up to the order of its sum, F_s is f(s**(1/n))/n
+    prof = SignalProfile(f0=2.0, alpha=n - 0.5, R=0.5, rho=0.1, n=n)
+    s = np.concatenate((np.geomspace(1e-8, 10.0, 10_000), build_mesh(4.0, 512),
+                        [prof.s_lower, prof.s_upper]))
+    F, Fs = prof.forcing(s)
+    ref = _per_point_F(prof, s)
+    np.testing.assert_allclose(F, ref, rtol=1e-15, atol=0.0)
+    inner = s <= prof.s_lower
+    np.testing.assert_array_equal(F[inner], ref[inner])
+    np.testing.assert_array_equal(F, prof.F(s))
+    below = (s > 0.0) & (s < prof.s_upper)
+    np.testing.assert_allclose(Fs[below], prof.f(s[below] ** (1.0 / n)) / n, rtol=1e-14, atol=0.0)
+    assert np.all(Fs[s >= prof.s_upper] == 0.0)
+    np.testing.assert_array_equal(Fs[s > 0.0], prof.F_s(s[s > 0.0]))
+    assert prof.forcing(prof.s_lower) == (prof.F(prof.s_lower), prof.F_s(prof.s_lower))
 
 
 def test_F_constant_past_upper_breakpoint(profile):
