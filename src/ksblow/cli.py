@@ -27,6 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from .analysis import (build_testfunction, blowup_indicator, indicator_series,
                        select_blowup_params, verify_integral_bound,
@@ -84,13 +85,22 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _int_cell(v: int) -> str:
+    return repr(float(v))
+
+
+# cell text by exact type: an int, a float or a np.float64 (a float subclass)
+# as the repr of a Python float, so 3 is written 3.0; anything else, bools
+# included, by str
+_CELL = {float: float.__repr__, np.float64: float.__repr__, int: _int_cell}
+
+
 def _write_rows(path: Path, header: str, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                              and not isinstance(v, bool) else str(v) for v in row) + "\n")
+        fh.writelines(",".join([_CELL.get(type(v), str)(v) for v in row]) + "\n"
+                      for row in rows)
 
 
 def _manifest(out_dir: Path, command: str, cfg: RunConfig, runs, failure=None) -> None:
@@ -215,7 +225,7 @@ def cmd_simulate(cfg_path: str, out_flag=None) -> int:
 
 
 def _default_lemma_grid(system: SystemParams, count: int, seed: int):
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     out = []
     while len(out) < count:
         n = system.n
@@ -247,6 +257,14 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
             raise ConfigError("lemma_sweep grid is empty")
         grid = _default_lemma_grid(cfg.system, sweep.count, sweep.seed)
 
+    # each tuple frees up to about 1 MB of scan temporaries, and glibc gives
+    # the top of its heap back to the system whenever more than its trim
+    # threshold (128 KB to start with) is free there, so every tuple faulted
+    # those pages in again (80,000 minor faults per 1,000 tuples).  Freeing
+    # one mmap-sized block raises glibc's mmap threshold to its size and the
+    # trim threshold to twice that (mallopt(3)); elsewhere it is one untouched
+    # short-lived block.
+    np.empty(4 << 20, dtype=np.uint8)
     rows = []
     failing = []
     scan_written = False

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 
 @functools.cache
@@ -12,7 +13,7 @@ def legendre_rule(order):
     """Read-only nodes and weights of the ``order``-point Gauss-Legendre rule
     on [-1, 1]; leggauss solves an eigenproblem per call, so every caller
     shares one result."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = leggauss(order)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

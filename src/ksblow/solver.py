@@ -67,16 +67,45 @@ fails its check is recorded as that cutoff's failure and leaves the stack.
 from __future__ import annotations
 
 import math
+import sys
 import time as _time
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
+import scipy
 
 from .errors import ParameterError, SolverError
 from .params import SystemParams, validate
 from .signal import SignalProfile, chi_eval
 from .transform import MassFunction
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack(directory):
+    """scipy's compiled LAPACK wrappers from ``directory``, loaded without
+    scipy.linalg's package init (whose array-API layer star-imports numpy,
+    numpy.f2py and numpy.ma among it).  The module is registered under its
+    own name, and an entry already there is reused, so scipy.linalg.lapack,
+    imported before or after, holds the same routine objects."""
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        finder = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_FLAPACK)
+        if spec is None:
+            raise ImportError(f"no {_FLAPACK} extension in {directory} "
+                              f"(scipy {scipy.__version__})", name=_FLAPACK)
+        module = module_from_spec(spec)
+        sys.modules[_FLAPACK] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack(Path(scipy.__path__[0]) / "linalg")
+dptsv, dpttrf, dpttrs = _flapack.dptsv, _flapack.dpttrf, _flapack.dpttrs
 
 _RATIO_MAX = 1.2
 # theta of the adaptive step's hold band [(1 - 2 theta) L, L] below the CFL

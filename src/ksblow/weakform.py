@@ -180,12 +180,19 @@ def _panels(edges_raw, lo, hi, extra, max_width):
     pts = [lo, hi]
     pts.extend(float(e) for e in edges_raw if lo < e < hi)
     pts.extend(float(e) for e in extra if lo < e < hi)
-    pts = np.unique(np.asarray(pts, dtype=float))
+    pts = _distinct_sorted(np.asarray(pts, dtype=float))
     out = []
     for a, b in zip(pts[:-1], pts[1:]):
         k = max(1, int(math.ceil((b - a) / max_width)))
         out.append(np.linspace(a, b, k + 1))
-    return np.unique(np.concatenate(out))
+    return _distinct_sorted(np.concatenate(out))
+
+
+def _distinct_sorted(x):
+    """np.unique of a finite 1-d array, without the numpy.ma import that
+    np.unique's first call pays."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 @dataclass(frozen=True)

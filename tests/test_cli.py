@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ksblow.config as config_mod
-from ksblow.cli import _default_lemma_grid, main
+from ksblow.cli import _default_lemma_grid, _write_rows, main
 from ksblow.config import ConfigError, config_to_dict, load_config, parse_config
 from ksblow.params import SystemParams
 
@@ -726,15 +727,52 @@ def test_config_c_sub_override_parses(tmp_path):
     assert cfg.blowup.betas == (1.0,)
 
 
-def test_import_leaves_out_unused_scipy_modules():
-    # scipy.integrate alone made up most of the start-up every command pays
+def _run_python(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; import ksblow.cli; print([m for m in {heavy!r} if m in sys.modules])"],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_leaves_out_unused_scipy_modules():
+    # scipy.integrate, then scipy.linalg's package init (whose array-API
+    # layer star-imports numpy) made up most of the start-up every command pays
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg",
+             "numpy.f2py", "numpy.ma", "unittest")
+    proc = _run_python(
+        f"import sys; import ksblow.cli; print([m for m in {heavy!r} if m in sys.modules])")
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("first, second", [("ksblow.solver", "scipy.linalg.lapack"),
+                                           ("scipy.linalg.lapack", "ksblow.solver")])
+def test_solver_lapack_routines_are_scipys_in_either_import_order(first, second):
+    proc = _run_python(
+        f"import importlib; importlib.import_module({first!r}); "
+        f"importlib.import_module({second!r}); "
+        "import sys, ksblow.solver as s, scipy.linalg.lapack as l; "
+        "print(sys.modules['scipy.linalg._flapack'] is s._flapack, "
+        "[n for n in ('dpttrf', 'dpttrs', 'dptsv') if getattr(s, n) is getattr(l, n)])")
+    assert proc.stdout.strip() == "True ['dpttrf', 'dpttrs', 'dptsv']"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_verify_lemmas_keeps_its_heap_pages(tmp_path):
+    # without raising glibc's trim threshold these 300 tuples fault about
+    # 15,000 heap pages back in, a round per tuple
+    cfg = _write(tmp_path, _base_doc(lemma_sweep={"count": 300, "seed": 1}))
+    proc = _run_python(
+        "import resource; from ksblow.cli import main; "
+        "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+        f"before = faults(); main(['verify-lemmas', '--config', {cfg!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]); print(faults() - before)")
+    assert int(proc.stdout) < 5000
+
+
+def test_write_rows_cell_text(tmp_path):
+    path = tmp_path / "rows.csv"
+    _write_rows(path, "a,b,c,d,e,f", [(True, 3, 1e-05, np.float64(1.0) / 3.0, "interior",
+                                       np.bool_(False))])
+    assert path.read_bytes() == b"a,b,c,d,e,f\nTrue,3.0,1e-05,0.3333333333333333,interior,False\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,3 +1,5 @@
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ from ksblow import (MassFunction, ParameterError, SignalProfile, SolverConfig,
                     SystemParams, build_mesh, comparison_check, measured_c_sub,
                     proper_sweep, solve_regularized, subsolution_candidate,
                     validate, w0_from_density)
-from ksblow.solver import cap_cfl_bound
+from ksblow.solver import _load_flapack, cap_cfl_bound
 
 
 def test_mesh_geometric_identity():
@@ -675,3 +677,9 @@ def test_small_violation_is_logged(scenario, scenario_profile, monkeypatch, kind
         assert logged[0]["magnitude"] == pytest.approx(-1e-10, rel=1e-3, abs=0.0)
     else:
         assert logged[0]["low"] == -1e-10 * w0.far_field
+
+
+def test_lapack_loader_names_the_directory_searched(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        _load_flapack(tmp_path)
