@@ -12,7 +12,7 @@ comparison).
 from .analysis import (BlowupReport, BlowupSelection, IntegralBoundReport,
                        OdeMarginReport, RiccatiSolution, TestFunction,
                        YFunctionalReport, blowup_indicator, build_testfunction,
-                       integral_phi_linear, integral_phi_total, phi_eval, riccati,
+                       integral_phi_linear, integral_phi_total, riccati,
                        select_blowup_params, verify_integral_bound,
                        verify_ode_inequality, y_functional)
 from .errors import (ConfigError, KsblowError, NumericalError, ParameterError,

@@ -13,10 +13,9 @@ admissible (xi, delta) and any gamma > 4/(R - rho),
     L phi := n^2 s^((2n-2)/n) phi_ss + 4(n^2-n) s^((n-2)/n) phi_s
              - n F phi_s - n F_s phi  >=  k0 gamma^(2/n) phi      a.e.,
 
-with k0 = min{c1, c2} built from the two branch constants (checked on a
-10^4-point scan in a reduced form that needs one power of s per dimension,
-m = s^(-2/n), for both coefficients: s^((2n-2)/n) = s^2 m and
-s^((n-2)/n) = s m), and
+with k0 = min{c1, c2} built from the two branch constants (certified by a
+lower bound on each cell of a geometric cover built from the tuple, with a
+stated inequality for each tail; see ``verify_ode_inequality``), and
 
     integral phi^2 / |phi_s| ds  <=  K0 / gamma^2.
 
@@ -39,7 +38,6 @@ eventually fail near T; reports label it as a finite-epsilon trend.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -85,8 +83,8 @@ class TestFunction:
     @functools.cached_property
     def profile(self) -> SignalProfile:
         """The forcing profile of (f0, alpha, R, rho, n), the one the solver
-        marches."""
-        return SignalProfile(self.f0, self.alpha, self.R, self.rho, self.n)
+        marches; ``build_testfunction`` has validated its parameters."""
+        return SignalProfile(self.f0, self.alpha, self.R, self.rho, self.n, checked=True)
 
 
 def build_testfunction(params: SystemParams, xi: float, delta: float,
@@ -120,156 +118,160 @@ def build_testfunction(params: SystemParams, xi: float, delta: float,
                         k0=min(c1, c2), K0=K0, K0_loose=K0_loose)
 
 
-def phi_eval(tf: TestFunction, s):
-    """(phi, phi_s, phi_ss) at s > 0; the branch point itself takes the
-    exponential branch."""
-    scalar = np.ndim(s) == 0
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if np.any(s_arr <= 0.0):
-        raise ParameterError("s must be > 0", [("s", s, "> 0")])
-    knot = tf.kink
-    A = tf.a / tf.gamma ** tf.delta
-    inner = s_arr < knot
-    phi = np.empty_like(s_arr)
-    phis = np.empty_like(s_arr)
-    phiss = np.empty_like(s_arr)
-    si = s_arr[inner]
-    phi[inner] = A * si ** (-tf.delta) - tf.b
-    phis[inner] = -A * tf.delta * si ** (-tf.delta - 1.0)
-    phiss[inner] = A * tf.delta * (tf.delta + 1.0) * si ** (-tf.delta - 2.0)
-    so = s_arr[~inner]
-    with np.errstate(under="ignore"):
-        e = np.exp(-tf.gamma * so)
-    phi[~inner] = e
-    phis[~inner] = -tf.gamma * e
-    phiss[~inner] = tf.gamma * tf.gamma * e
-    if scalar:
-        return float(phi[0]), float(phis[0]), float(phiss[0])
-    return phi, phis, phiss
-
-
 # --- differential inequality ---------------------------------------------
+
+CELL_RATIO = 1.02   # the cover's cell ratio before any bisection
+CELL_PAD = 1e-12    # each term of a bound is lowered by this share of its size
+BISECTIONS = 32     # rounds of bisecting the cells whose bound falls short
+MAX_SHORT = 4096    # more short cells than this fail the tuple unbisected
 
 
 @dataclass(frozen=True)
 class OdeMarginReport:
-    min_margin: float
-    argmin_s: float
+    min_margin: float   # passed: a lower bound of L phi/phi - k0 gamma^(2/n) on (0, inf)
+    argmin_cell: tuple  # (lo, hi) where min_margin is bounded; (s, s) for a sampled point
     threshold: float
     passed: bool
-    n_points: int
-    n_power_branch: int             # checked points below xi/gamma; 0 leaves that branch unseen
-    diffusion_rate_above_kink: float  # just above xi/gamma; attains c1*gamma^(2/n)
-    k0_rate: float                  # k0 * gamma^(2/n)
-    skipped: tuple                  # scan indices within one spacing of a kink
-    scan_margins: np.ndarray = field(repr=False)  # L phi / phi - k0 gamma^(2/n); inf where skipped
-
-    @property
-    def grid(self) -> np.ndarray:
-        """The checked s values."""
-        return np.delete(_SCAN, self.skipped)
-
-    @property
-    def margins(self) -> np.ndarray:
-        """The margins at the checked s values."""
-        return np.delete(self.scan_margins, self.skipped)
+    n_bisections: int   # cells bisected; the forcing is evaluated at n_cells + 1 points
+    n_power_cells: int  # cells below xi/gamma, on the power branch
+    lower_tail: float   # the margin's bound below the cover; -inf if not shown
+    diffusion_rate_above_kink: float  # at xi/gamma on the exponential branch: c1*gamma^(2/n)
+    k0_rate: float      # k0 * gamma^(2/n)
+    cells: np.ndarray = field(repr=False)  # rows (lo, hi, margin bound), ascending
 
 
-# the scan grid: 10^4 log-spaced points on [1e-8, 10], and its log spacing
-_SCAN = np.geomspace(1e-8, 10.0, 10_000)
-_SCAN.flags.writeable = False
-_SCAN_SPACING = math.log(_SCAN[1] / _SCAN[0])
+def _ends(tf: TestFunction, s: np.ndarray) -> np.ndarray:
+    """The rows s, m = s^(-2/n), F, F_s and rho = q/(q - b) at the points s,
+    with q = a (gamma s)^-delta; rho means something only below xi/gamma."""
+    F, Fs = tf.profile.forcing(s)
+    q = tf.a * np.power(tf.gamma * s, -tf.delta)
+    with np.errstate(divide="ignore"):  # q = b is possible above xi/gamma
+        rho = q / (q - tf.b)
+    return np.stack((s, np.power(s, -2.0 / tf.n), F, Fs, rho))
 
 
-@functools.cache
-def _scan_m(n: int) -> np.ndarray:
-    """s^(-2/n) on the scan, shared by every tuple of dimension n."""
-    m = np.power(_SCAN, -2.0 / n)
-    m.flags.writeable = False
-    return m
-
-
-def near_kinks(tf: TestFunction) -> tuple:
-    """The ascending indices of the scan points within one spacing of a
-    non-smooth point: the branch point and the bridge ends s_lower and
-    s_upper.  At most 12; the scan checks all the others."""
-    profile = tf.profile
-    near = set()
-    for kink in (tf.kink, profile.s_lower, profile.s_upper):
-        if kink > 0:
-            # only the two points on either side can lie within one spacing
-            j = bisect.bisect_left(_SCAN, kink)
-            near.update(i for i in range(max(j - 2, 0), min(j + 2, _SCAN.size))
-                        if abs(math.log(_SCAN[i] / kink)) <= _SCAN_SPACING)
-    return tuple(sorted(near))
-
-
-def l_phi_rate(tf: TestFunction, s, m=None):
-    """L phi / phi on the ascending grid s, branch by branch, with the
-    forcing (F, F_s) of the profile the solver marches.  ``m`` is
-    s^(-2/n) when the caller has it.
+def l_phi_rate(tf: TestFunction, s):
+    """L phi / phi at the points s > 0, with the forcing (F, F_s) of the
+    profile the solver marches.
 
     With q = a gamma^-delta s^-delta the power branch has phi = q - b,
-    phi_s = -delta q/s and phi_ss = delta (delta+1) q/s^2, so the two
-    coefficients s^((2n-2)/n) and s^((n-2)/n) collapse onto m:
-
-        L phi / phi = [delta q (m (n^2 (delta+1) - 4(n^2-n)) + n F/s)
-                       - n F_s (q - b)] / (q - b).
-
-    On the exponential branch the factor e^(-gamma s) cancels exactly, so the
-    rate gamma s m (n^2 gamma s - 4(n^2-n)) + n (gamma F - F_s) is formed
-    without it (dividing the underflowed factor out would turn far-field
-    points into 0/0 for large gamma).
+    phi_s = -delta q/s and phi_ss = delta (delta+1) q/s^2, so with
+    m = s^(-2/n), rho = q/(q - b) and C = n^2 (delta+1) - 4(n^2-n) (negative,
+    as delta < 1 and n >= 3) it is delta rho (C m + n F/s) - n F_s.  On the
+    exponential branch the factor e^(-gamma s) cancels exactly, so the rate
+    gamma s m (n^2 gamma s - 4(n^2-n)) + n (gamma F - F_s) is formed without
+    it (dividing the underflowed factor out would turn far-field points into
+    0/0 for large gamma).
     """
-    s = np.asarray(s, dtype=float)
-    n = tf.n
-    if m is None:
-        m = np.power(s, -2.0 / n)
-    F, Fs = tf.profile.forcing(s)
-    k = int(np.searchsorted(s, tf.kink))  # s[:k] is the power branch
-    d = tf.delta
-    si = s[:k]
-    q = tf.a / tf.gamma ** d * np.power(si, -d)
-    phi = q - tf.b
-    inner = (d * q * (m[:k] * (n * n * (d + 1.0) - 4.0 * (n * n - n)) + n * F[:k] / si)
-             - n * Fs[:k] * phi) / phi
-    gs = tf.gamma * s[k:]
-    outer = gs * m[k:] * (n * n * gs - 4.0 * (n * n - n)) + n * (tf.gamma * F[k:] - Fs[k:])
-    return np.concatenate((inner, outer))
+    return _rates(tf, _ends(tf, np.asarray(s, dtype=float)))
+
+
+def _rates(tf: TestFunction, ends: np.ndarray) -> np.ndarray:
+    s, m, F, Fs, rho = ends
+    n, g, d = tf.n, tf.gamma, tf.delta
+    gs = g * s
+    # both branches are formed at every point, each is kept where it holds
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = d * rho * (m * (n * n * (d + 1.0) - 4.0 * (n * n - n)) + n * F / s)
+        rate = np.where(s < tf.kink, power, gs * m * (n * n * gs - 4.0 * (n * n - n)) + n * g * F)
+    return rate - n * Fs
+
+
+def _cell_margins(tf: TestFunction, lo: np.ndarray, hi: np.ndarray, k0_rate: float):
+    """A lower bound of L phi / phi - k0 gamma^(2/n) on each cell [lo, hi],
+    from the rows ``_ends`` gives at its ends: each term at its worse end."""
+    sa, ma, Fa, Fsa, ra = lo
+    sb, mb, Fb, _, rb = hi
+    n, g, d = tf.n, tf.gamma, tf.delta
+    power = sb <= tf.kink
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (np.where(power, d * (n * n * (d + 1.0) - 4.0 * (n * n - n)) * rb * ma,
+                          n * n * g * g * sa * sa * ma),
+                 np.where(power, n * d * ra * Fb / sb, -4.0 * (n * n - n) * g * sb * mb),
+                 np.where(power, 0.0, n * g * Fa),
+                 -n * Fsa)
+        return sum(t - CELL_PAD * np.abs(t) for t in terms) - k0_rate * (1.0 + CELL_PAD)
 
 
 def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
-    """Scan (L phi - k0 gamma^(2/n) phi)/phi over the scan less the points
-    next to a kink, against the forcing the solver marches; pass iff the
-    minimum stays above -ANALYTIC_SLACK.  Also reports how many checked
-    points lie on the power branch, and the diffusion-only rate just above
-    the branch point, which attains c1 * gamma^(2/n), the sanity anchor for
-    k0 = min{c1, c2}."""
-    n = tf.n
-    skipped = near_kinks(tf)
-    k0_rate = tf.k0 * tf.gamma ** (2.0 / n)
-    margin = l_phi_rate(tf, _SCAN, _scan_m(n))
-    margin -= k0_rate
-    margin[list(skipped)] = np.inf
-    i = int(np.argmin(margin))
+    """Certify L phi / phi >= k0 gamma^(2/n) - ANALYTIC_SLACK on (0, inf),
+    with the forcing the solver marches, on a cover of cells.
 
-    k = bisect.bisect_left(_SCAN, tf.kink)  # _SCAN[:k] is the power branch
-    above = k
-    while above in skipped:
-        above += 1
-    if above < _SCAN.size:
-        s_a = float(_SCAN[above])
-        g = tf.gamma
-        diff_rate = (n * n * s_a ** ((2.0 * n - 2.0) / n) * g * g
-                     - 4.0 * (n * n - n) * s_a ** ((n - 2.0) / n) * g)
-    else:
-        diff_rate = math.nan
+    The cells have ratio CELL_RATIO from lo = 1e-4 min(xi/gamma, (R-rho)^n)
+    to the first edge hi >= 10 max(xi/gamma, (R+rho)^n), and xi/gamma,
+    (R-rho)^n and (R+rho)^n are edges, so each cell lies on one branch.  F is
+    non-decreasing, F_s and F/s non-increasing (F is concave, F(0) = 0) and
+    rho increasing, so on a cell [a, b] each term of the rate is bounded at
+    its worse end, with C = n^2 (delta+1) - 4(n^2-n) < 0:
+
+        exponential: n^2 gamma^2 a^(2-2/n) - 4(n^2-n) gamma b^(1-2/n)
+                     + n gamma F(a) - n F_s(a),
+        power:       delta C rho(b) a^(-2/n) + n delta rho(a) F(b)/b - n F_s(a),
+
+    each term lowered by CELL_PAD times its size for rounding.  A cell whose
+    bound is below -ANALYTIC_SLACK is bisected at its geometric midpoint, for
+    at most BISECTIONS rounds of at most MAX_SHORT cells; a rate sampled at a
+    midpoint below the threshold fails the tuple at once, and the report
+    gives that point.
+
+    The tails.  For s >= hi, F is constant, F_s = 0 and the rate increases
+    for s > 2(n-2)/(n gamma), which lies below xi/gamma as xi > 4 - 4/n, so
+    the last cell's bound, which holds at hi, holds beyond it.  For s <= lo,
+    F = c s^beta with c = f0/(n-alpha), beta = (n-alpha)/n < delta, and
+    1 <= rho <= rho(lo), so the rate is at least g(s) = delta C rho(lo)
+    s^(-2/n) + n c (delta - beta) s^(beta-1): s^(-2/n) times a bracket that
+    decreases in s (beta - 1 < -2/n), so g >= g(lo) on (0, lo] once
+    g(lo) >= 0.  A negative g(lo) shows nothing and fails the tuple.
+    """
+    n, profile, kink, d = tf.n, tf.profile, tf.kink, tf.delta
+    k0_rate = tf.k0 * tf.gamma ** (2.0 / n)
+    lo = 1e-4 * min(kink, profile.s_lower)
+    count = math.ceil(math.log(10.0 * max(kink, profile.s_upper) / lo) / math.log(CELL_RATIO))
+    s = np.sort(np.concatenate((lo * CELL_RATIO ** np.arange(count + 1.0),
+                                (kink, profile.s_lower, profile.s_upper))))
+    ends = _ends(tf, s)
+    left, right = ends[:, :-1], ends[:, 1:]
+    bound = _cell_margins(tf, left, right, k0_rate)
+    settled = []
+    witness = None
+    for _ in range(BISECTIONS):
+        short = bound < -ANALYTIC_SLACK
+        if not short.any() or np.count_nonzero(short) > MAX_SHORT:
+            break
+        settled.append((left[0, ~short], right[0, ~short], bound[~short]))
+        left, right, bound = left[:, short], right[:, short], bound[short]
+        mid = _ends(tf, np.sqrt(left[0] * right[0]))
+        sampled = _rates(tf, mid) - k0_rate
+        i = int(np.argmin(sampled))
+        if not sampled[i] >= -ANALYTIC_SLACK:
+            witness = (float(sampled[i]), float(mid[0, i]))
+            break
+        left, right = np.hstack((left, mid)), np.hstack((mid, right))
+        bound = _cell_margins(tf, left, right, k0_rate)
+    cells = np.column_stack([np.concatenate([part[k] for part in settled] + [edge])
+                             for k, edge in enumerate((left[0], right[0], bound))])
+    if settled:
+        cells = cells[np.argsort(cells[:, 0])]
+    j = int(np.argmin(cells[:, 2]))
+    min_margin, argmin_cell = float(cells[j, 2]), (float(cells[j, 0]), float(cells[j, 1]))
+
+    beta = (n - tf.alpha) / n
+    tail = (d * (n * n * (d + 1.0) - 4.0 * (n * n - n)) * float(ends[4, 0] * ends[1, 0]),
+            n * tf.f0 / (n - tf.alpha) * (d - beta) * lo ** (beta - 1.0))
+    g_lo = sum(t - CELL_PAD * abs(t) for t in tail)
+    lower_tail = g_lo - k0_rate * (1.0 + CELL_PAD) if g_lo >= 0.0 else -math.inf
+    if lower_tail < min_margin:  # never nan: a nan g(lo) gives -inf
+        min_margin, argmin_cell = lower_tail, (0.0, lo)
+    if witness is not None:
+        min_margin, argmin_cell = witness[0], (witness[1], witness[1])
+    g = tf.gamma
     return OdeMarginReport(
-        min_margin=float(margin[i]), argmin_s=float(_SCAN[i]), threshold=ANALYTIC_SLACK,
-        passed=bool(margin[i] >= -ANALYTIC_SLACK), n_points=_SCAN.size - len(skipped),
-        n_power_branch=k - bisect.bisect_left(skipped, k),
-        diffusion_rate_above_kink=float(diff_rate), k0_rate=k0_rate,
-        skipped=skipped, scan_margins=margin)
+        min_margin=min_margin, argmin_cell=argmin_cell, threshold=ANALYTIC_SLACK,
+        passed=bool(min_margin >= -ANALYTIC_SLACK), n_bisections=cells.shape[0] - s.size + 1,
+        n_power_cells=int(np.count_nonzero(cells[:, 1] <= kink)), lower_tail=lower_tail,
+        diffusion_rate_above_kink=(n * n * kink ** ((2.0 * n - 2.0) / n) * g * g
+                                   - 4.0 * (n * n - n) * kink ** ((n - 2.0) / n) * g),
+        k0_rate=k0_rate, cells=cells)
 
 
 # --- integral bound --------------------------------------------------------

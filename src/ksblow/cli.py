@@ -257,14 +257,6 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
             raise ConfigError("lemma_sweep grid is empty")
         grid = _default_lemma_grid(cfg.system, sweep.count, sweep.seed)
 
-    # each tuple frees up to about 1 MB of scan temporaries, and glibc gives
-    # the top of its heap back to the system whenever more than its trim
-    # threshold (128 KB to start with) is free there, so every tuple faulted
-    # those pages in again (80,000 minor faults per 1,000 tuples).  Freeing
-    # one mmap-sized block raises glibc's mmap threshold to its size and the
-    # trim threshold to twice that (mallopt(3)); elsewhere it is one untouched
-    # short-lived block.
-    np.empty(4 << 20, dtype=np.uint8)
     rows = []
     failing = []
     scan_written = False
@@ -278,9 +270,9 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
             feasible = system.feasible
             ode = verify_ode_inequality(tf)
             if not scan_written:
-                # full margin scan for the first constructible tuple
-                _write_rows(out_dir / "margin_scan.csv", "s,margin",
-                            zip(ode.grid.tolist(), ode.margins.tolist()))
+                # the cover's cell bounds for the first constructible tuple
+                _write_rows(out_dir / "margin_scan.csv", "s_lo,s_hi,margin_bound",
+                            ode.cells.tolist())
                 scan_written = True
             bound = verify_integral_bound(tf)
             row.update(constructed=True, feasible=feasible,
@@ -321,8 +313,8 @@ def _lemma_certificate(tf) -> dict:
     ode = verify_ode_inequality(tf)
     bound = verify_integral_bound(tf)
     return {
-        "ode_min_margin": ode.min_margin, "ode_argmin_s": ode.argmin_s,
-        "n_power_branch": ode.n_power_branch,
+        "ode_min_margin": ode.min_margin, "ode_argmin_cell": ode.argmin_cell,
+        "n_power_cells": ode.n_power_cells,
         "k0_rate": ode.k0_rate, "integral_margin": bound.margin,
         "passed": ode.passed and bound.passed,
         "kink_below_bridge": {"xi_over_gamma": tf.kink, "s_lower": tf.profile.s_lower,

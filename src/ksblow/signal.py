@@ -33,7 +33,7 @@ tuple had its branch point xi/gamma above s_lower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -67,20 +67,24 @@ def chi_eval(epsilon: float, s):
 @dataclass(frozen=True)
 class SignalProfile:
     """Immutable signal-production profile: f on the radial axis, F and F_s
-    on the mass axis.  Construction only validates the parameters."""
+    on the mass axis.  Construction validates the parameters, unless
+    ``checked`` says that ``validate`` or ``validate_testfn`` already has."""
 
     f0: float
     alpha: float
     R: float
     rho: float
     n: int
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        validate(SystemParams(self.n, self.alpha, self.f0, self.R, self.rho, c0=1.0))
+    def __post_init__(self, checked):
+        if not checked:
+            validate(SystemParams(self.n, self.alpha, self.f0, self.R, self.rho, c0=1.0))
 
     @classmethod
     def from_params(cls, params: SystemParams):
-        return cls(params.f0, params.alpha, params.R, params.rho, params.n)
+        """The profile of ``params``, which ``validate`` has passed."""
+        return cls(params.f0, params.alpha, params.R, params.rho, params.n, checked=True)
 
     # --- profile on the radial axis -------------------------------------
 

@@ -3,15 +3,43 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import iv
 from scipy.integrate import quad
 
 from ksblow import (NumericalError, ParameterError, SelectionError, SignalProfile,
                     SystemParams, blowup_indicator, build_testfunction, default_delta,
-                    f0_threshold, integral_phi_linear, integral_phi_total, phi_eval, riccati,
+                    f0_threshold, integral_phi_linear, integral_phi_total, riccati,
                     select_blowup_params, validate, verify_integral_bound,
                     verify_ode_inequality, y_functional)
-from ksblow.analysis import l_phi_rate, near_kinks
+from ksblow.analysis import CELL_PAD, CELL_RATIO, l_phi_rate
+from ksblow.cli import _default_lemma_grid
 from ksblow.solver import Trajectory, build_mesh
+
+
+def phi_eval(tf, s):
+    """The oracle phi, phi_s, phi_ss at s > 0, each from its own power; the
+    branch point itself takes the exponential branch."""
+    scalar = np.ndim(s) == 0
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(s_arr <= 0.0):
+        raise ParameterError("s must be > 0", [("s", s, "> 0")])
+    A = tf.a / tf.gamma ** tf.delta
+    inner = s_arr < tf.kink
+    phi = np.empty_like(s_arr)
+    phis = np.empty_like(s_arr)
+    phiss = np.empty_like(s_arr)
+    si = s_arr[inner]
+    phi[inner] = A * si ** (-tf.delta) - tf.b
+    phis[inner] = -A * tf.delta * si ** (-tf.delta - 1.0)
+    phiss[inner] = A * tf.delta * (tf.delta + 1.0) * si ** (-tf.delta - 2.0)
+    with np.errstate(under="ignore"):
+        e = np.exp(-tf.gamma * s_arr[~inner])
+    phi[~inner] = e
+    phis[~inner] = -tf.gamma * e
+    phiss[~inner] = tf.gamma * tf.gamma * e
+    if scalar:
+        return float(phi[0]), float(phis[0]), float(phiss[0])
+    return phi, phis, phiss
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +150,7 @@ def test_ode_inequality_forcing_term_vanishes_beyond_support(tf):
 def test_l_phi_rate_matches_phi_eval(tf):
     # the rate is the reduced form on m = s^(-2/n); phi_eval builds phi and
     # its derivatives each from its own power, and L takes the coefficients
-    # as written.  Also at the scan points next to the three kinks.
+    # as written.  Also at the points of a 10^4-point grid next to the three kinks.
     scan = np.geomspace(1e-8, 10.0, 10_000)
     for n in (3, 4, 6, 8):
         if n == 3:
@@ -161,40 +189,146 @@ def test_ode_inequality_k0_sanity_on_c1_binding_tuple():
 @pytest.mark.parametrize("gamma", [14437.1, 28874.0, 1e6])
 def test_blowup_selection_range_is_certified(scenario, gamma):
     # criterion 8's test function across the gammas blowup selects on its
-    # config (14437.1 is the floor criterion 8 pins): the margin stays far
-    # above the threshold, with the branch point below the bridge
+    # config (14437.1 is the floor criterion 8 pins): the certified margin
+    # stays far above the threshold, with the branch point below the bridge
     tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=gamma)
     report = verify_ode_inequality(tf)
-    assert report.min_margin >= 66.0 * report.k0_rate
+    assert report.min_margin >= 64.5 * report.k0_rate
     assert verify_integral_bound(tf).passed
     assert tf.kink <= tf.profile.s_lower
 
 
-def test_power_branch_points_are_counted(scenario):
-    # once xi/gamma falls below the scan's first point, no checked point lies
-    # on the power branch: the count says so, the verdict does not change
-    low = verify_ode_inequality(build_testfunction(scenario, xi=4.0, delta=0.8, gamma=1e9))
-    assert low.n_power_branch == 0 and low.passed
+def test_cover_certifies_the_power_branch_at_large_gamma(scenario):
+    # xi/gamma = 4e-9: the cover is built from the tuple, so it has cells on
+    # the power branch however small xi/gamma is, and the lower tail below them
+    tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=1e9)
+    report = verify_ode_inequality(tf)
+    assert report.passed
+    power = report.cells[:, 1] <= tf.kink
+    assert report.n_power_cells == np.count_nonzero(power) > 100
+    assert report.cells[0, 0] == pytest.approx(1e-4 * tf.kink, rel=1e-15, abs=0.0)
+    assert np.min(report.cells[power, 2]) >= 0.0
+    assert 490.0 * report.k0_rate <= report.min_margin <= 500.0 * report.k0_rate
+
+
+def test_cover_tiles_the_window_with_the_kinks_as_edges(tf):
+    report = verify_ode_inequality(tf)
+    profile = tf.profile
+    lo, hi, _ = report.cells.T
+    np.testing.assert_array_equal(lo[1:], hi[:-1])  # contiguous and ascending
+    assert lo[0] == pytest.approx(1e-4 * min(tf.kink, profile.s_lower), rel=1e-15, abs=0.0)
+    assert hi[-1] >= 10.0 * max(tf.kink, profile.s_upper)
+    for kink in (tf.kink, profile.s_lower, profile.s_upper):
+        assert kink in hi
+    assert np.all(hi / lo <= CELL_RATIO * (1.0 + 1e-12))
+    assert report.n_bisections == 0
+    assert report.n_power_cells == np.count_nonzero(hi <= tf.kink)
+
+
+def test_cell_bounds_never_exceed_the_sampled_rate(scenario):
+    # for seeded tuples of the default lemma grid, at both edges of every cell
+    for item in _default_lemma_grid(scenario, 60, 7):
+        params = SystemParams(item.n, item.alpha, item.f0, item.R, item.rho, 1.0)
+        tf = build_testfunction(params, item.xi, item.delta, item.gamma)
+        report = verify_ode_inequality(tf)
+        lo, hi, bound = report.cells.T
+        assert report.passed
+        assert np.all(bound <= l_phi_rate(tf, lo) - report.k0_rate)
+        assert np.all(bound <= l_phi_rate(tf, hi) - report.k0_rate)
+        assert report.min_margin == np.min(bound)
+
+
+# criterion 2's draw 62 (n = 5): certified, but with a margin of only
+# 0.0066 k0 gamma^(2/n), near s = 0.044, just below xi/gamma
+_TIGHT_TUPLE = ((5, 2.8312647240924864, 50.07109887183778, 0.2608079223447497,
+                 0.06882152477655026, 1.0), 3.7341673717316075, 0.9588053154354549,
+                80.90981916372357)
+
+
+def test_bisection_certifies_cells_whose_first_bound_falls_short(monkeypatch):
+    import ksblow.analysis as analysis
+
+    system, xi, delta, gamma = _TIGHT_TUPLE
+    tf = build_testfunction(validate(SystemParams(*system)), xi, delta, gamma)
+    report = verify_ode_inequality(tf)
+    lo, hi, bound = report.cells.T
+    assert report.passed and report.n_bisections > 0
+    assert 0.0 < report.min_margin < 0.01 * report.k0_rate
+    assert report.argmin_cell[1] <= tf.kink
+    np.testing.assert_array_equal(lo[1:], hi[:-1])
+    assert np.min(hi / lo) < CELL_RATIO ** 0.5
+    # without the bisections the first bounds fail the tuple, at a real cell
+    monkeypatch.setattr(analysis, "BISECTIONS", 0)
+    coarse = verify_ode_inequality(tf)
+    assert not coarse.passed and coarse.n_bisections == 0
+    assert coarse.min_margin == np.min(coarse.cells[:, 2]) < -1e-9
+    assert coarse.argmin_cell[0] < coarse.argmin_cell[1]
+
+
+@pytest.mark.parametrize("gamma", [20.0, 1e9])
+def test_lower_tail_bound_holds_below_the_cover(scenario, gamma):
+    tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=gamma)
+    report = verify_ode_inequality(tf)
+    lo = report.cells[0, 0]
+    s = np.geomspace(lo * 1e-12, lo, 400)
+    assert 0.0 < report.lower_tail <= np.min(l_phi_rate(tf, s) - report.k0_rate)
+    assert report.lower_tail > report.min_margin
+
+
+def _iv_rate_bound(tf, a, b):
+    """The cell bound of [a, b] below (R-rho)^n, where F = c s^beta, in
+    interval arithmetic with exact exponents: the terms at their worse ends,
+    no pad."""
+    n, d = tf.n, iv.mpf(tf.delta)
+    a, b, g = iv.mpf(a), iv.mpf(b), iv.mpf(tf.gamma)
+    beta = (n - iv.mpf(tf.alpha)) / n
+    c = iv.mpf(tf.f0) / (n - iv.mpf(tf.alpha))
+
+    def m(s):
+        return s ** (-iv.mpf(2) / n)
+
+    def rho(s):
+        q = iv.mpf(tf.a) * (g * s) ** (-d)
+        return q / (q - iv.mpf(tf.b))
+
+    k0_rate = iv.mpf(tf.k0) * g ** (iv.mpf(2) / n)
+    fs_a = c * beta * a ** (beta - 1)
+    if float(b.b) <= tf.kink:
+        C = n * n * (d + 1) - 4 * (n * n - n)  # negative
+        return (d * C * rho(b) * m(a) + n * d * rho(a) * c * b ** (beta - 1)
+                - n * fs_a - k0_rate)
+    return (n * n * g * g * a * a * m(a) - 4 * (n * n - n) * g * b * m(b)
+            + n * g * c * a ** beta - n * fs_a - k0_rate)
+
+
+def _iv_lower_tail(tf, lo):
+    """g(lo) of the lower tail, less k0 gamma^(2/n), in interval arithmetic."""
+    n, d, g = tf.n, iv.mpf(tf.delta), iv.mpf(tf.gamma)
+    lo, alpha = iv.mpf(lo), iv.mpf(tf.alpha)
+    beta = (n - alpha) / n
+    q = iv.mpf(tf.a) * (g * lo) ** (-d)
+    C = n * n * (d + 1) - 4 * (n * n - n)
+    return (d * C * q / (q - iv.mpf(tf.b)) * lo ** (-iv.mpf(2) / n)
+            + n * iv.mpf(tf.f0) / (n - alpha) * (d - beta) * lo ** (beta - 1)
+            - iv.mpf(tf.k0) * g ** (iv.mpf(2) / n))
+
+
+def test_cell_bounds_hold_under_interval_arithmetic(scenario):
+    # cells on both branches below (R-rho)^n: the float bound with its pad
+    # lies below the interval enclosure of the same bound in exact arithmetic
     tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=14437.1)
     report = verify_ode_inequality(tf)
-    assert report.n_power_branch > 0 and report.passed
-    assert report.n_power_branch == np.count_nonzero(report.grid < tf.kink)
-
-
-def test_margin_grid_avoids_kinks(tf):
-    profile = tf.profile
-    full = np.geomspace(1e-8, 10.0, 10_000)
-    g = np.delete(full, near_kinks(tf))
-    spacing = math.log(10.0 / 1e-8) / 9999
-    kinks = (tf.kink, profile.s_lower, profile.s_upper)
-    for kink in kinks:
-        assert np.min(np.abs(np.log(g / kink))) > spacing
-    # every point farther than one spacing from each kink is kept
-    far = np.ones(full.size, dtype=bool)
-    for kink in kinks:
-        far &= np.abs(np.log(full / kink)) > spacing
-    np.testing.assert_array_equal(g, full[far])
-    np.testing.assert_array_equal(verify_ode_inequality(tf).grid, full[far])
+    lo, hi, bound = report.cells.T
+    below = np.flatnonzero(hi <= tf.profile.s_lower)
+    k = np.searchsorted(hi[below], tf.kink)
+    picks = below[[0, 1, k // 2, k - 1, k, k + 1, (k + below.size) // 2, below.size - 1]]
+    assert np.any(hi[picks] <= tf.kink) and np.any(lo[picks] >= tf.kink)
+    for i in picks:
+        exact = _iv_rate_bound(tf, lo[i], hi[i])
+        assert bound[i] <= exact.a, i
+        # and the pad is a rounding allowance, not a loss of the margin
+        assert float(exact.a) - bound[i] <= 1e-9 * abs(float(exact.a)) + 1e3 * CELL_PAD * report.k0_rate
+    assert report.lower_tail <= _iv_lower_tail(tf, lo[0]).a
 
 
 def test_integral_bound_scenario(tf, quad_phi_integral):

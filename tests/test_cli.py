@@ -400,9 +400,10 @@ def test_verify_lemmas_default_grid(tmp_path):
     assert lines[0].startswith("n,alpha,f0,R,rho,xi,delta,gamma")
     assert len(lines) == 101
     scan = (out / "margin_scan.csv").read_text().splitlines()
-    assert scan[0] == "s,margin"
-    margins = np.array([float(line.split(",")[1]) for line in scan[1:]])
-    assert np.min(margins) >= -1e-9
+    assert scan[0] == "s_lo,s_hi,margin_bound"
+    cells = np.array([[float(x) for x in line.split(",")] for line in scan[1:]])
+    np.testing.assert_array_equal(cells[1:, 0], cells[:-1, 1])
+    assert np.min(cells[:, 2]) >= -1e-9
 
 
 # the default lemma grid of the README system, count 5, seed 20240808
@@ -660,8 +661,8 @@ def test_verify_lemmas_huge_gamma_is_a_construction_failure(tmp_path, capsys):
 
 
 # an admissible tuple that passes with the bridge placed at R -+ rho on the s
-# axis, but fails on the marched profile: its minimum margin there is
-# -3.45 k0 gamma^(2/n) at s ~ 8.7e-3, past s_upper = (R + rho)^n ~ 1e-6
+# axis, but fails on the marched profile: its sampled margin is -3.40
+# k0 gamma^(2/n) at s ~ 8.6e-3, past s_upper = (R + rho)^n ~ 1e-6
 _N8_TUPLE = {"n": 8, "alpha": 5.0197, "f0": 155.1674, "R": 0.1608, "rho": 0.018,
              "xi": 3.9674, "delta": 0.7603, "gamma": 455.193}
 
@@ -678,7 +679,7 @@ def test_verify_lemmas_n8_tuple_fails_on_the_marched_profile(tmp_path, capsys):
     assert float(row["margin"]) < 0.0
     scan = np.array([[float(x) for x in line.split(",")]
                      for line in (out / "margin_scan.csv").read_text().splitlines()[1:]])
-    s_worst = scan[np.argmin(scan[:, 1]), 0]
+    s_worst = scan[np.argmin(scan[:, 2]), 0]
     assert 8e-3 < s_worst < 9.5e-3
     assert s_worst > (_N8_TUPLE["R"] + _N8_TUPLE["rho"]) ** 8
 
@@ -700,7 +701,9 @@ def test_blowup_reports_lemma_certificate(tmp_path):
     assert cert["kink_below_bridge"]["xi_over_gamma"] == pytest.approx(
         4.0 / gamma, rel=1e-15, abs=0.0)
     assert cert["kink_below_bridge"]["holds"] is True
-    assert cert["n_power_branch"] > 0
+    assert cert["n_power_cells"] > 0
+    lo, hi = cert["ode_argmin_cell"]
+    assert 0.0 < lo < hi
 
 
 def test_blowup_failed_lemma_certificate_exits4(tmp_path, monkeypatch, capsys):
@@ -757,8 +760,9 @@ def test_solver_lapack_routines_are_scipys_in_either_import_order(first, second)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
 def test_verify_lemmas_keeps_its_heap_pages(tmp_path):
-    # without raising glibc's trim threshold these 300 tuples fault about
-    # 15,000 heap pages back in, a round per tuple
+    # each tuple's temporaries stay below glibc's trim threshold, so the heap
+    # top is not given back and faulted in again tuple after tuple (a check
+    # that freed about 1 MB a tuple cost 15,000 faults here)
     cfg = _write(tmp_path, _base_doc(lemma_sweep={"count": 300, "seed": 1}))
     proc = _run_python(
         "import resource; from ksblow.cli import main; "

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ksblow import ParameterError, SignalProfile, chi_eval
+from ksblow import ParameterError, SignalProfile, SystemParams, chi_eval
 from ksblow.quadrature import gauss_legendre
 from ksblow.solver import build_mesh
 
@@ -202,6 +202,15 @@ def test_cutoff_non_decreasing():
         assert np.all(np.diff(chi) >= 0.0)
     for coarse, fine in zip(chis, chis[1:]):
         assert np.all(fine >= coarse)
+
+
+def test_direct_construction_validates():
+    # a profile built from its numbers checks them; from_params takes a
+    # system that validate has passed
+    with pytest.raises(ParameterError, match="alpha"):
+        SignalProfile(f0=2.0, alpha=3.5, R=0.5, rho=0.1, n=3)
+    assert SignalProfile.from_params(SystemParams(3, 2.5, 2.0, 0.5, 0.1, 1.0)) == \
+        SignalProfile(f0=2.0, alpha=2.5, R=0.5, rho=0.1, n=3)
 
 
 def test_zero_forcing_profile():
