@@ -21,12 +21,10 @@ stated inequality for each tail; see ``verify_ode_inequality``), and
 
 K0 here is a*xi^(2-delta)/(delta(2-delta)) + e^-xi: the leading term of
 the inner-branch integral is a*xi^(2-delta)/(delta(2-delta) gamma^2), so
-the constant must carry the 1/delta factor.  The loose variant without it
-(recorded as ``K0_loose``) falls below that leading term for delta < 1; it
-still exceeds the whole integral, but only through the inner -b k^2 term.
-Both branches integrate in closed form, so the bound is an exact identity:
-K0/gamma^2 exceeds the integral by (b k^2/delta)(1 - (1 - delta/xi)/(2 + delta))
-with k = xi/gamma, which is positive because xi > delta makes b > 0.
+the constant must carry the 1/delta factor.  Both branches integrate in
+closed form, so the bound is an exact identity: K0/gamma^2 exceeds the
+integral by (b k^2/delta)(1 - (1 - delta/xi)/(2 + delta)) with k = xi/gamma,
+which is positive because xi > delta makes b > 0.
 
 The functional y(t) = integral phi W ds then dominates the solution of the
 Bernoulli problem z' = A z + B z^2 with A = k0 gamma^(2/n), B = gamma^2/(2 K0),
@@ -44,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, SelectionError
+from .errors import ParameterError, SelectionError
 from .params import SystemParams, delta_quadratic, sphere_area, validate_testfn
 from .signal import SignalProfile
 from .solver import Trajectory
@@ -74,7 +72,6 @@ class TestFunction:
     c2: float
     k0: float
     K0: float
-    K0_loose: float
 
     @property
     def kink(self) -> float:
@@ -112,10 +109,9 @@ def build_testfunction(params: SystemParams, xi: float, delta: float,
         raise ParameterError(f"gamma = {gamma} is too large: gamma^2 overflows a double",
                              [("gamma", gamma, "small enough that gamma^2 is finite")])
     K0 = a * xi ** (2.0 - delta) / (delta * (2.0 - delta)) + math.exp(-xi)
-    K0_loose = a * xi ** (2.0 - delta) / (2.0 - delta) + math.exp(-xi)
     return TestFunction(n=n, alpha=params.alpha, f0=params.f0, R=params.R, rho=params.rho,
                         xi=xi, delta=delta, gamma=gamma, a=a, b=b, c1=c1, c2=c2,
-                        k0=min(c1, c2), K0=K0, K0_loose=K0_loose)
+                        k0=min(c1, c2), K0=K0)
 
 
 # --- differential inequality ---------------------------------------------
@@ -135,7 +131,6 @@ class OdeMarginReport:
     n_bisections: int   # cells bisected; the forcing is evaluated at n_cells + 1 points
     n_power_cells: int  # cells below xi/gamma, on the power branch
     lower_tail: float   # the margin's bound below the cover; -inf if not shown
-    diffusion_rate_above_kink: float  # at xi/gamma on the exponential branch: c1*gamma^(2/n)
     k0_rate: float      # k0 * gamma^(2/n)
     cells: np.ndarray = field(repr=False)  # rows (lo, hi, margin bound), ascending
 
@@ -150,9 +145,9 @@ def _ends(tf: TestFunction, s: np.ndarray) -> np.ndarray:
     return np.stack((s, np.power(s, -2.0 / tf.n), F, Fs, rho))
 
 
-def l_phi_rate(tf: TestFunction, s):
-    """L phi / phi at the points s > 0, with the forcing (F, F_s) of the
-    profile the solver marches.
+def _rates(tf: TestFunction, ends: np.ndarray) -> np.ndarray:
+    """L phi / phi at the points whose rows ``_ends`` gives, with the
+    forcing (F, F_s) of the profile the solver marches.
 
     With q = a gamma^-delta s^-delta the power branch has phi = q - b,
     phi_s = -delta q/s and phi_ss = delta (delta+1) q/s^2, so with
@@ -163,10 +158,6 @@ def l_phi_rate(tf: TestFunction, s):
     it (dividing the underflowed factor out would turn far-field points into
     0/0 for large gamma).
     """
-    return _rates(tf, _ends(tf, np.asarray(s, dtype=float)))
-
-
-def _rates(tf: TestFunction, ends: np.ndarray) -> np.ndarray:
     s, m, F, Fs, rho = ends
     n, g, d = tf.n, tf.gamma, tf.delta
     gs = g * s
@@ -264,13 +255,10 @@ def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
         min_margin, argmin_cell = lower_tail, (0.0, lo)
     if witness is not None:
         min_margin, argmin_cell = witness[0], (witness[1], witness[1])
-    g = tf.gamma
     return OdeMarginReport(
         min_margin=min_margin, argmin_cell=argmin_cell, threshold=ANALYTIC_SLACK,
         passed=bool(min_margin >= -ANALYTIC_SLACK), n_bisections=cells.shape[0] - s.size + 1,
         n_power_cells=int(np.count_nonzero(cells[:, 1] <= kink)), lower_tail=lower_tail,
-        diffusion_rate_above_kink=(n * n * kink ** ((2.0 * n - 2.0) / n) * g * g
-                                   - 4.0 * (n * n - n) * kink ** ((n - 2.0) / n) * g),
         k0_rate=k0_rate, cells=cells)
 
 
@@ -381,9 +369,7 @@ class RiccatiSolution:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         tau = t_arr - self.t1
         if np.any(tau < 0) or np.any(tau >= self.blow_up_time):
-            raise NumericalError(
-                f"t outside [t1, t1 + T) with T = {self.blow_up_time}",
-                blow_up_time=self.blow_up_time)
+            raise ParameterError(f"t outside [t1, t1 + T) with T = {self.blow_up_time}")
         if self.B == 0.0:
             out = self.y1 * np.exp(self.A * tau)
         else:
@@ -442,7 +428,11 @@ def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
     need = k0 * K0 / kappa
 
     def sinh_bound(s):
-        with np.errstate(over="ignore"):
+        # nan, which dominates nothing, where the bound is no double: at
+        # s = 0 and where s^3 underflows against an overflowed sinh
+        if s == 0.0:
+            return math.nan
+        with np.errstate(over="ignore", invalid="ignore"):
             return c0 * c_sub * s ** 3 * np.sinh(kappa * (kappa / s) ** expo)
 
     if sinh_bound(upper) >= need:
@@ -487,9 +477,7 @@ def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
         if gamma > gamma_cap:
             which = "probe_below_s0" if (probe_s is None or probe_s >= s0) \
                 else "measured_w_inequality"
-            raise SelectionError(
-                f"gamma search exceeded cap {gamma_cap}", failing=which,
-                probe_s=probe_s, probe_w=probe_w)
+            raise SelectionError(f"gamma search exceeded cap {gamma_cap}", failing=which)
     diagnostics = {
         "kappa_rule": "k0*eta/8",
         "k0": k0, "K0": K0,

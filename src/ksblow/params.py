@@ -50,6 +50,9 @@ def _n_alpha_violations(n, alpha) -> list:
     if not (float(n).is_integer() and n >= 3):
         return [("n", n, "an integer >= 3")]
     violations = []
+    # the discriminant in delta_lower_bound grows like n^4
+    _require(math.isfinite(float(n) * n * n * n), "n", n,
+             "small enough that n^4 is a finite double", violations)
     _require(alpha > 2, "alpha", alpha, "> 2 (alpha must exceed 2)", violations)
     _require(alpha < n, "alpha", alpha, f"< n = {n}", violations)
     return violations

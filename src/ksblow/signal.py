@@ -13,15 +13,11 @@ forcing
     F(s) = integral_0^{s**(1/n)} f(r) r**(n-1) dr
 
 is non-decreasing with F_s(s) = f(s**(1/n)) / n non-increasing.  The radial
-cut-offs |x| = R -+ rho sit at s_lower = (R-rho)**n and s_upper = (R+rho)**n,
-so F is the closed form f0/(n-alpha) * s**((n-alpha)/n) up to s_lower and
-constant from s_upper on.  Across the bridge one fixed 16-point
-Gauss-Legendre rule per query point adds the rest: the integrand is analytic
+cut-offs |x| = R -+ rho sit at s_lower = (R-rho)**n and s_upper = (R+rho)**n;
+``SignalProfile.forcing`` gives F and F_s in closed form up to s_lower and
+by a fixed Gauss-Legendre rule across the bridge.  The integrand is analytic
 on an interval whose endpoints have a ratio below 3 (rho < R/2) and is
-singular only at 0, so the rule is exact to roundoff.  One evaluation,
-``SignalProfile.forcing``, gives F and F_s together: the power that forms F
-up to s_lower also gives F_s there, and the root s**(1/n) that ends a bridge
-point's rule is also the radius of its F_s.
+singular only at 0, so the rule is exact to roundoff.
 
 This is the one profile: every solve marches it, and the test-function
 inequality is certified against it.  The literal case labels R -+ rho on
@@ -141,19 +137,21 @@ class SignalProfile:
             # the bridge points and s_upper, which gives the constant, in one rule
             b = np.power(np.append(s_arr[mid], self.s_upper), 1.0 / n)
             lo, hi = self.R - self.rho, self.R + self.rho
-            # the rule runs along the first axis: node j of point i is r[j, i]
+            # the rule runs along the first axis: node j of point i is r[j, i],
+            # and the last row is b itself, the radius of F_s
             nodes, weights = legendre_rule(_BRIDGE_GL_ORDER)
             half = 0.5 * (b - lo)
-            r = 0.5 * (lo + b) + half * nodes[:, None]
-            # f(r) at nodes strictly inside (lo, hi), where the smoothstep
-            # needs no clip and f no branch
+            r = np.vstack((0.5 * (lo + b) + half * nodes[:, None], b))
+            # f(r) without the clip and the branch of ``f``: the nodes lie
+            # strictly inside (lo, hi), and so does b but for rounding, which
+            # moves f(b) by a few ulps of f(lo) at most
             x = (hi - r) / (2.0 * self.rho)
             f = f0 * r ** (-alpha) * (x * x * x * (10.0 + x * (6.0 * x - 15.0)))
             F_lower = f0 / (n - alpha) * np.power(self.s_lower, (n - alpha) / n)
-            bridge = F_lower + half * (f * r ** (n - 1) * weights[:, None]).sum(axis=0)
+            bridge = F_lower + half * (f[:-1] * r[:-1] ** (n - 1) * weights[:, None]).sum(axis=0)
             F[mid] = bridge[:-1]
             F[outer] = bridge[-1]
-            Fs[mid] = self.f(b[:-1]) / n
+            Fs[mid] = f[-1, :-1] / n
             Fs[outer] = 0.0
         if scalar:
             return float(F[0]), float(Fs[0])
@@ -162,9 +160,3 @@ class SignalProfile:
     def F(self, s):
         """Accumulated forcing F(s) at s >= 0: the first part of ``forcing``."""
         return self.forcing(s)[0]
-
-    def F_s(self, s):
-        """dF/ds = f(s**(1/n))/n at s > 0: the second part of ``forcing``."""
-        if np.any(np.asarray(s) <= 0.0):
-            raise ParameterError("s must be > 0", [("s", s, "> 0")])
-        return self.forcing(s)[1]

@@ -9,22 +9,22 @@ The regularized problem for W(s, t) is
 where chi_eps is the cutoff switching the transport off near the degenerate
 origin.  The scheme is IMEX: the degenerate diffusion is implicit (one
 tridiagonal solve per step; the coefficient d_i = n^2 s_i^((2n-2)/n) is
-evaluated at the nodes, which are the centers of their dual cells, and the
-s = 0 row is the Dirichlet identity row), while the transport is explicit
-with the coefficient lagged, chi_eps(s)(W^k + nF)(W^k)_s, and first-order
-upwinding.  The transport coefficient is nonnegative, so characteristics run
-toward the origin and the upwind stencil is the forward difference.  Under
-the advection CFL bound both substeps are monotone, so the discrete solution
-inherits the maximum principle (0 <= W <= cap) and the non-decreasing
-profile up to roundoff; violations beyond tolerance are reported with their
-location, never clamped.
+evaluated at the nodes, which are the centers of their dual cells), while
+the transport is explicit with the coefficient lagged,
+chi_eps(s)(W^k + nF)(W^k)_s, and first-order upwinding.  The transport
+coefficient is nonnegative, so characteristics run toward the origin and
+the upwind stencil is the forward difference.  Under the advection CFL
+bound both substeps are monotone, so the discrete solution inherits the
+maximum principle (0 <= W <= cap) and the non-decreasing profile up to
+roundoff; violations beyond tolerance are reported with their location,
+never clamped.
 
 The implicit step (I - dt*A) W^{k+1} = rhs is solved in its mass-matrix
 form.  Row i of the diffusion matrix A is 2 d_i/(h_{i-1} + h_i) times the
 stencil [1/h_{i-1}, -(1/h_{i-1} + 1/h_i), 1/h_i], so A = -diag(mu)^-1 K
-with the dual-cell mass mu_i = (h_{i-1} + h_i)/(2 d_i) (mu = 1 on the two
-Dirichlet rows) and the stiffness matrix K, K_ii = 1/h_{i-1} + 1/h_i and
-K_{i,i+1} = K_{i+1,i} = -1/h_i, which is symmetric.  Each step solves
+with the dual-cell mass mu_i = (h_{i-1} + h_i)/(2 d_i) and the stiffness
+matrix K, K_ii = 1/h_{i-1} + 1/h_i and K_{i,i+1} = K_{i+1,i} = -1/h_i,
+which is symmetric.  Each step solves
 
     (diag(mu) + dt*K) W^{k+1} = mu * rhs,
 
@@ -35,33 +35,6 @@ diagonal and strictly diagonally dominant (each diagonal entry exceeds the
 sum of its row's off-diagonal moduli by at least mu_i > 0), so it is
 positive definite for every dt > 0 and LAPACK's pivot-free routines apply.
 Its solution solves the nonsymmetric form up to roundoff.
-
-The transport is one rate per node, r_i = chi_eps(s_i)(W_i + nF_i)/h_i, times
-W_{i+1} - W_i; its factor chi_eps/h is built once and is 0 at both ends.  The
-step is adaptive and never exceeds the CFL limit L = cfl_safety / max_i r_i
-of the pre-step W (inf when no rate is positive).  The step in use is held
-while it stays in the band (1 - 2*theta) L <= dt <= L, theta = _HOLD_BAND;
-once L leaves that band the step becomes (1 - theta) L, a reset recorded with
-the node of the fastest rate.  max_dt caps it and an output time clips it, so
-it lands exactly on each requested time.  Every step size that is not
-clipped gets held factors (dpttrf once, then one dpttrs solve per step while
-it is held); a clipped step is one in-place dptsv.  The boundary rows need no
-writes: with r = 0 there, the right-hand side is W_0 = 0 and W_N = cap, which
-the identity rows without coupling return exactly.  Neither solve checks its
-input: a non-finite W is caught by the invariant check, with its location.
-The check differences W once per step, and the transport reuses that
-difference; when the smallest difference is above the log level and W lies
-within [0, cap] up to that level, the step records nothing and the per-row
-checks are skipped.
-
-One stepping engine marches a stack of k cutoffs on one shared dt_fixed
-grid: a single run is the stack of one, and a cutoff sweep is one stack
-with one k-column LAPACK solve per step.  The k rows of W are one C-ordered
-(k, N+1) buffer, whose transpose is the (N+1, k) right-hand side; the
-transport, the right-hand side and the differences run elementwise on its
-flat view, so every row is computed exactly as its own run would be.  One
-min over the differences of all rows clears the usual step; a row that
-fails its check is recorded as that cutoff's failure and leaves the stack.
 """
 
 from __future__ import annotations
@@ -259,7 +232,8 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     Row r of the C-ordered (k, N+1) state is the run at eps_list[r]; its
     transpose is the (N+1, k) right-hand side of one LAPACK solve per step,
     and the elementwise work runs on its flat view, with nF tiled and chi/h
-    stacked per row.  A stack of k > 1 needs ``config.dt_fixed``.
+    stacked per row, so each row is computed exactly as its own run would
+    be.  A stack of k > 1 needs ``config.dt_fixed``.
     Returns (trajectories, failures): a row whose invariant check fails
     becomes its (epsilon, SolverError) in failures and leaves the stack, and
     the other rows go on unchanged.  Every trajectory carries the metadata of
@@ -290,7 +264,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     # the step matrix diag(mu) + dt*K as LAPACK's (diagonal, off-diagonal)
     # pair: the stiffness K end to end in one array, so that the pair takes
     # one multiply and one add of mu; K is zero in the Dirichlet rows and
-    # their couplings, and mu is 1 there
+    # their couplings, and mu is 1 there, which makes them identity rows
     size = s.size
     d_coef = n * n * np.power(s[1:-1], (2.0 * n - 2.0) / n)
     mu = np.ones(size)
@@ -298,7 +272,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     stiffness = np.zeros(size + h.size)
     stiffness[1:h.size] = 1.0 / h[:-1] + 1.0 / h[1:]
     stiffness[size + 1:-1] = -1.0 / h[1:-1]
-    edge = cap / h[-1]  # row N-1's coupling to W_N = cap, per unit dt
+    edge = cap / h[-1]  # row N-1's coupling to W_N, per unit dt
 
     t = 0.0
     t_end, dt_fixed, max_dt, cfl = config.t_end, config.dt_fixed, config.max_dt, config.cfl_safety
@@ -418,7 +392,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             dt = t_target - t
         if not dt_floor < dt < math.inf:
             exc = SolverError(f"step-size underflow: dt = {dt} at t = {t}",
-                              location=(None, t), dt=dt)
+                              location=(None, t))
             failures.extend((r, exc) for r in rows)
             break
         if dt == held_dt:
@@ -437,12 +411,10 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
                 if dt_fixed is None and dt != max_dt:  # the CFL limit reset the step
                     cfl_resets.append({"t": t, "s": float(s[int(np.argmax(coef))]), "dt": dt})
 
-        # explicit upwind transport: coef >= 0 moves data toward the origin,
-        # so rhs = mu * (W + dt * coef * dW), with dW the check's differences,
-        # and row N-1 takes its coupling to W_N = cap.  The Dirichlet rows
-        # need no writes: coef is 0 at both ends, so there rhs is W_0 = 0 and
-        # W_N = cap, and their matrix rows are identity rows without coupling,
-        # which LAPACK's pivot-free solves return exactly
+        # rhs = mu * (W + dt * coef * dW), with dW the check's forward
+        # differences.  The Dirichlet rows need no writes: coef is 0 at both
+        # ends, so there rhs is W_0 = 0 and W_N = cap, which their identity
+        # rows return exactly
         np.multiply(coef, ws, out=rhs)
         rhs *= dt
         rhs += w
@@ -509,7 +481,8 @@ def solve_banded(matrix, rhs):
     """Solve the symmetric positive definite step matrix for ``rhs`` in
     place.  ``matrix`` is (diagonal, off-diagonal, factored): with factored
     true, the pair is its dpttrf factors (one dpttrs); otherwise it is the
-    matrix itself (one dptsv, which overwrites it)."""
+    matrix itself (one dptsv, which overwrites it).  Neither solve checks
+    its input: a non-finite W is caught by the invariant check."""
     diag, off, factored = matrix
     if factored:
         return dpttrs(diag, off, rhs, overwrite_b=1)[0]
@@ -600,39 +573,6 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
     return trajectories, report
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    worst_margin: float
-    location: tuple             # (s, t) of the worst margin
-    tolerance: float
-    passed: bool
-
-
-def comparison_check(traj: Trajectory, candidate, tol: float = 0.0,
-                     s_window: tuple | None = None) -> ComparisonReport:
-    """Check the trajectory against a subsolution candidate.
-
-    ``candidate(s_array, t)`` evaluates the comparison function on the mesh;
-    the run must dominate it (W >= candidate - tol).  Violations are report
-    content, not errors.
-    """
-    s = traj.s
-    mask = np.ones_like(s, dtype=bool)
-    if s_window is not None:
-        mask = (s >= s_window[0]) & (s <= s_window[1])
-    worst = math.inf
-    where = (float("nan"), float("nan"))
-    for t, w in zip(traj.times, traj.snapshots):
-        cand = np.asarray(candidate(s, t), dtype=float)
-        margin = (w - cand)[mask]
-        i = int(np.argmin(margin))
-        if margin[i] < worst:
-            worst = float(margin[i])
-            where = (float(s[mask][i]), t)
-    return ComparisonReport(worst_margin=worst, location=where,
-                            tolerance=tol, passed=worst >= -tol)
-
-
 def measured_c_sub(traj: Trajectory, w0: MassFunction) -> float:
     """min{1, min over output times of W(1/2, t) / W0(1)}: the constant that
     scales s^2 W0(s) into a subsolution on [0, 1]."""
@@ -642,11 +582,3 @@ def measured_c_sub(traj: Trajectory, w0: MassFunction) -> float:
     vals = [float(np.interp(0.5, traj.s, w)) for w in traj.snapshots]
     return min(1.0, min(vals) / w0_at_1)
 
-
-def subsolution_candidate(c_sub: float, w0: MassFunction):
-    """Candidate c_sub * s^2 * W0(s), valid on the unit interval in s."""
-
-    def candidate(s, _t):
-        return c_sub * np.asarray(s) ** 2 * np.interp(s, w0.s, w0.w)
-
-    return candidate

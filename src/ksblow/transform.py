@@ -19,9 +19,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-_MONOTONE_SLACK = 1e-8
-_CAP_SLACK = 1e-10
-
 
 @dataclass(frozen=True)
 class MassFunction:
@@ -46,20 +43,6 @@ class MassFunction:
             raise ParameterError("grid and values must be matching 1-d arrays")
         if s[0] != 0.0 or not np.all(np.diff(s) > 0):
             raise ParameterError("grid must start at 0 and increase strictly")
-
-    def validate(self) -> "MassFunction":
-        cap = self.far_field
-        if abs(self.w[0]) > _CAP_SLACK * max(cap, 1.0):
-            raise ParameterError(f"W(0) must vanish (got {self.w[0]!r})")
-        worst = float(np.min(np.diff(self.w)))
-        if worst < -_MONOTONE_SLACK * max(cap, 1.0):
-            i = int(np.argmin(np.diff(self.w)))
-            raise ParameterError(
-                f"W must be non-decreasing: drop {worst:.3e} at s = {self.s[i]!r}")
-        if float(np.max(self.w)) > cap * (1.0 + _CAP_SLACK):
-            raise ParameterError(
-                f"W exceeds its far-field cap {cap!r}: max {float(np.max(self.w))!r}")
-        return self
 
 
 def w0_from_density(c0: float, mesh_s) -> MassFunction:

@@ -1,4 +1,5 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -66,3 +67,66 @@ def quad_phi_integral():
         return inner + outer / tf.gamma ** 2
 
     return integral
+
+
+@pytest.fixture(scope="session")
+def assert_mass_function():
+    """Oracle for the invariants of a sampled mass function: W(0) = 0 and
+    W <= far_field up to 1e-10, and a non-decreasing profile up to 1e-8, both
+    relative to max(far_field, 1)."""
+
+    def check(mf):
+        scale = max(mf.far_field, 1.0)
+        assert abs(mf.w[0]) <= 1e-10 * scale, f"W(0) = {mf.w[0]!r} must vanish"
+        assert np.min(np.diff(mf.w)) >= -1e-8 * scale, "W must be non-decreasing"
+        assert np.max(mf.w) <= mf.far_field * (1.0 + 1e-10), "W exceeds its far-field cap"
+
+    return check
+
+
+class ComparisonReport(NamedTuple):
+    worst_margin: float
+    location: tuple             # (s, t) of the worst margin
+    tolerance: float
+    passed: bool
+
+
+@pytest.fixture(scope="session")
+def comparison_check():
+    """Oracle that checks a trajectory against a subsolution candidate.
+
+    ``candidate(s_array, t)`` evaluates the comparison function on the mesh;
+    the run must dominate it (W >= candidate - tol) at every output time,
+    over the nodes in ``s_window`` when it is given."""
+
+    def check(traj, candidate, tol=0.0, s_window=None):
+        s = traj.s
+        mask = np.ones_like(s, dtype=bool)
+        if s_window is not None:
+            mask = (s >= s_window[0]) & (s <= s_window[1])
+        worst = math.inf
+        where = (math.nan, math.nan)
+        for t, w in zip(traj.times, traj.snapshots):
+            margin = (w - np.asarray(candidate(s, t), dtype=float))[mask]
+            i = int(np.argmin(margin))
+            if margin[i] < worst:
+                worst = float(margin[i])
+                where = (float(s[mask][i]), t)
+        return ComparisonReport(worst_margin=worst, location=where, tolerance=tol,
+                                passed=worst >= -tol)
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def subsolution_candidate():
+    """The candidate c_sub * s^2 * W0(s) of ``comparison_check``, valid on
+    the unit interval in s."""
+
+    def candidate_for(c_sub, w0):
+        def candidate(s, _t):
+            return c_sub * np.asarray(s) ** 2 * np.interp(s, w0.s, w0.w)
+
+        return candidate
+
+    return candidate_for

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from ksblow import (SignalProfile, SolverConfig, SystemParams, build_mesh,
-                    build_testfunction, comparison_check,
-                    delta_lower_bound, delta_quadratic, f0_threshold,
-                    measured_c_sub, riccati, solve_regularized,
-                    subsolution_candidate, validate, verify_integral_bound,
-                    verify_ode_inequality, w0_from_density, weak_residual)
+                    build_testfunction, delta_lower_bound, delta_quadratic,
+                    f0_threshold, measured_c_sub, riccati, solve_regularized,
+                    validate, verify_integral_bound, verify_ode_inequality,
+                    w0_from_density, weak_residual)
 from ksblow.cli import main as cli_main
 from ksblow.weakform import field_library
 
@@ -109,7 +108,7 @@ def test_criterion_2_testfunction_certification(quad_phi_integral):
           f"{elapsed:.1f}s")
 
 
-def test_criterion_3_solver_invariants(scenario_sweep):
+def test_criterion_3_solver_invariants(scenario_sweep, comparison_check, subsolution_candidate):
     sweep = scenario_sweep
     cap = 1.0
     for traj in sweep["trajectories"]:

@@ -6,12 +6,12 @@ import pytest
 from mpmath import iv
 from scipy.integrate import quad
 
-from ksblow import (NumericalError, ParameterError, SelectionError, SignalProfile,
+from ksblow import (ParameterError, SelectionError, SignalProfile,
                     SystemParams, blowup_indicator, build_testfunction, default_delta,
                     f0_threshold, integral_phi_linear, integral_phi_total, riccati,
                     select_blowup_params, validate, verify_integral_bound,
                     verify_ode_inequality, y_functional)
-from ksblow.analysis import CELL_PAD, CELL_RATIO, l_phi_rate
+from ksblow.analysis import CELL_PAD, CELL_RATIO, _ends, _rates
 from ksblow.cli import _default_lemma_grid
 from ksblow.solver import Trajectory, build_mesh
 
@@ -42,6 +42,11 @@ def phi_eval(tf, s):
     return phi, phis, phiss
 
 
+def l_phi_rate(tf, s):
+    """L phi / phi at the points s > 0 by the certificate's own reduced form."""
+    return _rates(tf, _ends(tf, np.asarray(s, dtype=float)))
+
+
 @pytest.fixture(scope="module")
 def tf(scenario):
     return build_testfunction(scenario, xi=4.0, delta=0.8, gamma=20.0)
@@ -61,9 +66,6 @@ def test_constants_closed_forms(tf):
     assert tf.K0 == pytest.approx(
         tf.a * 4.0 ** 1.2 / (0.8 * 1.2) + math.exp(-4.0), rel=1e-14, abs=0.0)
     assert tf.K0 == pytest.approx(1.5446189, rel=1e-6)
-    assert tf.K0_loose == pytest.approx(tf.a * 4.0 ** 1.2 / 1.2 + math.exp(-4.0),
-                                        rel=1e-14, abs=0.0)
-    assert tf.K0 > tf.K0_loose  # the loose constant misses the 1/delta factor
 
 
 def test_infeasible_delta_rejected(scenario):
@@ -139,11 +141,12 @@ def test_ode_inequality_forcing_term_vanishes_beyond_support(tf):
     # beyond the support the derivative term contributes exactly zero
     profile = tf.profile
     s = np.geomspace(profile.s_upper * 1.01, 5.0, 200)
-    assert np.all(profile.F_s(s) == 0.0)
+    Fs = profile.forcing(s)[1]
+    assert np.all(Fs == 0.0)
     with_term = l_phi_rate(tf, s)
     # recompute dropping the F_s term entirely: identical values
     n = tf.n
-    no_term = with_term + n * profile.F_s(s) * np.ones_like(s)
+    no_term = with_term + n * Fs * np.ones_like(s)
     np.testing.assert_array_equal(with_term, no_term)
 
 
@@ -168,7 +171,7 @@ def test_l_phi_rate_matches_phi_eval(tf):
         phi, phis, phiss = phi_eval(t, s)
         L = (n * n * s ** ((2.0 * n - 2.0) / n) * phiss
              + 4.0 * (n * n - n) * s ** ((n - 2.0) / n) * phis
-             - n * profile.F(s) * phis - n * profile.F_s(s) * phi)
+             - n * profile.F(s) * phis - n * profile.forcing(s)[1] * phi)
         rate = l_phi_rate(t, s)
         keep = (s < t.kink) | (phi > 1e-280)  # past that the exponential has underflowed
         assert np.isin(near, s[keep]).all()
@@ -183,7 +186,10 @@ def test_ode_inequality_k0_sanity_on_c1_binding_tuple():
     assert tf.c2 > tf.c1 and tf.k0 == tf.c1
     report = verify_ode_inequality(tf)
     assert report.passed
-    assert report.diffusion_rate_above_kink == pytest.approx(report.k0_rate, rel=0.1)
+    n, kink, g = tf.n, tf.kink, tf.gamma
+    diffusion_rate = (n * n * kink ** ((2.0 * n - 2.0) / n) * g * g
+                      - 4.0 * (n * n - n) * kink ** ((n - 2.0) / n) * g)
+    assert diffusion_rate == pytest.approx(report.k0_rate, rel=0.1)
 
 
 @pytest.mark.parametrize("gamma", [14437.1, 28874.0, 1e6])
@@ -395,9 +401,9 @@ def test_riccati_linear_limit():
 
 def test_riccati_domain_error_carries_time():
     sol = riccati(1.0, 1.0, 1.0, t1=0.0)
-    with pytest.raises(NumericalError) as err:
+    with pytest.raises(ParameterError, match=rf"with T = {sol.blow_up_time!r}$"):
         sol(math.log(2.0))
-    assert err.value.blow_up_time == pytest.approx(math.log(2.0), rel=1e-13, abs=0.0)
+    assert sol.blow_up_time == pytest.approx(math.log(2.0), rel=1e-13, abs=0.0)
 
 
 def test_riccati_blowup_divergence():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import ksblow.config as config_mod
 from ksblow.cli import _default_lemma_grid, _write_rows, main
 from ksblow.config import ConfigError, config_to_dict, load_config, parse_config
-from ksblow.params import SystemParams
+from ksblow.params import SystemParams, f0_threshold
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -73,6 +73,16 @@ def test_validate_zero_forcing_is_infeasible_not_malformed(tmp_path):
     doc = _base_doc()
     doc["system"]["f0"] = 0.0
     assert main(["validate", "--config", _write(tmp_path, doc)]) == 2
+
+
+def test_validate_rejects_an_n_whose_delta_bound_overflows(tmp_path, capsys):
+    # 1e200 is an integer >= 3, but the delta bound's discriminant, of order
+    # n^4, overflows a double
+    doc = _base_doc()
+    doc["system"]["n"] = 1e200
+    assert main(["validate", "--config", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: n must be small enough that n^4 is a finite double (got ")
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -484,6 +494,23 @@ def test_blowup_infeasible_gate(tmp_path):
     assert main(["blowup", "--config", _write(tmp_path, doc)]) == 2
 
 
+@pytest.mark.parametrize("n", [64, 200])
+def test_blowup_sinh_condition_fails_cleanly_at_large_n(tmp_path, capsys, n):
+    # the README system at large n: at n = 64 s^3 underflows against an
+    # overflowed sinh, at n = 200 the cap on s0 is about 8e-256 and halving
+    # reaches 0; both are a selection failure, with no warning on the way
+    out = tmp_path / "b"
+    doc = _base_doc(solver={"epsilon": 1e-3, "s_max": 4.0, "N": 128, "t_end": 0.002,
+                            "output_times": [0.0, 0.001, 0.002]},
+                    blowup={"eta": 0.002}, output={"directory": str(out)})
+    doc["system"].update(n=n, f0=2.0 * f0_threshold(n, 2.5))
+    assert main(["blowup", "--config", _write(tmp_path, doc)]) == 5
+    assert capsys.readouterr().err == \
+        "parameter selection failure: no s0 satisfies the cubic-sinh requirement\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"]["failing"] == "sinh_condition"
+
+
 def test_blowup_requires_t1_snapshot(tmp_path):
     doc = _base_doc(blowup={"eta": 0.1},
                     solver={"epsilon": 0.01, "s_max": 4.0, "N": 96, "t_end": 0.1,
@@ -658,6 +685,17 @@ def test_verify_lemmas_huge_gamma_is_a_construction_failure(tmp_path, capsys):
     rows = (out / "lemma_checks.csv").read_text().splitlines()[1:]
     assert rows[0].endswith(",True")
     assert rows[1].split(",")[8] == "False"  # constructed
+
+
+def test_verify_lemmas_huge_n_is_a_construction_failure(tmp_path, capsys):
+    out = tmp_path / "huge"
+    doc = _base_doc(lemma_sweep={"tuples": [_GOOD_TUPLE, dict(_GOOD_TUPLE, n=1e200)]},
+                    output={"directory": str(out)})
+    assert main(["verify-lemmas", "--config", _write(tmp_path, doc)]) == 4
+    assert "n must be small enough that n^4 is a finite double" in capsys.readouterr().err
+    rows = (out / "lemma_checks.csv").read_text().splitlines()[1:]
+    assert rows[0].endswith(",True")
+    assert rows[1].startswith("1e+200,") and rows[1].split(",")[8] == "False"  # constructed
 
 
 # an admissible tuple that passes with the bridge placed at R -+ rho on the s

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,16 +16,22 @@ def profile():
     return SignalProfile(**SCEN)
 
 
+def F_s(profile, s):
+    """dF/ds = f(s**(1/n))/n: the second part of ``forcing``."""
+    return profile.forcing(s)[1]
+
+
 def quad_F(profile, s):
     """Independent oracle for F: the closed form up to s_lower plus adaptive
-    quadrature of the public F_s from there, at quad's tightest tolerance
-    (full output: quad may flag roundoff there, the comparison is the check)."""
+    quadrature of the F_s of ``forcing`` from there, at quad's tightest
+    tolerance (full output: quad may flag roundoff there, the comparison is
+    the check)."""
     n, lo, hi = profile.n, profile.s_lower, profile.s_upper
     head = profile.f0 / (n - profile.alpha) * min(s, lo) ** ((n - profile.alpha) / n)
     if s <= lo:
         return head
-    val = quad(profile.F_s, lo, min(s, hi), epsabs=0.0, epsrel=1.2e-14, limit=400,
-               full_output=1)[0]
+    val = quad(lambda x: F_s(profile, x), lo, min(s, hi), epsabs=0.0, epsrel=1.2e-14,
+               limit=400, full_output=1)[0]
     return head + val
 
 
@@ -111,7 +119,8 @@ def _per_point_F(prof, s):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_forcing_is_F_and_F_s_in_one_pass(n):
     # on the scan, the N = 512 mesh and exactly at both bridge ends: F is the
-    # per-point rule up to the order of its sum, F_s is f(s**(1/n))/n
+    # per-point rule up to the order of its sum, F_s is f(s**(1/n))/n, bit for
+    # bit on the bridge, where it is f at one more node of the rule
     prof = SignalProfile(f0=2.0, alpha=n - 0.5, R=0.5, rho=0.1, n=n)
     s = np.concatenate((np.geomspace(1e-8, 10.0, 10_000), build_mesh(4.0, 512),
                         [prof.s_lower, prof.s_upper]))
@@ -124,8 +133,9 @@ def test_forcing_is_F_and_F_s_in_one_pass(n):
     below = (s > 0.0) & (s < prof.s_upper)
     np.testing.assert_allclose(Fs[below], prof.f(s[below] ** (1.0 / n)) / n, rtol=1e-14, atol=0.0)
     assert np.all(Fs[s >= prof.s_upper] == 0.0)
-    np.testing.assert_array_equal(Fs[s > 0.0], prof.F_s(s[s > 0.0]))
-    assert prof.forcing(prof.s_lower) == (prof.F(prof.s_lower), prof.F_s(prof.s_lower))
+    bridge = (s > prof.s_lower) & (s < prof.s_upper)
+    np.testing.assert_array_equal(Fs[bridge], prof.f(s[bridge] ** (1.0 / n)) / n)
+    assert prof.forcing(prof.s_lower) == (F[-2], Fs[-2])
 
 
 def test_F_constant_past_upper_breakpoint(profile):
@@ -147,28 +157,29 @@ def test_F_limit_bound(profile):
 
 
 def test_Fs_values(profile):
-    assert profile.F_s(0.001) == pytest.approx((2.0 / 3.0) * 0.001 ** (-5.0 / 6.0),
-                                               rel=1e-12, abs=0.0)
-    assert profile.F_s(0.001) == pytest.approx(210.8185, rel=1e-6)
-    assert profile.F_s(0.3) == 0.0
-    assert profile.F_s(0.008) == pytest.approx(profile.f(0.2) / 3.0, rel=1e-14, abs=0.0)
-    assert profile.F_s(0.008) == pytest.approx(37.26780, rel=1e-6)
+    assert F_s(profile, 0.001) == pytest.approx((2.0 / 3.0) * 0.001 ** (-5.0 / 6.0),
+                                                rel=1e-12, abs=0.0)
+    assert F_s(profile, 0.001) == pytest.approx(210.8185, rel=1e-6)
+    assert F_s(profile, 0.3) == 0.0
+    assert F_s(profile, 0.008) == pytest.approx(profile.f(0.2) / 3.0, rel=1e-14, abs=0.0)
+    assert F_s(profile, 0.008) == pytest.approx(37.26780, rel=1e-6)
 
 
 def test_Fs_is_f_of_root(profile):
     s = np.geomspace(1e-6, 2.0, 500)
-    np.testing.assert_allclose(profile.F_s(s), profile.f(s ** (1 / 3)) / 3.0, rtol=1e-14)
+    np.testing.assert_allclose(F_s(profile, s), profile.f(s ** (1 / 3)) / 3.0, rtol=1e-14)
 
 
 def test_Fs_domain_error(profile):
+    # F_s is unbounded at 0, where forcing gives nan; below 0 it raises
+    assert math.isnan(F_s(profile, 0.0))
     with pytest.raises(ParameterError):
-        profile.F_s(0.0)
+        profile.forcing(-1e-3)
 
 
 def test_F_monotone_Fs_antitone(profile):
     s = np.geomspace(1e-8, 5.0, 5000)
-    F = profile.F(s)
-    Fs = profile.F_s(s)
+    F, Fs = profile.forcing(s)
     assert np.all(np.diff(F) >= -1e-14 * F[-1])
     assert np.all(np.diff(Fs) <= 1e-10 * Fs[0])
 
@@ -182,7 +193,7 @@ def test_F_derivative_matches_Fs(profile):
     # where F_s is small, small enough that curvature error stays below 1e-6
     h = 4e-6 * np.maximum(s, 1e-2)
     fd = (profile.F(s + h) - profile.F(s - h)) / (2 * h)
-    np.testing.assert_allclose(fd, profile.F_s(s), rtol=1e-6)
+    np.testing.assert_allclose(fd, F_s(profile, s), rtol=1e-6)
 
 
 def test_cutoff_endpoint_values():
@@ -217,4 +228,4 @@ def test_zero_forcing_profile():
     prof = SignalProfile(f0=0.0, alpha=2.5, R=0.5, rho=0.1, n=3)
     assert prof.f(0.3) == 0.0
     assert prof.F(10.0) == 0.0
-    assert prof.F_s(0.1) == 0.0
+    assert F_s(prof, 0.1) == 0.0

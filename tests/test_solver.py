@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from ksblow import (MassFunction, ParameterError, SignalProfile, SolverConfig,
-                    SystemParams, build_mesh, comparison_check, measured_c_sub,
-                    proper_sweep, solve_regularized, subsolution_candidate,
-                    validate, w0_from_density)
+                    SystemParams, build_mesh, measured_c_sub, proper_sweep,
+                    solve_regularized, validate, w0_from_density)
 from ksblow.solver import _load_flapack, cap_cfl_bound
 
 
@@ -92,7 +91,7 @@ def test_truncation_must_reach_far_field(scenario, scenario_profile):
         solve_regularized(scenario, w0, cfg, scenario_profile)
 
 
-def test_comparison_subsolution(small_run):
+def test_comparison_subsolution(small_run, comparison_check, subsolution_candidate):
     traj, w0 = small_run
     c_sub = measured_c_sub(traj, w0)
     assert 0.0 < c_sub <= 1.0
@@ -101,7 +100,7 @@ def test_comparison_subsolution(small_run):
     assert rep.passed
 
 
-def test_comparison_detector_sanity(small_run):
+def test_comparison_detector_sanity(small_run, comparison_check):
     # a fabricated candidate exceeding W somewhere must be flagged there
     traj, _ = small_run
     s = traj.s
@@ -267,12 +266,12 @@ def test_refinement_stability(scenario, scenario_profile):
         assert d1 >= 1.5 * d2, (s_probe, d1, d2)
 
 
-def test_trajectory_accessors(small_run):
+def test_trajectory_accessors(small_run, assert_mass_function):
     traj, _ = small_run
     mf = traj.snapshot_at(0.01)
     assert isinstance(mf, MassFunction)
     assert mf.time == 0.01
-    mf.validate()
+    assert_mass_function(mf)
     with pytest.raises(ParameterError, match="no snapshot"):
         traj.snapshot_at(0.123)
 

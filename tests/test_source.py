@@ -1,0 +1,44 @@
+"""Guards on the shape of the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ksblow"
+
+
+def unused_public_names(src_dir):
+    """The module-level public functions and classes of the modules in
+    ``src_dir`` (``__init__.py`` aside) whose name no module uses, as a
+    ``Name`` or an ``Attribute``, outside the name's own definition.
+
+    Methods are out of scope: an attribute use of a method name anywhere
+    counts for every method of that name, so the scan cannot tell them apart.
+    """
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(src_dir.glob("*.py")) if path.name != "__init__.py"]
+
+    def uses(node):
+        counts = {}
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else \
+                sub.attr if isinstance(sub, ast.Attribute) else None
+            if name is not None:
+                counts[name] = counts.get(name, 0) + 1
+        return counts
+
+    total = {}
+    for tree in trees:
+        for name, count in uses(tree).items():
+            total[name] = total.get(name, 0) + count
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_") \
+                    and total.get(node.name, 0) == uses(node).get(node.name, 0):
+                unused.append(node.name)
+    return sorted(unused)
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert unused_public_names(SRC) == []

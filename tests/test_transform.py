@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ksblow import (MassFunction, ParameterError, build_mesh, estimate_origin_limit,
-                    w0_from_density, write_csv)
+from ksblow import (MassFunction, ParameterError, SolverError, build_mesh,
+                    estimate_origin_limit, w0_from_density, write_csv)
+from ksblow.solver import _check_row
 
 
 def read_csv(path):
@@ -22,14 +23,14 @@ def test_far_field_equals_plateau_height():
         assert w0.w[-1] == c0
 
 
-def test_w0_plateau_exact():
+def test_w0_plateau_exact(assert_mass_function):
     s = build_mesh(4.0, 256)
     w0 = w0_from_density(1.0, s)
     exact = np.minimum(s, 1.0)
     assert np.max(np.abs(w0.w - exact)) <= 1e-12
     assert w0.w[0] == 0.0
     assert np.all(np.diff(w0.w) >= 0.0)
-    w0.validate()
+    assert_mass_function(w0)
 
 
 def test_origin_limit_jump_data():
@@ -66,22 +67,30 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(w, mf.w)
 
 
+def _check(w, s, cap=1.0):
+    """The solver's invariant check of one run's W at t = 0; returns its log."""
+    drops = np.diff(w)
+    violations = []
+    _check_row(float(drops.min()), w, drops, s, cap, 0.0, violations)
+    return violations
+
+
 def test_reconstruct_rejects_non_monotone():
     s = build_mesh(2.0, 128)
     w = np.minimum(s, 1.0)
     w[60] = w[64]  # create a drop
-    with pytest.raises(ParameterError, match="non-decreasing"):
-        MassFunction(s=s, w=w, time=0.0, far_field=1.0).validate()
+    with pytest.raises(SolverError, match="monotonicity violated") as err:
+        _check(w, s)
+    assert err.value.location == (s[60], 0.0)  # the drop from node 60 to 61
 
 
 def test_mass_function_validation():
     s = np.array([0.0, 0.5, 1.0])
-    MassFunction(s=s, w=np.array([0.0, 0.5, 1.0]), time=0.0, far_field=1.0).validate()
-    with pytest.raises(ParameterError, match="non-decreasing"):
-        MassFunction(s=s, w=np.array([0.0, 0.6, 0.5]), time=0.0, far_field=1.0).validate()
-    with pytest.raises(ParameterError, match="cap"):
-        MassFunction(s=s, w=np.array([0.0, 0.5, 1.1]), time=0.0,
-                     far_field=1.0).validate()
+    MassFunction(s=s, w=np.array([0.0, 0.5, 1.0]), time=0.0, far_field=1.0)
+    with pytest.raises(SolverError, match="monotonicity violated"):
+        _check(np.array([0.0, 0.6, 0.5]), s)
+    with pytest.raises(SolverError, match="range violated"):
+        _check(np.array([0.0, 0.5, 1.1]), s)
     with pytest.raises(ParameterError, match="start at 0"):
         MassFunction(s=np.array([0.1, 0.5, 1.0]), w=np.array([0.0, 0.5, 1.0]),
                      time=0.0, far_field=1.0)

@@ -133,7 +133,8 @@ def _dense_terms(traj, zeta, profile):
     g, g1, g2 = zeta.s_factor.value(sp), zeta.s_factor.d1(sp), zeta.s_factor.d2(sp)
     sig, sig1 = zeta.t_factor.value(tp), zeta.t_factor.d1(tp)
     diff = p * (p - 1.0) * sp ** (p - 2.0) * g + 2.0 * p * sp ** (p - 1.0) * g1 + sp ** p * g2
-    forcing = profile.F_s(sp) * g + profile.F(sp) * g1
+    F, F_s = profile.forcing(sp)
+    forcing = F_s * g + F * g1
 
     def double(kernel_s, kernel_t, data):
         return float(np.dot(tw * kernel_t, data @ (sw * kernel_s)))
