@@ -27,7 +27,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
 from .analysis import (build_testfunction, blowup_indicator, indicator_series,
                        select_blowup_params, verify_integral_bound,
@@ -225,6 +224,9 @@ def cmd_simulate(cfg_path: str, out_flag=None) -> int:
 
 
 def _default_lemma_grid(system: SystemParams, count: int, seed: int):
+    # imported here, its one use, so the other commands start without it
+    from numpy.random import default_rng
+
     rng = default_rng(seed)
     out = []
     while len(out) < count:

@@ -44,11 +44,10 @@ import sys
 import time as _time
 from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import ParameterError, SolverError
 from .params import SystemParams, validate
@@ -69,15 +68,21 @@ def _load_flapack(directory):
         finder = FileFinder(str(directory), (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec(_FLAPACK)
         if spec is None:
+            from importlib.metadata import version
+
             raise ImportError(f"no {_FLAPACK} extension in {directory} "
-                              f"(scipy {scipy.__version__})", name=_FLAPACK)
+                              f"(scipy {version('scipy')})", name=_FLAPACK)
         module = module_from_spec(spec)
         sys.modules[_FLAPACK] = module
         spec.loader.exec_module(module)
     return module
 
 
-_flapack = _load_flapack(Path(scipy.__path__[0]) / "linalg")
+# the spec locates scipy without running its package init
+_scipy = find_spec("scipy")
+if _scipy is None:
+    raise ModuleNotFoundError("ksblow needs scipy", name="scipy")
+_flapack = _load_flapack(Path(_scipy.submodule_search_locations[0]) / "linalg")
 dptsv, dpttrf, dpttrs = _flapack.dptsv, _flapack.dpttrf, _flapack.dpttrs
 
 _RATIO_MAX = 1.2

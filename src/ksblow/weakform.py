@@ -17,9 +17,10 @@ snapshots).  Because W is linear in t between snapshots, each double
 integral is a sum over snapshots of a time weight times a space integral of
 that snapshot (the W^2 term adds the products of neighbouring snapshots), so
 the interpolant is never formed on the (time x space) grid of quadrature
-points: memory is O(K P) for K snapshots and P space points, not O(Q P) for
-Q time points.  A residual at or below ROUNDOFF_FLOOR times its largest term
-is roundoff.
+points, and the snapshots are interpolated onto the space points one at a
+time: memory is O(K + P + Q) for K snapshots, P space points and Q time
+points, not O(K P) or O(Q P).  A residual at or below ROUNDOFF_FLOOR times
+its largest term is roundoff.
 
 The library fields are tensor products of polynomial windows: the space
 factor is the C^7 bump (1 - x^2)^8 and the time factor either that bump or a
@@ -254,6 +255,41 @@ def _rules(zeta: TestField, s_nodes, times) -> tuple:
     return sp, sw, tp, tw
 
 
+def _space_sums(traj: Trajectory, zeta: TestField, profile: SignalProfile, sp, sw):
+    """The space sums of each snapshot w_k, interpolated onto the s-points
+    one at a time: w_k against the s-kernels g, (s^p g)_ss and (F g)_s of
+    the time, diffusion and forcing terms as a (3, K) block, and the K sums
+    of g_s w_k^2 and the K - 1 sums of g_s w_k w_{k+1} of the advection
+    term, all with the s-weights.  The kernel rows are filled one at a time,
+    the second derivative's first, so that few P-arrays are alive together."""
+    p = (2.0 * traj.n - 2.0) / traj.n
+    kernels = np.empty((4, sp.size))
+    g, diff, forcing, g1 = kernels
+    diff[:] = zeta.s_factor.d2(sp)
+    g[:] = zeta.s_factor.value(sp)
+    g1[:] = zeta.s_factor.d1(sp)
+    diff *= np.power(sp, p)
+    diff += p * (p - 1.0) * np.power(sp, p - 2.0) * g + 2.0 * p * np.power(sp, p - 1.0) * g1
+    F, Fs = profile.forcing(sp)
+    forcing[:] = Fs * g + F * g1
+    for row in kernels:
+        row *= sw  # row by row: an in-place broadcast would allocate the block again
+
+    k_snaps = len(traj.snapshots)
+    sums = np.empty((3, k_snaps))
+    square = np.empty(k_snaps)
+    cross = np.empty(k_snaps - 1)
+    for k, snapshot in enumerate(traj.snapshots):
+        w = np.interp(sp, traj.s, snapshot)
+        sums[:, k] = kernels[:3] @ w
+        vw = g1 * w
+        square[k] = vw @ w
+        if k:
+            cross[k - 1] = vw @ w_prev
+        w_prev = w
+    return sums, square, cross
+
+
 def weak_residual(traj: Trajectory, zeta: TestField,
                   profile: SignalProfile) -> ResidualReport:
     """Residual of the weak identity for one test field; raises as
@@ -261,60 +297,45 @@ def weak_residual(traj: Trajectory, zeta: TestField,
     s_nodes = traj.s
     times = np.asarray(traj.times, dtype=float)
     check_support(zeta, float(s_nodes[-1]), times)
-    n = traj.n
-    p = (2.0 * n - 2.0) / n
     sp, sw, tp, tw = _rules(zeta, s_nodes, times)
+    sums, square, cross = _space_sums(traj, zeta, profile, sp, sw)
 
     # W is linear in t between snapshots: at a t-point in [t_k, t_{k+1}] it
-    # is (1 - f) w_k + f w_{k+1}, with w_k snapshot k at the s-points
-    w_rows = np.stack([np.interp(sp, s_nodes, w) for w in traj.snapshots])  # (K, P)
+    # is (1 - f) w_k + f w_{k+1}, so each double integral is a sum over k of
+    # a time weight times a space sum of w_k (of w_k^2 and w_k w_{k+1} for W^2)
     k_snaps = times.size
     idx = np.clip(np.searchsorted(times, tp, side="right") - 1, 0, k_snaps - 2)
     frac = (tp - times[idx]) / (times[idx + 1] - times[idx])
-
-    g = zeta.s_factor.value(sp)
-    g1 = zeta.s_factor.d1(sp)
-    g2 = zeta.s_factor.d2(sp)
     sig = np.asarray(zeta.t_factor.value(tp), dtype=float)
     sig1 = np.asarray(zeta.t_factor.d1(tp), dtype=float)
-    F, Fs = profile.forcing(sp)
-
-    diff_kernel = (p * (p - 1.0) * np.power(sp, p - 2.0) * g
-                   + 2.0 * p * np.power(sp, p - 1.0) * g1
-                   + np.power(sp, p) * g2)
-    forcing_kernel = Fs * g + F * g1
 
     def snap_weights(at_left, at_right):
         # per-snapshot sums of t-point values: at_left to idx, at_right to idx + 1
         return np.bincount(idx, at_left, k_snaps) + np.bincount(idx + 1, at_right, k_snaps)
 
-    def linear(kernel_s, kernel_t):
-        # int int kernel_t kernel_s W = sum_k c_k (w_k . v)
+    def linear(space_sums, kernel_t):
+        # int int kernel_t kernel_s W = sum_k c_k (w_k . kernel_s)
         u = tw * kernel_t
-        return float(np.dot(snap_weights(u * (1.0 - frac), u * frac),
-                            w_rows @ (sw * kernel_s)))
+        return float(np.dot(snap_weights(u * (1.0 - frac), u * frac), space_sums))
 
-    def quadratic(kernel_s, kernel_t):
-        # int int kernel_t kernel_s W^2 from (1-f)^2 w_k^2 + 2f(1-f) w_k w_{k+1}
-        # + f^2 w_{k+1}^2, with the space sums taken without a (K, P) product
+    def quadratic(kernel_t):
+        # W^2 = (1-f)^2 w_k^2 + 2f(1-f) w_k w_{k+1} + f^2 w_{k+1}^2
         u = tw * kernel_t
-        v = sw * kernel_s
-        square = np.einsum("kp,kp,p->k", w_rows, w_rows, v)
-        cross = np.einsum("kp,kp,p->k", w_rows[:-1], w_rows[1:], v)
         c_square = snap_weights(u * (1.0 - frac) ** 2, u * frac * frac)
         c_cross = np.bincount(idx, 2.0 * u * frac * (1.0 - frac), k_snaps - 1)
         return float(np.dot(c_square, square) + np.dot(c_cross, cross))
 
-    term_time = linear(g, sig1)                 # int int zeta_t W
-    term_diff = linear(diff_kernel, sig)        # int int (s^p zeta)_ss W
-    term_adv = quadratic(g1, sig)               # int int zeta_s W^2
-    term_forcing = linear(forcing_kernel, sig)
+    term_time = linear(sums[0], sig1)           # int int zeta_t W
+    term_diff = linear(sums[1], sig)            # int int (s^p zeta)_ss W
+    term_adv = quadratic(sig)                   # int int zeta_s W^2
+    term_forcing = linear(sums[2], sig)
     if zeta.t_support[0] == 0.0:
         sigma0 = float(np.asarray(zeta.t_factor.value(0.0)))
-        term_initial = sigma0 * float(np.dot(sw * g, w_rows[0]))
+        term_initial = sigma0 * float(sums[0, 0])
     else:
         term_initial = 0.0
 
+    n = traj.n
     lhs = -term_time - term_initial
     rhs = n * n * term_diff - 0.5 * term_adv - n * term_forcing
     terms = {

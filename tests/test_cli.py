@@ -443,6 +443,18 @@ def test_default_lemma_grid_draws_are_pinned():
     assert [repr(t) for t in grid] == PINNED_LEMMA_DRAWS
 
 
+def test_verify_lemmas_first_draw_at_seed_1_is_pinned(tmp_path):
+    # the first tuple of the seeded default grid, as verify-lemmas writes it
+    out = tmp_path / "lem"
+    doc = _base_doc(output={"directory": str(out)}, lemma_sweep={"count": 1, "seed": 1})
+    assert main(["verify-lemmas", "--config", _write(tmp_path, doc)]) == 0
+    lines = (out / "lemma_checks.csv").read_text().splitlines()
+    assert lines[0].startswith("n,alpha,f0,R,rho,xi,delta,gamma,")
+    assert lines[1].split(",")[:8] == [
+        "3.0", "2.507092974820154", "2.9281092259921415", "0.5900927392651871",
+        "0.07864957676317803", "3.288769287066177", "0.7101022503773045", "82.38519824153887"]
+
+
 def test_verify_lemmas_construction_failure(tmp_path, capsys):
     out = tmp_path / "lemfail"
     bad_tuple = {"n": 3, "alpha": 2.5, "f0": 2.0, "R": 0.5, "rho": 0.1,
@@ -776,12 +788,17 @@ def _run_python(code):
 
 def test_import_leaves_out_unused_scipy_modules():
     # scipy.integrate, then scipy.linalg's package init (whose array-API
-    # layer star-imports numpy) made up most of the start-up every command pays
+    # layer star-imports numpy) made up most of the start-up every command pays;
+    # scipy's own package init, numpy.random (verify-lemmas imports it when it
+    # draws) and numpy.polynomial (the Gauss-Legendre rules are a table) are
+    # not paid either, while the LAPACK extension is loaded
     heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg",
-             "numpy.f2py", "numpy.ma", "unittest")
+             "numpy.f2py", "numpy.ma", "unittest", "numpy.random", "numpy.polynomial",
+             "scipy")
     proc = _run_python(
-        f"import sys; import ksblow.cli; print([m for m in {heavy!r} if m in sys.modules])")
-    assert proc.stdout.strip() == "[]"
+        f"import sys; import ksblow.cli; print([m for m in {heavy!r} if m in sys.modules], "
+        "'scipy.linalg._flapack' in sys.modules)")
+    assert proc.stdout.strip() == "[] True"
 
 
 @pytest.mark.parametrize("first, second", [("ksblow.solver", "scipy.linalg.lapack"),

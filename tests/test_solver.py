@@ -1,6 +1,7 @@
 import re
 import sys
 from dataclasses import replace
+from importlib.metadata import version
 
 import numpy as np
 import pytest
@@ -680,5 +681,7 @@ def test_small_violation_is_logged(scenario, scenario_profile, monkeypatch, kind
 
 def test_lapack_loader_names_the_directory_searched(tmp_path, monkeypatch):
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))) as caught:
         _load_flapack(tmp_path)
+    # the version is read from scipy's metadata, not from its package init
+    assert f"(scipy {version('scipy')})" in str(caught.value)

@@ -198,3 +198,21 @@ def test_residual_memory_is_per_snapshot(scenario_profile):
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("name", ["interior", "initial"])
+def test_residual_holds_one_snapshot_at_a_time(scenario_profile, name):
+    # K = 65 snapshots at N = 512: a (K, P) block of every snapshot at the P
+    # s-points alone would be K * P * 8 bytes.  (origin_window is left out:
+    # its s-support crosses the forcing's bridge, whose 16-point rule holds
+    # about 50 P-arrays at once, however many snapshots there are.)
+    traj = _monotone_trajectory(512, 65)
+    zeta = field_library(4.0, 0.05, epsilon=1e-2)[name]
+    n_points = weakform._rules(zeta, traj.s, np.asarray(traj.times))[0].size
+    tracemalloc.start()
+    try:
+        weak_residual(traj, zeta, scenario_profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 65 * n_points * 8 / 4
