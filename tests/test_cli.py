@@ -882,3 +882,83 @@ def test_weak_residual_order_at_roundoff_is_null(tmp_path, N, base_floor):
     assert const["residual"] <= 1e-12 * const["scale"]
     const = payload["base"]["constant_state"]
     assert (const["residual"] <= 1e-12 * const["scale"]) == base_floor
+
+
+def _key_paths(node, path=""):
+    """The dotted key paths of a JSON document.  The elements of a list
+    share the path ``<list>[]``, and a list of scalars adds no path."""
+    if isinstance(node, dict):
+        paths = set()
+        for key, value in node.items():
+            sub = f"{path}.{key}" if path else key
+            paths |= {sub} | _key_paths(value, sub)
+        return paths
+    if isinstance(node, list):
+        return set().union(*(_key_paths(value, path + "[]") for value in node))
+    return set()
+
+
+def _prefixed(prefix, keys):
+    return {prefix} | {f"{prefix}.{key}" for key in keys.split()}
+
+
+_RUN_KEYS = ({"[].cfl_safety", "[].epsilon", "[].n", "[].n_factorizations", "[].n_steps",
+              "[].violations", "[].wall_time_s", "[].cfl_resets"}
+             | _prefixed("[].dt_history", "min max mean")
+             | _prefixed("[].mesh", "N s1 s_max")
+             | _prefixed("[].tolerances", "cap_slack monotone_slack"))
+_RESET_KEYS = {"[].cfl_resets[].t", "[].cfl_resets[].s", "[].cfl_resets[].dt"}
+
+_BLOWUP_KEYS = (
+    {"atom_estimate", "betas", "epsilon", "lipschitz_estimate"}
+    | _prefixed("lipschitz_location", "s t")
+    | _prefixed("provenance", "N atom_model epsilon s_max times")
+    | _prefixed("sup_w_over_s_beta", "1.0") | _prefixed("sup_w_over_s_beta.1.0", "value s t")
+    | _prefixed("verdicts", "cap_ok finite_epsilon_trend lower_bound_ok riccati_domination_ok")
+    | _prefixed("y_functional", "c_gamma cap_bound cap_headroom cap_ok domination_ok "
+                                "first_violation_time lower_bound_margin_log10 lower_bound_t1 "
+                                "lower_ok n_compared times tolerance y z")
+    | _prefixed("y_functional.labels", "epsilon finite_epsilon_trend w_substitution")
+    | _prefixed("y_functional.riccati", "A B T")
+    | _prefixed("selection", "c_sub delta gamma kappa s0 xi")
+    | _prefixed("selection.diagnostics", "K0 k0 kappa_rule exp_inequality_lhs "
+                                         "gamma_floor_geometry gamma_floor_kappa probe_s probe_w "
+                                         "s0_sinh_required s0_sinh_value s0_upper_bound w_source")
+    | _prefixed("lemma_certificate", "integral_margin k0_rate n_power_cells ode_argmin_cell "
+                                     "ode_min_margin passed")
+    | _prefixed("lemma_certificate.kink_below_bridge", "holds role s_lower xi_over_gamma"))
+
+_FIELDS = ("interior", "initial", "origin_window", "constant_state")
+_RESIDUAL_KEYS = set().union(
+    _prefixed("at_roundoff", " ".join(_FIELDS)), _prefixed("orders", " ".join(_FIELDS)),
+    {"base", "refined"},
+    *(_prefixed(f"base.{name}", "residual scale terms") for name in _FIELDS),
+    *(_prefixed(f"base.{name}.terms", "advection diffusion forcing initial time")
+      for name in _FIELDS),
+    *(_prefixed(f"refined.{name}", "residual scale") for name in _FIELDS))
+
+
+@pytest.mark.parametrize("command, report, keys, resets", [
+    ("simulate", "sweep_report.json",
+     {"eps_list", "failures", "max_violation", "pair_violations"}, False),
+    ("blowup", "blowup_report.json", _BLOWUP_KEYS, True),
+    ("weak-residual", "residuals.json", _RESIDUAL_KEYS, False),
+])
+def test_json_reports_have_pinned_key_trees(tmp_path, command, report, keys, resets):
+    # the nested key set of each JSON report and of the manifest's runs; an
+    # adaptive run has cfl_resets entries, a sweep's shared step and a step
+    # capped by max_dt have none
+    out = tmp_path / "out"
+    if command == "simulate":
+        doc = _simulate_doc(out, eps_list=[0.04, 0.02])
+    elif command == "blowup":
+        doc = _blowup_doc(out)
+    else:
+        doc = _base_doc(solver={"epsilon": 0.01, "s_max": 4.0, "N": 96, "t_end": 0.01,
+                                "max_dt": 4e-5,
+                                "output_times": list(np.linspace(0.0, 0.01, 9))},
+                        output={"directory": str(out)})
+    assert main([command, "--config", _write(tmp_path, doc)]) == 0
+    assert _key_paths(json.loads((out / report).read_text())) == keys
+    runs = json.loads((out / "manifest.json").read_text())["runs"]
+    assert _key_paths(runs) == _RUN_KEYS | (_RESET_KEYS if resets else set())
