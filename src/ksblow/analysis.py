@@ -391,9 +391,15 @@ def riccati(A: float, B: float, y1: float, t1: float) -> RiccatiSolution:
 
 @dataclass(frozen=True)
 class BlowupSelection:
+    """The selected (kappa, s0, gamma) and the c_sub, xi and delta they were
+    selected with."""
+
     kappa: float
     s0: float
     gamma: float
+    c_sub: float
+    xi: float
+    delta: float
     diagnostics: dict
 
 
@@ -491,7 +497,8 @@ def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
         "exp_inequality_lhs": lhs,
         "w_source": "finite-epsilon run at t0 + eta/2",
     }
-    return BlowupSelection(kappa=kappa, s0=s0, gamma=gamma, diagnostics=diagnostics)
+    return BlowupSelection(kappa=kappa, s0=s0, gamma=gamma, c_sub=c_sub, xi=xi, delta=delta,
+                           diagnostics=diagnostics)
 
 
 # --- y functional and indicators -------------------------------------------
@@ -509,9 +516,7 @@ class YFunctionalReport:
     lower_bound_t1: float
     lower_ok: bool
     lower_bound_margin_log10: float | None  # log10(y(t1) / lower_bound_t1)
-    riccati_A: float
-    riccati_B: float
-    riccati_T: float
+    riccati: dict               # {A, B, T} of z' = A z + B z^2, T its blow-up time
     n_compared: int             # output times in (t1, t1 + T) compared with z
     domination_ok: bool | None  # None when n_compared is 0
     first_violation_time: float | None
@@ -572,7 +577,7 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
         times=times, y=y_vals, z=tuple(z_vals), cap_bound=cap_bound, cap_ok=cap_ok,
         cap_headroom=1.0 - max(y_vals) / cap_bound, c_gamma=c_gamma,
         lower_bound_t1=lower, lower_ok=bool(lower_ok), lower_bound_margin_log10=margin,
-        riccati_A=A, riccati_B=B, riccati_T=T, n_compared=n_compared,
+        riccati={"A": A, "B": B, "T": T}, n_compared=n_compared,
         domination_ok=dom_ok if n_compared else None, first_violation_time=first_violation,
         tolerance=COUPLED_SLACK,
         labels={"finite_epsilon_trend": True,
@@ -588,43 +593,13 @@ class BlowupReport:
 
     epsilon: float
     betas: tuple
-    sup_w_over_s_beta: dict        # beta -> (value, s, t)
+    sup_w_over_s_beta: dict        # beta -> {value, s, t}
     lipschitz_estimate: float
-    lipschitz_location: tuple
+    lipschitz_location: dict       # {s, t}
     atom_estimate: float
     provenance: dict
-    y_report: YFunctionalReport | None = None
+    y_functional: YFunctionalReport | None = None
     verdicts: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "epsilon": self.epsilon,
-            "betas": list(self.betas),
-            "sup_w_over_s_beta": {repr(k): {"value": v[0], "s": v[1], "t": v[2]}
-                                  for k, v in self.sup_w_over_s_beta.items()},
-            "lipschitz_estimate": self.lipschitz_estimate,
-            "lipschitz_location": {"s": self.lipschitz_location[0],
-                                   "t": self.lipschitz_location[1]},
-            "atom_estimate": self.atom_estimate,
-            "provenance": self.provenance,
-            "verdicts": self.verdicts,
-        }
-        if self.y_report is not None:
-            r = self.y_report
-            out["y_functional"] = {
-                "times": list(r.times), "y": list(r.y), "z": list(r.z),
-                "cap_bound": r.cap_bound, "cap_ok": r.cap_ok, "cap_headroom": r.cap_headroom,
-                "c_gamma": r.c_gamma,
-                "lower_bound_t1": r.lower_bound_t1, "lower_ok": r.lower_ok,
-                "lower_bound_margin_log10": r.lower_bound_margin_log10,
-                "riccati": {"A": r.riccati_A, "B": r.riccati_B, "T": r.riccati_T},
-                "n_compared": r.n_compared,
-                "domination_ok": r.domination_ok,
-                "first_violation_time": r.first_violation_time,
-                "tolerance": r.tolerance,
-                "labels": r.labels,
-            }
-        return out
 
 
 def indicator_series(traj: Trajectory, beta: float) -> list:
@@ -653,17 +628,17 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
     for beta in betas:
         # max keeps the earliest snapshot on ties
         t, value, s_at = max(indicator_series(traj, beta), key=lambda row: row[1])
-        sup[beta] = (value, s_at, t)
+        sup[beta] = {"value": value, "s": s_at, "t": t}
     s = traj.s
     probe = (s > 0.0) & (s <= s[-1] / 2.0)
     h = np.diff(s)
     probe_cell = probe[:-1]
-    lip, lip_where = -math.inf, (math.nan, math.nan)
+    lip, lip_where = -math.inf, {"s": math.nan, "t": math.nan}
     for t, w in zip(traj.times, traj.snapshots):
         slopes = (w[1:] - w[:-1])[probe_cell] / h[probe_cell]
         i = int(np.argmax(slopes))
         if slopes[i] > lip:
-            lip, lip_where = float(slopes[i]), (float(s[:-1][probe_cell][i]), t)
+            lip, lip_where = float(slopes[i]), {"s": float(s[:-1][probe_cell][i]), "t": t}
     final = traj.mass_function(len(traj.times) - 1)
     n = traj.n
     atom = sphere_area(n) / n * estimate_origin_limit(final)
@@ -679,4 +654,4 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
         provenance={"N": s.size - 1, "s_max": float(s[-1]),
                     "times": list(traj.times), "epsilon": traj.epsilon,
                     "atom_model": "jump-plus-power extrapolation at the origin"},
-        y_report=y_report, verdicts=verdicts)
+        y_functional=y_report, verdicts=verdicts)

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +38,9 @@ from .errors import (ConfigError, KsblowError, ParameterError, SelectionError,
 from .params import (SystemParams, default_delta, delta_lower_bound, f0_threshold,
                      validate)
 from .signal import SignalProfile
-from .solver import (SolverConfig, build_mesh, check_eps_list, check_resolved,
-                     measured_c_sub, proper_sweep, solve_regularized)
-from .transform import w0_from_density, write_csv
+from .solver import (SolverConfig, build_mesh, measured_c_sub, proper_sweep,
+                     solve_regularized)
+from .transform import w0_from_density, write_csv, write_rows
 from .weakform import check_support, field_library, weak_residual
 
 EXIT_OK = 0
@@ -84,24 +84,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _int_cell(v: int) -> str:
-    return repr(float(v))
-
-
-# cell text by exact type: an int, a float or a np.float64 (a float subclass)
-# as the repr of a Python float, so 3 is written 3.0; anything else, bools
-# included, by str
-_CELL = {float: float.__repr__, np.float64: float.__repr__, int: _int_cell}
-
-
-def _write_rows(path: Path, header: str, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join([_CELL.get(type(v), str)(v) for v in row]) + "\n"
-                      for row in rows)
-
-
 def _manifest(out_dir: Path, command: str, cfg: RunConfig, runs, failure=None) -> None:
     files = {}
     for path in sorted(out_dir.rglob("*")):
@@ -132,8 +114,12 @@ def _resolve_out(cfg: RunConfig, out_flag) -> Path:
 
 
 def _solver_section(cfg: RunConfig) -> SolverSection:
+    """The solver section, with a positive horizon: checked before anything
+    reads it (weak-residual's field windows are fractions of t_end)."""
     if cfg.solver is None:
         raise ConfigError("missing solver section")
+    if not cfg.solver.t_end > 0.0:
+        raise ConfigError(f"solver.t_end must be > 0 (got {cfg.solver.t_end})")
     return cfg.solver
 
 
@@ -150,23 +136,19 @@ def _solve(params, profile, sec: SolverSection, runs: list):
         base = SolverConfig(epsilon=sec.epsilon if sec.epsilon is not None else 0.5,
                             t_end=sec.t_end, output_times=sec.output_times,
                             cfl_safety=sec.cfl_safety, max_dt=sec.max_dt)
-        # every cutoff is checked against the mesh before any step
+        if not sec.eps_list and sec.epsilon is None:
+            raise ConfigError("solver.epsilon (or eps_list) is required")
+        w0 = w0_from_density(params.c0, s)
+        # the solver checks every cutoff against the mesh before any step
         if sec.eps_list:
-            check_resolved("eps_list", check_eps_list(sec.eps_list), s)
-        elif sec.epsilon is not None:
-            check_resolved("epsilon", [sec.epsilon], s)
+            trajectories, report = proper_sweep(params, w0, base, sec.eps_list,
+                                                profile=profile)
+        else:
+            trajectories, report = [solve_regularized(params, w0, base, profile)], None
     except ParameterError as exc:
         # each of these messages opens with the argument at fault, which is
         # the solver key of the same name
         raise ConfigError(f"solver.{exc}") from exc
-    w0 = w0_from_density(params.c0, s)
-    if sec.eps_list:
-        trajectories, report = proper_sweep(params, w0, base, sec.eps_list,
-                                            profile=profile)
-    else:
-        if sec.epsilon is None:
-            raise ConfigError("solver.epsilon (or eps_list) is required")
-        trajectories, report = [solve_regularized(params, w0, base, profile)], None
     runs.extend(traj.metadata for traj in trajectories)
     return w0, trajectories, report
 
@@ -178,11 +160,10 @@ def _solver_failure(out_dir: Path, command: str, cfg: RunConfig, runs, detail) -
 
 
 def _emit_run(traj, run_dir: Path) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
     for k, t in enumerate(traj.times):
         write_csv(traj.mass_function(k), run_dir / f"snapshot_t{t:g}.csv")
-    _write_rows(run_dir / "indicator_beta1.csv", "t,indicator",
-                [(t, value) for t, value, _ in indicator_series(traj, 1.0)])
+    write_rows(run_dir / "indicator_beta1.csv", "t,indicator",
+               [(t, value) for t, value, _ in indicator_series(traj, 1.0)])
 
 
 def cmd_validate(cfg_path: str) -> int:
@@ -273,8 +254,8 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
             ode = verify_ode_inequality(tf)
             if not scan_written:
                 # the cover's cell bounds for the first constructible tuple
-                _write_rows(out_dir / "margin_scan.csv", "s_lo,s_hi,margin_bound",
-                            ode.cells.tolist())
+                write_rows(out_dir / "margin_scan.csv", "s_lo,s_hi,margin_bound",
+                           ode.cells.tolist())
                 scan_written = True
             bound = verify_integral_bound(tf)
             row.update(constructed=True, feasible=feasible,
@@ -294,7 +275,7 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
 
     header = ("n,alpha,f0,R,rho,xi,delta,gamma,constructed,feasible,"
               "margin,margin_ok,integral,integral_bound,pass")
-    _write_rows(out_dir / "lemma_checks.csv", header, [
+    write_rows(out_dir / "lemma_checks.csv", header, [
         (r["n"], r["alpha"], r["f0"], r["R"], r["rho"], r["xi"], r["delta"], r["gamma"],
          r["constructed"], r["feasible"], r["margin"], r["margin_ok"],
          r["integral"], r["integral_bound"], r["pass"]) for r in rows])
@@ -383,16 +364,9 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
     report = blowup_indicator(traj, blow.betas, y_report=y_rep)
 
     _emit_run(traj, out_dir / "run")
-    _write_rows(out_dir / "y_t.csv", "t,y,z",
-                list(zip(y_rep.times, y_rep.y, y_rep.z)))
-    payload = report.to_json_dict()
-    payload["selection"] = {
-        "kappa": selection.kappa, "s0": selection.s0, "gamma": selection.gamma,
-        "c_sub": c_sub, "xi": xi, "delta": delta,
-        "diagnostics": selection.diagnostics,
-    }
-    payload["lemma_certificate"] = certificate
-    _write_json(out_dir / "blowup_report.json", payload)
+    write_rows(out_dir / "y_t.csv", "t,y,z", list(zip(y_rep.times, y_rep.y, y_rep.z)))
+    _write_json(out_dir / "blowup_report.json", {
+        **asdict(report), "selection": asdict(selection), "lemma_certificate": certificate})
     _manifest(out_dir, "blowup", cfg, runs)
     return EXIT_OK
 
@@ -448,7 +422,7 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
     except SolverError as exc:
         return _solver_failure(out_dir, "weak-residual", cfg, runs, str(exc))
 
-    _write_rows(out_dir / "residuals.csv", "field,residual,scale,relative", rows)
+    write_rows(out_dir / "residuals.csv", "field,residual,scale,relative", rows)
     _write_json(out_dir / "residuals.json", payload)
     _manifest(out_dir, "weak-residual", cfg, runs)
     return EXIT_OK

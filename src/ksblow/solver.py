@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 from pathlib import Path
@@ -83,7 +83,7 @@ _scipy = find_spec("scipy")
 if _scipy is None:
     raise ModuleNotFoundError("ksblow needs scipy", name="scipy")
 _flapack = _load_flapack(Path(_scipy.submodule_search_locations[0]) / "linalg")
-dptsv, dpttrf, dpttrs = _flapack.dptsv, _flapack.dpttrf, _flapack.dpttrs
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 _RATIO_MAX = 1.2
 # theta of the adaptive step's hold band [(1 - 2 theta) L, L] below the CFL
@@ -151,21 +151,13 @@ def build_mesh(s_max: float, N: int, ratio: float | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """One regularized run: cutoff epsilon, horizon, output times, stepping.
-
-    ``dt_fixed`` replaces the per-step adaptive CFL step with a constant one
-    (still clipped to output times); it must respect the worst-case CFL bound
-    with W at its cap.  Sweeps use it so all runs share one time grid, which
-    is what makes the epsilon-ordering comparison exact for the discrete
-    scheme instead of polluted by run-dependent temporal smearing.
-    """
+    """One regularized run: cutoff epsilon, horizon, output times, stepping."""
 
     epsilon: float
     t_end: float
     output_times: tuple
     cfl_safety: float = 0.4
     max_dt: float | None = None
-    dt_fixed: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -224,21 +216,24 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     """March the regularized problem from w0 to t_end; snapshot at the
     requested output times.  Deterministic for fixed inputs."""
     check_resolved("epsilon", [config.epsilon], w0.s)
-    trajectories, failures = _march(params, w0, config, [config.epsilon], profile)
+    trajectories, failures = _march(params, w0, config, [config.epsilon], profile,
+                                    shared=False)
     if failures:
         raise failures[0][1]
     return trajectories[0]
 
 
 def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_list,
-           profile: SignalProfile):
+           profile: SignalProfile, *, shared: bool):
     """March the cutoffs ``eps_list`` from w0 as one stack on one time grid.
 
     Row r of the C-ordered (k, N+1) state is the run at eps_list[r]; its
     transpose is the (N+1, k) right-hand side of one LAPACK solve per step,
     and the elementwise work runs on its flat view, with nF tiled and chi/h
     stacked per row, so each row is computed exactly as its own run would
-    be.  A stack of k > 1 needs ``config.dt_fixed``.
+    be.  With ``shared``, every step is the worst-case CFL step over the
+    cutoffs, capped by max_dt; otherwise it is the adaptive CFL step of a
+    stack of one.
     Returns (trajectories, failures): a row whose invariant check fails
     becomes its (epsilon, SolverError) in failures and leaves the stack, and
     the other rows go on unchanged.  Every trajectory carries the metadata of
@@ -251,17 +246,14 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     if abs(w0.w[-1] - cap) > 1e-8 * max(cap, 1.0):
         raise ParameterError(
             f"truncation does not reach the far field: W0(s_max) = {w0.w[-1]}, cap = {cap}")
-    if len(eps_list) > 1 and config.dt_fixed is None:
-        raise ParameterError("a stack of cutoffs needs dt_fixed: it shares one time grid")
-
     h = np.diff(s)
     nF = n * profile.F(s)
     chis = [chi_eval(eps, s) for eps in eps_list]
-    if config.dt_fixed is not None:
-        bound = min(cap_cfl_bound(h, chi, nF, cap, config.cfl_safety) for chi in chis)
-        if config.dt_fixed > bound * (1.0 + 1e-12):
-            raise ParameterError(
-                f"dt_fixed = {config.dt_fixed} exceeds the worst-case CFL bound {bound}")
+    # a shared step holds for every state in [0, cap], so the smallest
+    # cutoff's bound binds, and the runs are ordered by the discrete
+    # comparison argument rather than approximately
+    fixed = min(cap_cfl_bound(h, chi, nF, cap, config.cfl_safety) for chi in chis) \
+        if shared else None
     # the transport rate per unit W + nF, chi/h over the cell [s_i, s_{i+1}]:
     # 0 at s = 0, where chi is, and at s_max, which has no cell
     factors = [np.append(chi[:-1] / h, 0.0) for chi in chis]
@@ -280,7 +272,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     edge = cap / h[-1]  # row N-1's coupling to W_N, per unit dt
 
     t = 0.0
-    t_end, dt_fixed, max_dt, cfl = config.t_end, config.dt_fixed, config.max_dt, config.cfl_safety
+    t_end, max_dt, cfl = config.t_end, config.max_dt, config.cfl_safety
     t_stop = t_end - 1e-15 * max(t_end, 1.0)
     dt_floor = _DT_UNDERFLOW * max(t_end, 1.0)
     band, reset = 1.0 - 2.0 * _HOLD_BAND, 1.0 - _HOLD_BAND
@@ -381,8 +373,8 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
 
         np.add(w, nF_k, out=coef)  # the rate chi (W + nF) / h
         coef *= factor
-        if dt_fixed is not None:
-            dt = dt_fixed
+        if fixed is not None:
+            dt = fixed
         else:  # the CFL limit L = cfl / max rate (an adaptive run has k = 1)
             fastest = float(np.maximum.reduce(coef))
             limit = cfl / fastest if fastest > 0.0 else math.inf
@@ -401,19 +393,17 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             failures.extend((r, exc) for r in rows)
             break
         if dt == held_dt:
-            matrix = held
-        else:  # a step clipped to an output time is not held
+            factored = held
+        else:  # a step clipped to an output time is factored aside, not held
             bands = step_all if on_target else held_all
             np.multiply(stiffness, dt, out=bands)
-            diag, off = bands[:size], bands[size:]
+            diag = bands[:size]
             diag += mu
-            matrix = (diag, off, False)
+            factored = dpttrf(diag, bands[size:], overwrite_d=1, overwrite_e=1)[:2]
             if not on_target:
-                held_dt = dt
+                held_dt, held = dt, factored
                 n_factorizations += 1
-                diag, off = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[:2]
-                matrix = held = (diag, off, True)
-                if dt_fixed is None and dt != max_dt:  # the CFL limit reset the step
+                if fixed is None and dt != max_dt:  # the CFL limit reset the step
                     cfl_resets.append({"t": t, "s": float(s[int(np.argmax(coef))]), "dt": dt})
 
         # rhs = mu * (W + dt * coef * dW), with dW the check's forward
@@ -425,7 +415,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         rhs += w
         rhs *= mu_k
         rhs[inner] += dt * edge
-        solve_banded(matrix, rhs_cols)  # one solve for all k columns, in place
+        solve_banded(factored, rhs_cols)  # one solve for all k columns, in place
         w, rhs, w_cols, rhs_cols, w_hi, rhs_hi, w_lo, rhs_lo = (
             rhs, w, rhs_cols, w_cols, rhs_hi, w_hi, rhs_lo, w_lo)
 
@@ -482,16 +472,13 @@ def _check_row(worst: float, w, drops, s, cap: float, tnow: float, violations: l
                 location=(None, tnow))
 
 
-def solve_banded(matrix, rhs):
-    """Solve the symmetric positive definite step matrix for ``rhs`` in
-    place.  ``matrix`` is (diagonal, off-diagonal, factored): with factored
-    true, the pair is its dpttrf factors (one dpttrs); otherwise it is the
-    matrix itself (one dptsv, which overwrites it).  Neither solve checks
-    its input: a non-finite W is caught by the invariant check."""
-    diag, off, factored = matrix
-    if factored:
-        return dpttrs(diag, off, rhs, overwrite_b=1)[0]
-    return dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)[2]
+def solve_banded(factors, rhs):
+    """Solve the symmetric positive definite step matrix, given as its
+    dpttrf ``factors`` (diagonal, off-diagonal), for ``rhs`` in place: one
+    dpttrs, which does not check its input; a non-finite W is caught by the
+    invariant check."""
+    diag, off = factors
+    return dpttrs(diag, off, rhs, overwrite_b=1)[0]
 
 
 def cap_cfl_bound(h, chi, nF, cap: float, cfl_safety: float) -> float:
@@ -539,26 +526,13 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
                  eps_list, profile: SignalProfile):
     """Run each epsilon on the shared mesh; report how well the family
     increases pointwise as epsilon decreases (the regularized solutions climb
-    toward the proper solution).  The cutoffs march as one stack, one
-    k-column solve per step.  Violations are reported magnitudes, never
-    asserted away; failed runs are recorded and the rest continue."""
+    toward the proper solution).  The cutoffs march as one stack on one
+    shared step, one k-column solve per step.  Violations are reported
+    magnitudes, never asserted away; failed runs are recorded and the rest
+    continue."""
     eps_list = check_eps_list(eps_list)
     check_resolved("eps_list", eps_list, w0.s)
-
-    # one shared time grid: the worst-case CFL bound over all cutoffs (the
-    # smallest epsilon binds), so the runs are ordered by the discrete
-    # comparison argument rather than approximately
-    if config.dt_fixed is None:
-        h = np.diff(w0.s)
-        nF = params.n * profile.F(w0.s)
-        shared = min(
-            cap_cfl_bound(h, chi_eval(eps, w0.s), nF, w0.far_field, config.cfl_safety)
-            for eps in eps_list)
-        if config.max_dt is not None:
-            shared = min(shared, config.max_dt)
-        config = replace(config, dt_fixed=shared)
-
-    trajectories, failed = _march(params, w0, config, eps_list, profile)
+    trajectories, failed = _march(params, w0, config, eps_list, profile, shared=True)
     failures = [(eps, str(exc)) for eps, exc in failed]
 
     pair_violations = []

@@ -14,6 +14,7 @@ total mass mu.  A jump W(0+) of W at the origin carries a point mass of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -93,9 +94,27 @@ def estimate_origin_limit(w: MassFunction) -> float:
     return float(min(max(j, 0.0), w1))
 
 
+def _int_cell(v: int) -> str:
+    return repr(float(v))
+
+
+# cell text by exact type: an int, a float or a np.float64 (a float subclass)
+# as the repr of a Python float, so 3 is written 3.0; anything else, bools
+# included, by str
+_CELL = {float: float.__repr__, np.float64: float.__repr__, int: _int_cell}
+
+
+def write_rows(path, header: str, rows) -> None:
+    """CSV with a mandatory header row and LF endings; the directory is
+    created if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join([_CELL.get(type(v), str)(v) for v in row]) + "\n"
+                      for row in rows)
+
+
 def write_csv(w: MassFunction, path) -> None:
     """Snapshot as two-column CSV (header mandatory, full-precision floats)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("s,W\n")
-        for si, wi in zip(w.s, w.w):
-            fh.write(f"{float(si)!r},{float(wi)!r}\n")
+    write_rows(path, "s,W", zip(w.s, w.w))

@@ -63,27 +63,20 @@ class BumpFactor:
     lo: float
     hi: float
 
-    def _x(self, v):
-        return (2.0 * np.asarray(v, dtype=float) - (self.hi + self.lo)) / (self.hi - self.lo)
+    def _parts(self, v):
+        """x scaled to (-1, 1), 1 - x^2 inside and 0 outside, and dx/dv."""
+        x = (2.0 * np.asarray(v, dtype=float) - (self.hi + self.lo)) / (self.hi - self.lo)
+        return x, np.where(np.abs(x) < 1.0, 1.0 - x * x, 0.0), 2.0 / (self.hi - self.lo)
 
     def value(self, v):
-        x = self._x(v)
-        inside = np.abs(x) < 1.0
-        one = np.where(inside, 1.0 - x * x, 0.0)
-        return one ** _BUMP_POWER
+        return self._parts(v)[1] ** _BUMP_POWER
 
     def d1(self, v):
-        x = self._x(v)
-        inside = np.abs(x) < 1.0
-        one = np.where(inside, 1.0 - x * x, 0.0)
-        m = 2.0 / (self.hi - self.lo)
+        x, one, m = self._parts(v)
         return -2.0 * _BUMP_POWER * x * one ** (_BUMP_POWER - 1) * m
 
     def d2(self, v):
-        x = self._x(v)
-        inside = np.abs(x) < 1.0
-        one = np.where(inside, 1.0 - x * x, 0.0)
-        m = 2.0 / (self.hi - self.lo)
+        x, one, m = self._parts(v)
         k = _BUMP_POWER
         val = (-2.0 * k * one ** (k - 1)
                + 4.0 * k * (k - 1) * x * x * one ** (k - 2))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -486,11 +487,11 @@ def test_y_functional_domination_verdict(scenario, t1, late_w, T, verdict, n_com
     traj = Trajectory(s=flat.s, epsilon=1e-2, times=flat.times, snapshots=snaps,
                       far_field=3.0, metadata={"n": 3})
     rep = y_functional(traj, tf, kappa=0.0067, t1=t1)
-    assert rep.riccati_T == pytest.approx(T, rel=2e-3)
+    assert rep.riccati["T"] == pytest.approx(T, rel=2e-3)
     assert rep.n_compared == n_compared
     assert rep.domination_ok is verdict
     assert rep.first_violation_time == (0.05 if verdict is False else None)
-    report = blowup_indicator(traj, [1.0], y_report=rep).to_json_dict()
+    report = asdict(blowup_indicator(traj, [1.0], y_report=rep))
     assert report["y_functional"]["n_compared"] == n_compared
     assert report["verdicts"]["riccati_domination_ok"] is verdict
 
@@ -506,7 +507,7 @@ def test_y_functional_verdict_margins(scenario, first):
     traj = Trajectory(s=flat.s, epsilon=1e-2, times=flat.times, snapshots=snaps,
                       far_field=3.0, metadata={"n": 3})
     rep = y_functional(traj, tf, kappa=0.0067, t1=0.0)
-    report = blowup_indicator(traj, [1.0], y_report=rep).to_json_dict()["y_functional"]
+    report = asdict(blowup_indicator(traj, [1.0], y_report=rep))["y_functional"]
     y, lower = report["y"], report["lower_bound_t1"]
     assert report["cap_headroom"] == pytest.approx(1.0 - max(y) / report["cap_bound"],
                                                    rel=1e-15, abs=0.0)
@@ -560,11 +561,10 @@ def test_blowup_indicator_plateau(scenario):
     traj = Trajectory(s=s, epsilon=1e-2, times=times, snapshots=snaps,
                       far_field=1.0, metadata={"n": 3})
     rep = blowup_indicator(traj, [1.0])
-    value, s_at, t_at = rep.sup_w_over_s_beta[1.0]
-    assert value == pytest.approx(1.0, rel=1e-12, abs=0.0)  # W0/s = c0 on (0, 1]
-    assert t_at == 0.0
+    sup = rep.sup_w_over_s_beta[1.0]
+    assert sup["value"] == pytest.approx(1.0, rel=1e-12, abs=0.0)  # W0/s = c0 on (0, 1]
+    assert sup["t"] == 0.0
     assert rep.atom_estimate == pytest.approx(0.0, abs=1e-12)
-    payload = rep.to_json_dict()
-    json.dumps(payload)  # serializable
+    json.dumps(asdict(rep))  # serializable
     with pytest.raises(ParameterError, match="betas"):
         blowup_indicator(traj, [0.5])

@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ksblow.config as config_mod
-from ksblow.cli import _default_lemma_grid, _write_rows, main
+from ksblow.cli import _default_lemma_grid, main
 from ksblow.config import ConfigError, config_to_dict, load_config, parse_config
 from ksblow.params import SystemParams, f0_threshold
+from ksblow.transform import write_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -573,12 +574,13 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     # cutoffs that survived
     import ksblow.solver as solver_mod
     from ksblow import (SignalProfile, SolverConfig, SystemParams, build_mesh, chi_eval,
-                        solve_regularized, validate, w0_from_density)
+                        proper_sweep, validate, w0_from_density)
 
     out = tmp_path / "bsweep"
     doc = _simulate_doc(out, eps_list=[0.04, 0.02])
     doc["blowup"] = {"eta": 0.01}
-    # the survivor's solo run, at the sweep's shared dt
+    # the survivor's solo run on the sweep's grid: a sweep of one capped at
+    # the shared dt
     sec = doc["solver"]
     params = validate(SystemParams(**SCENARIO_SYSTEM))
     profile = SignalProfile.from_params(params)
@@ -586,9 +588,9 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     w0 = w0_from_density(params.c0, s)
     dt = min(solver_mod.cap_cfl_bound(np.diff(s), chi_eval(eps, s), 3 * profile.F(s),
                                       w0.far_field, 0.4) for eps in sec["eps_list"])
-    solo = solve_regularized(params, w0, SolverConfig(
-        epsilon=0.04, t_end=sec["t_end"], output_times=sec["output_times"], dt_fixed=dt),
-        profile)
+    (solo,), _ = proper_sweep(params, w0, SolverConfig(
+        epsilon=0.04, t_end=sec["t_end"], output_times=sec["output_times"], max_dt=dt),
+        [0.04], profile)
 
     # a NaN in the 0.02 column of the fourth shared solve
     real = solver_mod.solve_banded
@@ -613,6 +615,26 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     for key in ("n_steps", "n_factorizations", "cfl_resets", "dt_history", "violations"):
         assert run[key] == solo.metadata[key], key
     assert not (out / "blowup_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "blowup", "weak-residual"])
+@pytest.mark.parametrize("t_end", [0.0, -1.0])
+def test_t_end_must_be_positive(tmp_path, capsys, monkeypatch, command, t_end):
+    # a horizon <= 0 took no step and exited 0; weak-residual blamed the
+    # time window of its first field instead
+    import ksblow.solver as solver_mod
+
+    def no_solve(*_args):
+        raise AssertionError("stepped with t_end <= 0")
+
+    monkeypatch.setattr(solver_mod, "solve_banded", no_solve)
+    doc = _blowup_doc(tmp_path / "x")
+    doc["solver"].update(t_end=t_end, output_times=[])
+    if command == "weak-residual":
+        doc["solver"]["output_times"] = [0.0, 0.002]
+    assert main([command, "--config", _write(tmp_path, doc)]) == 1
+    assert f"config error: solver.t_end must be > 0 (got {t_end})" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -809,8 +831,8 @@ def test_solver_lapack_routines_are_scipys_in_either_import_order(first, second)
         f"importlib.import_module({second!r}); "
         "import sys, ksblow.solver as s, scipy.linalg.lapack as l; "
         "print(sys.modules['scipy.linalg._flapack'] is s._flapack, "
-        "[n for n in ('dpttrf', 'dpttrs', 'dptsv') if getattr(s, n) is getattr(l, n)])")
-    assert proc.stdout.strip() == "True ['dpttrf', 'dpttrs', 'dptsv']"
+        "[n for n in ('dpttrf', 'dpttrs') if getattr(s, n) is getattr(l, n)])")
+    assert proc.stdout.strip() == "True ['dpttrf', 'dpttrs']"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
@@ -829,7 +851,7 @@ def test_verify_lemmas_keeps_its_heap_pages(tmp_path):
 
 def test_write_rows_cell_text(tmp_path):
     path = tmp_path / "rows.csv"
-    _write_rows(path, "a,b,c,d,e,f", [(True, 3, 1e-05, np.float64(1.0) / 3.0, "interior",
+    write_rows(path, "a,b,c,d,e,f", [(True, 3, 1e-05, np.float64(1.0) / 3.0, "interior",
                                        np.bool_(False))])
     assert path.read_bytes() == b"a,b,c,d,e,f\nTrue,3.0,1e-05,0.3333333333333333,interior,False\n"
 

@@ -192,8 +192,10 @@ def test_sweep_rows_match_solo_runs(scenario, scenario_profile):
     assert report.failures == ()
     assert [t.epsilon for t in trajs] == list(eps_list)
     for traj in trajs:
-        solo = solve_regularized(scenario, w0, replace(cfg, epsilon=traj.epsilon,
-                                                       dt_fixed=dt), scenario_profile)
+        # its solo run on the shared grid: a sweep of one capped at the shared dt
+        (solo,), _ = proper_sweep(scenario, w0, replace(cfg, max_dt=dt), [traj.epsilon],
+                                  profile=scenario_profile)
+        assert solo.metadata["dt_history"]["max"] == dt
         assert solo.metadata["dt_history"]["min"] < dt  # steps were clipped
         assert traj.metadata["n_factorizations"] == 1  # the shared dt, once
         _assert_same_run(traj, solo)
@@ -226,8 +228,8 @@ def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
     w0 = w0_from_density(1.0, s)
     eps_list = [4e-2, 2e-2, 1e-2]
     cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005),
-                       dt_fixed=0.9 * _shared_dt(scenario_profile, s, w0, eps_list))
-    solo = [solve_regularized(scenario, w0, replace(cfg, epsilon=eps), scenario_profile)
+                       max_dt=0.9 * _shared_dt(scenario_profile, s, w0, eps_list))
+    solo = [proper_sweep(scenario, w0, cfg, [eps], profile=scenario_profile)[0][0]
             for eps in eps_list]
     calls = _nan_in_column(monkeypatch, 1, at_call=5)
     trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
@@ -240,14 +242,25 @@ def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
     _assert_same_run(trajs[1], solo[2])
 
 
-def test_stack_needs_dt_fixed(scenario, scenario_profile):
-    from ksblow.solver import _march
-
+@pytest.mark.parametrize("cap", [None, 2.0, 0.5])
+def test_stack_shares_the_worst_case_cfl_step(scenario, scenario_profile, cap):
+    # every step of a stack is the smallest cap-CFL bound over its cutoffs,
+    # capped by max_dt (here a multiple ``cap`` of that bound); t_end is two
+    # such steps, so neither step is clipped shorter
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,))
-    with pytest.raises(ParameterError, match="needs dt_fixed"):
-        _march(scenario, w0, cfg, [2e-2, 1e-2], scenario_profile)
+    eps_list = [2e-2, 1e-2]
+    bound = _shared_dt(scenario_profile, s, w0, eps_list)
+    max_dt = None if cap is None else cap * bound
+    dt = bound if max_dt is None else min(bound, max_dt)
+    cfg = SolverConfig(epsilon=1e-2, t_end=2.0 * dt, output_times=(), max_dt=max_dt)
+    trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    assert report.failures == () and len(trajs) == 2
+    for traj in trajs:
+        assert traj.metadata["n_steps"] == 2
+        assert traj.metadata["dt_history"]["min"] == traj.metadata["dt_history"]["max"] == dt
+        assert traj.metadata["n_factorizations"] == 1
+        assert traj.metadata["cfl_resets"] == []
 
 
 def test_refinement_stability(scenario, scenario_profile):
@@ -330,29 +343,33 @@ def _assembled_dt(s, n, diag, off):
 _RESIDUAL_MAX = 1e-13  # relative to the cap
 
 
-def _recording_engine(monkeypatch, params, profile, w0, epsilon):
-    """Wrap the solver's dpttrf and solve_banded for one run from ``w0``.
-    Each factorization keeps a copy of the matrix it factored.  Each solve,
-    of held factors or of a matrix (logged as "bands"), is checked three ways:
-    the matrix is _mass_form at some dt, bit for bit; the solution is the
-    test's own dpttrs or dptsv call, bit for bit; and it solves the scheme's
+def _recording_engine(monkeypatch, params, profile, w0, config):
+    """Wrap the solver's dpttrf and solve_banded for one run from ``w0`` with
+    the SolverConfig ``config``.  Each factorization keeps a copy of the
+    matrix it factored.  Each solve is checked three ways: its factors are
+    those of _mass_form at some dt, bit for bit; the solution is the test's
+    own dpttrs call on those factors, bit for bit; and it solves the scheme's
     nonsymmetric step (I - dt*A) x = W + dt*c*W_s from the previous solution,
     with the transport c = chi_eps (W + nF) and the Dirichlet values, to a
-    residual of at most _RESIDUAL_MAX * cap.  The log holds each solve's key,
-    its dt, the CFL limit of the W it starts from per unit cfl_safety (the
-    min of h / c over the cells with c > 0), the node of the cell that sets
-    that limit, and the last solution."""
-    from scipy.linalg.lapack import dptsv, dpttrs
+    residual of at most _RESIDUAL_MAX * cap.  A step that lands on the next
+    output time or t_end (within the solver's landing tolerance) with factors
+    made for it alone is clipped: its key is "clipped", and its factors move
+    from "factored", which keeps the held ones, to the "clipped" list.  The
+    log holds each solve's key, its dt, the CFL limit of the W it starts
+    from per unit cfl_safety (the min of h / c over the cells with c > 0),
+    the node of the cell that sets that limit, and the last solution."""
+    from scipy.linalg.lapack import dpttrs
 
     import ksblow.solver as solver_mod
     from ksblow.signal import chi_eval
 
     s, n, cap = w0.s, params.n, w0.far_field
     h = np.diff(s)
-    chi, nF = chi_eval(epsilon, s), n * profile.F(s)
+    chi, nF = chi_eval(config.epsilon, s), n * profile.F(s)
     real_factor, real_solve = solver_mod.dpttrf, solver_mod.solve_banded
-    log = {"factored": {}, "solves": [], "dts": [], "cfl": [], "cell": [],
-           "w": np.concatenate(([0.0], w0.w[1:-1], [cap]))}
+    targets = [t for t in (*config.output_times, config.t_end) if t > 0.0]
+    log = {"factored": {}, "clipped": [], "solves": [], "dts": [], "cfl": [], "cell": [],
+           "t": 0.0, "w": np.concatenate(([0.0], w0.w[1:-1], [cap]))}
 
     def dpttrf(d, e, **kwargs):
         matrix = (d.copy(), e.copy())
@@ -360,19 +377,21 @@ def _recording_engine(monkeypatch, params, profile, w0, epsilon):
         log["factored"][id(out[0])] = (matrix, out)  # out keeps the id unique
         return out
 
-    def solve_banded(matrix, rhs):
-        diag, off, factored = matrix
-        if factored:
-            key = id(diag)
-            assembled = log["factored"][key][0]
-            expected = dpttrs(diag, off, rhs)[0]
-        else:
-            key, assembled = "bands", (diag.copy(), off.copy())
-            expected = dptsv(diag, off, rhs)[2]
-        x = real_solve(matrix, rhs)
+    def solve_banded(factors, rhs):
+        key = id(factors[0])
+        assembled = log["factored"][key][0]
+        expected = dpttrs(*factors, rhs)[0]
+        x = real_solve(factors, rhs)
         assert x.tobytes() == expected.tobytes()
         dt = _assembled_dt(s, n, *assembled)
         assert dt is not None
+        if log["t"] + dt >= targets[0] - 1e-12 * max(1.0, targets[0]):
+            log["t"] = targets.pop(0)
+            if key not in log["solves"]:  # factored for this step alone
+                log["clipped"].append(log["factored"].pop(key))
+                key = "clipped"
+        else:
+            log["t"] += dt
         w = log["w"]
         c = chi * (w + nF)
         limited = c[:-1] > 0.0
@@ -398,58 +417,89 @@ def _recording_engine(monkeypatch, params, profile, w0, epsilon):
 
 
 def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch):
-    # a fixed CFL dt and steps clipped to output times that it does not divide;
-    # every step solves the banded step matrix I - dt*A of the scheme
+    # a one-cutoff sweep's fixed CFL dt and steps clipped to output times that
+    # it does not divide; every step solves the banded step matrix I - dt*A
+    # of the scheme
     from ksblow.signal import chi_eval
 
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
     chi = chi_eval(1e-2, s)
     dt = cap_cfl_bound(np.diff(s), chi, 3 * scenario_profile.F(s), w0.far_field, 0.4)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002),
-                       dt_fixed=dt)
-    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, 1e-2)
-    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002))
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
+    (traj,), _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
     assert len(log["solves"]) == traj.metadata["n_steps"]
     factored = list(log["factored"].values())
-    # the only factors are those of the CFL dt, assembled as the scheme says
-    assert len(factored) == 1
+    # the only held factors are those of the CFL dt, assembled as the scheme says
+    assert len(factored) == 1 == traj.metadata["n_factorizations"]
     diag, off = _mass_form(s, 3, dt)
     assert factored[0][0][0].tobytes() == diag.tobytes()
     assert factored[0][0][1].tobytes() == off.tobytes()
-    # the two clipped steps are one matrix solve each
-    assert log["solves"].count("bands") == 2
-    assert set(log["solves"]) == set(log["factored"]) | {"bands"}
-    assert all(step == dt for key, step in zip(log["solves"], log["dts"]) if key != "bands")
+    # the two clipped steps are factored aside, once each
+    assert log["solves"].count("clipped") == len(log["clipped"]) == 2
+    assert set(log["solves"]) == set(log["factored"]) | {"clipped"}
+    assert all(step == dt for key, step in zip(log["solves"], log["dts"]) if key != "clipped")
     assert traj.metadata["dt_history"]["min"] < dt
     assert sum(log["dts"]) == pytest.approx(0.002, rel=1e-12, abs=0.0)
     assert log["w"].tobytes() == traj.snapshots[-1].tobytes()
 
 
-@pytest.mark.parametrize("stepping", ["dt_fixed", "max_dt", "adaptive"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_factored_solve_equals_dptsv_at_a_clipped_dt(scenario_profile, k):
+    # a clipped step is solved by dpttrf then dpttrs, which is how LAPACK
+    # defines dptsv, the one-call solve that such steps used: on the step
+    # matrix at a clipped dt the two give the same bits, for one column and
+    # for a stack's k columns
+    from scipy.linalg.lapack import dptsv
+
+    from ksblow.solver import dpttrf, solve_banded
+
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    dt = _shared_dt(scenario_profile, s, w0, [1e-2])
+    t = 0.0
+    while t + dt < 0.0013 - 1e-12:  # the solver's steps up to its landing
+        t += dt
+    clipped = 0.0013 - t
+    assert 0.0 < clipped < dt
+    diag, off = _mass_form(s, 3, clipped)
+    w = np.stack([w0.w * scale for scale in (1.0, 0.7, 0.4)[:k]])
+    rhs = (w * diag).T  # the (N+1, k) columns, as a stack lays them out
+    expected = dptsv(diag, off, rhs)[2]
+    x = solve_banded(dpttrf(diag.copy(), off.copy())[:2], rhs.copy(order="F"))
+    assert x.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("stepping", ["shared", "max_dt", "adaptive"])
 def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, monkeypatch,
                                                  stepping):
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
-    # the adaptive CFL dt here is about 6e-5; the output times and t_end are
-    # no multiples of the fixed and capped steps, so each is a clipped step
-    extra = {"dt_fixed": {"dt_fixed": 3e-5}, "max_dt": {"max_dt": 2.2e-5},
-             "adaptive": {}}[stepping]
+    # the adaptive CFL dt here is about 6e-5 and the cap-CFL bound 5.5e-5, so
+    # a sweep of one capped at 3e-5 steps by 3e-5; the output times and t_end
+    # are no multiples of the shared and capped steps, so each is a clipped step
+    max_dt = {"shared": 3e-5, "max_dt": 2.2e-5, "adaptive": None}[stepping]
     cfg = SolverConfig(epsilon=1e-2, t_end=2e-3, output_times=(0.0, 7e-4, 1.4e-3),
-                       **extra)
-    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, 1e-2)
-    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
-    n_steps, clipped = traj.metadata["n_steps"], 3  # 7e-4, 1.4e-3 and t_end
+                       max_dt=max_dt)
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
+    if stepping == "shared":
+        (traj,), _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
+        assert traj.metadata["dt_history"]["max"] == 3e-5
+    else:
+        traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+    n_steps = traj.metadata["n_steps"]
     if stepping == "max_dt":
         assert traj.metadata["dt_history"]["max"] == 2.2e-5
     assert len(log["solves"]) == n_steps
-    bands = log["solves"].count("bands")
+    clipped = log["solves"].count("clipped")
     if stepping == "adaptive":  # the held CFL step reuses its factors
         assert 1 <= len(log["factored"]) < n_steps
     else:  # one factorization
         assert len(log["factored"]) == 1
     assert traj.metadata["n_factorizations"] == len(log["factored"])
-    assert bands == clipped < n_steps  # the clipped steps are the matrix solves
+    # 7e-4, 1.4e-3 and t_end are the clipped steps, factored aside
+    assert clipped == len(log["clipped"]) == 3 < n_steps
 
 
 @pytest.mark.parametrize("max_dt", [None, 6.3e-5])
@@ -466,14 +516,14 @@ def test_adaptive_step_held_within_cfl_band(scenario, scenario_profile, monkeypa
     w0 = w0_from_density(1.0, s)
     cfg = SolverConfig(epsilon=1e-2, t_end=0.05, output_times=(0.0, 0.0175, 0.035),
                        max_dt=max_dt)
-    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, 1e-2)
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
     traj = solve_regularized(scenario, w0, cfg, scenario_profile)
     assert len(log["solves"]) == traj.metadata["n_steps"]
     capped = free = 0
     for key, dt, cfl in zip(log["solves"], log["dts"], log["cfl"]):
         limit = cfg.cfl_safety * cfl
         assert dt <= limit
-        if key == "bands":  # clipped to an output time
+        if key == "clipped":  # clipped to an output time
             continue
         if max_dt is not None and max_dt < (1.0 - 2.0 * _HOLD_BAND) * limit:
             assert dt == max_dt
@@ -488,7 +538,7 @@ def test_adaptive_step_held_within_cfl_band(scenario, scenario_profile, monkeypa
         assert traj.metadata["dt_history"]["max"] == max_dt
     # the first solve with new factors is the step that factored them
     first = [i for i, key in enumerate(log["solves"])
-             if key != "bands" and key not in log["solves"][:i]]
+             if key != "clipped" and key not in log["solves"][:i]]
     resets = traj.metadata["cfl_resets"]
     reset_steps = [i for i in first if log["dts"][i] != max_dt]
     assert len(resets) == len(reset_steps) > 0
@@ -513,7 +563,7 @@ def test_boundary_values_exact_without_writes(scenario, scenario_profile, steppi
     cap = w0.far_field
     cfg = SolverConfig(epsilon=1e-2, t_end=2e-3, output_times=(0.0, 7e-4, 1.4e-3, 2e-3),
                        max_dt=2.2e-5 if stepping == "max_dt" else None)
-    if stepping == "stack":  # three cutoffs on one shared dt_fixed
+    if stepping == "stack":  # three cutoffs on one shared step
         trajs, report = proper_sweep(scenario, w0, cfg, [1e-2, 1e-3, 1e-4],
                                      profile=scenario_profile)
         assert report.failures == () and len(trajs) == 3

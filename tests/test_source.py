@@ -42,3 +42,14 @@ def unused_public_names(src_dir):
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert unused_public_names(SRC) == []
+
+
+def test_every_solver_setting_is_a_config_key():
+    # a stepping setting that no config key reaches exists only for tests
+    from dataclasses import fields
+
+    from ksblow.config import SolverSection
+    from ksblow.solver import SolverConfig
+
+    keys = {f.name for f in fields(SolverSection)}
+    assert [f.name for f in fields(SolverConfig) if f.name not in keys] == []
