@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,7 +54,9 @@ COUPLED_SLACK = 1e-6      # verdicts coupled to a discretized run
 
 @dataclass(frozen=True)
 class TestFunction:
-    """phi with its derived constants; immutable."""
+    """phi with its derived constants; immutable.  ``verify_ode_inequality``
+    also builds one whose fields other than n are (k, 1) columns, one row per
+    test function of a chunk."""
 
     __test__ = False  # not a pytest class despite the name
 
@@ -120,6 +122,7 @@ CELL_RATIO = 1.02   # the cover's cell ratio before any bisection
 CELL_PAD = 1e-12    # each term of a bound is lowered by this share of its size
 BISECTIONS = 32     # rounds of bisecting the cells whose bound falls short
 MAX_SHORT = 4096    # more short cells than this fail the tuple unbisected
+CHUNK = 8           # tuples whose covers are bounded together, as rows of one array
 
 
 @dataclass(frozen=True)
@@ -137,12 +140,18 @@ class OdeMarginReport:
 
 def _ends(tf: TestFunction, s: np.ndarray) -> np.ndarray:
     """The rows s, m = s^(-2/n), F, F_s and rho = q/(q - b) at the points s,
-    with q = a (gamma s)^-delta; rho means something only below xi/gamma."""
+    with q = a (gamma s)^-delta; rho means something only below xi/gamma.
+    Points of shape (k, m) against a ``tf`` of columns give a (5, k, m) block."""
     F, Fs = tf.profile.forcing(s)
-    q = tf.a * np.power(tf.gamma * s, -tf.delta)
+    ends = np.empty((5, *s.shape))
+    ends[0], ends[2], ends[3] = s, F, Fs
+    np.power(s, -2.0 / tf.n, out=ends[1])
+    q = np.multiply(tf.gamma, s, out=ends[4])
+    np.power(q, -tf.delta, out=q)
+    q *= tf.a
     with np.errstate(divide="ignore"):  # q = b is possible above xi/gamma
-        rho = q / (q - tf.b)
-    return np.stack((s, np.power(s, -2.0 / tf.n), F, Fs, rho))
+        np.divide(q, q - tf.b, out=q)
+    return ends
 
 
 def _rates(tf: TestFunction, ends: np.ndarray) -> np.ndarray:
@@ -175,18 +184,22 @@ def _cell_margins(tf: TestFunction, lo: np.ndarray, hi: np.ndarray, k0_rate: flo
     sb, mb, Fb, _, rb = hi
     n, g, d = tf.n, tf.gamma, tf.delta
     power = sb <= tf.kink
+
+    def terms():  # one at a time, so that few arrays are alive together
+        yield np.where(power, d * (n * n * (d + 1.0) - 4.0 * (n * n - n)) * rb * ma,
+                       n * n * g * g * sa * sa * ma)
+        yield np.where(power, n * d * ra * Fb / sb, -4.0 * (n * n - n) * g * sb * mb)
+        yield np.where(power, 0.0, n * g * Fa)
+        yield -n * Fsa
+
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (np.where(power, d * (n * n * (d + 1.0) - 4.0 * (n * n - n)) * rb * ma,
-                          n * n * g * g * sa * sa * ma),
-                 np.where(power, n * d * ra * Fb / sb, -4.0 * (n * n - n) * g * sb * mb),
-                 np.where(power, 0.0, n * g * Fa),
-                 -n * Fsa)
-        return sum(t - CELL_PAD * np.abs(t) for t in terms) - k0_rate * (1.0 + CELL_PAD)
+        return sum(t - CELL_PAD * np.abs(t) for t in terms()) - k0_rate * (1.0 + CELL_PAD)
 
 
-def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
-    """Certify L phi / phi >= k0 gamma^(2/n) - ANALYTIC_SLACK on (0, inf),
-    with the forcing the solver marches, on a cover of cells.
+def verify_ode_inequality(tfs):
+    """Certify L phi / phi >= k0 gamma^(2/n) - ANALYTIC_SLACK on (0, inf)
+    for each test function of ``tfs``, with the forcing the solver marches,
+    on a cover of cells; yields one report per test function, in order.
 
     The cells have ratio CELL_RATIO from lo = 1e-4 min(xi/gamma, (R-rho)^n)
     to the first edge hi >= 10 max(xi/gamma, (R+rho)^n), and xi/gamma,
@@ -199,11 +212,14 @@ def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
                      + n gamma F(a) - n F_s(a),
         power:       delta C rho(b) a^(-2/n) + n delta rho(a) F(b)/b - n F_s(a),
 
-    each term lowered by CELL_PAD times its size for rounding.  A cell whose
-    bound is below -ANALYTIC_SLACK is bisected at its geometric midpoint, for
-    at most BISECTIONS rounds of at most MAX_SHORT cells; a rate sampled at a
-    midpoint below the threshold fails the tuple at once, and the report
-    gives that point.
+    each term lowered by CELL_PAD times its size for rounding.  Up to CHUNK
+    consecutive test functions of one n are bounded together: their covers
+    are the rows of one array and their parameters (k, 1) columns, so each
+    row gets the bits it would get alone.  A cell whose bound is below
+    -ANALYTIC_SLACK is bisected at its geometric midpoint, for at most
+    BISECTIONS rounds of at most MAX_SHORT cells of its own test function; a
+    rate sampled at a midpoint below the threshold fails that test function
+    at once, and its report gives that point.
 
     The tails.  For s >= hi, F is constant, F_s = 0 and the rate increases
     for s > 2(n-2)/(n gamma), which lies below xi/gamma as xi > 4 - 4/n, so
@@ -214,23 +230,62 @@ def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
     decreases in s (beta - 1 < -2/n), so g >= g(lo) on (0, lo] once
     g(lo) >= 0.  A negative g(lo) shows nothing and fails the tuple.
     """
-    n, profile, kink, d = tf.n, tf.profile, tf.kink, tf.delta
-    k0_rate = tf.k0 * tf.gamma ** (2.0 / n)
-    lo = 1e-4 * min(kink, profile.s_lower)
-    count = math.ceil(math.log(10.0 * max(kink, profile.s_upper) / lo) / math.log(CELL_RATIO))
-    s = np.sort(np.concatenate((lo * CELL_RATIO ** np.arange(count + 1.0),
-                                (kink, profile.s_lower, profile.s_upper))))
+    chunk = []
+    for tf in tfs:
+        if len(chunk) == CHUNK or chunk and tf.n != chunk[0].n:
+            yield from _certify_chunk(chunk)
+            chunk = []
+        chunk.append(tf)
+    if chunk:
+        yield from _certify_chunk(chunk)
+
+
+def _certify_chunk(chunk):
+    """The reports of test functions of one n, their first bounds computed
+    on one array of covers."""
+    n = chunk[0].n
+    names = [f.name for f in fields(TestFunction) if f.name != "n"]
+    columns = np.array([[getattr(one, name) for name in names] for one in chunk]).T[:, :, None]
+    tf = TestFunction(n=n, **dict(zip(names, columns)))
+    profile, kink = tf.profile, tf.kink
+    lo = 1e-4 * np.minimum(kink, profile.s_lower)
+    # Python's power and log, as for one tuple: numpy's round some points differently
+    k0_rate = [one.k0 * one.gamma ** (2.0 / n) for one in chunk]
+    count = np.array([[float(math.ceil(math.log(x) / math.log(CELL_RATIO)))]
+                      for x in (10.0 * np.maximum(kink, profile.s_upper) / lo).ravel().tolist()])
+    # row j has the exponents 0..count_j of its edges, then copies of count_j,
+    # whose edges sort after its kinks and whose empty cells are dropped
+    geometric = np.minimum(np.arange(count.max() + 1.0), count)
+    np.power(CELL_RATIO, geometric, out=geometric)
+    geometric *= lo
+    s = np.concatenate((geometric, kink, profile.s_lower, profile.s_upper), axis=1)
+    s.sort(axis=1)
     ends = _ends(tf, s)
+    bound = _cell_margins(tf, ends[:, :, :-1], ends[:, :, 1:], np.array(k0_rate)[:, None])
+    for j, one in enumerate(chunk):
+        c = int(count[j, 0]) + 3
+        cells = np.column_stack((s[j, :c], s[j, 1:c + 1], bound[j, :c]))
+        yield _report(one, ends[:, j, :c + 1], cells, k0_rate[j], float(lo[j, 0]))
+
+
+def _report(tf: TestFunction, ends, cells, k0_rate: float, lo: float) -> OdeMarginReport:
+    """The report of ``tf`` from its cover's cells, rows (lo, hi, first
+    bound), and the rows ``_ends`` gives at their edges: the short cells
+    bisected, the lower tail below lo bounded."""
+    n, kink, d = tf.n, tf.kink, tf.delta
+    first = cells.shape[0]
+    beta = (n - tf.alpha) / n
+    tail = (d * (n * n * (d + 1.0) - 4.0 * (n * n - n)) * float(ends[4, 0] * ends[1, 0]),
+            n * tf.f0 / (n - tf.alpha) * (d - beta) * lo ** (beta - 1.0))
     left, right = ends[:, :-1], ends[:, 1:]
-    bound = _cell_margins(tf, left, right, k0_rate)
     settled = []
     witness = None
     for _ in range(BISECTIONS):
-        short = bound < -ANALYTIC_SLACK
+        short = cells[:, 2] < -ANALYTIC_SLACK
         if not short.any() or np.count_nonzero(short) > MAX_SHORT:
             break
-        settled.append((left[0, ~short], right[0, ~short], bound[~short]))
-        left, right, bound = left[:, short], right[:, short], bound[short]
+        settled.append(cells[~short])
+        cells, left, right = cells[short], left[:, short], right[:, short]
         mid = _ends(tf, np.sqrt(left[0] * right[0]))
         sampled = _rates(tf, mid) - k0_rate
         i = int(np.argmin(sampled))
@@ -238,17 +293,13 @@ def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
             witness = (float(sampled[i]), float(mid[0, i]))
             break
         left, right = np.hstack((left, mid)), np.hstack((mid, right))
-        bound = _cell_margins(tf, left, right, k0_rate)
-    cells = np.column_stack([np.concatenate([part[k] for part in settled] + [edge])
-                             for k, edge in enumerate((left[0], right[0], bound))])
+        cells = np.column_stack((left[0], right[0], _cell_margins(tf, left, right, k0_rate)))
     if settled:
+        cells = np.concatenate([*settled, cells])
         cells = cells[np.argsort(cells[:, 0])]
     j = int(np.argmin(cells[:, 2]))
     min_margin, argmin_cell = float(cells[j, 2]), (float(cells[j, 0]), float(cells[j, 1]))
 
-    beta = (n - tf.alpha) / n
-    tail = (d * (n * n * (d + 1.0) - 4.0 * (n * n - n)) * float(ends[4, 0] * ends[1, 0]),
-            n * tf.f0 / (n - tf.alpha) * (d - beta) * lo ** (beta - 1.0))
     g_lo = sum(t - CELL_PAD * abs(t) for t in tail)
     lower_tail = g_lo - k0_rate * (1.0 + CELL_PAD) if g_lo >= 0.0 else -math.inf
     if lower_tail < min_margin:  # never nan: a nan g(lo) gives -inf
@@ -257,7 +308,7 @@ def verify_ode_inequality(tf: TestFunction) -> OdeMarginReport:
         min_margin, argmin_cell = witness[0], (witness[1], witness[1])
     return OdeMarginReport(
         min_margin=min_margin, argmin_cell=argmin_cell, threshold=ANALYTIC_SLACK,
-        passed=bool(min_margin >= -ANALYTIC_SLACK), n_bisections=cells.shape[0] - s.size + 1,
+        passed=bool(min_margin >= -ANALYTIC_SLACK), n_bisections=cells.shape[0] - first,
         n_power_cells=int(np.count_nonzero(cells[:, 1] <= kink)), lower_tail=lower_tail,
         k0_rate=k0_rate, cells=cells)
 

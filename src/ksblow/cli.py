@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import deque
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -241,37 +242,40 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
         grid = _default_lemma_grid(cfg.system, sweep.count, sweep.seed)
 
     rows = []
-    failing = []
-    scan_written = False
-    for item in grid:
-        system = SystemParams(n=item.n, alpha=item.alpha, f0=item.f0,
-                              R=item.R, rho=item.rho, c0=cfg.system.c0)
-        row = dict(vars(item))
-        try:
-            # validates the system with the test-function exponents
-            tf = build_testfunction(system, item.xi, item.delta, item.gamma)
-            feasible = system.feasible
-            ode = verify_ode_inequality(tf)
-            if not scan_written:
-                # the cover's cell bounds for the first constructible tuple
-                write_rows(out_dir / "margin_scan.csv", "s_lo,s_hi,margin_bound",
-                           ode.cells.tolist())
-                scan_written = True
-            bound = verify_integral_bound(tf)
-            row.update(constructed=True, feasible=feasible,
-                       margin=ode.min_margin, margin_ok=ode.passed,
-                       integral=bound.integral, integral_bound=bound.bound,
-                       integral_ok=bound.passed)
-            row["pass"] = bool(feasible and ode.passed and bound.passed)
-        except ParameterError as exc:
-            row.update(constructed=False, feasible=False, margin=float("nan"),
-                       margin_ok=False, integral=float("nan"),
-                       integral_bound=float("nan"), integral_ok=False)
-            row["pass"] = False
-            row["error"] = str(exc)
-        rows.append(row)
-        if not row["pass"]:
-            failing.append(row)
+    built = deque()  # (row, test function) of the constructed tuples not yet certified
+
+    def constructed():
+        for item in grid:
+            system = SystemParams(n=item.n, alpha=item.alpha, f0=item.f0,
+                                  R=item.R, rho=item.rho, c0=cfg.system.c0)
+            row = dict(vars(item))
+            rows.append(row)
+            try:
+                # validates the system with the test-function exponents
+                tf = build_testfunction(system, item.xi, item.delta, item.gamma)
+            except ParameterError as exc:
+                row.update(constructed=False, feasible=False, margin=float("nan"),
+                           margin_ok=False, integral=float("nan"),
+                           integral_bound=float("nan"), integral_ok=False)
+                row["pass"] = False
+                row["error"] = str(exc)
+                continue
+            row.update(constructed=True, feasible=system.feasible)
+            built.append((row, tf))
+            yield tf
+
+    for k, ode in enumerate(verify_ode_inequality(constructed())):
+        row, tf = built.popleft()
+        if k == 0:
+            # the cover's cell bounds for the first constructible tuple
+            write_rows(out_dir / "margin_scan.csv", "s_lo,s_hi,margin_bound",
+                       ode.cells.tolist())
+        bound = verify_integral_bound(tf)
+        row.update(margin=ode.min_margin, margin_ok=ode.passed,
+                   integral=bound.integral, integral_bound=bound.bound,
+                   integral_ok=bound.passed)
+        row["pass"] = bool(row["feasible"] and ode.passed and bound.passed)
+    failing = [row for row in rows if not row["pass"]]
 
     header = ("n,alpha,f0,R,rho,xi,delta,gamma,constructed,feasible,"
               "margin,margin_ok,integral,integral_bound,pass")
@@ -293,7 +297,7 @@ def _lemma_certificate(tf) -> dict:
     the forcing profile the solver marches.  xi/gamma <= (R-rho)^n is
     reported beside them: every tuple that failed in a seeded random scan
     broke it, but it is not a proved condition, so it gates nothing."""
-    ode = verify_ode_inequality(tf)
+    [ode] = verify_ode_inequality([tf])
     bound = verify_integral_bound(tf)
     return {
         "ode_min_margin": ode.min_margin, "ode_argmin_cell": ode.argmin_cell,

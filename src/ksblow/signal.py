@@ -29,6 +29,7 @@ tuple had its branch point xi/gamma above s_lower.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -38,6 +39,46 @@ from .params import SystemParams, validate
 from .quadrature import legendre_rule
 
 _BRIDGE_GL_ORDER = 16
+_BRIDGE_COLUMNS = 512  # bridge points per rule block: 3 blocks of (17, 512) floats
+
+
+def _bridge(n, b, lo, hi, two_rho, f0, alpha):
+    """The Gauss-Legendre rule for f(r) r**(n-1) over [lo, b], and f(b), at
+    the radii b; the other parameters are floats or match b.
+
+    The rule runs along the first axis: node j of point i is r[j, i], and the
+    last row is b itself.  f is formed without the clip and the branch of
+    ``SignalProfile.f``: the nodes lie strictly inside (lo, hi), and so does
+    b but for rounding, which moves f(b) by a few ulps of f(lo) at most.  The
+    three blocks are reused in place, in the order of operations of
+    f0 r**-alpha S(x) r**(n-1) w with the smoothstep S(x) = x^3 (10 + x (6x - 15))
+    of x = (hi - r)/(2 rho)."""
+    nodes, weights = legendre_rule(_BRIDGE_GL_ORDER)
+    half = 0.5 * (b - lo)
+    r, x, f = (np.empty((nodes.size + 1, b.size)) for _ in range(3))
+
+    def radii(out):
+        np.multiply(half, nodes[:, None], out=out[:-1])
+        out[:-1] += 0.5 * (lo + b)
+        out[-1] = b
+        return out
+
+    np.subtract(hi, radii(r), out=x)
+    x /= two_rho
+    np.multiply(x, x, out=f)
+    f *= x
+    np.multiply(x, 6.0, out=r)
+    r -= 15.0
+    r *= x
+    r += 10.0
+    f *= r
+    np.power(radii(r), -alpha, out=x)
+    x *= f0
+    f *= x
+    r **= n - 1
+    f[:-1] *= r[:-1]
+    f[:-1] *= weights[:, None]
+    return half * f[:-1].sum(axis=0), f[-1]
 
 
 def smoothstep(x):
@@ -60,11 +101,23 @@ def chi_eval(epsilon: float, s):
     return val
 
 
+def _mass(r, n):
+    """r**n by Python's float power, also for each entry of an array: numpy's
+    power rounds some of them differently, and a profile of columns must
+    give each row the bits of its own profile."""
+    if np.ndim(r) == 0:
+        return r ** n
+    return np.array([x ** n for x in r.ravel().tolist()]).reshape(r.shape)
+
+
 @dataclass(frozen=True)
 class SignalProfile:
     """Immutable signal-production profile: f on the radial axis, F and F_s
     on the mass axis.  Construction validates the parameters, unless
-    ``checked`` says that ``validate`` or ``validate_testfn`` already has."""
+    ``checked`` says that ``validate`` or ``validate_testfn`` already has.
+    f0, alpha, R and rho are floats, or (k, 1) columns of them for k
+    profiles at once, one per row of the points (as
+    ``analysis.verify_ode_inequality`` builds them); n is one int."""
 
     f0: float
     alpha: float
@@ -100,13 +153,13 @@ class SignalProfile:
 
     # --- the radial cut-offs on the mass axis ------------------------------
 
-    @property
-    def s_lower(self) -> float:
-        return (self.R - self.rho) ** self.n
+    @functools.cached_property
+    def s_lower(self):
+        return _mass(self.R - self.rho, self.n)
 
-    @property
-    def s_upper(self) -> float:
-        return (self.R + self.rho) ** self.n
+    @functools.cached_property
+    def s_upper(self):
+        return _mass(self.R + self.rho, self.n)
 
     # --- F and F_s --------------------------------------------------------
 
@@ -118,7 +171,8 @@ class SignalProfile:
         F_s is unbounded).  On the bridge one root b = s**(1/n) is both the
         upper limit of the Gauss-Legendre rule for f(r) r**(n-1) over
         [R-rho, b], added to F(s_lower), and the radius of F_s = f(b)/n.
-        From s_upper on F is the rule at s_upper and F_s is 0.
+        From s_upper on F is the rule at s_upper and F_s is 0.  Parameters
+        that are columns give each row of s its own profile.
         """
         scalar = np.ndim(s) == 0
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -126,33 +180,38 @@ class SignalProfile:
             raise ParameterError("s must be >= 0", [("s", s, ">= 0")])
         n, alpha, f0 = self.n, self.alpha, self.f0
         # the closed form at every point; the bridge and beyond overwrite it
-        p = np.power(s_arr, (n - alpha) / n)
+        F = np.power(s_arr, (n - alpha) / n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Fs = f0 / n * p / s_arr
-        F = f0 / (n - alpha) * p
+            Fs = f0 / n * F
+            Fs /= s_arr
+        F *= f0 / (n - alpha)
         beyond = s_arr > self.s_lower
-        if beyond.any():
-            outer = s_arr >= self.s_upper
-            mid = beyond & ~outer
-            # the bridge points and s_upper, which gives the constant, in one rule
-            b = np.power(np.append(s_arr[mid], self.s_upper), 1.0 / n)
-            lo, hi = self.R - self.rho, self.R + self.rho
-            # the rule runs along the first axis: node j of point i is r[j, i],
-            # and the last row is b itself, the radius of F_s
-            nodes, weights = legendre_rule(_BRIDGE_GL_ORDER)
-            half = 0.5 * (b - lo)
-            r = np.vstack((0.5 * (lo + b) + half * nodes[:, None], b))
-            # f(r) without the clip and the branch of ``f``: the nodes lie
-            # strictly inside (lo, hi), and so does b but for rounding, which
-            # moves f(b) by a few ulps of f(lo) at most
-            x = (hi - r) / (2.0 * self.rho)
-            f = f0 * r ** (-alpha) * (x * x * x * (10.0 + x * (6.0 * x - 15.0)))
-            F_lower = f0 / (n - alpha) * np.power(self.s_lower, (n - alpha) / n)
-            bridge = F_lower + half * (f[:-1] * r[:-1] ** (n - 1) * weights[:, None]).sum(axis=0)
-            F[mid] = bridge[:-1]
-            F[outer] = bridge[-1]
-            Fs[mid] = f[-1, :-1] / n
-            Fs[outer] = 0.0
+        if not beyond.any():
+            return (float(F[0]), float(Fs[0])) if scalar else (F, Fs)
+        outer = s_arr >= self.s_upper
+        mid = beyond & ~outer
+        k = np.count_nonzero(mid)
+
+        def rule(v):
+            """v at the bridge points, then once per profile at s_upper; a
+            float stays a float"""
+            return np.append(np.broadcast_to(v, s_arr.shape)[mid], v) if np.ndim(v) else v
+
+        # the bridge points and s_upper, which gives the constant, in one rule
+        b = np.power(np.append(s_arr[mid], self.s_upper), 1.0 / n)
+        args = [rule(v) for v in (self.R - self.rho, self.R + self.rho, 2.0 * self.rho, f0, alpha)]
+        bridge, fb = np.empty_like(b), np.empty_like(b)
+        # at most _BRIDGE_COLUMNS points at a time, in even parts: a part of
+        # one point would be summed pairwise by numpy, a wider one in order
+        for part in np.array_split(np.arange(b.size), -(-b.size // _BRIDGE_COLUMNS)):
+            cols = slice(part[0], part[-1] + 1)
+            bridge[cols], fb[cols] = _bridge(n, b[cols], *(v[cols] if np.ndim(v) else v
+                                                           for v in args))
+        bridge += rule(f0 / (n - alpha) * np.power(self.s_lower, (n - alpha) / n))
+        F[mid] = bridge[:k]
+        F[outer] = np.broadcast_to(bridge[k:].reshape(np.shape(self.s_upper)), s_arr.shape)[outer]
+        Fs[mid] = fb[:k] / n
+        Fs[outer] = 0.0
         if scalar:
             return float(F[0]), float(Fs[0])
         return F, Fs

@@ -162,6 +162,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ParameterError(f"epsilon must be in (0, 1) (got {self.epsilon})")
+        if not self.t_end > 0.0:
+            raise ParameterError(f"t_end must be > 0 (got {self.t_end})")
         if not 0.0 < self.cfl_safety < 1.0:
             raise ParameterError(f"cfl_safety must be in (0, 1) (got {self.cfl_safety})")
         times = tuple(float(t) for t in self.output_times)
@@ -300,16 +302,14 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         k = len(rows)
         w = np.array(w_rows, dtype=float).reshape(-1)
         ws = np.array(ws_rows, dtype=float).reshape(-1)
-        rhs, coef = np.empty_like(w), np.empty_like(w)
-        # the (N+1, k) transposes that the solves take, and the nodes next to
+        # the (N+1, k) transpose that the solves take, and the nodes next to
         # s_max of every row; a stack of one keeps the plain vector and index
         if k == 1:
-            w_cols, rhs_cols, inner = w, rhs, -2
+            w_cols, inner = w, -2
         else:
-            w_cols, rhs_cols = w.reshape(k, size).T, rhs.reshape(k, size).T
-            inner = slice(h.size - 1, None, size)
-        return (k, rows, w, ws, ws[:-1], rhs, coef, w_cols, rhs_cols, w[1:], w[:-1],
-                rhs[1:], rhs[:-1], np.array([factors[r] for r in rows], dtype=float).reshape(-1),
+            w_cols, inner = w.reshape(k, size).T, slice(h.size - 1, None, size)
+        return (k, rows, w, ws, ws[:-1], np.empty_like(w), w_cols, w[1:], w[:-1],
+                np.array([factors[r] for r in rows], dtype=float).reshape(-1),
                 np.tile(nF, k), np.tile(mu, k), inner)
 
     def check(tnow):
@@ -353,16 +353,15 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         snap_times.append(tnow)
 
     w_init = np.concatenate(([0.0], w0.w[1:-1], [cap]))
-    (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, w_hi, w_lo, rhs_hi, rhs_lo,
-     factor, nF_k, mu_k, inner) = stack(list(range(len(eps_list))), [w_init] * len(eps_list),
-                                      np.zeros((len(eps_list), size)))
+    (k, rows, w, ws, drops, coef, w_cols, w_hi, w_lo, factor, nF_k, mu_k, inner) = stack(
+        list(range(len(eps_list))), [w_init] * len(eps_list), np.zeros((len(eps_list), size)))
     t_target, landing = targets.pop(0)
     started = _time.perf_counter()
     failed = check(t)
     while True:
         if failed:
-            (k, rows, w, ws, drops, rhs, coef, w_cols, rhs_cols, w_hi, w_lo, rhs_hi, rhs_lo,
-             factor, nF_k, mu_k, inner) = drop(failed)
+            (k, rows, w, ws, drops, coef, w_cols, w_hi, w_lo, factor, nF_k, mu_k,
+             inner) = drop(failed)
             if not rows:
                 break
         if t == t_target and targets:
@@ -406,18 +405,17 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
                 if fixed is None and dt != max_dt:  # the CFL limit reset the step
                     cfl_resets.append({"t": t, "s": float(s[int(np.argmax(coef))]), "dt": dt})
 
-        # rhs = mu * (W + dt * coef * dW), with dW the check's forward
-        # differences.  The Dirichlet rows need no writes: coef is 0 at both
-        # ends, so there rhs is W_0 = 0 and W_N = cap, which their identity
-        # rows return exactly
-        np.multiply(coef, ws, out=rhs)
-        rhs *= dt
-        rhs += w
-        rhs *= mu_k
-        rhs[inner] += dt * edge
-        solve_banded(factored, rhs_cols)  # one solve for all k columns, in place
-        w, rhs, w_cols, rhs_cols, w_hi, rhs_hi, w_lo, rhs_lo = (
-            rhs, w, rhs_cols, w_cols, rhs_hi, w_hi, rhs_lo, w_lo)
+        # the right-hand side mu * (W + dt * coef * dW) in W itself, with dW
+        # the check's forward differences, and the solve overwrites it.  The
+        # Dirichlet rows need no writes: coef is 0 at both ends, so there the
+        # right-hand side is W_0 = 0 and W_N = cap, which their identity rows
+        # return exactly
+        coef *= ws
+        coef *= dt
+        w += coef
+        w *= mu_k
+        w[inner] += dt * edge
+        solve_banded(factored, w_cols)  # one solve for all k columns, in place
 
         t = t_target if on_target else t + dt
         n_steps += 1

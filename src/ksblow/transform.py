@@ -104,17 +104,24 @@ def _int_cell(v: int) -> str:
 _CELL = {float: float.__repr__, np.float64: float.__repr__, int: _int_cell}
 
 
-def write_rows(path, header: str, rows) -> None:
-    """CSV with a mandatory header row and LF endings; the directory is
-    created if missing."""
+def _write_lines(path, header: str, lines) -> None:
+    """A text file of the header row and ``lines``, each ending in LF; the
+    directory is created if missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join([_CELL.get(type(v), str)(v) for v in row]) + "\n"
-                      for row in rows)
+        fh.writelines(lines)
+
+
+def write_rows(path, header: str, rows) -> None:
+    """CSV with a mandatory header row and LF endings; the directory is
+    created if missing."""
+    _write_lines(path, header, (",".join([_CELL.get(type(v), str)(v) for v in row]) + "\n"
+                                for row in rows))
 
 
 def write_csv(w: MassFunction, path) -> None:
-    """Snapshot as two-column CSV (header mandatory, full-precision floats)."""
-    write_rows(path, "s,W", zip(w.s, w.w))
+    """Snapshot as two-column CSV (header mandatory, full-precision floats),
+    formatted from Python floats, as ``write_rows`` formats a float."""
+    _write_lines(path, "s,W", (f"{s!r},{v!r}\n" for s, v in zip(w.s.tolist(), w.w.tolist())))

@@ -83,7 +83,7 @@ def test_criterion_2_testfunction_certification(quad_phi_integral):
         assert cont_val <= 1e-10 and cont_slope <= 1e-10
         worst_cont = max(worst_cont, cont_val, cont_slope)
 
-        ode = verify_ode_inequality(tf)
+        [ode] = verify_ode_inequality([tf])
         assert ode.passed == (ode.min_margin >= -1e-9)
         if ode.passed:
             # a certified bound: the cover's cells are contiguous

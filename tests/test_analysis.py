@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from ksblow import (ParameterError, SelectionError, SignalProfile,
                     f0_threshold, integral_phi_linear, integral_phi_total, riccati,
                     select_blowup_params, validate, verify_integral_bound,
                     verify_ode_inequality, y_functional)
-from ksblow.analysis import CELL_PAD, CELL_RATIO, _ends, _rates
+from ksblow.analysis import CELL_PAD, CELL_RATIO, CHUNK, OdeMarginReport, _ends, _rates
 from ksblow.cli import _default_lemma_grid
 from ksblow.solver import Trajectory, build_mesh
 
@@ -133,7 +133,7 @@ def test_phi_shape(tf):
 def test_ode_inequality_scenario(tf):
     # certified on the profile the solver marches, the only one there is
     assert tf.profile == SignalProfile(tf.f0, tf.alpha, tf.R, tf.rho, tf.n)
-    report = verify_ode_inequality(tf)
+    [report] = verify_ode_inequality([tf])
     assert report.passed
     assert report.min_margin > 0.0
 
@@ -185,7 +185,7 @@ def test_ode_inequality_k0_sanity_on_c1_binding_tuple():
     params = validate(SystemParams(3, 2.9, 6.0, 0.5, 0.1, 1.0))
     tf = build_testfunction(params, xi=4.0, delta=0.5, gamma=20.0)
     assert tf.c2 > tf.c1 and tf.k0 == tf.c1
-    report = verify_ode_inequality(tf)
+    [report] = verify_ode_inequality([tf])
     assert report.passed
     n, kink, g = tf.n, tf.kink, tf.gamma
     diffusion_rate = (n * n * kink ** ((2.0 * n - 2.0) / n) * g * g
@@ -199,7 +199,7 @@ def test_blowup_selection_range_is_certified(scenario, gamma):
     # config (14437.1 is the floor criterion 8 pins): the certified margin
     # stays far above the threshold, with the branch point below the bridge
     tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=gamma)
-    report = verify_ode_inequality(tf)
+    [report] = verify_ode_inequality([tf])
     assert report.min_margin >= 64.5 * report.k0_rate
     assert verify_integral_bound(tf).passed
     assert tf.kink <= tf.profile.s_lower
@@ -209,7 +209,7 @@ def test_cover_certifies_the_power_branch_at_large_gamma(scenario):
     # xi/gamma = 4e-9: the cover is built from the tuple, so it has cells on
     # the power branch however small xi/gamma is, and the lower tail below them
     tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=1e9)
-    report = verify_ode_inequality(tf)
+    [report] = verify_ode_inequality([tf])
     assert report.passed
     power = report.cells[:, 1] <= tf.kink
     assert report.n_power_cells == np.count_nonzero(power) > 100
@@ -219,7 +219,7 @@ def test_cover_certifies_the_power_branch_at_large_gamma(scenario):
 
 
 def test_cover_tiles_the_window_with_the_kinks_as_edges(tf):
-    report = verify_ode_inequality(tf)
+    [report] = verify_ode_inequality([tf])
     profile = tf.profile
     lo, hi, _ = report.cells.T
     np.testing.assert_array_equal(lo[1:], hi[:-1])  # contiguous and ascending
@@ -234,10 +234,10 @@ def test_cover_tiles_the_window_with_the_kinks_as_edges(tf):
 
 def test_cell_bounds_never_exceed_the_sampled_rate(scenario):
     # for seeded tuples of the default lemma grid, at both edges of every cell
-    for item in _default_lemma_grid(scenario, 60, 7):
-        params = SystemParams(item.n, item.alpha, item.f0, item.R, item.rho, 1.0)
-        tf = build_testfunction(params, item.xi, item.delta, item.gamma)
-        report = verify_ode_inequality(tf)
+    tfs = [build_testfunction(SystemParams(item.n, item.alpha, item.f0, item.R, item.rho, 1.0),
+                              item.xi, item.delta, item.gamma)
+           for item in _default_lemma_grid(scenario, 60, 7)]
+    for tf, report in zip(tfs, verify_ode_inequality(tfs), strict=True):
         lo, hi, bound = report.cells.T
         assert report.passed
         assert np.all(bound <= l_phi_rate(tf, lo) - report.k0_rate)
@@ -257,7 +257,7 @@ def test_bisection_certifies_cells_whose_first_bound_falls_short(monkeypatch):
 
     system, xi, delta, gamma = _TIGHT_TUPLE
     tf = build_testfunction(validate(SystemParams(*system)), xi, delta, gamma)
-    report = verify_ode_inequality(tf)
+    [report] = verify_ode_inequality([tf])
     lo, hi, bound = report.cells.T
     assert report.passed and report.n_bisections > 0
     assert 0.0 < report.min_margin < 0.01 * report.k0_rate
@@ -266,16 +266,55 @@ def test_bisection_certifies_cells_whose_first_bound_falls_short(monkeypatch):
     assert np.min(hi / lo) < CELL_RATIO ** 0.5
     # without the bisections the first bounds fail the tuple, at a real cell
     monkeypatch.setattr(analysis, "BISECTIONS", 0)
-    coarse = verify_ode_inequality(tf)
+    [coarse] = verify_ode_inequality([tf])
     assert not coarse.passed and coarse.n_bisections == 0
     assert coarse.min_margin == np.min(coarse.cells[:, 2]) < -1e-9
     assert coarse.argmin_cell[0] < coarse.argmin_cell[1]
 
 
+# criterion 2's draw 74 (n = 5), which a rate sampled at a cell midpoint fails
+_WITNESS_TUPLE = ((5, 2.376865528084249, 90.28823212036266, 0.25160981913106545,
+                   0.07563577286378034, 1.0), 3.5675074372900917, 0.7387139899509888,
+                  28.04391035929118)
+
+
+def _same_report(a, b):
+    """Every field of the two reports, the cells included, bit for bit."""
+    for name in (f.name for f in fields(OdeMarginReport)):
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        else:
+            assert repr(x) == repr(y), name
+
+
+def test_reports_do_not_depend_on_the_batch(scenario):
+    # a tuple gets the same report alone and anywhere in a batch: the bisected
+    # and the witness tuple share a chunk of n = 5, and the n = 3 tuples of
+    # the default grid run across a chunk boundary before them; the other
+    # orders move every boundary
+    grid = [build_testfunction(SystemParams(t.n, t.alpha, t.f0, t.R, t.rho, 1.0),
+                               t.xi, t.delta, t.gamma)
+            for t in _default_lemma_grid(scenario, CHUNK + 6, 3)]
+    tight, witness = (build_testfunction(validate(SystemParams(*system)), xi, delta, gamma)
+                      for system, xi, delta, gamma in (_TIGHT_TUPLE, _WITNESS_TUPLE))
+    k = CHUNK + 2
+    tfs = [*grid[:k], tight, witness, *grid[k:], tight]
+    alone = [report for tf in tfs for report in verify_ode_inequality([tf])]
+    assert alone[k].n_bisections > 0 and alone[k].passed
+    assert alone[k + 1].argmin_cell[0] == alone[k + 1].argmin_cell[1]
+    assert not alone[k + 1].passed
+    for order in (tfs, tfs[::-1], tfs[3:] + tfs[:3]):
+        batch = list(verify_ode_inequality(iter(order)))
+        assert len(batch) == len(tfs)
+        for tf, report in zip(order, batch):
+            _same_report(report, alone[tfs.index(tf)])
+
+
 @pytest.mark.parametrize("gamma", [20.0, 1e9])
 def test_lower_tail_bound_holds_below_the_cover(scenario, gamma):
     tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=gamma)
-    report = verify_ode_inequality(tf)
+    [report] = verify_ode_inequality([tf])
     lo = report.cells[0, 0]
     s = np.geomspace(lo * 1e-12, lo, 400)
     assert 0.0 < report.lower_tail <= np.min(l_phi_rate(tf, s) - report.k0_rate)
@@ -324,7 +363,7 @@ def test_cell_bounds_hold_under_interval_arithmetic(scenario):
     # cells on both branches below (R-rho)^n: the float bound with its pad
     # lies below the interval enclosure of the same bound in exact arithmetic
     tf = build_testfunction(scenario, xi=4.0, delta=0.8, gamma=14437.1)
-    report = verify_ode_inequality(tf)
+    [report] = verify_ode_inequality([tf])
     lo, hi, bound = report.cells.T
     below = np.flatnonzero(hi <= tf.profile.s_lower)
     k = np.searchsorted(hi[below], tf.kink)

@@ -721,6 +721,33 @@ def test_verify_lemmas_huge_gamma_is_a_construction_failure(tmp_path, capsys):
     assert rows[1].split(",")[8] == "False"  # constructed
 
 
+def test_verify_lemmas_rows_do_not_depend_on_the_batch(tmp_path):
+    # an unconstructible tuple first and one among the rest, more constructed
+    # tuples than one chunk certifies: each row, and the first constructed
+    # tuple's margin_scan.csv, is what the tuple gives alone, in input order
+    from ksblow.analysis import CHUNK
+
+    tuples = [dict(_GOOD_TUPLE, delta=0.6), _N8_TUPLE,
+              *[dict(_GOOD_TUPLE, gamma=20.0 * 1.25 ** j) for j in range(CHUNK + 3)],
+              dict(_GOOD_TUPLE, gamma=1e300), _GOOD_TUPLE]
+
+    def run(name, items):
+        out = tmp_path / name
+        doc = _base_doc(lemma_sweep={"tuples": items}, output={"directory": str(out)})
+        main(["verify-lemmas", "--config", _write(tmp_path, doc, f"{name}.json")])
+        return out
+
+    batch = run("batch", tuples)
+    rows = (batch / "lemma_checks.csv").read_text().splitlines()
+    alone = [run(f"t{k}", [item]) for k, item in enumerate(tuples)]
+    assert rows[1:] == [(out / "lemma_checks.csv").read_text().splitlines()[1]
+                        for out in alone]
+    assert [row.split(",")[8] for row in rows[1:]] == \
+        ["False"] + ["True"] * (CHUNK + 4) + ["False", "True"]
+    assert (batch / "margin_scan.csv").read_bytes() == \
+        (alone[1] / "margin_scan.csv").read_bytes()
+
+
 def test_verify_lemmas_huge_n_is_a_construction_failure(tmp_path, capsys):
     out = tmp_path / "huge"
     doc = _base_doc(lemma_sweep={"tuples": [_GOOD_TUPLE, dict(_GOOD_TUPLE, n=1e200)]},
@@ -782,8 +809,8 @@ def test_blowup_failed_lemma_certificate_exits4(tmp_path, monkeypatch, capsys):
     import ksblow.cli as cli_mod
 
     real = cli_mod.verify_ode_inequality
-    monkeypatch.setattr(cli_mod, "verify_ode_inequality", lambda tf: dataclasses.replace(
-        real(tf), min_margin=-1.0, passed=False))
+    monkeypatch.setattr(cli_mod, "verify_ode_inequality", lambda tfs: (
+        dataclasses.replace(report, min_margin=-1.0, passed=False) for report in real(tfs)))
     out = tmp_path / "b"
     assert main(["blowup", "--config", _write(tmp_path, _blowup_doc(out))]) == 4
     assert "lemma-check failure" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 from dataclasses import replace
@@ -90,6 +91,15 @@ def test_truncation_must_reach_far_field(scenario, scenario_profile):
     cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.01,))
     with pytest.raises(ParameterError, match="far field"):
         solve_regularized(scenario, w0, cfg, scenario_profile)
+
+
+@pytest.mark.parametrize("t_end, times", [(0.0, (0.0,)), (-1.0, ()), (math.nan, ())])
+def test_horizon_must_be_positive(scenario, scenario_profile, t_end, times):
+    # a direct solve, without the CLI's own check of solver.t_end
+    w0 = w0_from_density(1.0, build_mesh(4.0, 128))
+    with pytest.raises(ParameterError, match=r"^t_end must be > 0"):
+        solve_regularized(scenario, w0, SolverConfig(epsilon=1e-2, t_end=t_end,
+                                                     output_times=times), scenario_profile)
 
 
 def test_comparison_subsolution(small_run, comparison_check, subsolution_candidate):
