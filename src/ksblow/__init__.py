@@ -5,8 +5,7 @@ signal production.
 The package solves the mass-function formulation of the system on a graded
 mesh with cutoff regularization, certifies the comparison-test-function
 inequalities numerically, and detects the blow-up mechanism through its
-indicators (sup W/s^beta, Lipschitz estimates, origin atoms, Riccati
-comparison).
+indicators (sup W/s^beta, Lipschitz estimates, Riccati comparison).
 """
 
 from .analysis import (BlowupReport, BlowupSelection, IntegralBoundReport,
@@ -17,11 +16,11 @@ from .analysis import (BlowupReport, BlowupSelection, IntegralBoundReport,
                        verify_ode_inequality, y_functional)
 from .errors import ConfigError, KsblowError, ParameterError, SelectionError, SolverError
 from .params import (SystemParams, default_delta, delta_lower_bound, delta_quadratic,
-                     f0_threshold, h_value, sphere_area, validate, validate_testfn)
+                     f0_threshold, h_value, validate, validate_testfn)
 from .signal import SignalProfile, chi_eval
 from .solver import (SolverConfig, SweepReport, Trajectory, build_mesh, check_eps_list,
                      measured_c_sub, proper_sweep, solve_regularized)
-from .transform import MassFunction, estimate_origin_limit, w0_from_density, write_csv
+from .transform import MassFunction, w0_from_density, write_csv
 from .weakform import (BumpFactor, ResidualReport, StepDownFactor, TestField,
                        field_library, weak_residual)
 

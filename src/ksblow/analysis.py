@@ -43,10 +43,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ParameterError, SelectionError
-from .params import SystemParams, delta_quadratic, sphere_area, validate_testfn
+from .params import SystemParams, delta_quadratic, validate_testfn
 from .signal import SignalProfile
 from .solver import Trajectory
-from .transform import estimate_origin_limit
 
 ANALYTIC_SLACK = 1e-9     # closed-form inequality verdicts
 COUPLED_SLACK = 1e-6      # verdicts coupled to a discretized run
@@ -647,7 +646,6 @@ class BlowupReport:
     sup_w_over_s_beta: dict        # beta -> {value, s, t}
     lipschitz_estimate: float
     lipschitz_location: dict       # {s, t}
-    atom_estimate: float
     provenance: dict
     y_functional: YFunctionalReport | None = None
     verdicts: dict = field(default_factory=dict)
@@ -671,7 +669,7 @@ def indicator_series(traj: Trajectory, beta: float) -> list:
 def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None = None
                      ) -> BlowupReport:
     """sup W/s^beta over probes s <= s_max/2 and all snapshot times, plus the
-    forward-difference Lipschitz estimate and the origin-atom estimate."""
+    forward-difference Lipschitz estimate."""
     betas = tuple(float(b) for b in betas)
     if any(b < 1.0 for b in betas):
         raise ParameterError("betas must be >= 1")
@@ -690,9 +688,6 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
         i = int(np.argmax(slopes))
         if slopes[i] > lip:
             lip, lip_where = float(slopes[i]), {"s": float(s[:-1][probe_cell][i]), "t": t}
-    final = traj.mass_function(len(traj.times) - 1)
-    n = traj.n
-    atom = sphere_area(n) / n * estimate_origin_limit(final)
     verdicts = {"finite_epsilon_trend": True}
     if y_report is not None:
         verdicts.update(cap_ok=y_report.cap_ok,
@@ -701,8 +696,6 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
     return BlowupReport(
         epsilon=traj.epsilon, betas=betas, sup_w_over_s_beta=sup,
         lipschitz_estimate=lip, lipschitz_location=lip_where,
-        atom_estimate=atom,
         provenance={"N": s.size - 1, "s_max": float(s[-1]),
-                    "times": list(traj.times), "epsilon": traj.epsilon,
-                    "atom_model": "jump-plus-power extrapolation at the origin"},
+                    "times": list(traj.times), "epsilon": traj.epsilon},
         y_functional=y_report, verdicts=verdicts)

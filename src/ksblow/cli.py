@@ -347,7 +347,7 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
     try:
         selection = select_blowup_params(
             blow.t0, blow.eta, params.c0, c_sub, params, xi, delta,
-            w_probe=lambda s: traj.w_at(s, t1))
+            w_probe=lambda s: np.interp(s, traj.s, traj.snapshot_at(t1).w))
     except SelectionError as exc:
         _manifest(out_dir, "blowup", cfg, runs,
                   failure={"kind": "selection", "failing": exc.failing,
@@ -433,10 +433,13 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
 
 
 def main(argv=None) -> int:
+    commands = {"validate": cmd_validate, "simulate": cmd_simulate,
+                "verify-lemmas": cmd_verify_lemmas, "blowup": cmd_blowup,
+                "weak-residual": cmd_weak_residual}
     parser = argparse.ArgumentParser(prog="ksblow", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "simulate", "verify-lemmas", "blowup", "weak-residual"):
+    for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         if name != "validate":
@@ -447,24 +450,15 @@ def main(argv=None) -> int:
         # argparse has printed the usage message; its own exit status 2
         # would read as "infeasible" in the exit-code contract
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    out = () if args.command == "validate" else (args.out,)
     try:
-        if args.command == "validate":
-            return cmd_validate(args.config)
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
-        if args.command == "verify-lemmas":
-            return cmd_verify_lemmas(args.config, args.out)
-        if args.command == "blowup":
-            return cmd_blowup(args.config, args.out)
-        if args.command == "weak-residual":
-            return cmd_weak_residual(args.config, args.out)
+        return commands[args.command](args.config, *out)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except KsblowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

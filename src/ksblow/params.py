@@ -27,11 +27,6 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 
-def sphere_area(n: int) -> float:
-    """Surface area |S_{n-1}| of the unit sphere in n dimensions."""
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
 def _require(cond, field, value, admissible, violations):
     if not cond:
         violations.append((field, value, admissible))
@@ -58,27 +53,17 @@ def _n_alpha_violations(n, alpha) -> list:
     return violations
 
 
-def _check_n_alpha(n, alpha):
-    _raise_if(_n_alpha_violations(n, alpha))
-
-
 def f0_threshold(n: int, alpha: float) -> float:
     """Critical forcing amplitude (2n/alpha)(n-2)(n-alpha)."""
-    _check_n_alpha(n, alpha)
+    _raise_if(_n_alpha_violations(n, alpha))
     return 2.0 * n / alpha * (n - 2.0) * (n - alpha)
 
 
 def h_value(n: int, alpha: float, f0: float) -> float:
     """The affine combination (n-alpha)(3n-4) - f0."""
-    _check_n_alpha(n, alpha)
-    _raise_if_f0(f0)
+    _raise_if(_n_alpha_violations(n, alpha))
+    _raise_if([] if f0 > 0 else [("f0", f0, "> 0")])
     return (n - alpha) * (3.0 * n - 4.0) - f0
-
-
-def _raise_if_f0(f0):
-    violations = []
-    _require(f0 > 0, "f0", f0, "> 0", violations)
-    _raise_if(violations)
 
 
 def delta_quadratic(n: int, alpha: float, f0: float, delta) -> float:

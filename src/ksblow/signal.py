@@ -78,7 +78,9 @@ def _bridge(n, b, lo, hi, two_rho, f0, alpha):
     r **= n - 1
     f[:-1] *= r[:-1]
     f[:-1] *= weights[:, None]
-    return half * f[:-1].sum(axis=0), f[-1]
+    for row in f[1:-1]:  # in row order: numpy.sum adds a one-column block pairwise
+        f[0] += row
+    return half * f[0], f[-1]
 
 
 def smoothstep(x):
@@ -201,10 +203,8 @@ class SignalProfile:
         b = np.power(np.append(s_arr[mid], self.s_upper), 1.0 / n)
         args = [rule(v) for v in (self.R - self.rho, self.R + self.rho, 2.0 * self.rho, f0, alpha)]
         bridge, fb = np.empty_like(b), np.empty_like(b)
-        # at most _BRIDGE_COLUMNS points at a time, in even parts: a part of
-        # one point would be summed pairwise by numpy, a wider one in order
-        for part in np.array_split(np.arange(b.size), -(-b.size // _BRIDGE_COLUMNS)):
-            cols = slice(part[0], part[-1] + 1)
+        for i in range(0, b.size, _BRIDGE_COLUMNS):
+            cols = slice(i, i + _BRIDGE_COLUMNS)
             bridge[cols], fb[cols] = _bridge(n, b[cols], *(v[cols] if np.ndim(v) else v
                                                            for v in args))
         bridge += rule(f0 / (n - alpha) * np.power(self.s_lower, (n - alpha) / n))

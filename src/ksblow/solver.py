@@ -207,11 +207,6 @@ class Trajectory:
                 return self.mass_function(k)
         raise ParameterError(f"no snapshot at t = {t}; have {self.times}")
 
-    def w_at(self, s, t: float):
-        """Interpolate W in s at a stored output time."""
-        snap = self.snapshot_at(t)
-        return np.interp(s, snap.s, snap.w)
-
 
 def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConfig,
                       profile: SignalProfile) -> Trajectory:

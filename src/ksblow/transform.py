@@ -1,5 +1,5 @@
 """Mass-accumulation transform of the plateau initial datum, sampled mass
-functions, and the origin limit W(0+).
+functions and their CSV files.
 
 For a radial density u(r) >= 0 in n dimensions the mass function is
 
@@ -8,7 +8,8 @@ For a radial density u(r) >= 0 in n dimensions the mass function is
 so |S_{n-1}|/n * W(s) is the mass inside the ball of radius s**(1/n).
 W vanishes at s = 0, is non-decreasing and tends to n*mu/|S_{n-1}| with the
 total mass mu.  A jump W(0+) of W at the origin carries a point mass of
-|S_{n-1}|/n * W(0+) concentrated at x = 0.
+|S_{n-1}|/n * W(0+) concentrated at x = 0; at a finite cutoff eps, where
+W(0) = 0, that atom shows as the plateau of W from about s = eps outward.
 """
 
 from __future__ import annotations
@@ -53,55 +54,10 @@ def w0_from_density(c0: float, mesh_s) -> MassFunction:
     return MassFunction(s=s, w=c0 * np.minimum(s, 1.0), time=0.0, far_field=c0)
 
 
-def estimate_origin_limit(w: MassFunction) -> float:
-    """Estimate W(0+) by fitting W ~ j + m*s^q, q in (0, 1], on the three
-    smallest positive grid nodes; j is clamped to [0, W(s1)].
-
-    A jump-plus-power model captures both regular profiles (j = 0) and
-    atom-forming ones; degenerate node data fall back to linear
-    extrapolation.  The estimate is a model choice, not a measurement.
-    """
-    if w.s.size < 4:
-        s1, s2 = w.s[1], w.s[-1]
-        w1 = w.w[1]
-        return float(min(max(w1 - s1 * (w.w[-1] - w1) / (s2 - s1), 0.0), w1))
-    s1, s2, s3 = w.s[1], w.s[2], w.s[3]
-    w1, w2, w3 = w.w[1], w.w[2], w.w[3]
-    d21, d32 = w2 - w1, w3 - w2
-    j = None
-    if d21 > 0 and d32 > 0:
-        target = d32 / d21
-
-        def ratio(q):
-            return (s3 ** q - s2 ** q) / (s2 ** q - s1 ** q)
-
-        lo_q, hi_q = 1e-6, 1.0
-        r_lo, r_hi = ratio(lo_q), ratio(hi_q)
-        if min(r_lo, r_hi) <= target <= max(r_lo, r_hi):
-            for _ in range(200):
-                mid = 0.5 * (lo_q + hi_q)
-                if (ratio(mid) - target) * (r_lo - target) <= 0:
-                    hi_q = mid
-                else:
-                    lo_q = mid
-                    r_lo = ratio(lo_q)
-            q = 0.5 * (lo_q + hi_q)
-            m = d21 / (s2 ** q - s1 ** q)
-            j = w1 - m * s1 ** q
-    if j is None:
-        # linear fallback through the first two positive nodes
-        j = w1 - s1 * d21 / (s2 - s1) if s2 > s1 else w1
-    return float(min(max(j, 0.0), w1))
-
-
-def _int_cell(v: int) -> str:
-    return repr(float(v))
-
-
 # cell text by exact type: an int, a float or a np.float64 (a float subclass)
 # as the repr of a Python float, so 3 is written 3.0; anything else, bools
 # included, by str
-_CELL = {float: float.__repr__, np.float64: float.__repr__, int: _int_cell}
+_CELL = {float: float.__repr__, np.float64: float.__repr__, int: lambda v: repr(float(v))}
 
 
 def _write_lines(path, header: str, lines) -> None:

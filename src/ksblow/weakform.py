@@ -135,14 +135,6 @@ class TestField:
     s_factor: BumpFactor
     t_factor: object  # BumpFactor or StepDownFactor
 
-    @property
-    def s_support(self):
-        return self.s_factor.support
-
-    @property
-    def t_support(self):
-        return self.t_factor.support
-
 
 def field_library(s_max: float, t_end: float, epsilon: float = 0.0) -> dict:
     """The standard four test fields, scaled to the computed domain.
@@ -211,8 +203,8 @@ def check_support(zeta: TestField, s_max: float, times) -> None:
     at least two snapshot times, which must include t = 0 when the field
     touches it."""
     times = np.asarray(times, dtype=float)
-    s_lo, s_hi = zeta.s_support
-    t_lo, t_hi = zeta.t_support
+    s_lo, s_hi = zeta.s_factor.support
+    t_lo, t_hi = zeta.t_factor.support
     if s_lo < 0.0 or s_hi > s_max:
         raise ParameterError(
             f"field {zeta.name!r} s-support ({s_lo}, {s_hi}) exceeds [0, {s_max}]")
@@ -234,8 +226,8 @@ def _rules(zeta: TestField, s_nodes, times) -> tuple:
     """Points and weights (sp, sw, tp, tw) of the composite Gauss-Legendre
     rules over the field's support: s panels split at the mesh nodes, t
     panels at the snapshot times and at a step-down's ramp start."""
-    s_lo, s_hi = zeta.s_support
-    t_lo, t_hi = zeta.t_support
+    s_lo, s_hi = zeta.s_factor.support
+    t_lo, t_hi = zeta.t_factor.support
     s_edges = _panels(s_nodes, s_lo, s_hi, extra=(),
                       max_width=(s_hi - s_lo) * _MAX_PANEL_FRACTION)
     t_extra = []
@@ -322,7 +314,7 @@ def weak_residual(traj: Trajectory, zeta: TestField,
     term_diff = linear(sums[1], sig)            # int int (s^p zeta)_ss W
     term_adv = quadratic(sig)                   # int int zeta_s W^2
     term_forcing = linear(sums[2], sig)
-    if zeta.t_support[0] == 0.0:
+    if zeta.t_factor.support[0] == 0.0:
         sigma0 = float(np.asarray(zeta.t_factor.value(0.0)))
         term_initial = sigma0 * float(sums[0, 0])
     else:

@@ -959,9 +959,9 @@ _RUN_KEYS = ({"[].cfl_safety", "[].epsilon", "[].n", "[].n_factorizations", "[].
 _RESET_KEYS = {"[].cfl_resets[].t", "[].cfl_resets[].s", "[].cfl_resets[].dt"}
 
 _BLOWUP_KEYS = (
-    {"atom_estimate", "betas", "epsilon", "lipschitz_estimate"}
+    {"betas", "epsilon", "lipschitz_estimate"}
     | _prefixed("lipschitz_location", "s t")
-    | _prefixed("provenance", "N atom_model epsilon s_max times")
+    | _prefixed("provenance", "N epsilon s_max times")
     | _prefixed("sup_w_over_s_beta", "1.0") | _prefixed("sup_w_over_s_beta.1.0", "value s t")
     | _prefixed("verdicts", "cap_ok finite_epsilon_trend lower_bound_ok riccati_domination_ok")
     | _prefixed("y_functional", "c_gamma cap_bound cap_headroom cap_ok domination_ok "

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ksblow import (ParameterError, SystemParams, default_delta, delta_lower_bound,
-                    delta_quadratic, f0_threshold, h_value, sphere_area, validate,
-                    validate_testfn)
+                    delta_quadratic, f0_threshold, h_value, validate, validate_testfn)
 
 
 def test_threshold_values():
@@ -23,6 +22,11 @@ def test_threshold_domain_errors():
         f0_threshold(3, 3.0)
     with pytest.raises(ParameterError, match="n"):
         f0_threshold(2, 1.5)
+    # h_value raises an n or alpha fault before an f0 fault
+    with pytest.raises(ParameterError, match=r"^alpha must be < n = 3 \(got 3.0\)$"):
+        h_value(3, 3.0, -1.0)
+    with pytest.raises(ParameterError, match=r"^f0 must be > 0 \(got 0.0\)$"):
+        h_value(3, 2.5, 0.0)
 
 
 def test_h_values():
@@ -110,11 +114,6 @@ def test_validate_collects_all_violations():
 def test_zero_forcing_is_valid_but_infeasible():
     p = validate(SystemParams(3, 2.5, 0.0, 0.5, 0.1, 1.0))
     assert not p.feasible
-
-
-def test_geometry_helpers():
-    assert sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14, abs=0.0)
-    assert sphere_area(4) == pytest.approx(2 * math.pi ** 2, rel=1e-14, abs=0.0)
 
 
 def test_testfn_params_validation(scenario):

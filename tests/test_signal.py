@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from ksblow import ParameterError, SignalProfile, SystemParams, chi_eval
+from ksblow.cli import _default_lemma_grid
 from ksblow.quadrature import gauss_legendre
 from ksblow.solver import build_mesh
 
@@ -146,6 +147,20 @@ def test_F_constant_past_upper_breakpoint(profile):
     assert vals[0] == profile.F(hi)
     # a call with one point past s_upper takes the same constant
     assert profile.F(np.array([0.1, 0.2, 1.0]))[2] == vals[0]
+
+
+def test_forcing_bits_do_not_depend_on_the_other_points():
+    # F past s_upper alone and beside a bridge point, bit for bit, on the
+    # profiles of the default lemma grid; then a call of 512 bridge points
+    # (513 rule columns with s_upper) against each point's call alone
+    grid = _default_lemma_grid(SystemParams(3, 2.5, 2.0, 0.5, 0.1, 1.0), 300, 5)
+    for t in grid:
+        prof = SignalProfile(f0=t.f0, alpha=t.alpha, R=t.R, rho=t.rho, n=t.n)
+        mid, far = 0.5 * (prof.s_lower + prof.s_upper), 2.0 * prof.s_upper
+        assert prof.F(np.array([far]))[0] == prof.F(np.array([mid, far]))[1], t
+    s = np.linspace(prof.s_lower, prof.s_upper, 514)[1:-1]
+    F, Fs = prof.forcing(s)
+    assert [prof.forcing(x) for x in s] == list(zip(F.tolist(), Fs.tolist()))
 
 
 def test_F_limit_bound(profile):

@@ -284,7 +284,7 @@ def test_refinement_stability(scenario, scenario_profile):
                            max_dt=max_dt)
         runs.append(solve_regularized(scenario, w0, cfg, scenario_profile))
     for s_probe, t_probe in probes:
-        v = [traj.w_at(s_probe, t_probe) for traj in runs]
+        v = [np.interp(s_probe, traj.s, traj.snapshot_at(t_probe).w) for traj in runs]
         d1 = abs(v[1] - v[0])
         d2 = abs(v[2] - v[1])
         assert d1 >= 1.5 * d2, (s_probe, d1, d2)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ksblow import (MassFunction, ParameterError, SolverError, build_mesh,
-                    estimate_origin_limit, w0_from_density, write_csv)
+from ksblow import (MassFunction, ParameterError, SolverError, build_mesh, w0_from_density,
+                    write_csv)
 from ksblow.solver import _check_row
 
 
@@ -31,29 +31,6 @@ def test_w0_plateau_exact(assert_mass_function):
     assert w0.w[0] == 0.0
     assert np.all(np.diff(w0.w) >= 0.0)
     assert_mass_function(w0)
-
-
-def test_origin_limit_jump_data():
-    s = build_mesh(4.0, 256)
-    w = np.where(s > 0, 0.3 + 0.7 * np.minimum(s, 1.0), 0.0)
-    mf = MassFunction(s=s, w=w, time=0.0, far_field=1.0)
-    assert estimate_origin_limit(mf) == pytest.approx(0.3, rel=1e-9)
-
-
-def test_origin_limit_power_data():
-    # pure power data j=0: W = s^0.5 on the first nodes
-    s = build_mesh(1.0, 128)
-    mf = MassFunction(s=s, w=np.sqrt(np.minimum(s, 1.0)), time=0.0, far_field=1.0)
-    assert estimate_origin_limit(mf) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_origin_limit_clamped():
-    s = build_mesh(1.0, 128)
-    # strongly convex start: naive extrapolation would go negative
-    mf = MassFunction(s=s, w=np.minimum(s, 1.0) ** 2 * 0.5 + 0.5 * np.minimum(s, 1.0),
-                      time=0.0, far_field=1.0)
-    j = estimate_origin_limit(mf)
-    assert 0.0 <= j <= mf.w[1]
 
 
 def test_csv_round_trip(tmp_path):

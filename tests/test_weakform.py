@@ -140,7 +140,7 @@ def _dense_terms(traj, zeta, profile):
         return float(np.dot(tw * kernel_t, data @ (sw * kernel_s)))
 
     initial = (float(zeta.t_factor.value(0.0)) * float(np.dot(sw * g, w_rows[0]))
-               if zeta.t_support[0] == 0.0 else 0.0)
+               if zeta.t_factor.support[0] == 0.0 else 0.0)
     return {"time": double(g, sig1, W), "initial": initial,
             "diffusion": n * n * double(diff, sig, W),
             "advection": 0.5 * double(g1, sig, W * W), "forcing": n * double(forcing, sig, W)}
