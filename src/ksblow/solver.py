@@ -297,30 +297,24 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         k = len(rows)
         w = np.array(w_rows, dtype=float).reshape(-1)
         ws = np.array(ws_rows, dtype=float).reshape(-1)
-        # the (N+1, k) transpose that the solves take, and the nodes next to
-        # s_max of every row; a stack of one keeps the plain vector and index
+        # the (N+1, k) transpose that the solves take, and a view of the nodes
+        # next to s_max of every row; a stack of one keeps the plain vector
         if k == 1:
-            w_cols, inner = w, -2
+            w_cols, inner = w, None
         else:
-            w_cols, inner = w.reshape(k, size).T, slice(h.size - 1, None, size)
+            w_cols, inner = w.reshape(k, size).T, w[h.size - 1::size]
         return (k, rows, w, ws, ws[:-1], np.empty_like(w), w_cols, w[1:], w[:-1],
                 np.array([factors[r] for r in rows], dtype=float).reshape(-1),
                 np.tile(nF, k), np.tile(mu, k), inner)
 
-    def check(tnow):
-        """Check every row's invariants after a step; returns the positions
-        of the rows that failed, whose failures are recorded."""
-        # written so that NaN fails every test; min and argmin propagate it
-        np.subtract(w_hi, w_lo, out=drops)
-        if k > 1:
-            drops[h.size::size] = 0.0
-        worst = float(np.minimum.reduce(drops))
-        # non-decreasing from 0 to cap is in range; otherwise a stack whose
-        # every dip and excursion is within the log level records nothing
-        if worst >= 0.0 or (worst >= -_VIOLATION_LOG * cap
-                            and w.max() <= cap * (1.0 + _VIOLATION_LOG)
-                            and w.min() >= -_VIOLATION_LOG * cap):
-            return []
+    def check(tnow, worst):
+        """The rows' invariants when the smallest difference ``worst`` is
+        negative or NaN; a stack whose every dip and excursion is within the
+        log level records nothing.  Failures are recorded, and the stack of
+        the rows that passed is returned, or None if none failed."""
+        if (worst >= -_VIOLATION_LOG * cap and w.max() <= cap * (1.0 + _VIOLATION_LOG)
+                and w.min() >= -_VIOLATION_LOG * cap):
+            return None
         # the min of a row of ws is that row's worst difference, or its 0 at N
         worsts = ws.reshape(k, size).min(axis=1).tolist() if k > 1 else [worst]
         failed = []
@@ -333,12 +327,9 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             except SolverError as exc:
                 failures.append((r, exc))
                 failed.append(pos)
-        return failed
-
-    def drop(failed):
         keep = [pos for pos in range(k) if pos not in failed]
         return stack([rows[pos] for pos in keep], w.reshape(k, size)[keep],
-                     ws.reshape(k, size)[keep])
+                     ws.reshape(k, size)[keep]) if failed else None
 
     def record(tnow):
         for r, w_row in zip(rows, w.reshape(k, size)):
@@ -352,11 +343,16 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         list(range(len(eps_list))), [w_init] * len(eps_list), np.zeros((len(eps_list), size)))
     t_target, landing = targets.pop(0)
     started = _time.perf_counter()
-    failed = check(t)
     while True:
-        if failed:
-            (k, rows, w, ws, drops, coef, w_cols, w_hi, w_lo, factor, nF_k, mu_k,
-             inner) = drop(failed)
+        # the state at t: a non-decreasing W runs from 0 to cap, so it is in
+        # range; any other goes to check.  argmin and argmax return the first
+        # NaN, so a NaN fails every test, as min and max would propagate it
+        np.subtract(w_hi, w_lo, out=drops)
+        if k > 1:
+            drops[h.size::size] = 0.0
+        worst = drops.item(drops.argmin())
+        if not worst >= 0.0 and (kept := check(t, worst)):
+            (k, rows, w, ws, drops, coef, w_cols, w_hi, w_lo, factor, nF_k, mu_k, inner) = kept
             if not rows:
                 break
         if t == t_target and targets:
@@ -370,7 +366,8 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         if fixed is not None:
             dt = fixed
         else:  # the CFL limit L = cfl / max rate (an adaptive run has k = 1)
-            fastest = float(np.maximum.reduce(coef))
+            fast = coef.argmax()
+            fastest = coef.item(fast)
             limit = cfl / fastest if fastest > 0.0 else math.inf
             if held_dt is not None and band * limit <= held_dt <= limit:
                 dt = held_dt
@@ -398,7 +395,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
                 held_dt, held = dt, factored
                 n_factorizations += 1
                 if fixed is None and dt != max_dt:  # the CFL limit reset the step
-                    cfl_resets.append({"t": t, "s": float(s[int(np.argmax(coef))]), "dt": dt})
+                    cfl_resets.append({"t": t, "s": s.item(fast), "dt": dt})
 
         # the right-hand side mu * (W + dt * coef * dW) in W itself, with dW
         # the check's forward differences, and the solve overwrites it.  The
@@ -409,14 +406,16 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         coef *= dt
         w += coef
         w *= mu_k
-        w[inner] += dt * edge
+        if k == 1:
+            w[-2] += dt * edge
+        else:
+            inner += dt * edge
         solve_banded(factored, w_cols)  # one solve for all k columns, in place
 
         t = t_target if on_target else t + dt
         n_steps += 1
         if dt != last_dt:
             last_dt, dt_min_seen, dt_max_seen = dt, min(dt_min_seen, dt), max(dt_max_seen, dt)
-        failed = check(t)
 
     wall_time = _time.perf_counter() - started
     trajectories = []

@@ -10,7 +10,7 @@ import pytest
 from ksblow import (MassFunction, ParameterError, SignalProfile, SolverConfig,
                     SystemParams, build_mesh, measured_c_sub, proper_sweep,
                     solve_regularized, validate, w0_from_density)
-from ksblow.solver import _load_flapack, cap_cfl_bound
+from ksblow.solver import _load_flapack, _march, cap_cfl_bound
 
 
 def test_mesh_geometric_identity():
@@ -64,6 +64,47 @@ def test_solver_deterministic(scenario, scenario_profile):
     b = solve_regularized(scenario, w0, cfg, scenario_profile)
     for wa, wb in zip(a.snapshots, b.snapshots):
         np.testing.assert_array_equal(wa, wb)
+
+
+# per run: the sha256 of each row's snapshot bytes, n_steps, n_factorizations
+# and the (t, s, dt) of each CFL reset
+_PINNED = {
+    None: (["b005b6fba55f2cac09af53205a85a2e36deefc55cbd650a11ec485b208824e3e"], 313, 2,
+           [(0.0, 0.009102815325516257, 6.447603741737563e-05),
+            (0.011096092636095385, 0.009102815325516257, 6.382847406526026e-05)]),
+    6.4e-5: (["274f9abf2efffe9b3de1b429b1d2f03487ec505e87cd022757711cbfc3e45d82"], 315, 2,
+             [(0.01825600000000005, 0.009102815325516257, 6.335760096094694e-05)]),
+    "sweep": (["6c9aecb31648ce01759766b77fe506c684607f513e5999cb560857e1feff2ba0",
+               "17d9069e957cc047fc858722ad547b851a4056703bd3ebf4f58ddaa7da830598",
+               "13fa6679f160d877ff47a84e473eecea6f2924a838177114988e9f5a2f58e118"], 363, 1, []),
+}
+
+
+@pytest.mark.parametrize("run", list(_PINNED))
+def test_march_bits_are_pinned(scenario, scenario_profile, run):
+    # an adaptive run (N = 128) without and with a max_dt that binds until
+    # the CFL limit falls below it, and a 3-cutoff sweep: a change to the
+    # step loop that claims the same bits must reproduce these exactly
+    import hashlib
+
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    outputs = (0.0, 0.005, 0.01, 0.02) if run != "sweep" else (0.0, 0.005, 0.02)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=outputs,
+                       max_dt=run if run != "sweep" else None)
+    if run == "sweep":
+        trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 2e-2, 1e-2],
+                                     profile=scenario_profile)
+        assert report.failures == ()
+    else:
+        trajs = [solve_regularized(scenario, w0, cfg, scenario_profile)]
+    digests, n_steps, n_factorizations, resets = _PINNED[run]
+    assert [hashlib.sha256(b"".join(w.tobytes() for w in traj.snapshots)).hexdigest()
+            for traj in trajs] == digests
+    for traj in trajs:
+        meta = traj.metadata
+        assert (meta["n_steps"], meta["n_factorizations"]) == (n_steps, n_factorizations)
+        assert [(r["t"], r["s"], r["dt"]) for r in meta["cfl_resets"]] == resets
 
 
 def test_zero_forcing_stays_monotone():
@@ -606,14 +647,14 @@ def _inject_once(monkeypatch, change):
     return calls
 
 
-@pytest.mark.parametrize("change", ["dip", "low", "high"])
+@pytest.mark.parametrize("change", ["dip", "wiggle", "low", "high"])
 def test_stack_check_skips_rows_within_log_level(scenario, scenario_profile, monkeypatch,
                                                  change):
     # one row of a stack is changed after the first step.  A dip of 5e-13 cap
     # is within the log level and in range: no row is checked and nothing is
-    # recorded.  A row that leaves the range, by 2e-12 cap with a dip (low)
-    # or by 1.8e-12 cap with every difference within the log level (high),
-    # records it
+    # recorded, and so for dips of 5e-13 and 9e-13 cap in every row (wiggle).
+    # A row that leaves the range, by 2e-12 cap with a dip (low) or by
+    # 1.8e-12 cap with every difference within the log level (high), records it
     import ksblow.solver as solver_mod
 
     real_check, checked = solver_mod._check_row, []
@@ -625,6 +666,9 @@ def test_stack_check_skips_rows_within_log_level(scenario, scenario_profile, mon
     def edit(x, cap):
         if change == "dip":
             x[64, 1] = x[63, 1] - 5e-13 * cap[1]
+        elif change == "wiggle":
+            x[64] = x[63] - 5e-13 * cap
+            x[90] = x[89] - 9e-13 * cap
         elif change == "low":
             x[1, 1] = -2e-12 * cap[1]
         else:  # up by 1.8e-12 cap, then down to cap in two steps of 0.9e-12 cap
@@ -642,8 +686,9 @@ def test_stack_check_skips_rows_within_log_level(scenario, scenario_profile, mon
     assert trajs[0].metadata["violations"] == trajs[2].metadata["violations"] == []
     logged = trajs[1].metadata["violations"]
     ranges = [(v["low"], v["high"]) for v in logged if v["kind"] == "range"]
-    if change == "dip":
+    if change in ("dip", "wiggle"):
         assert checked == [] and logged == []
+        assert all(traj.times == (0.0, 0.002) for traj in trajs)
     elif change == "low":
         assert -2e-12 * cap in checked
         assert ranges[0][0] == -2e-12 * cap
@@ -671,6 +716,21 @@ def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monke
     s_at, t_at = err.value.location
     assert s_at == s[39]  # the cell [s_39, s_40] holds the NaN drop
     assert 0.0 < t_at < 0.002
+
+    # in a stack, the NaN fails only its own row, with the same node and time
+    def nan_in_row_1(x, cap):
+        x[40, 1] = np.nan
+
+    _inject_once(monkeypatch, nan_in_row_1)
+    trajs, failures = _march(scenario, w0, cfg, [4e-2, 2e-2, 1e-2], scenario_profile,
+                             shared=True)
+    (eps, exc), = failures
+    assert eps == 2e-2 and str(exc).startswith("monotonicity violated by nan")
+    s_at, t_at = exc.location
+    assert s_at == s[39] and 0.0 < t_at < 0.002
+    assert [traj.epsilon for traj in trajs] == [4e-2, 1e-2]
+    assert all(traj.metadata["violations"] == [] for traj in trajs)
+    assert all(traj.times == (0.0, 0.002) for traj in trajs)
 
 
 def test_solve_leaves_caller_grid_writeable(scenario, scenario_profile):
