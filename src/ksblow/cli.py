@@ -154,10 +154,21 @@ def _solve(params, profile, sec: SolverSection, runs: list):
     return w0, trajectories, report
 
 
-def _solver_failure(out_dir: Path, command: str, cfg: RunConfig, runs, detail) -> int:
-    _manifest(out_dir, command, cfg, runs, failure={"kind": "solver", "detail": detail})
-    print(f"solver failure: {detail}", file=sys.stderr)
-    return EXIT_SOLVER
+class _Failure(Exception):
+    """A failed outcome as the CLI reports it: its exit ``code``, the
+    manifest's failure ``record`` and, as the message, its stderr line.
+    A command raises one for a failure that no other exception carries;
+    ``main`` makes one of a SolverError or a SelectionError."""
+
+    def __init__(self, code: int, record: dict, line: str):
+        super().__init__(line)
+        self.code, self.record = code, record
+
+
+def _solver_failure(detail) -> _Failure:
+    """Exit 3 with a SolverError's message or a sweep's (epsilon, message) pairs."""
+    return _Failure(EXIT_SOLVER, {"kind": "solver", "detail": detail},
+                    f"solver failure: {detail}")
 
 
 def _emit_run(traj, run_dir: Path) -> None:
@@ -167,8 +178,7 @@ def _emit_run(traj, run_dir: Path) -> None:
                [(t, value) for t, value, _ in indicator_series(traj, 1.0)])
 
 
-def cmd_validate(cfg_path: str) -> int:
-    cfg = load_config(cfg_path)
+def cmd_validate(cfg: RunConfig) -> int:
     params = validate(cfg.system)
     bound = repr(params.delta_bound) if params.f0 > 0 else "undefined (f0 = 0)"
     print(f"n = {params.n}, alpha = {params.alpha}, f0 = {params.f0}")
@@ -178,30 +188,23 @@ def cmd_validate(cfg_path: str) -> int:
     return EXIT_OK if params.feasible else EXIT_INFEASIBLE
 
 
-def cmd_simulate(cfg_path: str, out_flag=None) -> int:
-    cfg = load_config(cfg_path)
-    out_dir = _resolve_out(cfg, out_flag)
+def cmd_simulate(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     sec = _solver_section(cfg)
     params = validate(cfg.system)
-    runs = []
-    try:
-        _, trajectories, report = _solve(params, SignalProfile.from_params(params), sec, runs)
-    except SolverError as exc:
-        return _solver_failure(out_dir, "simulate", cfg, runs, str(exc))
+    _, trajectories, report = _solve(params, SignalProfile.from_params(params), sec, runs)
     if report is None:
         _emit_run(trajectories[0], out_dir)
-    else:
-        for traj in trajectories:
-            _emit_run(traj, out_dir / f"eps_{traj.epsilon:g}")
-        _write_json(out_dir / "sweep_report.json", {
-            "eps_list": list(report.eps_list),
-            "pair_violations": list(report.pair_violations),
-            "max_violation": report.max_violation,
-            "failures": [{"epsilon": e, "message": m} for e, m in report.failures],
-        })
-        if report.failures:
-            return _solver_failure(out_dir, "simulate", cfg, runs, report.failures)
-    _manifest(out_dir, "simulate", cfg, runs)
+        return EXIT_OK
+    for traj in trajectories:
+        _emit_run(traj, out_dir / f"eps_{traj.epsilon:g}")
+    _write_json(out_dir / "sweep_report.json", {
+        "eps_list": list(report.eps_list),
+        "pair_violations": list(report.pair_violations),
+        "max_violation": report.max_violation,
+        "failures": [{"epsilon": e, "message": m} for e, m in report.failures],
+    })
+    if report.failures:
+        raise _solver_failure(report.failures)
     return EXIT_OK
 
 
@@ -231,9 +234,7 @@ def _default_lemma_grid(system: SystemParams, count: int, seed: int):
     return out
 
 
-def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
-    cfg = load_config(cfg_path)
-    out_dir = _resolve_out(cfg, out_flag)
+def cmd_verify_lemmas(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     sweep = cfg.lemma_sweep or LemmaSweepSection()
     grid = sweep.tuples
     if not grid:
@@ -283,13 +284,10 @@ def cmd_verify_lemmas(cfg_path: str, out_flag=None) -> int:
         (r["n"], r["alpha"], r["f0"], r["R"], r["rho"], r["xi"], r["delta"], r["gamma"],
          r["constructed"], r["feasible"], r["margin"], r["margin_ok"],
          r["integral"], r["integral_bound"], r["pass"]) for r in rows])
-    _manifest(out_dir, "verify-lemmas", cfg,
-              runs=[{"tuples": len(rows), "failures": len(failing)}])
-    if failing:
-        for row in failing:
-            print(f"FAIL: {row}", file=sys.stderr)
-        return EXIT_LEMMA
-    return EXIT_OK
+    runs.append({"tuples": len(rows), "failures": len(failing)})
+    for row in failing:
+        print(f"FAIL: {row}", file=sys.stderr)
+    return EXIT_LEMMA if failing else EXIT_OK
 
 
 def _lemma_certificate(tf) -> dict:
@@ -310,9 +308,7 @@ def _lemma_certificate(tf) -> dict:
     }
 
 
-def cmd_blowup(cfg_path: str, out_flag=None) -> int:
-    cfg = load_config(cfg_path)
-    out_dir = _resolve_out(cfg, out_flag)
+def cmd_blowup(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     params = validate(cfg.system)
     if not params.feasible:
         print(f"infeasible: f0 = {params.f0} <= threshold {params.threshold!r}",
@@ -326,14 +322,9 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
     if not any(abs(t - t1) <= 1e-12 * max(1.0, t1) for t in sec.output_times):
         raise ConfigError(f"output_times must contain t0 + eta/2 = {t1}")
 
-    runs = []
-    try:
-        w0, trajectories, sweep_report = _solve(params, SignalProfile.from_params(params),
-                                                sec, runs)
-    except SolverError as exc:
-        return _solver_failure(out_dir, "blowup", cfg, runs, str(exc))
+    w0, trajectories, sweep_report = _solve(params, SignalProfile.from_params(params), sec, runs)
     if sweep_report is not None and sweep_report.failures:
-        return _solver_failure(out_dir, "blowup", cfg, runs, sweep_report.failures)
+        raise _solver_failure(sweep_report.failures)
     traj = trajectories[-1]
 
     c_sub = blow.c_sub_override if blow.c_sub_override is not None \
@@ -344,26 +335,17 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
     if delta is None:
         delta = default_delta(params)
 
-    try:
-        selection = select_blowup_params(
-            blow.t0, blow.eta, params.c0, c_sub, params, xi, delta,
-            w_probe=lambda s: np.interp(s, traj.s, traj.snapshot_at(t1).w))
-    except SelectionError as exc:
-        _manifest(out_dir, "blowup", cfg, runs,
-                  failure={"kind": "selection", "failing": exc.failing,
-                           "detail": str(exc)})
-        print(f"parameter selection failure: {exc}", file=sys.stderr)
-        return EXIT_SELECTION
+    selection = select_blowup_params(
+        blow.t0, blow.eta, params.c0, c_sub, params, xi, delta,
+        w_probe=lambda s: np.interp(s, traj.s, traj.snapshot_at(t1).w))
 
     tf = build_testfunction(params, xi, delta, selection.gamma)
     certificate = _lemma_certificate(tf)
     if not certificate["passed"]:
-        _manifest(out_dir, "blowup", cfg, runs,
-                  failure={"kind": "lemma", "lemma_certificate": certificate})
-        print(f"lemma-check failure: gamma = {selection.gamma!r} is not certified "
-              f"(ODE margin {certificate['ode_min_margin']!r}, integral-bound margin "
-              f"{certificate['integral_margin']!r})", file=sys.stderr)
-        return EXIT_LEMMA
+        raise _Failure(EXIT_LEMMA, {"kind": "lemma", "lemma_certificate": certificate},
+                       f"lemma-check failure: gamma = {selection.gamma!r} is not certified "
+                       f"(ODE margin {certificate['ode_min_margin']!r}, integral-bound margin "
+                       f"{certificate['integral_margin']!r})")
     y_rep = y_functional(traj, tf, selection.kappa, t1)
     report = blowup_indicator(traj, blow.betas, y_report=y_rep)
 
@@ -371,13 +353,10 @@ def cmd_blowup(cfg_path: str, out_flag=None) -> int:
     write_rows(out_dir / "y_t.csv", "t,y,z", list(zip(y_rep.times, y_rep.y, y_rep.z)))
     _write_json(out_dir / "blowup_report.json", {
         **asdict(report), "selection": asdict(selection), "lemma_certificate": certificate})
-    _manifest(out_dir, "blowup", cfg, runs)
     return EXIT_OK
 
 
-def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
-    cfg = load_config(cfg_path)
-    out_dir = _resolve_out(cfg, out_flag)
+def cmd_weak_residual(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     # one run at solver.epsilon; an eps_list is not swept here
     sec = replace(_solver_section(cfg), eps_list=None)
     if sec.epsilon is None:
@@ -393,42 +372,36 @@ def cmd_weak_residual(cfg_path: str, out_flag=None) -> int:
         check_support(library[name], sec.s_max, sec.output_times)
     params = validate(cfg.system)
     profile = SignalProfile.from_params(params)
-    runs = []
 
     def residuals_for(section):
         _, (traj,), _ = _solve(params, profile, section, runs)
         return {name: weak_residual(traj, library[name], profile) for name in wr.fields}
 
-    try:
-        base_res = residuals_for(sec)
-        rows = [(name, rep.residual, rep.scale, rep.relative)
-                for name, rep in base_res.items()]
-        payload = {"base": {name: {"residual": rep.residual, "scale": rep.scale,
-                                   "terms": rep.terms} for name, rep in base_res.items()}}
-        if wr.refine:
-            times = list(sec.output_times)
-            dense = sorted(set(times) | {0.5 * (a + b) for a, b in zip(times, times[1:])})
-            fine_res = residuals_for(replace(
-                sec, N=2 * sec.N, max_dt=sec.max_dt / 2.0 if sec.max_dt else None,
-                output_times=tuple(dense)))
-            payload["refined"] = {name: {"residual": rep.residual, "scale": rep.scale}
-                                  for name, rep in fine_res.items()}
-            # a ratio with a roundoff residual on either side measures that
-            # floor, not an order
-            floor = {name: base_res[name].at_roundoff or fine_res[name].at_roundoff
-                     for name in base_res}
-            payload["at_roundoff"] = floor
-            payload["orders"] = {
-                name: None if floor[name] else
-                float(np.log2(max(base_res[name].residual, 1e-300)
-                              / max(fine_res[name].residual, 1e-300)))
-                for name in base_res}
-    except SolverError as exc:
-        return _solver_failure(out_dir, "weak-residual", cfg, runs, str(exc))
+    base_res = residuals_for(sec)
+    rows = [(name, rep.residual, rep.scale, rep.relative) for name, rep in base_res.items()]
+    payload = {"base": {name: {"residual": rep.residual, "scale": rep.scale,
+                               "terms": rep.terms} for name, rep in base_res.items()}}
+    if wr.refine:
+        times = list(sec.output_times)
+        dense = sorted(set(times) | {0.5 * (a + b) for a, b in zip(times, times[1:])})
+        fine_res = residuals_for(replace(
+            sec, N=2 * sec.N, max_dt=sec.max_dt / 2.0 if sec.max_dt else None,
+            output_times=tuple(dense)))
+        payload["refined"] = {name: {"residual": rep.residual, "scale": rep.scale}
+                              for name, rep in fine_res.items()}
+        # a ratio with a roundoff residual on either side measures that
+        # floor, not an order
+        floor = {name: base_res[name].at_roundoff or fine_res[name].at_roundoff
+                 for name in base_res}
+        payload["at_roundoff"] = floor
+        payload["orders"] = {
+            name: None if floor[name] else
+            float(np.log2(max(base_res[name].residual, 1e-300)
+                          / max(fine_res[name].residual, 1e-300)))
+            for name in base_res}
 
     write_rows(out_dir / "residuals.csv", "field,residual,scale,relative", rows)
     _write_json(out_dir / "residuals.json", payload)
-    _manifest(out_dir, "weak-residual", cfg, runs)
     return EXIT_OK
 
 
@@ -450,15 +423,36 @@ def main(argv=None) -> int:
         # argparse has printed the usage message; its own exit status 2
         # would read as "infeasible" in the exit-code contract
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    out = () if args.command == "validate" else (args.out,)
+    # the commands do the work; every manifest and every failure's exit
+    # code, record and stderr line are made here
+    runs, failure = [], None
     try:
-        return commands[args.command](args.config, *out)
+        cfg = load_config(args.config)
+        if args.command == "validate":
+            return cmd_validate(cfg)
+        out_dir = _resolve_out(cfg, args.out)
+        code = commands[args.command](cfg, out_dir, runs)
+        if code == EXIT_INFEASIBLE:
+            return code  # blowup's gate, before any work: nothing to declare
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SolverError as exc:
+        failure = _solver_failure(str(exc))
+    except SelectionError as exc:
+        failure = _Failure(EXIT_SELECTION, {"kind": "selection", "failing": exc.failing,
+                                            "detail": str(exc)},
+                           f"parameter selection failure: {exc}")
+    except _Failure as exc:
+        failure = exc
     except KsblowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        code = failure.code
+    _manifest(out_dir, args.command, cfg, runs, failure.record if failure else None)
+    return code
 
 
 if __name__ == "__main__":

@@ -233,7 +233,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     stack of one.
     Returns (trajectories, failures): a row whose invariant check fails
     becomes its (epsilon, SolverError) in failures and leaves the stack, and
-    the other rows go on unchanged.  Every trajectory carries the metadata of
+    the other rows go on unchanged; a step-size underflow fails every row.  Every trajectory carries the metadata of
     its own run, except wall_time_s, which is the whole march's.
     """
     params = validate(params)
@@ -382,6 +382,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             exc = SolverError(f"step-size underflow: dt = {dt} at t = {t}",
                               location=(None, t))
             failures.extend((r, exc) for r in rows)
+            rows = []  # every row leaves the stack
             break
         if dt == held_dt:
             factored = held
@@ -527,14 +528,10 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
     trajectories, failed = _march(params, w0, config, eps_list, profile, shared=True)
     failures = [(eps, str(exc)) for eps, exc in failed]
 
-    pair_violations = []
-    for a, b in zip(trajectories, trajectories[1:]):
-        worst = 0.0
-        for ta, wa in zip(a.times, a.snapshots):
-            for tb, wb in zip(b.times, b.snapshots):
-                if ta == tb:
-                    worst = max(worst, float(np.max(wa - wb)))
-        pair_violations.append(worst)
+    # the rows of one march share their output times
+    pair_violations = [
+        max([0.0, *(float(np.max(wa - wb)) for wa, wb in zip(a.snapshots, b.snapshots))])
+        for a, b in zip(trajectories, trajectories[1:])]
     report = SweepReport(
         eps_list=tuple(eps_list),
         pair_violations=tuple(pair_violations),

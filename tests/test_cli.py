@@ -569,6 +569,24 @@ def test_nonfinite_w_exits3(tmp_path, monkeypatch):
     assert "monotonicity violated by nan at s = " in detail
 
 
+def _nan_in_second_column(monkeypatch):
+    """Put a NaN at node 40 of the second cutoff's column in the fourth
+    shared solve of a sweep."""
+    import ksblow.solver as solver_mod
+
+    real = solver_mod.solve_banded
+    calls = []
+
+    def nan_in_second_column(matrix, rhs):
+        x = real(matrix, rhs)
+        calls.append(1)
+        if len(calls) == 4:
+            x[40, 1] = np.nan
+        return x
+
+    monkeypatch.setattr(solver_mod, "solve_banded", nan_in_second_column)
+
+
 def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     # a failed cutoff ends blowup like simulate, instead of analysing the
     # cutoffs that survived
@@ -592,18 +610,7 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
         epsilon=0.04, t_end=sec["t_end"], output_times=sec["output_times"], max_dt=dt),
         [0.04], profile)
 
-    # a NaN in the 0.02 column of the fourth shared solve
-    real = solver_mod.solve_banded
-    calls = []
-
-    def nan_in_second_column(matrix, rhs):
-        x = real(matrix, rhs)
-        calls.append(1)
-        if len(calls) == 4:
-            x[40, 1] = np.nan
-        return x
-
-    monkeypatch.setattr(solver_mod, "solve_banded", nan_in_second_column)
+    _nan_in_second_column(monkeypatch)
     assert main(["blowup", "--config", _write(tmp_path, doc)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failure"]["kind"] == "solver"
@@ -615,6 +622,60 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     for key in ("n_steps", "n_factorizations", "cfl_resets", "dt_history", "violations"):
         assert run[key] == solo.metadata[key], key
     assert not (out / "blowup_report.json").exists()
+
+
+def test_simulate_sweep_failure_exit3(tmp_path, monkeypatch, capsys):
+    # a failed cutoff leaves the survivors' outputs and the report, and the
+    # manifest holds the survivors' runs and the failed (epsilon, message)
+    _nan_in_second_column(monkeypatch)
+    out = tmp_path / "ssweep"
+    assert main(["simulate", "--config",
+                 _write(tmp_path, _simulate_doc(out, eps_list=[0.04, 0.02]))]) == 3
+    [failed] = json.loads((out / "sweep_report.json").read_text())["failures"]
+    assert failed["epsilon"] == 0.02
+    assert failed["message"].startswith("monotonicity violated by nan at s = ")
+    assert capsys.readouterr().err == \
+        f"solver failure: ((0.02, {failed['message']!r}),)\n"
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["eps_0.04"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"] == {"kind": "solver", "detail": [[0.02, failed["message"]]]}
+    assert [run["epsilon"] for run in manifest["runs"]] == [0.04]
+
+
+def test_simulate_step_underflow_leaves_no_run(tmp_path, capsys):
+    # every cutoff fails on the first step: none is emitted as a run
+    out = tmp_path / "uf"
+    doc = _simulate_doc(out, eps_list=[0.04, 0.01], n_cells=128, t_end=0.002)
+    doc["solver"]["cfl_safety"] = 1e-300
+    assert main(["simulate", "--config", _write(tmp_path, doc)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "solver failure: ((0.04, 'step-size underflow: dt = ")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep_report.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["runs"] == []
+    assert [eps for eps, _ in manifest["failure"]["detail"]] == [0.04, 0.01]
+    report = json.loads((out / "sweep_report.json").read_text())
+    assert [f["epsilon"] for f in report["failures"]] == [0.04, 0.01]
+    assert report["pair_violations"] == []
+
+
+@pytest.mark.parametrize("command, drop, message", [
+    ("simulate", "output", "no output directory: set output.directory or pass --out"),
+    ("simulate", "solver", "missing solver section"),
+    ("blowup", "blowup", "missing blowup section"),
+    ("weak-residual", "solver.epsilon", "solver.epsilon is required for weak-residual"),
+], ids=["no-output", "no-solver", "no-blowup", "weak-residual-no-epsilon"])
+def test_config_errors_exit1_and_create_nothing(tmp_path, capsys, monkeypatch, command,
+                                                drop, message):
+    monkeypatch.chdir(tmp_path)  # a write into the working directory shows here
+    doc = _blowup_doc(tmp_path / "x")
+    if drop == "solver.epsilon":
+        del doc["solver"]["epsilon"]
+    else:
+        del doc[drop]
+    assert main([command, "--config", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "blowup", "weak-residual"])

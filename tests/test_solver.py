@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ksblow import (MassFunction, ParameterError, SignalProfile, SolverConfig,
-                    SystemParams, build_mesh, measured_c_sub, proper_sweep,
+                    SolverError, SystemParams, build_mesh, measured_c_sub, proper_sweep,
                     solve_regularized, validate, w0_from_density)
 from ksblow.solver import _load_flapack, _march, cap_cfl_bound
 
@@ -291,6 +291,23 @@ def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
     assert calls[0] == (129, 3) and calls[-1] == (129, 2)  # the stack shrank
     _assert_same_run(trajs[0], solo[0])
     _assert_same_run(trajs[1], solo[2])
+
+
+def test_step_underflow_fails_every_row(scenario, scenario_profile):
+    # a step below the floor ends the march at t = 0: a single run raises,
+    # and every row of a stack leaves it as a failure, none as a trajectory
+    w0 = w0_from_density(1.0, build_mesh(4.0, 128))
+    cfg = SolverConfig(epsilon=4e-2, t_end=0.002, output_times=(0.0, 0.001, 0.002),
+                       cfl_safety=1e-300)
+    with pytest.raises(SolverError, match=r"^step-size underflow: dt = ") as info:
+        solve_regularized(scenario, w0, cfg, scenario_profile)
+    assert info.value.location == (None, 0.0)
+    trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 1e-2], profile=scenario_profile)
+    assert trajs == []
+    assert [eps for eps, _ in report.failures] == [4e-2, 1e-2]
+    assert all(message.startswith("step-size underflow: dt = ")
+               for _, message in report.failures)
+    assert report.pair_violations == () and report.max_violation == 0.0
 
 
 @pytest.mark.parametrize("cap", [None, 2.0, 0.5])

@@ -45,11 +45,23 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 
 def test_every_solver_setting_is_a_config_key():
-    # a stepping setting that no config key reaches exists only for tests
-    from dataclasses import fields
+    # a stepping setting that no config key reaches exists only for tests,
+    # and a default that the solver declares is the config key's default
+    from dataclasses import MISSING, fields
 
     from ksblow.config import SolverSection
     from ksblow.solver import SolverConfig
 
-    keys = {f.name for f in fields(SolverSection)}
+    keys = {f.name: f.default for f in fields(SolverSection)}
     assert [f.name for f in fields(SolverConfig) if f.name not in keys] == []
+    assert [f.name for f in fields(SolverConfig)
+            if f.default is not MISSING and f.default != keys[f.name]] == []
+
+
+def test_manifest_is_written_by_main_alone():
+    # one place turns an outcome into its manifest, so every failure record
+    # and exit code is decided there
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    sites = [getattr(node, "name", None) for node in tree.body for sub in ast.walk(node)
+             if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_manifest"]
+    assert sites == ["main"]
