@@ -40,6 +40,8 @@ Its solution solves the nonsymmetric form up to roundoff.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
 import time as _time
 from dataclasses import dataclass
@@ -213,28 +215,27 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     """March the regularized problem from w0 to t_end; snapshot at the
     requested output times.  Deterministic for fixed inputs."""
     check_resolved("epsilon", [config.epsilon], w0.s)
-    trajectories, failures = _march(params, w0, config, [config.epsilon], profile,
-                                    shared=False)
+    trajectories, failures = _march(params, w0, config, [config.epsilon], profile)
     if failures:
         raise failures[0][1]
     return trajectories[0]
 
 
 def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_list,
-           profile: SignalProfile, *, shared: bool):
+           profile: SignalProfile, *, shared_dt: float | None = None):
     """March the cutoffs ``eps_list`` from w0 as one stack on one time grid.
 
     Row r of the C-ordered (k, N+1) state is the run at eps_list[r]; its
     transpose is the (N+1, k) right-hand side of one LAPACK solve per step,
     and the elementwise work runs on its flat view, with nF tiled and chi/h
     stacked per row, so each row is computed exactly as its own run would
-    be.  With ``shared``, every step is the worst-case CFL step over the
-    cutoffs, capped by max_dt; otherwise it is the adaptive CFL step of a
-    stack of one.
-    Returns (trajectories, failures): a row whose invariant check fails
-    becomes its (epsilon, SolverError) in failures and leaves the stack, and
-    the other rows go on unchanged; a step-size underflow fails every row.  Every trajectory carries the metadata of
-    its own run, except wall_time_s, which is the whole march's.
+    be.  Every step is ``shared_dt``, a sweep's step, if given, else the
+    adaptive CFL step of a stack of one, and max_dt caps it.  Returns
+    (trajectories, failures): a row whose invariant check fails becomes its
+    (epsilon, SolverError) in failures and leaves the stack, and the other
+    rows go on unchanged; a step-size underflow fails every row.  Every
+    trajectory carries the metadata of its own run, except wall_time_s,
+    which is the whole march's.
     """
     params = validate(params)
     s = w0.s
@@ -245,15 +246,9 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             f"truncation does not reach the far field: W0(s_max) = {w0.w[-1]}, cap = {cap}")
     h = np.diff(s)
     nF = n * profile.F(s)
-    chis = [chi_eval(eps, s) for eps in eps_list]
-    # a shared step holds for every state in [0, cap], so the smallest
-    # cutoff's bound binds, and the runs are ordered by the discrete
-    # comparison argument rather than approximately
-    fixed = min(cap_cfl_bound(h, chi, nF, cap, config.cfl_safety) for chi in chis) \
-        if shared else None
     # the transport rate per unit W + nF, chi/h over the cell [s_i, s_{i+1}]:
     # 0 at s = 0, where chi is, and at s_max, which has no cell
-    factors = [np.append(chi[:-1] / h, 0.0) for chi in chis]
+    factors = [np.append(chi_eval(eps, s)[:-1] / h, 0.0) for eps in eps_list]
 
     # the step matrix diag(mu) + dt*K as LAPACK's (diagonal, off-diagonal)
     # pair: the stiffness K end to end in one array, so that the pair takes
@@ -363,8 +358,8 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
 
         np.add(w, nF_k, out=coef)  # the rate chi (W + nF) / h
         coef *= factor
-        if fixed is not None:
-            dt = fixed
+        if shared_dt is not None:
+            dt = shared_dt
         else:  # the CFL limit L = cfl / max rate (an adaptive run has k = 1)
             fast = coef.argmax()
             fastest = coef.item(fast)
@@ -395,7 +390,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             if not on_target:
                 held_dt, held = dt, factored
                 n_factorizations += 1
-                if fixed is None and dt != max_dt:  # the CFL limit reset the step
+                if shared_dt is None and dt != max_dt:  # the CFL limit reset the step
                     cfl_resets.append({"t": t, "s": s.item(fast), "dt": dt})
 
         # the right-hand side mu * (W + dt * coef * dW) in W itself, with dW
@@ -519,16 +514,21 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
                  eps_list, profile: SignalProfile):
     """Run each epsilon on the shared mesh; report how well the family
     increases pointwise as epsilon decreases (the regularized solutions climb
-    toward the proper solution).  The cutoffs march as one stack on one
-    shared step, one k-column solve per step.  Violations are reported
-    magnitudes, never asserted away; failed runs are recorded and the rest
-    continue."""
+    toward the proper solution).  The cutoffs march on one shared step, one
+    stack per usable CPU.  Violations are reported magnitudes, never asserted
+    away; failed runs are recorded and the rest continue."""
     eps_list = check_eps_list(eps_list)
     check_resolved("eps_list", eps_list, w0.s)
-    trajectories, failed = _march(params, w0, config, eps_list, profile, shared=True)
+    # a shared step holds for every state in [0, cap], so the smallest cutoff's
+    # bound binds, and the discrete comparison argument orders the runs exactly
+    h, nF = np.diff(w0.s), params.n * profile.F(w0.s)
+    dt = min(cap_cfl_bound(h, chi_eval(eps, w0.s), nF, w0.far_field, config.cfl_safety)
+             for eps in eps_list)
+    trajectories, failed = _march_blocks(
+        lambda block: _march(params, w0, config, block, profile, shared_dt=dt), eps_list)
     failures = [(eps, str(exc)) for eps, exc in failed]
 
-    # the rows of one march share their output times
+    # every row steps on one grid, so all share their output times
     pair_violations = [
         max([0.0, *(float(np.max(wa - wb)) for wa, wb in zip(a.snapshots, b.snapshots))])
         for a, b in zip(trajectories, trajectories[1:])]
@@ -539,6 +539,51 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
         failures=tuple(failures),
     )
     return trajectories, report
+
+
+def _march_blocks(march, eps_list):
+    """``march`` of contiguous blocks of ``eps_list``, one per usable CPU, joined in
+    order: the first here, each other one in a forked child that pickles back its result."""
+    blocks = min(len(eps_list), len(os.sched_getaffinity(0))) \
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    cuts = [-(-len(eps_list) * b // blocks) for b in range(blocks + 1)]  # longer blocks first
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns into its caller's frames
+                try:
+                    os.close(read)
+                    try:
+                        payload = ("ok", march(eps_list[lo:hi]))
+                    except BaseException as exc:
+                        payload = ("err", exc)
+                    with open(write, "wb") as pipe:  # protocol 5 keeps arrays read-only
+                        pickle.dump(payload, pipe, protocol=5)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb"), eps_list[lo:hi]))
+        results = [march(eps_list[:cuts[1]])]
+        while children:
+            pid, pipe, block = children[0]
+            with pipe:  # to EOF before waitpid: a payload can outgrow the pipe buffer
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status or not data:
+                raise SolverError(f"no result for cutoffs {block} (wait status {status})")
+            kind, result = pickle.loads(data)
+            if kind == "err":
+                raise result
+            results.append(result)
+    finally:
+        for pid, pipe, _ in children:  # left only when this process raised
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    return [t for r in results for t in r[0]], [f for r in results for f in r[1]]
 
 
 def measured_c_sub(traj: Trajectory, w0: MassFunction) -> float:

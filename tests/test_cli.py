@@ -571,9 +571,11 @@ def test_nonfinite_w_exits3(tmp_path, monkeypatch):
 
 def _nan_in_second_column(monkeypatch):
     """Put a NaN at node 40 of the second cutoff's column in the fourth
-    shared solve of a sweep."""
+    shared solve of a sweep.  The sweep sees one usable CPU, so its columns
+    are one solve in this process."""
     import ksblow.solver as solver_mod
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     real = solver_mod.solve_banded
     calls = []
 
@@ -640,6 +642,33 @@ def test_simulate_sweep_failure_exit3(tmp_path, monkeypatch, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failure"] == {"kind": "solver", "detail": [[0.02, failed["message"]]]}
     assert [run["epsilon"] for run in manifest["runs"]] == [0.04]
+
+
+def test_simulate_dead_sweep_block_exit3(tmp_path, monkeypatch, capsys):
+    # a forked block that ends without a result fails the sweep: exit 3, the
+    # failure in the manifest and on stderr, and no run emitted
+    import signal
+
+    import ksblow.solver as solver_mod
+
+    parent, real = os.getpid(), solver_mod._march
+
+    def march(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(solver_mod, "_march", march)
+    out = tmp_path / "dead"
+    assert main(["simulate", "--config",
+                 _write(tmp_path, _simulate_doc(out, eps_list=[0.04, 0.02]))]) == 3
+    detail = f"no result for cutoffs [0.02] (wait status {int(signal.SIGKILL)})"
+    assert capsys.readouterr().err == f"solver failure: {detail}\n"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failure"] == {"kind": "solver", "detail": detail}
+    assert manifest["runs"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_simulate_step_underflow_leaves_no_run(tmp_path, capsys):
@@ -901,10 +930,11 @@ def test_import_leaves_out_unused_scipy_modules():
     # layer star-imports numpy) made up most of the start-up every command pays;
     # scipy's own package init, numpy.random (verify-lemmas imports it when it
     # draws) and numpy.polynomial (the Gauss-Legendre rules are a table) are
-    # not paid either, while the LAPACK extension is loaded
+    # not paid either, while the LAPACK extension is loaded; a sweep forks its
+    # blocks with os alone, so no process-pool or subprocess module is loaded
     heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg",
              "numpy.f2py", "numpy.ma", "unittest", "numpy.random", "numpy.polynomial",
-             "scipy")
+             "scipy", "multiprocessing", "concurrent.futures", "subprocess")
     proc = _run_python(
         f"import sys; import ksblow.cli; print([m for m in {heavy!r} if m in sys.modules], "
         "'scipy.linalg._flapack' in sys.modules)")

@@ -1,4 +1,6 @@
+import itertools
 import math
+import os
 import re
 import sys
 from dataclasses import replace
@@ -255,9 +257,11 @@ def test_sweep_rows_match_solo_runs(scenario, scenario_profile):
 def _nan_in_column(monkeypatch, column, at_call):
     """Wrap the solver's solve_banded so that its ``at_call``-th solve puts a
     NaN at node 40 of the given column of its (N+1, k) solution, before the
-    step's invariant check; returns the list that counts the solves."""
+    step's invariant check; returns the list that counts the solves.  A sweep
+    sees one usable CPU, so its k columns are one solve in this process."""
     import ksblow.solver as solver_mod
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     real = solver_mod.solve_banded
     calls = []
 
@@ -308,6 +312,139 @@ def test_step_underflow_fails_every_row(scenario, scenario_profile):
     assert all(message.startswith("step-size underflow: dt = ")
                for _, message in report.failures)
     assert report.pair_violations == () and report.max_violation == 0.0
+
+
+_BLOCK_EPS = [4e-2, 3e-2, 2e-2, 1.5e-2, 1e-2, 5e-3]
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("k", [3, 4])
+def test_any_number_of_blocks_gives_the_same_sweep(scenario, scenario_profile, monkeypatch,
+                                                   k, blocks):
+    # the rows of a sweep never exchange a value, so a sweep marched in 1, 2
+    # or 3 contiguous blocks (one per usable CPU, the longer ones first)
+    # gives the snapshot bytes, the metadata apart from wall_time_s and the
+    # report of one stack; the snapshots of a forked block come back read-only
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    eps_list = _BLOCK_EPS[:k]
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.003, output_times=(0.0, 0.0013, 0.003))
+    stack, failures = _march(scenario, w0, cfg, eps_list, scenario_profile,
+                             shared_dt=_shared_dt(scenario_profile, s, w0, eps_list))
+    assert failures == [] and len(stack) == k
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _, one_block = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(blocks)))
+    trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    assert report == one_block and report.failures == ()
+    assert [traj.epsilon for traj in trajs] == eps_list
+    for traj, row in zip(trajs, stack):
+        _assert_same_run(traj, row)
+        assert ({**traj.metadata, "wall_time_s": None}
+                == {**row.metadata, "wall_time_s": None})
+        assert not any(w.flags.writeable for w in (traj.s, *traj.snapshots))
+    # each block has a march time of its own
+    walls = [traj.metadata["wall_time_s"] for traj in trajs]
+    sizes = [len(list(group)) for _, group in itertools.groupby(walls)]
+    assert sizes == {(3, 1): [3], (3, 2): [2, 1], (3, 3): [1, 1, 1], (4, 1): [4],
+                     (4, 2): [2, 2], (4, 3): [2, 1, 1]}[k, blocks]
+
+
+def test_failures_in_a_forked_block_come_back_in_eps_order(scenario, scenario_profile,
+                                                          monkeypatch):
+    # two blocks of three cutoffs.  The child's third cutoff fails on its
+    # third step and its second on the fifth, the parent's second on the
+    # seventh: each failure arrives with its epsilon, message and location,
+    # in epsilon order, and the survivors are the rows of the stack without
+    # failures
+    import ksblow.solver as solver_mod
+
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.003, output_times=(0.0, 0.0013, 0.003))
+    dt = _shared_dt(scenario_profile, s, w0, _BLOCK_EPS)
+    stack, _ = _march(scenario, w0, cfg, _BLOCK_EPS, scenario_profile, shared_dt=dt)
+    parent, real, calls = os.getpid(), solver_mod.solve_banded, []
+
+    def solve_banded(matrix, rhs):
+        x = real(matrix, rhs)
+        calls.append(1)
+        plan = {7: 1} if os.getpid() == parent else {3: 2, 5: 1}
+        if len(calls) in plan:
+            x[40, plan[len(calls)]] = np.nan
+        return x
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(solver_mod, "solve_banded", solve_banded)
+    trajs, failures = solver_mod._march_blocks(
+        lambda block: _march(scenario, w0, cfg, block, scenario_profile, shared_dt=dt),
+        _BLOCK_EPS)
+    assert [eps for eps, _ in failures] == [3e-2, 1e-2, 5e-3]
+    for (eps, exc), step in zip(failures, (7, 5, 3)):
+        assert isinstance(exc, SolverError)
+        assert str(exc).startswith(f"monotonicity violated by nan at s = {s[39]}, t = ")
+        assert exc.location == (s[39], pytest.approx(step * dt, rel=1e-12, abs=0.0))
+    assert [traj.epsilon for traj in trajs] == [4e-2, 2e-2, 1.5e-2]
+    for traj in trajs:
+        _assert_same_run(traj, stack[_BLOCK_EPS.index(traj.epsilon)])
+
+
+@pytest.mark.parametrize("outcome", ["success", "failed-row", "dead-child", "torn-result",
+                                     "child-raises", "parent-raises"])
+def test_sweep_leaves_no_child_process(scenario, scenario_profile, monkeypatch, outcome):
+    # whatever the outcome, every forked block is reaped: a child that dies
+    # without a result, or fails after writing part of it, is a SolverError
+    # naming its cutoffs and wait status, a child's exception is raised with
+    # its attributes, and a child still marching when this process raises is
+    # killed, not waited for
+    import signal
+    import time
+
+    import ksblow.solver as solver_mod
+
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
+    parent, real = os.getpid(), solver_mod._march
+
+    def nan_at_node_40(x, cap):
+        x[40] = np.nan
+
+    def march(*args, **kwargs):
+        if outcome == "failed-row" and os.getpid() != parent:
+            _inject_once(monkeypatch, nan_at_node_40)
+        elif outcome == "dead-child" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif outcome == "torn-result" and os.getpid() != parent:
+            return np.zeros(100_000), lambda: None  # the array is written, the lambda fails
+        elif outcome == "child-raises" and os.getpid() != parent:
+            raise SolverError("boom", location=(0.5, 0.25))
+        elif outcome == "parent-raises":
+            if os.getpid() == parent:
+                raise RuntimeError("boom")
+            time.sleep(60)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(solver_mod, "_march", march)
+    started = time.perf_counter()
+    if outcome in ("success", "failed-row"):
+        trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 1e-2], profile=scenario_profile)
+        assert [traj.epsilon for traj in trajs] == ([4e-2, 1e-2] if outcome == "success"
+                                                    else [4e-2])
+        assert [eps for eps, _ in report.failures] == ([] if outcome == "success" else [1e-2])
+    else:
+        error = RuntimeError if outcome == "parent-raises" else SolverError
+        with pytest.raises(error) as info:
+            proper_sweep(scenario, w0, cfg, [4e-2, 1e-2], profile=scenario_profile)
+        if outcome in ("dead-child", "torn-result"):
+            status = int(signal.SIGKILL) if outcome == "dead-child" else 256  # exit code 1
+            assert str(info.value) == f"no result for cutoffs [0.01] (wait status {status})"
+        elif outcome == "child-raises":
+            assert info.value.location == (0.5, 0.25)
+    assert time.perf_counter() - started < 30.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cap", [None, 2.0, 0.5])
@@ -647,9 +784,11 @@ def test_boundary_values_exact_without_writes(scenario, scenario_profile, steppi
 def _inject_once(monkeypatch, change):
     """Wrap the solver's solve_banded so that ``change(x, cap)`` edits the
     first solution before the step's invariant check; returns the list that
-    counts the solves."""
+    counts the solves.  A sweep sees one usable CPU, so its k columns are one
+    solve in this process."""
     import ksblow.solver as solver_mod
 
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     real = solver_mod.solve_banded
     calls = []
 
@@ -739,8 +878,9 @@ def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monke
         x[40, 1] = np.nan
 
     _inject_once(monkeypatch, nan_in_row_1)
-    trajs, failures = _march(scenario, w0, cfg, [4e-2, 2e-2, 1e-2], scenario_profile,
-                             shared=True)
+    eps_list = [4e-2, 2e-2, 1e-2]
+    trajs, failures = _march(scenario, w0, cfg, eps_list, scenario_profile,
+                             shared_dt=_shared_dt(scenario_profile, s, w0, eps_list))
     (eps, exc), = failures
     assert eps == 2e-2 and str(exc).startswith("monotonicity violated by nan")
     s_at, t_at = exc.location
