@@ -49,6 +49,7 @@ from .solver import Trajectory
 
 ANALYTIC_SLACK = 1e-9     # closed-form inequality verdicts
 COUPLED_SLACK = 1e-6      # verdicts coupled to a discretized run
+GAMMA_CAP = 2.0 ** 60     # the blow-up selection's gamma search gives up beyond this
 
 
 @dataclass(frozen=True)
@@ -455,7 +456,7 @@ class BlowupSelection:
 
 def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
                          params: SystemParams, xi: float, delta: float,
-                         w_probe, gamma_cap: float = 2.0 ** 60) -> BlowupSelection:
+                         w_probe) -> BlowupSelection:
     """Pick (kappa, s0, gamma) for the blow-up window (t0, t0 + eta).
 
     kappa saturates its ceiling k0*eta/8.  s0 is found by bisection as the
@@ -530,10 +531,10 @@ def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
                 if lhs <= 1.0:
                     break
         gamma *= 2.0
-        if gamma > gamma_cap:
+        if gamma > GAMMA_CAP:
             which = "probe_below_s0" if (probe_s is None or probe_s >= s0) \
                 else "measured_w_inequality"
-            raise SelectionError(f"gamma search exceeded cap {gamma_cap}", failing=which)
+            raise SelectionError(f"gamma search exceeded cap {GAMMA_CAP}", failing=which)
     diagnostics = {
         "kappa_rule": "k0*eta/8",
         "k0": k0, "K0": K0,

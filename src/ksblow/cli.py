@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import sys
-from collections import deque
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -71,11 +70,7 @@ def _jsonable(obj):
 
 
 def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -242,31 +237,26 @@ def cmd_verify_lemmas(cfg: RunConfig, out_dir: Path, runs: list) -> int:
             raise ConfigError("lemma_sweep grid is empty")
         grid = _default_lemma_grid(cfg.system, sweep.count, sweep.seed)
 
-    rows = []
-    built = deque()  # (row, test function) of the constructed tuples not yet certified
+    rows, built = [], []  # built: (row, test function) of the constructed tuples
+    for item in grid:
+        system = SystemParams(n=item.n, alpha=item.alpha, f0=item.f0,
+                              R=item.R, rho=item.rho, c0=cfg.system.c0)
+        row = dict(vars(item))
+        rows.append(row)
+        try:
+            # validates the system with the test-function exponents
+            tf = build_testfunction(system, item.xi, item.delta, item.gamma)
+        except ParameterError as exc:
+            row.update(constructed=False, feasible=False, margin=float("nan"),
+                       margin_ok=False, integral=float("nan"),
+                       integral_bound=float("nan"), integral_ok=False)
+            row["pass"] = False
+            row["error"] = str(exc)
+            continue
+        row.update(constructed=True, feasible=system.feasible)
+        built.append((row, tf))
 
-    def constructed():
-        for item in grid:
-            system = SystemParams(n=item.n, alpha=item.alpha, f0=item.f0,
-                                  R=item.R, rho=item.rho, c0=cfg.system.c0)
-            row = dict(vars(item))
-            rows.append(row)
-            try:
-                # validates the system with the test-function exponents
-                tf = build_testfunction(system, item.xi, item.delta, item.gamma)
-            except ParameterError as exc:
-                row.update(constructed=False, feasible=False, margin=float("nan"),
-                           margin_ok=False, integral=float("nan"),
-                           integral_bound=float("nan"), integral_ok=False)
-                row["pass"] = False
-                row["error"] = str(exc)
-                continue
-            row.update(constructed=True, feasible=system.feasible)
-            built.append((row, tf))
-            yield tf
-
-    for k, ode in enumerate(verify_ode_inequality(constructed())):
-        row, tf = built.popleft()
+    for k, ((row, tf), ode) in enumerate(zip(built, verify_ode_inequality(tf for _, tf in built))):
         if k == 0:
             # the cover's cell bounds for the first constructible tuple
             write_rows(out_dir / "margin_scan.csv", "s_lo,s_hi,margin_bound",

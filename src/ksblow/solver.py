@@ -231,11 +231,12 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     stacked per row, so each row is computed exactly as its own run would
     be.  Every step is ``shared_dt``, a sweep's step, if given, else the
     adaptive CFL step of a stack of one, and max_dt caps it.  Returns
-    (trajectories, failures): a row whose invariant check fails becomes its
-    (epsilon, SolverError) in failures and leaves the stack, and the other
-    rows go on unchanged; a step-size underflow fails every row.  Every
+    (trajectories, failures), failures in eps_list order: a row whose
+    invariant check fails becomes its (epsilon, SolverError) and ends the
+    march, and the other rows march again from w0 without it, so each comes
+    out as its own run would; a step-size underflow fails every row.  Every
     trajectory carries the metadata of its own run, except wall_time_s,
-    which is the whole march's.
+    which is the time of the last march.
     """
     params = validate(params)
     s = w0.s
@@ -246,9 +247,6 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
             f"truncation does not reach the far field: W0(s_max) = {w0.w[-1]}, cap = {cap}")
     h = np.diff(s)
     nF = n * profile.F(s)
-    # the transport rate per unit W + nF, chi/h over the cell [s_i, s_{i+1}]:
-    # 0 at s = 0, where chi is, and at s_max, which has no cell
-    factors = [np.append(chi_eval(eps, s)[:-1] / h, 0.0) for eps in eps_list]
 
     # the step matrix diag(mu) + dt*K as LAPACK's (diagonal, off-diagonal)
     # pair: the stiffness K end to end in one array, so that the pair takes
@@ -262,6 +260,22 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     stiffness[1:h.size] = 1.0 / h[:-1] + 1.0 / h[1:]
     stiffness[size + 1:-1] = -1.0 / h[1:-1]
     edge = cap / h[-1]  # row N-1's coupling to W_N, per unit dt
+
+    # the flat state of the k rows.  Each row's differences W_{i+1} - W_i sit
+    # in ws[:N] (the check writes them, the next step's transport multiplies
+    # them by the rate) and its ws[N] stays 0; the k - 1 differences across
+    # rows are zeroed.  The transport rate per unit W + nF is chi/h over the
+    # cell [s_i, s_{i+1}]: 0 at s = 0, where chi is, and at s_max, which has
+    # no cell
+    k = len(eps_list)
+    w = np.tile(np.concatenate(([0.0], w0.w[1:-1], [cap])), k)
+    ws = np.zeros_like(w)
+    drops, coef, w_hi, w_lo = ws[:-1], np.empty_like(w), w[1:], w[:-1]
+    factor = np.concatenate([np.append(chi_eval(eps, s)[:-1] / h, 0.0) for eps in eps_list])
+    nF_k, mu_k = np.tile(nF, k), np.tile(mu, k)
+    # the (N+1, k) transpose that the solves take, and a view of the nodes
+    # next to s_max of every row; a stack of one keeps the plain vector
+    w_cols, inner = (w, None) if k == 1 else (w.reshape(k, size).T, w[h.size - 1::size])
 
     t = 0.0
     t_end, max_dt, cfl = config.t_end, config.max_dt, config.cfl_safety
@@ -283,59 +297,25 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     held_all, step_all = np.empty_like(stiffness), np.empty_like(stiffness)
     held_dt = held = last_dt = None
 
-    def stack(rows, w_rows, ws_rows):
-        """The flat state and work arrays of the rows ``rows`` (indices into
-        eps_list), from their W and difference rows.  Each row's differences
-        W_{i+1} - W_i sit in ws[:N] (the check writes them, the next step's
-        transport multiplies them by the rate) and its ws[N] stays 0; the
-        k - 1 differences across rows are zeroed."""
-        k = len(rows)
-        w = np.array(w_rows, dtype=float).reshape(-1)
-        ws = np.array(ws_rows, dtype=float).reshape(-1)
-        # the (N+1, k) transpose that the solves take, and a view of the nodes
-        # next to s_max of every row; a stack of one keeps the plain vector
-        if k == 1:
-            w_cols, inner = w, None
-        else:
-            w_cols, inner = w.reshape(k, size).T, w[h.size - 1::size]
-        return (k, rows, w, ws, ws[:-1], np.empty_like(w), w_cols, w[1:], w[:-1],
-                np.array([factors[r] for r in rows], dtype=float).reshape(-1),
-                np.tile(nF, k), np.tile(mu, k), inner)
-
     def check(tnow, worst):
         """The rows' invariants when the smallest difference ``worst`` is
         negative or NaN; a stack whose every dip and excursion is within the
-        log level records nothing.  Failures are recorded, and the stack of
-        the rows that passed is returned, or None if none failed."""
+        log level records nothing.  Failures are recorded as (row, error);
+        returns whether any row failed."""
         if (worst >= -_VIOLATION_LOG * cap and w.max() <= cap * (1.0 + _VIOLATION_LOG)
                 and w.min() >= -_VIOLATION_LOG * cap):
-            return None
+            return False
         # the min of a row of ws is that row's worst difference, or its 0 at N
         worsts = ws.reshape(k, size).min(axis=1).tolist() if k > 1 else [worst]
-        failed = []
-        for pos, (r, row_worst, w_row, ws_row) in enumerate(
-                zip(rows, worsts, w.reshape(k, size), ws.reshape(k, size))):
-            if row_worst >= 0.0:
-                continue
-            try:
-                _check_row(row_worst, w_row, ws_row[:-1], s, cap, tnow, violations[r])
-            except SolverError as exc:
-                failures.append((r, exc))
-                failed.append(pos)
-        keep = [pos for pos in range(k) if pos not in failed]
-        return stack([rows[pos] for pos in keep], w.reshape(k, size)[keep],
-                     ws.reshape(k, size)[keep]) if failed else None
+        for r, (row_worst, w_row, ws_row) in enumerate(
+                zip(worsts, w.reshape(k, size), ws.reshape(k, size))):
+            if not row_worst >= 0.0:
+                try:
+                    _check_row(row_worst, w_row, ws_row[:-1], s, cap, tnow, violations[r])
+                except SolverError as exc:
+                    failures.append((r, exc))
+        return bool(failures)
 
-    def record(tnow):
-        for r, w_row in zip(rows, w.reshape(k, size)):
-            arr = w_row.copy()
-            arr.flags.writeable = False
-            snapshots[r].append(arr)
-        snap_times.append(tnow)
-
-    w_init = np.concatenate(([0.0], w0.w[1:-1], [cap]))
-    (k, rows, w, ws, drops, coef, w_cols, w_hi, w_lo, factor, nF_k, mu_k, inner) = stack(
-        list(range(len(eps_list))), [w_init] * len(eps_list), np.zeros((len(eps_list), size)))
     t_target, landing = targets.pop(0)
     started = _time.perf_counter()
     while True:
@@ -346,12 +326,14 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         if k > 1:
             drops[h.size::size] = 0.0
         worst = drops.item(drops.argmin())
-        if not worst >= 0.0 and (kept := check(t, worst)):
-            (k, rows, w, ws, drops, coef, w_cols, w_hi, w_lo, factor, nF_k, mu_k, inner) = kept
-            if not rows:
-                break
+        if not worst >= 0.0 and check(t, worst):
+            break
         if t == t_target and targets:
-            record(t)
+            for row_snapshots, w_row in zip(snapshots, w.reshape(k, size)):
+                arr = w_row.copy()
+                arr.flags.writeable = False
+                row_snapshots.append(arr)
+            snap_times.append(t)
             t_target, landing = targets.pop(0)
         if not t < t_stop:
             break
@@ -373,12 +355,10 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         on_target = t + dt >= landing
         if on_target:
             dt = t_target - t
-        if not dt_floor < dt < math.inf:
+        if not dt_floor < dt < math.inf:  # the step is every row's, so every row fails
             exc = SolverError(f"step-size underflow: dt = {dt} at t = {t}",
                               location=(None, t))
-            failures.extend((r, exc) for r in rows)
-            rows = []  # every row leaves the stack
-            break
+            return [], [(eps, exc) for eps in eps_list]
         if dt == held_dt:
             factored = held
         else:  # a step clipped to an output time is factored aside, not held
@@ -413,11 +393,18 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
         if dt != last_dt:
             last_dt, dt_min_seen, dt_max_seen = dt, min(dt_min_seen, dt), max(dt_max_seen, dt)
 
+    if failures:  # the other rows march again without the failed ones
+        failed = {r for r, _ in failures}
+        rest = [eps for r, eps in enumerate(eps_list) if r not in failed]
+        trajectories, more = _march(params, w0, config, rest, profile,
+                                    shared_dt=shared_dt) if rest else ([], [])
+        return trajectories, sorted([(eps_list[r], exc) for r, exc in failures] + more,
+                                    key=lambda f: eps_list.index(f[0]))
     wall_time = _time.perf_counter() - started
     trajectories = []
-    for r in rows:
+    for eps, row_snapshots, row_violations in zip(eps_list, snapshots, violations):
         metadata = {
-            "epsilon": eps_list[r],
+            "epsilon": eps,
             "n": n,
             "n_steps": n_steps,
             "n_factorizations": n_factorizations,
@@ -427,14 +414,14 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
                            "mean": (t / n_steps) if n_steps else None},
             "cfl_safety": cfl,
             "tolerances": {"cap_slack": _CAP_SLACK, "monotone_slack": _MONOTONE_SLACK},
-            "violations": violations[r],
+            "violations": row_violations,
             "wall_time_s": wall_time,
             "mesh": {"N": h.size, "s_max": float(s[-1]), "s1": float(s[1])},
         }
         trajectories.append(Trajectory(
-            s=s, epsilon=eps_list[r], times=tuple(snap_times), snapshots=tuple(snapshots[r]),
+            s=s, epsilon=eps, times=tuple(snap_times), snapshots=tuple(row_snapshots),
             far_field=cap, metadata=metadata))
-    return trajectories, [(eps_list[r], exc) for r, exc in sorted(failures, key=lambda f: f[0])]
+    return trajectories, []
 
 
 def _check_row(worst: float, w, drops, s, cap: float, tnow: float, violations: list) -> None:
@@ -516,7 +503,8 @@ def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
     increases pointwise as epsilon decreases (the regularized solutions climb
     toward the proper solution).  The cutoffs march on one shared step, one
     stack per usable CPU.  Violations are reported magnitudes, never asserted
-    away; failed runs are recorded and the rest continue."""
+    away; a failed run is recorded, and the other runs of its stack march
+    again without it, with the same bits."""
     eps_list = check_eps_list(eps_list)
     check_resolved("eps_list", eps_list, w0.s)
     # a shared step holds for every state in [0, cap], so the smallest cutoff's

@@ -12,7 +12,8 @@ from ksblow import (ParameterError, SelectionError, SignalProfile,
                     f0_threshold, integral_phi_linear, integral_phi_total, riccati,
                     select_blowup_params, validate, verify_integral_bound,
                     verify_ode_inequality, y_functional)
-from ksblow.analysis import CELL_PAD, CELL_RATIO, CHUNK, OdeMarginReport, _ends, _rates
+from ksblow.analysis import (CELL_PAD, CELL_RATIO, CHUNK, GAMMA_CAP, OdeMarginReport,
+                             _ends, _rates)
 from ksblow.cli import _default_lemma_grid
 from ksblow.solver import Trajectory, build_mesh
 
@@ -487,8 +488,9 @@ def test_select_blowup_params_formulas(scenario):
 def test_select_blowup_params_failure_path(scenario):
     with pytest.raises(SelectionError) as err:
         select_blowup_params(0.0, 0.1, 1.0, 0.5, scenario, 4.0, 0.8,
-                             w_probe=lambda s: 0.0, gamma_cap=2.0 ** 25)
+                             w_probe=lambda s: 0.0)
     assert err.value.failing == "measured_w_inequality"
+    assert str(err.value) == f"gamma search exceeded cap {GAMMA_CAP}"
 
 
 def _constant_trajectory(cap=1.0, n=3):

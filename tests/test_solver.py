@@ -256,8 +256,9 @@ def test_sweep_rows_match_solo_runs(scenario, scenario_profile):
 
 def _nan_in_column(monkeypatch, column, at_call):
     """Wrap the solver's solve_banded so that its ``at_call``-th solve puts a
-    NaN at node 40 of the given column of its (N+1, k) solution, before the
-    step's invariant check; returns the list that counts the solves.  A sweep
+    NaN at node 40 of the given column (or list of columns) of its (N+1, k)
+    solution, before the step's invariant check; returns the list of the
+    solves' shapes.  A sweep
     sees one usable CPU, so its k columns are one solve in this process."""
     import ksblow.solver as solver_mod
 
@@ -277,8 +278,8 @@ def _nan_in_column(monkeypatch, column, at_call):
 
 
 def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
-    # a run that dies mid-march is recorded as a failure and leaves the
-    # stack; the remaining runs complete, each as its solo run would
+    # a run that dies mid-march is recorded as a failure and ends the march;
+    # the remaining runs march again without it, each as its solo run would
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
     eps_list = [4e-2, 2e-2, 1e-2]
@@ -292,9 +293,29 @@ def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
     (eps, message), = report.failures
     assert eps == 2e-2
     assert message.startswith(f"monotonicity violated by nan at s = {s[39]}, t = ")
-    assert calls[0] == (129, 3) and calls[-1] == (129, 2)  # the stack shrank
+    assert calls[0] == (129, 3) and calls[-1] == (129, 2)  # a stack of the two
     _assert_same_run(trajs[0], solo[0])
     _assert_same_run(trajs[1], solo[2])
+
+
+def test_rows_failing_on_the_same_step(scenario, scenario_profile, monkeypatch):
+    # two rows of a stack fail on its third step: both failures come back,
+    # in epsilon order, and the row between them marches again alone, as
+    # its row of the sweep without failures, bit for bit
+    s = build_mesh(4.0, 128)
+    w0 = w0_from_density(1.0, s)
+    eps_list = [4e-2, 2e-2, 1e-2]
+    cfg = SolverConfig(epsilon=1e-2, t_end=0.003, output_times=(0.0, 0.0013, 0.003))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    clean, _ = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    calls = _nan_in_column(monkeypatch, [0, 2], at_call=3)
+    (traj,), report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    assert [eps for eps, _ in report.failures] == [4e-2, 1e-2]
+    assert all(message.startswith(f"monotonicity violated by nan at s = {s[39]}, t = ")
+               for _, message in report.failures)
+    _assert_same_run(traj, clean[1])
+    assert {**traj.metadata, "wall_time_s": None} == {**clean[1].metadata, "wall_time_s": None}
+    assert calls[2] == (129, 3) and calls[3] == (129,)
 
 
 def test_step_underflow_fails_every_row(scenario, scenario_profile):
@@ -356,7 +377,9 @@ def test_failures_in_a_forked_block_come_back_in_eps_order(scenario, scenario_pr
     # third step and its second on the fifth, the parent's second on the
     # seventh: each failure arrives with its epsilon, message and location,
     # in epsilon order, and the survivors are the rows of the stack without
-    # failures
+    # failures.  A failure restarts its block's march from W0 without the
+    # failed row, so the child's eighth solve is the fifth step of its
+    # second march
     import ksblow.solver as solver_mod
 
     s = build_mesh(4.0, 128)
@@ -369,7 +392,7 @@ def test_failures_in_a_forked_block_come_back_in_eps_order(scenario, scenario_pr
     def solve_banded(matrix, rhs):
         x = real(matrix, rhs)
         calls.append(1)
-        plan = {7: 1} if os.getpid() == parent else {3: 2, 5: 1}
+        plan = {7: 1} if os.getpid() == parent else {3: 2, 8: 1}
         if len(calls) in plan:
             x[40, plan[len(calls)]] = np.nan
         return x
