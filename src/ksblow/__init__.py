@@ -14,12 +14,13 @@ from .analysis import (BlowupReport, BlowupSelection, IntegralBoundReport,
                        integral_phi_linear, integral_phi_total, riccati,
                        select_blowup_params, verify_integral_bound,
                        verify_ode_inequality, y_functional)
+from .config import SolverSection
 from .errors import ConfigError, KsblowError, ParameterError, SelectionError, SolverError
 from .params import (SystemParams, default_delta, delta_lower_bound, delta_quadratic,
                      f0_threshold, h_value, validate, validate_testfn)
 from .signal import SignalProfile, chi_eval
-from .solver import (SolverConfig, SweepReport, Trajectory, build_mesh, check_eps_list,
-                     measured_c_sub, proper_sweep, solve_regularized)
+from .solver import (SweepReport, Trajectory, build_mesh, measured_c_sub, proper_sweep,
+                     solve_regularized)
 from .transform import MassFunction, w0_from_density, write_csv
 from .weakform import (BumpFactor, ResidualReport, StepDownFactor, TestField,
                        field_library, weak_residual)

@@ -38,8 +38,7 @@ from .errors import (ConfigError, KsblowError, ParameterError, SelectionError,
 from .params import (SystemParams, default_delta, delta_lower_bound, f0_threshold,
                      validate)
 from .signal import SignalProfile
-from .solver import (SolverConfig, build_mesh, measured_c_sub, proper_sweep,
-                     solve_regularized)
+from .solver import measured_c_sub, proper_sweep, solve_regularized
 from .transform import w0_from_density, write_csv, write_rows
 from .weakform import check_support, field_library, weak_residual
 
@@ -121,32 +120,24 @@ def _solver_section(cfg: RunConfig) -> SolverSection:
 
 def _solve(params, profile, sec: SolverSection, runs: list):
     """Solve the section's problem: a cutoff sweep when ``eps_list`` is set,
-    else one run.  Each finished run's metadata is appended to ``runs``.
+    else one run.  The solver checks the section, builds its mesh and the
+    initial datum W0 = c0 min(s, 1) from it, and checks every cutoff against
+    the mesh before any step.  Each finished run's metadata is appended to
+    ``runs``.
 
-    Returns (w0, trajectories, sweep report or None).
+    Returns (trajectories, sweep report or None).
     """
-    if sec.s_max < 4.0:
-        raise ConfigError(f"solver.s_max must be >= 4 (got {sec.s_max!r})")
     try:
-        s = build_mesh(sec.s_max, sec.N, sec.ratio)
-        base = SolverConfig(epsilon=sec.epsilon if sec.epsilon is not None else 0.5,
-                            t_end=sec.t_end, output_times=sec.output_times,
-                            cfl_safety=sec.cfl_safety, max_dt=sec.max_dt)
-        if not sec.eps_list and sec.epsilon is None:
-            raise ConfigError("solver.epsilon (or eps_list) is required")
-        w0 = w0_from_density(params.c0, s)
-        # the solver checks every cutoff against the mesh before any step
         if sec.eps_list:
-            trajectories, report = proper_sweep(params, w0, base, sec.eps_list,
-                                                profile=profile)
+            trajectories, report = proper_sweep(params, sec, profile)
         else:
-            trajectories, report = [solve_regularized(params, w0, base, profile)], None
+            trajectories, report = [solve_regularized(params, sec, profile)], None
     except ParameterError as exc:
         # each of these messages opens with the argument at fault, which is
         # the solver key of the same name
         raise ConfigError(f"solver.{exc}") from exc
     runs.extend(traj.metadata for traj in trajectories)
-    return w0, trajectories, report
+    return trajectories, report
 
 
 class _Failure(Exception):
@@ -186,7 +177,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     sec = _solver_section(cfg)
     params = validate(cfg.system)
-    _, trajectories, report = _solve(params, SignalProfile.from_params(params), sec, runs)
+    trajectories, report = _solve(params, SignalProfile.from_params(params), sec, runs)
     if report is None:
         _emit_run(trajectories[0], out_dir)
         return EXIT_OK
@@ -312,13 +303,14 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     if not any(abs(t - t1) <= 1e-12 * max(1.0, t1) for t in sec.output_times):
         raise ConfigError(f"output_times must contain t0 + eta/2 = {t1}")
 
-    w0, trajectories, sweep_report = _solve(params, SignalProfile.from_params(params), sec, runs)
+    trajectories, sweep_report = _solve(params, SignalProfile.from_params(params), sec, runs)
     if sweep_report is not None and sweep_report.failures:
         raise _solver_failure(sweep_report.failures)
     traj = trajectories[-1]
 
+    # W0 on the run's own mesh: measured_c_sub interpolates it at s = 1
     c_sub = blow.c_sub_override if blow.c_sub_override is not None \
-        else measured_c_sub(traj, w0)
+        else measured_c_sub(traj, w0_from_density(params.c0, traj.s))
 
     tf_section = cfg.test_function or TestFnSection()
     xi, delta = tf_section.xi, tf_section.delta
@@ -364,7 +356,7 @@ def cmd_weak_residual(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     profile = SignalProfile.from_params(params)
 
     def residuals_for(section):
-        _, (traj,), _ = _solve(params, profile, section, runs)
+        (traj,), _ = _solve(params, profile, section, runs)
         return {name: weak_residual(traj, library[name], profile) for name in wr.fields}
 
     base_res = residuals_for(sec)

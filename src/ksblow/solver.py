@@ -51,10 +51,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SolverSection
 from .errors import ParameterError, SolverError
 from .params import SystemParams, validate
 from .signal import SignalProfile, chi_eval
-from .transform import MassFunction
+from .transform import MassFunction, w0_from_density
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -151,33 +152,34 @@ def build_mesh(s_max: float, N: int, ratio: float | None = None) -> np.ndarray:
     return nodes
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """One regularized run: cutoff epsilon, horizon, output times, stepping."""
-
-    epsilon: float
-    t_end: float
-    output_times: tuple
-    cfl_safety: float = 0.4
-    max_dt: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must be in (0, 1) (got {self.epsilon})")
-        if not self.t_end > 0.0:
-            raise ParameterError(f"t_end must be > 0 (got {self.t_end})")
-        if not 0.0 < self.cfl_safety < 1.0:
-            raise ParameterError(f"cfl_safety must be in (0, 1) (got {self.cfl_safety})")
-        times = tuple(float(t) for t in self.output_times)
-        if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-            raise ParameterError(f"output_times must be nonnegative and strictly increasing "
-                                 f"(got {list(times)})")
-        if times and times[-1] > self.t_end:
-            raise ParameterError(f"output_times must not exceed t_end = {self.t_end} "
-                                 f"(got {times[-1]})")
-        object.__setattr__(self, "output_times", times)
-        if self.max_dt is not None and not self.max_dt > 0.0:
-            raise ParameterError(f"max_dt must be > 0 (got {self.max_dt})")
+def _initial_state(params: SystemParams, config: SolverSection, cutoffs) -> MassFunction:
+    """W0 = c0 min(s, 1) of the plateau datum on the mesh of ``config``.
+    The settings are checked first, in a fixed order: s_max, the mesh,
+    epsilon if set, t_end, cfl_safety, output_times, max_dt, then
+    ``cutoffs``, the setting the caller marches (epsilon or eps_list), which
+    must be set.  On s_max >= 4 the datum's support, the unit ball, lies
+    inside the truncation, so W0(s_max) = c0 is the far-field cap exactly."""
+    if config.s_max < 4.0:
+        raise ParameterError(f"s_max must be >= 4 (got {config.s_max!r})")
+    s = build_mesh(config.s_max, config.N, config.ratio)
+    if config.epsilon is not None and not 0.0 < config.epsilon < 1.0:
+        raise ParameterError(f"epsilon must be in (0, 1) (got {config.epsilon})")
+    if not config.t_end > 0.0:
+        raise ParameterError(f"t_end must be > 0 (got {config.t_end})")
+    if not 0.0 < config.cfl_safety < 1.0:
+        raise ParameterError(f"cfl_safety must be in (0, 1) (got {config.cfl_safety})")
+    times = config.output_times
+    if any(t < 0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
+        raise ParameterError(f"output_times must be nonnegative and strictly increasing "
+                             f"(got {list(times)})")
+    if times and times[-1] > config.t_end:
+        raise ParameterError(f"output_times must not exceed t_end = {config.t_end} "
+                             f"(got {times[-1]})")
+    if config.max_dt is not None and not config.max_dt > 0.0:
+        raise ParameterError(f"max_dt must be > 0 (got {config.max_dt})")
+    if not cutoffs:
+        raise ParameterError("epsilon (or eps_list) is required")
+    return w0_from_density(params.c0, s)
 
 
 @dataclass(frozen=True)
@@ -210,10 +212,13 @@ class Trajectory:
         raise ParameterError(f"no snapshot at t = {t}; have {self.times}")
 
 
-def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConfig,
+def solve_regularized(params: SystemParams, config: SolverSection,
                       profile: SignalProfile) -> Trajectory:
-    """March the regularized problem from w0 to t_end; snapshot at the
-    requested output times.  Deterministic for fixed inputs."""
+    """March the regularized problem at ``config.epsilon`` from the plateau
+    datum W0 = c0 min(s, 1) to t_end, on the graded mesh of ``config``;
+    snapshot at the requested output times.  Deterministic for fixed
+    inputs."""
+    w0 = _initial_state(params, config, config.epsilon)
     check_resolved("epsilon", [config.epsilon], w0.s)
     trajectories, failures = _march(params, w0, config, [config.epsilon], profile)
     if failures:
@@ -221,7 +226,7 @@ def solve_regularized(params: SystemParams, w0: MassFunction, config: SolverConf
     return trajectories[0]
 
 
-def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_list,
+def _march(params: SystemParams, w0: MassFunction, config: SolverSection, eps_list,
            profile: SignalProfile, *, shared_dt: float | None = None):
     """March the cutoffs ``eps_list`` from w0 as one stack on one time grid.
 
@@ -242,9 +247,6 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverConfig, eps_lis
     s = w0.s
     n = params.n
     cap = w0.far_field
-    if abs(w0.w[-1] - cap) > 1e-8 * max(cap, 1.0):
-        raise ParameterError(
-            f"truncation does not reach the far field: W0(s_max) = {w0.w[-1]}, cap = {cap}")
     h = np.diff(s)
     nF = n * profile.F(s)
 
@@ -476,17 +478,6 @@ class SweepReport:
     failures: tuple             # (epsilon, message) for runs that errored
 
 
-def check_eps_list(eps_list) -> list:
-    """The cutoffs of a sweep as floats; they must decrease strictly within
-    (0, 1)."""
-    eps_list = [float(e) for e in eps_list]
-    if any(not 0.0 < e < 1.0 for e in eps_list) or any(
-            b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ParameterError(f"eps_list must be strictly decreasing within (0, 1) "
-                             f"(got {eps_list})")
-    return eps_list
-
-
 def check_resolved(key: str, eps_list, s) -> None:
     """Each cutoff must be resolved by the mesh nodes ``s``: epsilon >= 2 s_1.
     Checked for every cutoff before any step; the message opens with ``key``,
@@ -497,15 +488,20 @@ def check_resolved(key: str, eps_list, s) -> None:
                                  f"must be >= 2*s_1 = {2.0 * s[1]}")
 
 
-def proper_sweep(params: SystemParams, w0: MassFunction, config: SolverConfig,
-                 eps_list, profile: SignalProfile):
-    """Run each epsilon on the shared mesh; report how well the family
-    increases pointwise as epsilon decreases (the regularized solutions climb
-    toward the proper solution).  The cutoffs march on one shared step, one
-    stack per usable CPU.  Violations are reported magnitudes, never asserted
-    away; a failed run is recorded, and the other runs of its stack march
-    again without it, with the same bits."""
-    eps_list = check_eps_list(eps_list)
+def proper_sweep(params: SystemParams, config: SolverSection, profile: SignalProfile):
+    """Run each cutoff of ``config.eps_list``, which must decrease strictly
+    within (0, 1), from the plateau datum on the graded mesh of ``config``;
+    report how well the family increases pointwise as epsilon decreases (the
+    regularized solutions climb toward the proper solution).  The cutoffs
+    march on one shared step, one stack per usable CPU.  Violations are
+    reported magnitudes, never asserted away; a failed run is recorded, and
+    the other runs of its stack march again without it, with the same bits."""
+    w0 = _initial_state(params, config, config.eps_list)
+    eps_list = [float(e) for e in config.eps_list]
+    if any(not 0.0 < e < 1.0 for e in eps_list) or any(
+            b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ParameterError(f"eps_list must be strictly decreasing within (0, 1) "
+                             f"(got {eps_list})")
     check_resolved("eps_list", eps_list, w0.s)
     # a shared step holds for every state in [0, cap], so the smallest cutoff's
     # bound binds, and the discrete comparison argument orders the runs exactly

@@ -4,8 +4,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ksblow import (SignalProfile, SolverConfig, SystemParams, build_mesh,
-                    proper_sweep, solve_regularized, validate, w0_from_density)
+from ksblow import (SignalProfile, SolverSection, SystemParams, proper_sweep,
+                    solve_regularized, validate, w0_from_density)
 
 SCENARIO = SystemParams(n=3, alpha=2.5, f0=2.0, R=0.5, rho=0.1, c0=1.0)
 
@@ -22,12 +22,12 @@ def scenario_profile(scenario):
 
 @pytest.fixture(scope="session")
 def small_run(scenario, scenario_profile):
-    """Cheap scenario run for unit-level checks (N=128, eps=1e-2)."""
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.02,
-                       output_times=(0.0, 0.005, 0.01, 0.02))
-    return solve_regularized(scenario, w0, cfg, scenario_profile), w0
+    """Cheap scenario run for unit-level checks (N=128, eps=1e-2), with its
+    initial datum on its mesh."""
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.02,
+                        output_times=(0.0, 0.005, 0.01, 0.02))
+    traj = solve_regularized(scenario, cfg, scenario_profile)
+    return traj, w0_from_density(1.0, traj.s)
 
 
 @pytest.fixture(scope="session")
@@ -36,16 +36,13 @@ def scenario_sweep(scenario, scenario_profile):
     t_end = 0.05.  Shared by several acceptance criteria."""
     import time
 
-    s = build_mesh(4.0, 512)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.05,
-                       output_times=(0.0, 0.005, 0.01, 0.025, 0.05))
+    cfg = SolverSection(s_max=4.0, N=512, eps_list=(1e-2, 1e-3, 1e-4), t_end=0.05,
+                        output_times=(0.0, 0.005, 0.01, 0.025, 0.05))
     started = time.perf_counter()
-    trajectories, report = proper_sweep(scenario, w0, cfg, (1e-2, 1e-3, 1e-4),
-                                        profile=scenario_profile)
+    trajectories, report = proper_sweep(scenario, cfg, scenario_profile)
     elapsed = time.perf_counter() - started
-    return {"trajectories": trajectories, "report": report, "w0": w0,
-            "elapsed": elapsed}
+    return {"trajectories": trajectories, "report": report,
+            "w0": w0_from_density(1.0, trajectories[0].s), "elapsed": elapsed}
 
 
 @pytest.fixture(scope="session")

@@ -8,11 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from ksblow import (SignalProfile, SolverConfig, SystemParams, build_mesh,
-                    build_testfunction, delta_lower_bound, delta_quadratic,
-                    f0_threshold, measured_c_sub, riccati, solve_regularized,
-                    validate, verify_integral_bound, verify_ode_inequality,
-                    w0_from_density, weak_residual)
+from ksblow import (SignalProfile, SolverSection, SystemParams, build_testfunction,
+                    delta_lower_bound, delta_quadratic, f0_threshold, measured_c_sub,
+                    riccati, solve_regularized, validate, verify_integral_bound,
+                    verify_ode_inequality, weak_residual)
 from ksblow.cli import main as cli_main
 from ksblow.weakform import field_library
 
@@ -254,12 +253,10 @@ def test_criterion_7_weak_residual_convergence(scenario, scenario_profile):
     started = time.perf_counter()
 
     def run(N, max_dt, n_out):
-        s = build_mesh(4.0, N)
-        w0 = w0_from_density(1.0, s)
-        times = tuple(np.linspace(0.0, 0.05, n_out))
-        cfg = SolverConfig(epsilon=1e-2, t_end=0.05, output_times=times,
-                           max_dt=max_dt)
-        return solve_regularized(scenario, w0, cfg, scenario_profile)
+        times = tuple(np.linspace(0.0, 0.05, n_out).tolist())
+        cfg = SolverSection(s_max=4.0, N=N, epsilon=1e-2, t_end=0.05, output_times=times,
+                            max_dt=max_dt)
+        return solve_regularized(scenario, cfg, scenario_profile)
 
     base = run(256, 2e-5, 65)
     fine = run(512, 1e-5, 129)

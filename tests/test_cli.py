@@ -401,6 +401,35 @@ def test_simulate_requires_epsilon(tmp_path, capsys):
     assert "use N >= 67" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("faults, drop, message", [
+    ({"s_max": 3.9, "epsilon": 1.5}, None, "solver.s_max must be >= 4 (got 3.9)"),
+    ({"N": 66, "epsilon": 1.5}, None,
+     "solver.N = 66 is too small for the grading: even ratio 1.2 leaves s_1 > 1e-6*s_max; "
+     "use N >= 67"),
+    ({"epsilon": 1.5, "cfl_safety": 0.0}, None, "solver.epsilon must be in (0, 1) (got 1.5)"),
+    ({"cfl_safety": 0.0, "max_dt": -1.0}, None, "solver.cfl_safety must be in (0, 1) (got 0.0)"),
+    ({"max_dt": -1.0}, "epsilon", "solver.max_dt must be > 0 (got -1.0)"),
+    ({"eps_list": [0.01, 0.02], "cfl_safety": 0.0}, "epsilon",
+     "solver.cfl_safety must be in (0, 1) (got 0.0)"),
+    ({"epsilon": 5e-9, "max_dt": 1e-4}, None,
+     "solver.epsilon: 5e-09 is not resolved by the mesh: a cutoff must be >= 2*s_1 = {two_s1}"),
+], ids=["s_max-epsilon", "N-epsilon", "epsilon-cfl_safety", "cfl_safety-max_dt",
+        "no-epsilon-max_dt", "eps_list-cfl_safety", "unresolved-epsilon"])
+def test_solver_faults_are_reported_in_a_fixed_order(tmp_path, capsys, faults, drop, message):
+    # a section with two faults reports the one checked first: s_max, the
+    # mesh, epsilon, t_end, cfl_safety, output_times, max_dt, a missing
+    # cutoff, then the cutoffs themselves
+    from ksblow.solver import build_mesh
+
+    doc = _simulate_doc(tmp_path / "x")
+    doc["solver"].update(faults)
+    doc["solver"].pop(drop, None)
+    assert main(["simulate", "--config", _write(tmp_path, doc)]) == 1
+    two_s1 = 2.0 * build_mesh(4.0, 96)[1]
+    assert capsys.readouterr().err == f"config error: {message.format(two_s1=two_s1)}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_verify_lemmas_default_grid(tmp_path):
     # no lemma_sweep section at all: the default 100-tuple grid around the
     # configured scenario runs and every tuple passes
@@ -593,8 +622,8 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     # a failed cutoff ends blowup like simulate, instead of analysing the
     # cutoffs that survived
     import ksblow.solver as solver_mod
-    from ksblow import (SignalProfile, SolverConfig, SystemParams, build_mesh, chi_eval,
-                        proper_sweep, validate, w0_from_density)
+    from ksblow import (SignalProfile, SolverSection, SystemParams, build_mesh, chi_eval,
+                        proper_sweep, validate)
 
     out = tmp_path / "bsweep"
     doc = _simulate_doc(out, eps_list=[0.04, 0.02])
@@ -605,12 +634,11 @@ def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
     params = validate(SystemParams(**SCENARIO_SYSTEM))
     profile = SignalProfile.from_params(params)
     s = build_mesh(sec["s_max"], sec["N"])
-    w0 = w0_from_density(params.c0, s)
     dt = min(solver_mod.cap_cfl_bound(np.diff(s), chi_eval(eps, s), 3 * profile.F(s),
-                                      w0.far_field, 0.4) for eps in sec["eps_list"])
-    (solo,), _ = proper_sweep(params, w0, SolverConfig(
-        epsilon=0.04, t_end=sec["t_end"], output_times=sec["output_times"], max_dt=dt),
-        [0.04], profile)
+                                      params.c0, 0.4) for eps in sec["eps_list"])
+    (solo,), _ = proper_sweep(params, SolverSection(
+        s_max=sec["s_max"], N=sec["N"], eps_list=(0.04,), t_end=sec["t_end"],
+        output_times=tuple(sec["output_times"]), max_dt=dt), profile)
 
     _nan_in_second_column(monkeypatch)
     assert main(["blowup", "--config", _write(tmp_path, doc)]) == 3

@@ -9,9 +9,9 @@ from importlib.metadata import version
 import numpy as np
 import pytest
 
-from ksblow import (MassFunction, ParameterError, SignalProfile, SolverConfig,
-                    SolverError, SystemParams, build_mesh, measured_c_sub, proper_sweep,
-                    solve_regularized, validate, w0_from_density)
+from ksblow import (MassFunction, ParameterError, SignalProfile, SolverError, SolverSection,
+                    SystemParams, build_mesh, measured_c_sub, proper_sweep, solve_regularized,
+                    validate, w0_from_density)
 from ksblow.solver import _load_flapack, _march, cap_cfl_bound
 
 
@@ -59,11 +59,9 @@ def test_solver_invariants_small(small_run):
 
 
 def test_solver_deterministic(scenario, scenario_profile):
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.0, 0.01))
-    a = solve_regularized(scenario, w0, cfg, scenario_profile)
-    b = solve_regularized(scenario, w0, cfg, scenario_profile)
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.01, output_times=(0.0, 0.01))
+    a = solve_regularized(scenario, cfg, scenario_profile)
+    b = solve_regularized(scenario, cfg, scenario_profile)
     for wa, wb in zip(a.snapshots, b.snapshots):
         np.testing.assert_array_equal(wa, wb)
 
@@ -89,17 +87,15 @@ def test_march_bits_are_pinned(scenario, scenario_profile, run):
     # step loop that claims the same bits must reproduce these exactly
     import hashlib
 
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
     outputs = (0.0, 0.005, 0.01, 0.02) if run != "sweep" else (0.0, 0.005, 0.02)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=outputs,
-                       max_dt=run if run != "sweep" else None)
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.02, output_times=outputs,
+                        max_dt=run if run != "sweep" else None)
     if run == "sweep":
-        trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 2e-2, 1e-2],
-                                     profile=scenario_profile)
+        trajs, report = proper_sweep(scenario, replace(cfg, eps_list=(4e-2, 2e-2, 1e-2)),
+                                     scenario_profile)
         assert report.failures == ()
     else:
-        trajs = [solve_regularized(scenario, w0, cfg, scenario_profile)]
+        trajs = [solve_regularized(scenario, cfg, scenario_profile)]
     digests, n_steps, n_factorizations, resets = _PINNED[run]
     assert [hashlib.sha256(b"".join(w.tobytes() for w in traj.snapshots)).hexdigest()
             for traj in trajs] == digests
@@ -112,37 +108,32 @@ def test_march_bits_are_pinned(scenario, scenario_profile, run):
 def test_zero_forcing_stays_monotone():
     params = validate(SystemParams(3, 2.5, 0.0, 0.5, 0.1, 1.0))
     profile = SignalProfile.from_params(params)
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.0, 0.01))
-    traj = solve_regularized(params, w0, cfg, profile)
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.01, output_times=(0.0, 0.01))
+    traj = solve_regularized(params, cfg, profile)
     for w in traj.snapshots:
         assert np.min(np.diff(w)) >= -1e-10
 
 
 def test_epsilon_must_be_resolved(scenario, scenario_profile):
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=5e-6, t_end=0.01, output_times=(0.01,))
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=5e-6, t_end=0.01, output_times=(0.01,))
     with pytest.raises(ParameterError, match="not resolved"):
-        solve_regularized(scenario, w0, cfg, scenario_profile)
+        solve_regularized(scenario, cfg, scenario_profile)
 
 
 def test_truncation_must_reach_far_field(scenario, scenario_profile):
-    s = build_mesh(0.5, 128)  # support is the unit ball: cap not reached
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.01, output_times=(0.01,))
-    with pytest.raises(ParameterError, match="far field"):
-        solve_regularized(scenario, w0, cfg, scenario_profile)
+    # the datum's support is the unit ball, so a truncation short of s = 4
+    # is refused before W0 is built on it
+    cfg = SolverSection(s_max=0.5, N=128, epsilon=1e-2, t_end=0.01, output_times=(0.01,))
+    with pytest.raises(ParameterError, match=r"^s_max must be >= 4 \(got 0\.5\)"):
+        solve_regularized(scenario, cfg, scenario_profile)
 
 
 @pytest.mark.parametrize("t_end, times", [(0.0, (0.0,)), (-1.0, ()), (math.nan, ())])
 def test_horizon_must_be_positive(scenario, scenario_profile, t_end, times):
     # a direct solve, without the CLI's own check of solver.t_end
-    w0 = w0_from_density(1.0, build_mesh(4.0, 128))
     with pytest.raises(ParameterError, match=r"^t_end must be > 0"):
-        solve_regularized(scenario, w0, SolverConfig(epsilon=1e-2, t_end=t_end,
-                                                     output_times=times), scenario_profile)
+        solve_regularized(scenario, SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=t_end,
+                                                  output_times=times), scenario_profile)
 
 
 def test_comparison_subsolution(small_run, comparison_check, subsolution_candidate):
@@ -171,21 +162,19 @@ def test_comparison_detector_sanity(small_run, comparison_check):
 
 
 def test_sweep_single_epsilon_trivial_report(scenario, scenario_profile):
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
-    trajs, report = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=(1e-2,), t_end=0.005,
+                        output_times=(0.0, 0.005))
+    trajs, report = proper_sweep(scenario, cfg, scenario_profile)
     assert len(trajs) == 1
     assert report.pair_violations == ()
     assert report.max_violation == 0.0
 
 
 def test_sweep_determinism_same_epsilon(scenario, scenario_profile):
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005))
-    t1, _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
-    t2, _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=(1e-2,), t_end=0.005,
+                        output_times=(0.0, 0.005))
+    t1, _ = proper_sweep(scenario, cfg, scenario_profile)
+    t2, _ = proper_sweep(scenario, cfg, scenario_profile)
     for wa, wb in zip(t1[0].snapshots, t2[0].snapshots):
         np.testing.assert_array_equal(wa, wb)
 
@@ -198,21 +187,18 @@ def test_sweep_checks_every_cutoff_before_any_step(scenario, scenario_profile,
         raise AssertionError("stepped before every cutoff was checked")
 
     monkeypatch.setattr(solver_mod, "solve_banded", no_solve)
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,))
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=(1e-2, 5e-6), t_end=0.005,
+                        output_times=(0.005,))
     with pytest.raises(ParameterError, match=r"^eps_list: 5e-06 is not resolved by the mesh"):
-        proper_sweep(scenario, w0, cfg, [1e-2, 5e-6], profile=scenario_profile)
+        proper_sweep(scenario, cfg, scenario_profile)
 
 
 def test_sweep_rejects_non_decreasing(scenario, scenario_profile):
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.005,))
+    cfg = SolverSection(s_max=4.0, N=128, t_end=0.005, output_times=(0.005,))
     with pytest.raises(ParameterError, match="decreasing"):
-        proper_sweep(scenario, w0, cfg, [1e-3, 1e-2], profile=scenario_profile)
+        proper_sweep(scenario, replace(cfg, eps_list=(1e-3, 1e-2)), scenario_profile)
     with pytest.raises(ParameterError, match="decreasing"):
-        proper_sweep(scenario, w0, cfg, [1e-2, 1e-2], profile=scenario_profile)
+        proper_sweep(scenario, replace(cfg, eps_list=(1e-2, 1e-2)), scenario_profile)
 
 
 def _assert_same_run(a, b):
@@ -240,14 +226,15 @@ def test_sweep_rows_match_solo_runs(scenario, scenario_profile):
     w0 = w0_from_density(1.0, s)
     eps_list = (1e-2, 1e-3, 1e-4)
     dt = _shared_dt(scenario_profile, s, w0, eps_list)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002))
-    trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=eps_list, t_end=0.002,
+                        output_times=(0.0, 0.0013, 0.002))
+    trajs, report = proper_sweep(scenario, cfg, scenario_profile)
     assert report.failures == ()
     assert [t.epsilon for t in trajs] == list(eps_list)
     for traj in trajs:
         # its solo run on the shared grid: a sweep of one capped at the shared dt
-        (solo,), _ = proper_sweep(scenario, w0, replace(cfg, max_dt=dt), [traj.epsilon],
-                                  profile=scenario_profile)
+        (solo,), _ = proper_sweep(scenario, replace(cfg, eps_list=(traj.epsilon,), max_dt=dt),
+                                  scenario_profile)
         assert solo.metadata["dt_history"]["max"] == dt
         assert solo.metadata["dt_history"]["min"] < dt  # steps were clipped
         assert traj.metadata["n_factorizations"] == 1  # the shared dt, once
@@ -282,13 +269,14 @@ def test_sweep_isolates_failed_runs(scenario, scenario_profile, monkeypatch):
     # the remaining runs march again without it, each as its solo run would
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
-    eps_list = [4e-2, 2e-2, 1e-2]
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.005, output_times=(0.0, 0.005),
-                       max_dt=0.9 * _shared_dt(scenario_profile, s, w0, eps_list))
-    solo = [proper_sweep(scenario, w0, cfg, [eps], profile=scenario_profile)[0][0]
+    eps_list = (4e-2, 2e-2, 1e-2)
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=eps_list, t_end=0.005,
+                        output_times=(0.0, 0.005),
+                        max_dt=0.9 * _shared_dt(scenario_profile, s, w0, eps_list))
+    solo = [proper_sweep(scenario, replace(cfg, eps_list=(eps,)), scenario_profile)[0][0]
             for eps in eps_list]
     calls = _nan_in_column(monkeypatch, 1, at_call=5)
-    trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    trajs, report = proper_sweep(scenario, cfg, scenario_profile)
     assert [t.epsilon for t in trajs] == [4e-2, 1e-2]
     (eps, message), = report.failures
     assert eps == 2e-2
@@ -302,16 +290,14 @@ def test_rows_failing_on_the_same_step(scenario, scenario_profile, monkeypatch):
     # two rows of a stack fail on its third step: both failures come back,
     # in epsilon order, and the row between them marches again alone, as
     # its row of the sweep without failures, bit for bit
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    eps_list = [4e-2, 2e-2, 1e-2]
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.003, output_times=(0.0, 0.0013, 0.003))
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=(4e-2, 2e-2, 1e-2), t_end=0.003,
+                        output_times=(0.0, 0.0013, 0.003))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    clean, _ = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    clean, _ = proper_sweep(scenario, cfg, scenario_profile)
     calls = _nan_in_column(monkeypatch, [0, 2], at_call=3)
-    (traj,), report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    (traj,), report = proper_sweep(scenario, cfg, scenario_profile)
     assert [eps for eps, _ in report.failures] == [4e-2, 1e-2]
-    assert all(message.startswith(f"monotonicity violated by nan at s = {s[39]}, t = ")
+    assert all(message.startswith(f"monotonicity violated by nan at s = {traj.s[39]}, t = ")
                for _, message in report.failures)
     _assert_same_run(traj, clean[1])
     assert {**traj.metadata, "wall_time_s": None} == {**clean[1].metadata, "wall_time_s": None}
@@ -321,13 +307,13 @@ def test_rows_failing_on_the_same_step(scenario, scenario_profile, monkeypatch):
 def test_step_underflow_fails_every_row(scenario, scenario_profile):
     # a step below the floor ends the march at t = 0: a single run raises,
     # and every row of a stack leaves it as a failure, none as a trajectory
-    w0 = w0_from_density(1.0, build_mesh(4.0, 128))
-    cfg = SolverConfig(epsilon=4e-2, t_end=0.002, output_times=(0.0, 0.001, 0.002),
-                       cfl_safety=1e-300)
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=4e-2, t_end=0.002,
+                        output_times=(0.0, 0.001, 0.002), cfl_safety=1e-300)
     with pytest.raises(SolverError, match=r"^step-size underflow: dt = ") as info:
-        solve_regularized(scenario, w0, cfg, scenario_profile)
+        solve_regularized(scenario, cfg, scenario_profile)
     assert info.value.location == (None, 0.0)
-    trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 1e-2], profile=scenario_profile)
+    trajs, report = proper_sweep(scenario, replace(cfg, eps_list=(4e-2, 1e-2)),
+                                 scenario_profile)
     assert trajs == []
     assert [eps for eps, _ in report.failures] == [4e-2, 1e-2]
     assert all(message.startswith("step-size underflow: dt = ")
@@ -349,14 +335,15 @@ def test_any_number_of_blocks_gives_the_same_sweep(scenario, scenario_profile, m
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
     eps_list = _BLOCK_EPS[:k]
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.003, output_times=(0.0, 0.0013, 0.003))
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=tuple(eps_list), t_end=0.003,
+                        output_times=(0.0, 0.0013, 0.003))
     stack, failures = _march(scenario, w0, cfg, eps_list, scenario_profile,
                              shared_dt=_shared_dt(scenario_profile, s, w0, eps_list))
     assert failures == [] and len(stack) == k
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    _, one_block = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    _, one_block = proper_sweep(scenario, cfg, scenario_profile)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(blocks)))
-    trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    trajs, report = proper_sweep(scenario, cfg, scenario_profile)
     assert report == one_block and report.failures == ()
     assert [traj.epsilon for traj in trajs] == eps_list
     for traj, row in zip(trajs, stack):
@@ -384,7 +371,7 @@ def test_failures_in_a_forked_block_come_back_in_eps_order(scenario, scenario_pr
 
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.003, output_times=(0.0, 0.0013, 0.003))
+    cfg = SolverSection(s_max=4.0, N=128, t_end=0.003, output_times=(0.0, 0.0013, 0.003))
     dt = _shared_dt(scenario_profile, s, w0, _BLOCK_EPS)
     stack, _ = _march(scenario, w0, cfg, _BLOCK_EPS, scenario_profile, shared_dt=dt)
     parent, real, calls = os.getpid(), solver_mod.solve_banded, []
@@ -425,9 +412,8 @@ def test_sweep_leaves_no_child_process(scenario, scenario_profile, monkeypatch, 
 
     import ksblow.solver as solver_mod
 
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=(4e-2, 1e-2), t_end=0.002,
+                        output_times=(0.0, 0.002))
     parent, real = os.getpid(), solver_mod._march
 
     def nan_at_node_40(x, cap):
@@ -452,14 +438,14 @@ def test_sweep_leaves_no_child_process(scenario, scenario_profile, monkeypatch, 
     monkeypatch.setattr(solver_mod, "_march", march)
     started = time.perf_counter()
     if outcome in ("success", "failed-row"):
-        trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 1e-2], profile=scenario_profile)
+        trajs, report = proper_sweep(scenario, cfg, scenario_profile)
         assert [traj.epsilon for traj in trajs] == ([4e-2, 1e-2] if outcome == "success"
                                                     else [4e-2])
         assert [eps for eps, _ in report.failures] == ([] if outcome == "success" else [1e-2])
     else:
         error = RuntimeError if outcome == "parent-raises" else SolverError
         with pytest.raises(error) as info:
-            proper_sweep(scenario, w0, cfg, [4e-2, 1e-2], profile=scenario_profile)
+            proper_sweep(scenario, cfg, scenario_profile)
         if outcome in ("dead-child", "torn-result"):
             status = int(signal.SIGKILL) if outcome == "dead-child" else 256  # exit code 1
             assert str(info.value) == f"no result for cutoffs [0.01] (wait status {status})"
@@ -477,12 +463,13 @@ def test_stack_shares_the_worst_case_cfl_step(scenario, scenario_profile, cap):
     # such steps, so neither step is clipped shorter
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
-    eps_list = [2e-2, 1e-2]
+    eps_list = (2e-2, 1e-2)
     bound = _shared_dt(scenario_profile, s, w0, eps_list)
     max_dt = None if cap is None else cap * bound
     dt = bound if max_dt is None else min(bound, max_dt)
-    cfg = SolverConfig(epsilon=1e-2, t_end=2.0 * dt, output_times=(), max_dt=max_dt)
-    trajs, report = proper_sweep(scenario, w0, cfg, eps_list, profile=scenario_profile)
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=eps_list, t_end=2.0 * dt, output_times=(),
+                        max_dt=max_dt)
+    trajs, report = proper_sweep(scenario, cfg, scenario_profile)
     assert report.failures == () and len(trajs) == 2
     for traj in trajs:
         assert traj.metadata["n_steps"] == 2
@@ -496,11 +483,9 @@ def test_refinement_stability(scenario, scenario_profile):
     probes = [(0.3, 0.02), (0.7, 0.02)]
     runs = []
     for N, max_dt in ((96, 4e-5), (192, 2e-5), (384, 1e-5)):
-        s = build_mesh(4.0, N)
-        w0 = w0_from_density(1.0, s)
-        cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=(0.0, 0.02),
-                           max_dt=max_dt)
-        runs.append(solve_regularized(scenario, w0, cfg, scenario_profile))
+        cfg = SolverSection(s_max=4.0, N=N, epsilon=1e-2, t_end=0.02, output_times=(0.0, 0.02),
+                            max_dt=max_dt)
+        runs.append(solve_regularized(scenario, cfg, scenario_profile))
     for s_probe, t_probe in probes:
         v = [np.interp(s_probe, traj.s, traj.snapshot_at(t_probe).w) for traj in runs]
         d1 = abs(v[1] - v[0])
@@ -573,7 +558,7 @@ _RESIDUAL_MAX = 1e-13  # relative to the cap
 
 def _recording_engine(monkeypatch, params, profile, w0, config):
     """Wrap the solver's dpttrf and solve_banded for one run from ``w0`` with
-    the SolverConfig ``config``.  Each factorization keeps a copy of the
+    the solver section ``config``.  Each factorization keeps a copy of the
     matrix it factored.  Each solve is checked three ways: its factors are
     those of _mass_form at some dt, bit for bit; the solution is the test's
     own dpttrs call on those factors, bit for bit; and it solves the scheme's
@@ -654,9 +639,10 @@ def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch
     w0 = w0_from_density(1.0, s)
     chi = chi_eval(1e-2, s)
     dt = cap_cfl_bound(np.diff(s), chi, 3 * scenario_profile.F(s), w0.far_field, 0.4)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.0013, 0.002))
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.002,
+                        output_times=(0.0, 0.0013, 0.002))
     log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
-    (traj,), _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
+    (traj,), _ = proper_sweep(scenario, replace(cfg, eps_list=(1e-2,)), scenario_profile)
     assert len(log["solves"]) == traj.metadata["n_steps"]
     factored = list(log["factored"].values())
     # the only held factors are those of the CFL dt, assembled as the scheme says
@@ -708,14 +694,14 @@ def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, mon
     # a sweep of one capped at 3e-5 steps by 3e-5; the output times and t_end
     # are no multiples of the shared and capped steps, so each is a clipped step
     max_dt = {"shared": 3e-5, "max_dt": 2.2e-5, "adaptive": None}[stepping]
-    cfg = SolverConfig(epsilon=1e-2, t_end=2e-3, output_times=(0.0, 7e-4, 1.4e-3),
-                       max_dt=max_dt)
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=2e-3,
+                        output_times=(0.0, 7e-4, 1.4e-3), max_dt=max_dt)
     log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
     if stepping == "shared":
-        (traj,), _ = proper_sweep(scenario, w0, cfg, [1e-2], profile=scenario_profile)
+        (traj,), _ = proper_sweep(scenario, replace(cfg, eps_list=(1e-2,)), scenario_profile)
         assert traj.metadata["dt_history"]["max"] == 3e-5
     else:
-        traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+        traj = solve_regularized(scenario, cfg, scenario_profile)
     n_steps = traj.metadata["n_steps"]
     if stepping == "max_dt":
         assert traj.metadata["dt_history"]["max"] == 2.2e-5
@@ -742,10 +728,10 @@ def test_adaptive_step_held_within_cfl_band(scenario, scenario_profile, monkeypa
 
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.05, output_times=(0.0, 0.0175, 0.035),
-                       max_dt=max_dt)
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.05,
+                        output_times=(0.0, 0.0175, 0.035), max_dt=max_dt)
     log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
-    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+    traj = solve_regularized(scenario, cfg, scenario_profile)
     assert len(log["solves"]) == traj.metadata["n_steps"]
     capped = free = 0
     for key, dt, cfl in zip(log["solves"], log["dts"], log["cfl"]):
@@ -786,17 +772,16 @@ def test_boundary_values_exact_without_writes(scenario, scenario_profile, steppi
     # at s_max, and the Dirichlet rows of the step matrix are identity rows
     # without coupling, so every snapshot holds W_0 = 0 and W_N = cap bit for
     # bit, on held, reset and clipped steps and in every row of a stack
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cap = w0.far_field
-    cfg = SolverConfig(epsilon=1e-2, t_end=2e-3, output_times=(0.0, 7e-4, 1.4e-3, 2e-3),
-                       max_dt=2.2e-5 if stepping == "max_dt" else None)
+    cap = scenario.c0
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=2e-3,
+                        output_times=(0.0, 7e-4, 1.4e-3, 2e-3),
+                        max_dt=2.2e-5 if stepping == "max_dt" else None)
     if stepping == "stack":  # three cutoffs on one shared step
-        trajs, report = proper_sweep(scenario, w0, cfg, [1e-2, 1e-3, 1e-4],
-                                     profile=scenario_profile)
+        trajs, report = proper_sweep(scenario, replace(cfg, eps_list=(1e-2, 1e-3, 1e-4)),
+                                     scenario_profile)
         assert report.failures == () and len(trajs) == 3
     else:
-        trajs = [solve_regularized(scenario, w0, cfg, scenario_profile)]
+        trajs = [solve_regularized(scenario, cfg, scenario_profile)]
     for traj in trajs:
         assert traj.times == cfg.output_times
         for w in traj.snapshots:
@@ -855,12 +840,10 @@ def test_stack_check_skips_rows_within_log_level(scenario, scenario_profile, mon
 
     monkeypatch.setattr(solver_mod, "_check_row", check_row)
     calls = _inject_once(monkeypatch, edit)
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cap = w0.far_field
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
-    trajs, report = proper_sweep(scenario, w0, cfg, [4e-2, 2e-2, 1e-2],
-                                 profile=scenario_profile)
+    cap = scenario.c0
+    cfg = SolverSection(s_max=4.0, N=128, eps_list=(4e-2, 2e-2, 1e-2), t_end=0.002,
+                        output_times=(0.0, 0.002))
+    trajs, report = proper_sweep(scenario, cfg, scenario_profile)
     assert calls and report.failures == ()
     assert trajs[0].metadata["violations"] == trajs[2].metadata["violations"] == []
     logged = trajs[1].metadata["violations"]
@@ -888,9 +871,9 @@ def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monke
     calls = _inject_once(monkeypatch, nan_at_node_40)
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
     with pytest.raises(SolverError, match="nan") as err:
-        solve_regularized(scenario, w0, cfg, scenario_profile)
+        solve_regularized(scenario, cfg, scenario_profile)
     assert len(calls) == 1
     s_at, t_at = err.value.location
     assert s_at == s[39]  # the cell [s_39, s_40] holds the NaN drop
@@ -911,17 +894,6 @@ def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monke
     assert [traj.epsilon for traj in trajs] == [4e-2, 1e-2]
     assert all(traj.metadata["violations"] == [] for traj in trajs)
     assert all(traj.times == (0.0, 0.002) for traj in trajs)
-
-
-def test_solve_leaves_caller_grid_writeable(scenario, scenario_profile):
-    # the mass function freezes a copy of a writeable grid, not the caller's own array
-    s = build_mesh(4.0, 128).copy()
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=1e-3, output_times=(1e-3,))
-    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
-    assert s.flags.writeable
-    assert not traj.s.flags.writeable
-    np.testing.assert_array_equal(traj.s, s)
 
 
 def test_cap_cfl_bound_matches_masked_formula():
@@ -966,17 +938,16 @@ def test_small_violation_is_logged(scenario, scenario_profile, monkeypatch, kind
             x[1] = -1e-10 * cap
 
     _inject_once(monkeypatch, dip)
-    s = build_mesh(4.0, 128)
-    w0 = w0_from_density(1.0, s)
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
-    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.002, output_times=(0.0, 0.002))
+    traj = solve_regularized(scenario, cfg, scenario_profile)
+    s = traj.s
     logged = [v for v in traj.metadata["violations"] if v["kind"] == kind]
     assert len(logged) == 1
     if kind == "monotonicity":
         assert logged[0]["s"] == s[63]
         assert logged[0]["magnitude"] == pytest.approx(-1e-10, rel=1e-3, abs=0.0)
     else:
-        assert logged[0]["low"] == -1e-10 * w0.far_field
+        assert logged[0]["low"] == -1e-10 * traj.far_field
 
 
 def test_lapack_loader_names_the_directory_searched(tmp_path, monkeypatch):

@@ -44,18 +44,17 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert unused_public_names(SRC) == []
 
 
-def test_every_solver_setting_is_a_config_key():
-    # a stepping setting that no config key reaches exists only for tests,
-    # and a default that the solver declares is the config key's default
-    from dataclasses import MISSING, fields
-
-    from ksblow.config import SolverSection
-    from ksblow.solver import SolverConfig
-
-    keys = {f.name: f.default for f in fields(SolverSection)}
-    assert [f.name for f in fields(SolverConfig) if f.name not in keys] == []
-    assert [f.name for f in fields(SolverConfig)
-            if f.default is not MISSING and f.default != keys[f.name]] == []
+def test_solver_settings_are_declared_once():
+    # the config's solver section is what the solver runs: no other class
+    # declares a stepping setting that would have to be kept in step with it
+    settings = {"t_end", "cfl_safety", "max_dt"}
+    declaring = sorted(
+        (path.name, node.name) for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) in settings
+            for item in node.body))
+    assert declaring == [("config.py", "SolverSection")]
 
 
 def test_manifest_is_written_by_main_alone():

@@ -61,6 +61,19 @@ def test_reconstruct_rejects_non_monotone():
     assert err.value.location == (s[60], 0.0)  # the drop from node 60 to 61
 
 
+def test_mass_function_leaves_caller_grid_writeable():
+    # a writeable grid is copied and the copy frozen; the caller's own array
+    # stays writeable, and a read-only grid is held as it is
+    s = build_mesh(4.0, 128).copy()
+    mf = w0_from_density(1.0, s)
+    assert s.flags.writeable
+    assert not mf.s.flags.writeable
+    assert mf.s is not s
+    np.testing.assert_array_equal(mf.s, s)
+    frozen = build_mesh(4.0, 128)
+    assert w0_from_density(1.0, frozen).s is frozen
+
+
 def test_mass_function_validation():
     s = np.array([0.0, 0.5, 1.0])
     MassFunction(s=s, w=np.array([0.0, 0.5, 1.0]), time=0.0, far_field=1.0)

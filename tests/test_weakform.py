@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ksblow import (BumpFactor, ParameterError, SolverConfig, StepDownFactor, TestField, build_mesh, solve_regularized,
-                    w0_from_density, weak_residual)
+from ksblow import (BumpFactor, ParameterError, SolverSection, StepDownFactor, TestField,
+                    build_mesh, solve_regularized, weak_residual)
 from ksblow import weakform
 from ksblow.quadrature import gauss_legendre
 from ksblow.solver import Trajectory
@@ -83,12 +83,10 @@ def test_stepdown_factor():
 
 def test_residual_shrinks_under_refinement(scenario, scenario_profile):
     def run(N, max_dt, n_out):
-        s = build_mesh(4.0, N)
-        w0 = w0_from_density(1.0, s)
-        times = tuple(np.linspace(0.0, 0.02, n_out))
-        cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=times,
-                           max_dt=max_dt)
-        return solve_regularized(scenario, w0, cfg, scenario_profile)
+        times = tuple(np.linspace(0.0, 0.02, n_out).tolist())
+        cfg = SolverSection(s_max=4.0, N=N, epsilon=1e-2, t_end=0.02, output_times=times,
+                            max_dt=max_dt)
+        return solve_regularized(scenario, cfg, scenario_profile)
 
     base = run(128, 4e-5, 33)
     fine = run(256, 2e-5, 65)
@@ -100,11 +98,10 @@ def test_residual_shrinks_under_refinement(scenario, scenario_profile):
 
 
 def test_real_run_constant_state(scenario, scenario_profile):
-    s = build_mesh(4.0, 256)
-    w0 = w0_from_density(1.0, s)
-    times = tuple(np.linspace(0.0, 0.02, 33))
-    cfg = SolverConfig(epsilon=1e-2, t_end=0.02, output_times=times, max_dt=4e-5)
-    traj = solve_regularized(scenario, w0, cfg, scenario_profile)
+    times = tuple(np.linspace(0.0, 0.02, 33).tolist())
+    cfg = SolverSection(s_max=4.0, N=256, epsilon=1e-2, t_end=0.02, output_times=times,
+                        max_dt=4e-5)
+    traj = solve_regularized(scenario, cfg, scenario_profile)
     lib = field_library(4.0, 0.02, epsilon=1e-2)
     rep = weak_residual(traj, lib["constant_state"], scenario_profile)
     assert rep.residual <= 1e-8 * rep.scale
