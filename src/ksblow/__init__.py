@@ -21,7 +21,7 @@ from .params import (SystemParams, default_delta, delta_lower_bound, delta_quadr
 from .signal import SignalProfile, chi_eval
 from .solver import (SweepReport, Trajectory, build_mesh, measured_c_sub, proper_sweep,
                      solve_regularized)
-from .transform import MassFunction, w0_from_density, write_csv
+from .transform import w0_from_density, write_csv
 from .weakform import (BumpFactor, ResidualReport, StepDownFactor, TestField,
                        field_library, weak_residual)
 

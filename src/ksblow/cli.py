@@ -39,7 +39,7 @@ from .params import (SystemParams, default_delta, delta_lower_bound, f0_threshol
                      validate)
 from .signal import SignalProfile
 from .solver import measured_c_sub, proper_sweep, solve_regularized
-from .transform import w0_from_density, write_csv, write_rows
+from .transform import write_csv, write_rows
 from .weakform import check_support, field_library, weak_residual
 
 EXIT_OK = 0
@@ -57,12 +57,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()  # a numpy scalar as the Python float, int or bool
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # keep the documents strict JSON
     return obj
@@ -105,7 +101,10 @@ def _resolve_out(cfg: RunConfig, out_flag) -> Path:
     if not directory:
         # Path("") is the working directory
         raise ConfigError(f"{source} is empty: name an output directory")
-    return Path(directory)  # created by the first file written into it
+    path = Path(directory)  # created by the first file written into it
+    if (file := next((p for p in (path, *path.parents) if p.is_file()), None)) is not None:
+        raise ConfigError(f"{source} {directory} is not a directory: {file} is a file")
+    return path
 
 
 def _solver_section(cfg: RunConfig) -> SolverSection:
@@ -120,10 +119,8 @@ def _solver_section(cfg: RunConfig) -> SolverSection:
 
 def _solve(params, profile, sec: SolverSection, runs: list):
     """Solve the section's problem: a cutoff sweep when ``eps_list`` is set,
-    else one run.  The solver checks the section, builds its mesh and the
-    initial datum W0 = c0 min(s, 1) from it, and checks every cutoff against
-    the mesh before any step.  Each finished run's metadata is appended to
-    ``runs``.
+    else one run; the solver checks the section before any step.  Each
+    finished run's metadata is appended to ``runs``.
 
     Returns (trajectories, sweep report or None).
     """
@@ -157,9 +154,21 @@ def _solver_failure(detail) -> _Failure:
                     f"solver failure: {detail}")
 
 
+_SNAPSHOT, _RUN_DIR = "snapshot_t{:g}.csv", "eps_{:g}"  # a run's files, a sweep's runs
+
+
+def _check_names(key: str, values, name: str) -> None:
+    """Distinct ``values`` of the solver setting ``key`` must give distinct
+    output names, formatted by ``name`` to 6 digits: in a monotone list, the
+    only kind the solver takes, a shared name is shared by neighbours."""
+    for a, b in zip(values, values[1:]):
+        if a != b and name.format(a) == name.format(b):
+            raise ConfigError(f"solver.{key}: {a} and {b} share the output name {name.format(a)}")
+
+
 def _emit_run(traj, run_dir: Path) -> None:
-    for k, t in enumerate(traj.times):
-        write_csv(traj.mass_function(k), run_dir / f"snapshot_t{t:g}.csv")
+    for t, w in zip(traj.times, traj.snapshots):
+        write_csv((traj.s, w), run_dir / _SNAPSHOT.format(t))
     write_rows(run_dir / "indicator_beta1.csv", "t,indicator",
                [(t, value) for t, value, _ in indicator_series(traj, 1.0)])
 
@@ -176,13 +185,15 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     sec = _solver_section(cfg)
+    _check_names("output_times", sec.output_times, _SNAPSHOT)
+    _check_names("eps_list", sec.eps_list or (), _RUN_DIR)
     params = validate(cfg.system)
     trajectories, report = _solve(params, SignalProfile.from_params(params), sec, runs)
     if report is None:
         _emit_run(trajectories[0], out_dir)
         return EXIT_OK
     for traj in trajectories:
-        _emit_run(traj, out_dir / f"eps_{traj.epsilon:g}")
+        _emit_run(traj, out_dir / _RUN_DIR.format(traj.epsilon))
     _write_json(out_dir / "sweep_report.json", {
         "eps_list": list(report.eps_list),
         "pair_violations": list(report.pair_violations),
@@ -302,15 +313,14 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, runs: list) -> int:
     t1 = blow.t0 + blow.eta / 2.0
     if not any(abs(t - t1) <= 1e-12 * max(1.0, t1) for t in sec.output_times):
         raise ConfigError(f"output_times must contain t0 + eta/2 = {t1}")
+    _check_names("output_times", sec.output_times, _SNAPSHOT)
 
     trajectories, sweep_report = _solve(params, SignalProfile.from_params(params), sec, runs)
     if sweep_report is not None and sweep_report.failures:
         raise _solver_failure(sweep_report.failures)
     traj = trajectories[-1]
 
-    # W0 on the run's own mesh: measured_c_sub interpolates it at s = 1
-    c_sub = blow.c_sub_override if blow.c_sub_override is not None \
-        else measured_c_sub(traj, w0_from_density(params.c0, traj.s))
+    c_sub = blow.c_sub_override if blow.c_sub_override is not None else measured_c_sub(traj)
 
     tf_section = cfg.test_function or TestFnSection()
     xi, delta = tf_section.xi, tf_section.delta
@@ -319,7 +329,7 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, runs: list) -> int:
 
     selection = select_blowup_params(
         blow.t0, blow.eta, params.c0, c_sub, params, xi, delta,
-        w_probe=lambda s: np.interp(s, traj.s, traj.snapshot_at(t1).w))
+        w_probe=lambda s: np.interp(s, traj.s, traj.snapshot_at(t1)))
 
     tf = build_testfunction(params, xi, delta, selection.gamma)
     certificate = _lemma_certificate(tf)

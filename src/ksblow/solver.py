@@ -55,7 +55,7 @@ from .config import SolverSection
 from .errors import ParameterError, SolverError
 from .params import SystemParams, validate
 from .signal import SignalProfile, chi_eval
-from .transform import MassFunction, w0_from_density
+from .transform import w0_from_density
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -152,13 +152,13 @@ def build_mesh(s_max: float, N: int, ratio: float | None = None) -> np.ndarray:
     return nodes
 
 
-def _initial_state(params: SystemParams, config: SolverSection, cutoffs) -> MassFunction:
-    """W0 = c0 min(s, 1) of the plateau datum on the mesh of ``config``.
-    The settings are checked first, in a fixed order: s_max, the mesh,
-    epsilon if set, t_end, cfl_safety, output_times, max_dt, then
-    ``cutoffs``, the setting the caller marches (epsilon or eps_list), which
-    must be set.  On s_max >= 4 the datum's support, the unit ball, lies
-    inside the truncation, so W0(s_max) = c0 is the far-field cap exactly."""
+def _initial_state(params: SystemParams, config: SolverSection, key: str):
+    """(s, W0, cutoffs): the nodes of ``config``'s mesh, the plateau datum
+    W0 = c0 min(s, 1) on them, and the cutoffs of ``key`` ("epsilon" or
+    "eps_list") as a list, after checks in a fixed order: s_max, the mesh,
+    epsilon if set, t_end, cfl_safety, output_times, max_dt, the cutoffs set,
+    strictly decreasing in (0, 1) and each >= 2 s_1.  On s_max >= 4 the unit
+    ball lies inside the truncation, so W0(s_max) = c0 is the cap exactly."""
     if config.s_max < 4.0:
         raise ParameterError(f"s_max must be >= 4 (got {config.s_max!r})")
     s = build_mesh(config.s_max, config.N, config.ratio)
@@ -177,9 +177,18 @@ def _initial_state(params: SystemParams, config: SolverSection, cutoffs) -> Mass
                              f"(got {times[-1]})")
     if config.max_dt is not None and not config.max_dt > 0.0:
         raise ParameterError(f"max_dt must be > 0 (got {config.max_dt})")
+    cutoffs = getattr(config, key)
     if not cutoffs:
         raise ParameterError("epsilon (or eps_list) is required")
-    return w0_from_density(params.c0, s)
+    cutoffs = [float(e) for e in (cutoffs if key == "eps_list" else [cutoffs])]
+    if any(not 0.0 < e < 1.0 for e in cutoffs) or any(b >= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ParameterError(f"eps_list must be strictly decreasing within (0, 1) "
+                             f"(got {cutoffs})")
+    for eps in cutoffs:
+        if eps < 2.0 * s[1]:
+            raise ParameterError(f"{key}: {eps} is not resolved by the mesh: a cutoff "
+                                 f"must be >= 2*s_1 = {2.0 * s[1]}")
+    return s, w0_from_density(params.c0, s), cutoffs
 
 
 @dataclass(frozen=True)
@@ -201,14 +210,10 @@ class Trajectory:
             raise ParameterError("trajectory metadata lacks the dimension n")
         return int(self.metadata["n"])
 
-    def mass_function(self, k: int) -> MassFunction:
-        return MassFunction(s=self.s, w=self.snapshots[k],
-                            time=self.times[k], far_field=self.far_field)
-
-    def snapshot_at(self, t: float) -> MassFunction:
-        for k, tk in enumerate(self.times):
+    def snapshot_at(self, t: float) -> np.ndarray:
+        for tk, w in zip(self.times, self.snapshots):
             if abs(tk - t) <= 1e-12 * max(1.0, abs(t)):
-                return self.mass_function(k)
+                return w
         raise ParameterError(f"no snapshot at t = {t}; have {self.times}")
 
 
@@ -218,17 +223,17 @@ def solve_regularized(params: SystemParams, config: SolverSection,
     datum W0 = c0 min(s, 1) to t_end, on the graded mesh of ``config``;
     snapshot at the requested output times.  Deterministic for fixed
     inputs."""
-    w0 = _initial_state(params, config, config.epsilon)
-    check_resolved("epsilon", [config.epsilon], w0.s)
-    trajectories, failures = _march(params, w0, config, [config.epsilon], profile)
+    s, w0, cutoffs = _initial_state(params, config, "epsilon")
+    trajectories, failures = _march(params, s, w0, config, cutoffs, profile)
     if failures:
         raise failures[0][1]
     return trajectories[0]
 
 
-def _march(params: SystemParams, w0: MassFunction, config: SolverSection, eps_list,
+def _march(params: SystemParams, s, w0, config: SolverSection, eps_list,
            profile: SignalProfile, *, shared_dt: float | None = None):
-    """March the cutoffs ``eps_list`` from w0 as one stack on one time grid.
+    """March the cutoffs ``eps_list`` from W0 = ``w0`` on the nodes ``s``, up
+    to the cap c0 of ``params``, as one stack on one time grid.
 
     Row r of the C-ordered (k, N+1) state is the run at eps_list[r]; its
     transpose is the (N+1, k) right-hand side of one LAPACK solve per step,
@@ -244,9 +249,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverSection, eps_li
     which is the time of the last march.
     """
     params = validate(params)
-    s = w0.s
-    n = params.n
-    cap = w0.far_field
+    n, cap = params.n, params.c0
     h = np.diff(s)
     nF = n * profile.F(s)
 
@@ -270,7 +273,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverSection, eps_li
     # cell [s_i, s_{i+1}]: 0 at s = 0, where chi is, and at s_max, which has
     # no cell
     k = len(eps_list)
-    w = np.tile(np.concatenate(([0.0], w0.w[1:-1], [cap])), k)
+    w = np.tile(np.concatenate(([0.0], w0[1:-1], [cap])), k)
     ws = np.zeros_like(w)
     drops, coef, w_hi, w_lo = ws[:-1], np.empty_like(w), w[1:], w[:-1]
     factor = np.concatenate([np.append(chi_eval(eps, s)[:-1] / h, 0.0) for eps in eps_list])
@@ -398,7 +401,7 @@ def _march(params: SystemParams, w0: MassFunction, config: SolverSection, eps_li
     if failures:  # the other rows march again without the failed ones
         failed = {r for r, _ in failures}
         rest = [eps for r, eps in enumerate(eps_list) if r not in failed]
-        trajectories, more = _march(params, w0, config, rest, profile,
+        trajectories, more = _march(params, s, w0, config, rest, profile,
                                     shared_dt=shared_dt) if rest else ([], [])
         return trajectories, sorted([(eps_list[r], exc) for r, exc in failures] + more,
                                     key=lambda f: eps_list.index(f[0]))
@@ -478,16 +481,6 @@ class SweepReport:
     failures: tuple             # (epsilon, message) for runs that errored
 
 
-def check_resolved(key: str, eps_list, s) -> None:
-    """Each cutoff must be resolved by the mesh nodes ``s``: epsilon >= 2 s_1.
-    Checked for every cutoff before any step; the message opens with ``key``,
-    the argument that holds the cutoffs."""
-    for eps in eps_list:
-        if eps < 2.0 * s[1]:
-            raise ParameterError(f"{key}: {eps} is not resolved by the mesh: a cutoff "
-                                 f"must be >= 2*s_1 = {2.0 * s[1]}")
-
-
 def proper_sweep(params: SystemParams, config: SolverSection, profile: SignalProfile):
     """Run each cutoff of ``config.eps_list``, which must decrease strictly
     within (0, 1), from the plateau datum on the graded mesh of ``config``;
@@ -496,20 +489,14 @@ def proper_sweep(params: SystemParams, config: SolverSection, profile: SignalPro
     march on one shared step, one stack per usable CPU.  Violations are
     reported magnitudes, never asserted away; a failed run is recorded, and
     the other runs of its stack march again without it, with the same bits."""
-    w0 = _initial_state(params, config, config.eps_list)
-    eps_list = [float(e) for e in config.eps_list]
-    if any(not 0.0 < e < 1.0 for e in eps_list) or any(
-            b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ParameterError(f"eps_list must be strictly decreasing within (0, 1) "
-                             f"(got {eps_list})")
-    check_resolved("eps_list", eps_list, w0.s)
+    s, w0, eps_list = _initial_state(params, config, "eps_list")
     # a shared step holds for every state in [0, cap], so the smallest cutoff's
     # bound binds, and the discrete comparison argument orders the runs exactly
-    h, nF = np.diff(w0.s), params.n * profile.F(w0.s)
-    dt = min(cap_cfl_bound(h, chi_eval(eps, w0.s), nF, w0.far_field, config.cfl_safety)
+    h, nF = np.diff(s), params.n * profile.F(s)
+    dt = min(cap_cfl_bound(h, chi_eval(eps, s), nF, params.c0, config.cfl_safety)
              for eps in eps_list)
     trajectories, failed = _march_blocks(
-        lambda block: _march(params, w0, config, block, profile, shared_dt=dt), eps_list)
+        lambda block: _march(params, s, w0, config, block, profile, shared_dt=dt), eps_list)
     failures = [(eps, str(exc)) for eps, exc in failed]
 
     # every row steps on one grid, so all share their output times
@@ -570,12 +557,11 @@ def _march_blocks(march, eps_list):
     return [t for r in results for t in r[0]], [f for r in results for f in r[1]]
 
 
-def measured_c_sub(traj: Trajectory, w0: MassFunction) -> float:
+def measured_c_sub(traj: Trajectory) -> float:
     """min{1, min over output times of W(1/2, t) / W0(1)}: the constant that
-    scales s^2 W0(s) into a subsolution on [0, 1]."""
-    w0_at_1 = float(np.interp(1.0, w0.s, w0.w))
-    if w0_at_1 <= 0:
-        raise ParameterError("W0(1) must be positive to scale a subsolution")
+    scales s^2 W0(s) into a subsolution on [0, 1].  W0 = c0 min(s, 1) with c0
+    the run's far field, and W0(1) is interpolated between the run's nodes."""
+    w0_at_1 = float(np.interp(1.0, traj.s, w0_from_density(traj.far_field, traj.s)))
     vals = [float(np.interp(0.5, traj.s, w)) for w in traj.snapshots]
     return min(1.0, min(vals) / w0_at_1)
 

@@ -1,5 +1,5 @@
-"""Mass-accumulation transform of the plateau initial datum, sampled mass
-functions and their CSV files.
+"""The mass function W, the plateau initial datum W0 and the CSV files of
+sampled W.
 
 For a radial density u(r) >= 0 in n dimensions the mass function is
 
@@ -14,44 +14,14 @@ W(0) = 0, that atom shows as the plateau of W from about s = eps outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
 
-
-@dataclass(frozen=True)
-class MassFunction:
-    """A time-stamped sampling of W on a graded grid starting at s = 0;
-    ``far_field`` is the limit n*mu/|S_{n-1}|.  The grid is held read-only:
-    a writeable one is copied, so the caller's own array stays writeable."""
-
-    s: np.ndarray
-    w: np.ndarray
-    time: float
-    far_field: float
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        if s.flags.writeable:
-            s = s.copy()
-            s.flags.writeable = False
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "w", w)
-        if s.ndim != 1 or s.shape != w.shape or s.size < 2:
-            raise ParameterError("grid and values must be matching 1-d arrays")
-        if s[0] != 0.0 or not np.all(np.diff(s) > 0):
-            raise ParameterError("grid must start at 0 and increase strictly")
-
-
-def w0_from_density(c0: float, mesh_s) -> MassFunction:
-    """Initial mass function of the plateau u0 = c0 on the unit ball, exactly
-    on the given grid: W0(s) = c0 * min(s, 1), with far-field cap c0."""
-    s = np.asarray(mesh_s, dtype=float)
-    return MassFunction(s=s, w=c0 * np.minimum(s, 1.0), time=0.0, far_field=c0)
+def w0_from_density(c0: float, s) -> np.ndarray:
+    """W0(s) = c0 min(s, 1) of the plateau u0 = c0 on the unit ball, on the nodes ``s``."""
+    return c0 * np.minimum(s, 1.0)
 
 
 # cell text by exact type: an int, a float or a np.float64 (a float subclass)
@@ -77,7 +47,8 @@ def write_rows(path, header: str, rows) -> None:
                                 for row in rows))
 
 
-def write_csv(w: MassFunction, path) -> None:
-    """Snapshot as two-column CSV (header mandatory, full-precision floats),
-    formatted from Python floats, as ``write_rows`` formats a float."""
-    _write_lines(path, "s,W", (f"{s!r},{v!r}\n" for s, v in zip(w.s.tolist(), w.w.tolist())))
+def write_csv(snapshot, path) -> None:
+    """Snapshot ``(s, W)`` as two-column CSV (header mandatory, full-precision
+    floats), formatted from Python floats, as ``write_rows`` formats a float."""
+    s, w = snapshot
+    _write_lines(path, "s,W", (f"{a!r},{b!r}\n" for a, b in zip(s.tolist(), w.tolist())))

@@ -72,11 +72,11 @@ def assert_mass_function():
     W <= far_field up to 1e-10, and a non-decreasing profile up to 1e-8, both
     relative to max(far_field, 1)."""
 
-    def check(mf):
-        scale = max(mf.far_field, 1.0)
-        assert abs(mf.w[0]) <= 1e-10 * scale, f"W(0) = {mf.w[0]!r} must vanish"
-        assert np.min(np.diff(mf.w)) >= -1e-8 * scale, "W must be non-decreasing"
-        assert np.max(mf.w) <= mf.far_field * (1.0 + 1e-10), "W exceeds its far-field cap"
+    def check(w, far_field):
+        scale = max(far_field, 1.0)
+        assert abs(w[0]) <= 1e-10 * scale, f"W(0) = {w[0]!r} must vanish"
+        assert np.min(np.diff(w)) >= -1e-8 * scale, "W must be non-decreasing"
+        assert np.max(w) <= far_field * (1.0 + 1e-10), "W exceeds its far-field cap"
 
     return check
 
@@ -118,11 +118,11 @@ def comparison_check():
 @pytest.fixture(scope="session")
 def subsolution_candidate():
     """The candidate c_sub * s^2 * W0(s) of ``comparison_check``, valid on
-    the unit interval in s."""
+    the unit interval in s, with W0 sampled as ``w0`` on the nodes ``nodes``."""
 
-    def candidate_for(c_sub, w0):
+    def candidate_for(c_sub, nodes, w0):
         def candidate(s, _t):
-            return c_sub * np.asarray(s) ** 2 * np.interp(s, w0.s, w0.w)
+            return c_sub * np.asarray(s) ** 2 * np.interp(s, nodes, w0)
 
         return candidate
 

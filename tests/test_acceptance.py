@@ -115,8 +115,8 @@ def test_criterion_3_solver_invariants(scenario_sweep, comparison_check, subsolu
             assert np.min(w) >= -1e-8 * cap
             assert np.max(w) <= cap * (1.0 + 1e-8)
             assert np.min(np.diff(w)) >= -1e-8 * cap
-        c_sub = measured_c_sub(traj, sweep["w0"])
-        rep = comparison_check(traj, subsolution_candidate(c_sub, sweep["w0"]),
+        c_sub = measured_c_sub(traj)
+        rep = comparison_check(traj, subsolution_candidate(c_sub, traj.s, sweep["w0"]),
                                tol=1e-6 * cap, s_window=(0.0, 1.0))
         assert rep.passed, (traj.epsilon, rep)
     assert sweep["elapsed"] < 300.0

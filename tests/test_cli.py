@@ -828,6 +828,57 @@ def test_empty_output_directory_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "work"]
 
 
+@pytest.mark.parametrize("command, key, values, name", [
+    ("simulate", "output_times", [0.0, 0.0012345671, 0.0012345672, 0.01],
+     "snapshot_t0.00123457.csv"),
+    ("blowup", "output_times", [0.0, 0.0012345671, 0.0012345672, 0.005, 0.01],
+     "snapshot_t0.00123457.csv"),
+    ("simulate", "eps_list", [0.0012345672, 0.0012345671], "eps_0.00123457"),
+], ids=["simulate-output_times", "blowup-output_times", "simulate-eps_list"])
+def test_colliding_output_names_are_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                                   key, values, name):
+    # file names keep 6 significant digits: two values that round alike
+    # overwrote one output with the other and exited 0
+    import ksblow.solver as solver_mod
+
+    def no_solve(*_args):
+        raise AssertionError("stepped before the output names were checked")
+
+    monkeypatch.setattr(solver_mod, "solve_banded", no_solve)
+    doc = _blowup_doc(tmp_path / "x")
+    doc["solver"][key] = values
+    if key == "eps_list":
+        del doc["solver"]["epsilon"]
+    assert main([command, "--config", _write(tmp_path, doc)]) == 1
+    a, b = (v for v in values if f"{v:g}" == "0.00123457")
+    assert capsys.readouterr().err == (
+        f"config error: solver.{key}: {a} and {b} share the output name {name}\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("source", ["output.directory", "--out"])
+def test_output_directory_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           source, under):
+    # such a run failed only after the full solve, with a raw traceback
+    import ksblow.solver as solver_mod
+
+    def no_solve(*_args):
+        raise AssertionError("stepped before the output directory was checked")
+
+    monkeypatch.setattr(solver_mod, "solve_banded", no_solve)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    target = taken / "run" if under else taken
+    doc = _simulate_doc(target if source == "output.directory" else tmp_path / "configured")
+    argv = ["simulate", "--config", _write(tmp_path, doc)]
+    assert main(argv + (["--out", str(target)] if source == "--out" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {source} {target} is not a directory: {taken} is a file\n")
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
 def test_verify_lemmas_huge_gamma_is_a_construction_failure(tmp_path, capsys):
     out = tmp_path / "huge"
     doc = _base_doc(lemma_sweep={"tuples": [_GOOD_TUPLE, dict(_GOOD_TUPLE, gamma=1e300)]},

@@ -9,9 +9,9 @@ from importlib.metadata import version
 import numpy as np
 import pytest
 
-from ksblow import (MassFunction, ParameterError, SignalProfile, SolverError, SolverSection,
-                    SystemParams, build_mesh, measured_c_sub, proper_sweep, solve_regularized,
-                    validate, w0_from_density)
+from ksblow import (ParameterError, SignalProfile, SolverError, SolverSection, SystemParams,
+                    build_mesh, measured_c_sub, proper_sweep, solve_regularized, validate,
+                    w0_from_density)
 from ksblow.solver import _load_flapack, _march, cap_cfl_bound
 
 
@@ -138,9 +138,9 @@ def test_horizon_must_be_positive(scenario, scenario_profile, t_end, times):
 
 def test_comparison_subsolution(small_run, comparison_check, subsolution_candidate):
     traj, w0 = small_run
-    c_sub = measured_c_sub(traj, w0)
+    c_sub = measured_c_sub(traj)
     assert 0.0 < c_sub <= 1.0
-    rep = comparison_check(traj, subsolution_candidate(c_sub, w0),
+    rep = comparison_check(traj, subsolution_candidate(c_sub, traj.s, w0),
                            tol=1e-6 * traj.far_field, s_window=(0.0, 1.0))
     assert rep.passed
 
@@ -217,7 +217,7 @@ def _shared_dt(scenario_profile, s, w0, eps_list):
     from ksblow.signal import chi_eval
 
     return min(cap_cfl_bound(np.diff(s), chi_eval(eps, s), 3 * scenario_profile.F(s),
-                             w0.far_field, 0.4) for eps in eps_list)
+                             w0[-1], 0.4) for eps in eps_list)
 
 
 def test_sweep_rows_match_solo_runs(scenario, scenario_profile):
@@ -337,7 +337,7 @@ def test_any_number_of_blocks_gives_the_same_sweep(scenario, scenario_profile, m
     eps_list = _BLOCK_EPS[:k]
     cfg = SolverSection(s_max=4.0, N=128, eps_list=tuple(eps_list), t_end=0.003,
                         output_times=(0.0, 0.0013, 0.003))
-    stack, failures = _march(scenario, w0, cfg, eps_list, scenario_profile,
+    stack, failures = _march(scenario, s, w0, cfg, eps_list, scenario_profile,
                              shared_dt=_shared_dt(scenario_profile, s, w0, eps_list))
     assert failures == [] and len(stack) == k
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -373,7 +373,7 @@ def test_failures_in_a_forked_block_come_back_in_eps_order(scenario, scenario_pr
     w0 = w0_from_density(1.0, s)
     cfg = SolverSection(s_max=4.0, N=128, t_end=0.003, output_times=(0.0, 0.0013, 0.003))
     dt = _shared_dt(scenario_profile, s, w0, _BLOCK_EPS)
-    stack, _ = _march(scenario, w0, cfg, _BLOCK_EPS, scenario_profile, shared_dt=dt)
+    stack, _ = _march(scenario, s, w0, cfg, _BLOCK_EPS, scenario_profile, shared_dt=dt)
     parent, real, calls = os.getpid(), solver_mod.solve_banded, []
 
     def solve_banded(matrix, rhs):
@@ -387,7 +387,7 @@ def test_failures_in_a_forked_block_come_back_in_eps_order(scenario, scenario_pr
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(solver_mod, "solve_banded", solve_banded)
     trajs, failures = solver_mod._march_blocks(
-        lambda block: _march(scenario, w0, cfg, block, scenario_profile, shared_dt=dt),
+        lambda block: _march(scenario, s, w0, cfg, block, scenario_profile, shared_dt=dt),
         _BLOCK_EPS)
     assert [eps for eps, _ in failures] == [3e-2, 1e-2, 5e-3]
     for (eps, exc), step in zip(failures, (7, 5, 3)):
@@ -487,7 +487,7 @@ def test_refinement_stability(scenario, scenario_profile):
                             max_dt=max_dt)
         runs.append(solve_regularized(scenario, cfg, scenario_profile))
     for s_probe, t_probe in probes:
-        v = [np.interp(s_probe, traj.s, traj.snapshot_at(t_probe).w) for traj in runs]
+        v = [np.interp(s_probe, traj.s, traj.snapshot_at(t_probe)) for traj in runs]
         d1 = abs(v[1] - v[0])
         d2 = abs(v[2] - v[1])
         assert d1 >= 1.5 * d2, (s_probe, d1, d2)
@@ -495,12 +495,33 @@ def test_refinement_stability(scenario, scenario_profile):
 
 def test_trajectory_accessors(small_run, assert_mass_function):
     traj, _ = small_run
-    mf = traj.snapshot_at(0.01)
-    assert isinstance(mf, MassFunction)
-    assert mf.time == 0.01
-    assert_mass_function(mf)
+    w = traj.snapshot_at(0.01)
+    assert w is traj.snapshots[traj.times.index(0.01)]
+    assert_mass_function(w, traj.far_field)
     with pytest.raises(ParameterError, match="no snapshot"):
         traj.snapshot_at(0.123)
+
+
+@pytest.mark.parametrize("c0", [0.7, 3.3])
+def test_plateau_height_sets_datum_cap_and_c_sub(c0):
+    # the solver builds W0 = c0 min(s, 1) itself and caps W at c0, at any
+    # height; measured_c_sub reads W0(1) off the run's nodes
+    params = validate(SystemParams(n=3, alpha=2.5, f0=2.0, R=0.5, rho=0.1, c0=c0))
+    profile = SignalProfile.from_params(params)
+    cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.004,
+                        output_times=(0.0, 0.002, 0.004))
+    solo = solve_regularized(params, cfg, profile)
+    swept, report = proper_sweep(params, replace(cfg, eps_list=(2e-2, 1e-2)), profile)
+    assert report.failures == ()
+    for traj in (solo, *swept):
+        assert traj.snapshot_at(0.0).tobytes() == (c0 * np.minimum(traj.s, 1.0)).tobytes()
+        assert traj.far_field == c0
+        assert all(w[-1] == c0 for w in traj.snapshots)
+        w0_at_1 = np.interp(1.0, traj.s, traj.far_field * np.minimum(traj.s, 1.0))
+        assert w0_at_1 != c0  # s = 1 falls between nodes
+        expected = min(1.0, min(float(np.interp(0.5, traj.s, w)) for w in traj.snapshots)
+                       / float(w0_at_1))
+        assert measured_c_sub(traj) == expected
 
 
 def _step_matrix(s, n, dt):
@@ -556,9 +577,9 @@ def _assembled_dt(s, n, diag, off):
 _RESIDUAL_MAX = 1e-13  # relative to the cap
 
 
-def _recording_engine(monkeypatch, params, profile, w0, config):
-    """Wrap the solver's dpttrf and solve_banded for one run from ``w0`` with
-    the solver section ``config``.  Each factorization keeps a copy of the
+def _recording_engine(monkeypatch, params, profile, s, w0, config):
+    """Wrap the solver's dpttrf and solve_banded for one run from ``w0`` on
+    the mesh nodes ``s`` with the solver section ``config``.  Each factorization keeps a copy of the
     matrix it factored.  Each solve is checked three ways: its factors are
     those of _mass_form at some dt, bit for bit; the solution is the test's
     own dpttrs call on those factors, bit for bit; and it solves the scheme's
@@ -576,13 +597,13 @@ def _recording_engine(monkeypatch, params, profile, w0, config):
     import ksblow.solver as solver_mod
     from ksblow.signal import chi_eval
 
-    s, n, cap = w0.s, params.n, w0.far_field
+    n, cap = params.n, params.c0
     h = np.diff(s)
     chi, nF = chi_eval(config.epsilon, s), n * profile.F(s)
     real_factor, real_solve = solver_mod.dpttrf, solver_mod.solve_banded
     targets = [t for t in (*config.output_times, config.t_end) if t > 0.0]
     log = {"factored": {}, "clipped": [], "solves": [], "dts": [], "cfl": [], "cell": [],
-           "t": 0.0, "w": np.concatenate(([0.0], w0.w[1:-1], [cap]))}
+           "t": 0.0, "w": np.concatenate(([0.0], w0[1:-1], [cap]))}
 
     def dpttrf(d, e, **kwargs):
         matrix = (d.copy(), e.copy())
@@ -638,10 +659,10 @@ def test_step_solve_matches_scipy_banded(scenario, scenario_profile, monkeypatch
     s = build_mesh(4.0, 128)
     w0 = w0_from_density(1.0, s)
     chi = chi_eval(1e-2, s)
-    dt = cap_cfl_bound(np.diff(s), chi, 3 * scenario_profile.F(s), w0.far_field, 0.4)
+    dt = cap_cfl_bound(np.diff(s), chi, 3 * scenario_profile.F(s), w0[-1], 0.4)
     cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.002,
                         output_times=(0.0, 0.0013, 0.002))
-    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, s, w0, cfg)
     (traj,), _ = proper_sweep(scenario, replace(cfg, eps_list=(1e-2,)), scenario_profile)
     assert len(log["solves"]) == traj.metadata["n_steps"]
     factored = list(log["factored"].values())
@@ -678,7 +699,7 @@ def test_factored_solve_equals_dptsv_at_a_clipped_dt(scenario_profile, k):
     clipped = 0.0013 - t
     assert 0.0 < clipped < dt
     diag, off = _mass_form(s, 3, clipped)
-    w = np.stack([w0.w * scale for scale in (1.0, 0.7, 0.4)[:k]])
+    w = np.stack([w0 * scale for scale in (1.0, 0.7, 0.4)[:k]])
     rhs = (w * diag).T  # the (N+1, k) columns, as a stack lays them out
     expected = dptsv(diag, off, rhs)[2]
     x = solve_banded(dpttrf(diag.copy(), off.copy())[:2], rhs.copy(order="F"))
@@ -696,7 +717,7 @@ def test_step_matrix_factored_once_per_step_size(scenario, scenario_profile, mon
     max_dt = {"shared": 3e-5, "max_dt": 2.2e-5, "adaptive": None}[stepping]
     cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=2e-3,
                         output_times=(0.0, 7e-4, 1.4e-3), max_dt=max_dt)
-    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, s, w0, cfg)
     if stepping == "shared":
         (traj,), _ = proper_sweep(scenario, replace(cfg, eps_list=(1e-2,)), scenario_profile)
         assert traj.metadata["dt_history"]["max"] == 3e-5
@@ -730,7 +751,7 @@ def test_adaptive_step_held_within_cfl_band(scenario, scenario_profile, monkeypa
     w0 = w0_from_density(1.0, s)
     cfg = SolverSection(s_max=4.0, N=128, epsilon=1e-2, t_end=0.05,
                         output_times=(0.0, 0.0175, 0.035), max_dt=max_dt)
-    log = _recording_engine(monkeypatch, scenario, scenario_profile, w0, cfg)
+    log = _recording_engine(monkeypatch, scenario, scenario_profile, s, w0, cfg)
     traj = solve_regularized(scenario, cfg, scenario_profile)
     assert len(log["solves"]) == traj.metadata["n_steps"]
     capped = free = 0
@@ -885,7 +906,7 @@ def test_nonfinite_w_is_an_invariant_violation(scenario, scenario_profile, monke
 
     _inject_once(monkeypatch, nan_in_row_1)
     eps_list = [4e-2, 2e-2, 1e-2]
-    trajs, failures = _march(scenario, w0, cfg, eps_list, scenario_profile,
+    trajs, failures = _march(scenario, s, w0, cfg, eps_list, scenario_profile,
                              shared_dt=_shared_dt(scenario_profile, s, w0, eps_list))
     (eps, exc), = failures
     assert eps == 2e-2 and str(exc).startswith("monotonicity violated by nan")
