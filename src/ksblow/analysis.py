@@ -454,9 +454,8 @@ class BlowupSelection:
     diagnostics: dict
 
 
-def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
-                         params: SystemParams, xi: float, delta: float,
-                         w_probe) -> BlowupSelection:
+def select_blowup_params(eta: float, c_sub: float, params: SystemParams, xi: float,
+                         delta: float, w_probe) -> BlowupSelection:
     """Pick (kappa, s0, gamma) for the blow-up window (t0, t0 + eta).
 
     kappa saturates its ceiling k0*eta/8.  s0 is found by bisection as the
@@ -471,9 +470,9 @@ def select_blowup_params(t0: float, eta: float, c0: float, c_sub: float,
     holds, with W = w_probe(kappa*gamma^((2-n)/n)) measured at t0 + eta/2
     from a finite-epsilon run (the report labels that substitution).
     """
+    c0, n = params.c0, params.n
     if eta <= 0 or c_sub <= 0 or c0 <= 0:
         raise ParameterError(f"need eta, c0, c_sub > 0 (got {eta}, {c0}, {c_sub})")
-    n = params.n
     # k0 and K0 do not depend on gamma: any admissible one builds them
     tf = build_testfunction(params, xi, delta, 8.0 / (params.R - params.rho))
     k0, K0 = tf.k0, tf.K0
@@ -585,10 +584,10 @@ def y_functional(traj: Trajectory, tf: TestFunction, kappa: float,
     y(t1) = z(t1) holds by construction, so the verdict counts only the
     output times strictly between t1 and z's blow-up time; with none of
     them it is None, not a pass."""
-    if traj.times[-1] < t1 - 1e-12:
-        raise ParameterError(f"trajectory horizon {traj.times[-1]} shorter than t1 = {t1}")
+    if t1 not in traj.times:
+        raise ParameterError(f"no snapshot at t1 = {t1}; have {traj.times}")
     s = traj.s
-    sel = [(t, w) for t, w in zip(traj.times, traj.snapshots) if t >= t1 - 1e-12]
+    sel = [(t, w) for t, w in zip(traj.times, traj.snapshots) if t >= t1]
     times = tuple(t for t, _ in sel)
     y_vals = tuple(integral_phi_linear(tf, s, w) for _, w in sel)
 
@@ -648,8 +647,8 @@ class BlowupReport:
     lipschitz_estimate: float
     lipschitz_location: dict       # {s, t}
     provenance: dict
-    y_functional: YFunctionalReport | None = None
-    verdicts: dict = field(default_factory=dict)
+    y_functional: YFunctionalReport
+    verdicts: dict
 
 
 def indicator_series(traj: Trajectory, beta: float) -> list:
@@ -667,8 +666,7 @@ def indicator_series(traj: Trajectory, beta: float) -> list:
     return rows
 
 
-def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None = None
-                     ) -> BlowupReport:
+def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport) -> BlowupReport:
     """sup W/s^beta over probes s <= s_max/2 and all snapshot times, plus the
     forward-difference Lipschitz estimate."""
     betas = tuple(float(b) for b in betas)
@@ -689,11 +687,9 @@ def blowup_indicator(traj: Trajectory, betas, y_report: YFunctionalReport | None
         i = int(np.argmax(slopes))
         if slopes[i] > lip:
             lip, lip_where = float(slopes[i]), {"s": float(s[:-1][probe_cell][i]), "t": t}
-    verdicts = {"finite_epsilon_trend": True}
-    if y_report is not None:
-        verdicts.update(cap_ok=y_report.cap_ok,
-                        lower_bound_ok=y_report.lower_ok,
-                        riccati_domination_ok=y_report.domination_ok)
+    verdicts = {"finite_epsilon_trend": True, "cap_ok": y_report.cap_ok,
+                "lower_bound_ok": y_report.lower_ok,
+                "riccati_domination_ok": y_report.domination_ok}
     return BlowupReport(
         epsilon=traj.epsilon, betas=betas, sup_w_over_s_beta=sup,
         lipschitz_estimate=lip, lipschitz_location=lip_where,

@@ -272,10 +272,8 @@ def cmd_verify_lemmas(cfg: RunConfig, out_dir: Path, runs: list) -> int:
 
     header = ("n,alpha,f0,R,rho,xi,delta,gamma,constructed,feasible,"
               "margin,margin_ok,integral,integral_bound,pass")
-    write_rows(out_dir / "lemma_checks.csv", header, [
-        (r["n"], r["alpha"], r["f0"], r["R"], r["rho"], r["xi"], r["delta"], r["gamma"],
-         r["constructed"], r["feasible"], r["margin"], r["margin_ok"],
-         r["integral"], r["integral_bound"], r["pass"]) for r in rows])
+    write_rows(out_dir / "lemma_checks.csv", header,
+               [[r[key] for key in header.split(",")] for r in rows])
     runs.append({"tuples": len(rows), "failures": len(failing)})
     for row in failing:
         print(f"FAIL: {row}", file=sys.stderr)
@@ -308,18 +306,28 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, runs: list) -> int:
         return EXIT_INFEASIBLE
     if cfg.blowup is None:
         raise ConfigError("missing blowup section")
-    sec = _solver_section(cfg)
     blow = cfg.blowup
+    if not blow.eta > 0.0:
+        raise ConfigError(f"blowup.eta must be > 0 (got {blow.eta})")
+    if blow.c_sub_override is not None and not blow.c_sub_override > 0.0:
+        raise ConfigError(f"blowup.c_sub_override must be > 0 (got {blow.c_sub_override})")
+    for k, beta in enumerate(blow.betas):
+        if not beta >= 1.0:
+            raise ConfigError(f"blowup.betas[{k}] must be >= 1 (got {beta})")
+    # one run at solver.epsilon; an eps_list is not swept here
+    sec = replace(_solver_section(cfg), eps_list=None)
+    if sec.epsilon is None:
+        raise ConfigError("solver.epsilon is required for blowup")
+    # t1 is the output time that matches t0 + eta/2: the run lands on it
+    # exactly, so every reader takes snapshot k1
     t1 = blow.t0 + blow.eta / 2.0
-    if not any(abs(t - t1) <= 1e-12 * max(1.0, t1) for t in sec.output_times):
+    k1 = next((k for k, t in enumerate(sec.output_times)
+               if abs(t - t1) <= 1e-12 * max(1.0, t1)), None)
+    if k1 is None:
         raise ConfigError(f"output_times must contain t0 + eta/2 = {t1}")
     _check_names("output_times", sec.output_times, _SNAPSHOT)
 
-    trajectories, sweep_report = _solve(params, SignalProfile.from_params(params), sec, runs)
-    if sweep_report is not None and sweep_report.failures:
-        raise _solver_failure(sweep_report.failures)
-    traj = trajectories[-1]
-
+    (traj,), _ = _solve(params, SignalProfile.from_params(params), sec, runs)
     c_sub = blow.c_sub_override if blow.c_sub_override is not None else measured_c_sub(traj)
 
     tf_section = cfg.test_function or TestFnSection()
@@ -328,8 +336,8 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, runs: list) -> int:
         delta = default_delta(params)
 
     selection = select_blowup_params(
-        blow.t0, blow.eta, params.c0, c_sub, params, xi, delta,
-        w_probe=lambda s: np.interp(s, traj.s, traj.snapshot_at(t1)))
+        blow.eta, c_sub, params, xi, delta,
+        w_probe=lambda s: np.interp(s, traj.s, traj.snapshots[k1]))
 
     tf = build_testfunction(params, xi, delta, selection.gamma)
     certificate = _lemma_certificate(tf)
@@ -338,8 +346,8 @@ def cmd_blowup(cfg: RunConfig, out_dir: Path, runs: list) -> int:
                        f"lemma-check failure: gamma = {selection.gamma!r} is not certified "
                        f"(ODE margin {certificate['ode_min_margin']!r}, integral-bound margin "
                        f"{certificate['integral_margin']!r})")
-    y_rep = y_functional(traj, tf, selection.kappa, t1)
-    report = blowup_indicator(traj, blow.betas, y_report=y_rep)
+    y_rep = y_functional(traj, tf, selection.kappa, traj.times[k1])
+    report = blowup_indicator(traj, blow.betas, y_rep)
 
     _emit_run(traj, out_dir / "run")
     write_rows(out_dir / "y_t.csv", "t,y,z", list(zip(y_rep.times, y_rep.y, y_rep.z)))

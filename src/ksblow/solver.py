@@ -210,12 +210,6 @@ class Trajectory:
             raise ParameterError("trajectory metadata lacks the dimension n")
         return int(self.metadata["n"])
 
-    def snapshot_at(self, t: float) -> np.ndarray:
-        for tk, w in zip(self.times, self.snapshots):
-            if abs(tk - t) <= 1e-12 * max(1.0, abs(t)):
-                return w
-        raise ParameterError(f"no snapshot at t = {t}; have {self.times}")
-
 
 def solve_regularized(params: SystemParams, config: SolverSection,
                       profile: SignalProfile) -> Trajectory:

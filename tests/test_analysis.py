@@ -466,7 +466,7 @@ def test_riccati_parameter_validation():
 
 def test_select_blowup_params_formulas(scenario):
     # synthetic measured W: linear ramp capped at 1
-    sel = select_blowup_params(0.0, 0.1, 1.0, 0.5, scenario, 4.0, 0.8,
+    sel = select_blowup_params(0.1, 0.5, scenario, 4.0, 0.8,
                                w_probe=lambda s: min(float(s), 1.0))
     k0 = 1.36 * 4.0 ** (-2.0 / 3.0)
     assert sel.kappa == pytest.approx(k0 * 0.1 / 8.0, rel=1e-14, abs=0.0)
@@ -487,7 +487,7 @@ def test_select_blowup_params_formulas(scenario):
 
 def test_select_blowup_params_failure_path(scenario):
     with pytest.raises(SelectionError) as err:
-        select_blowup_params(0.0, 0.1, 1.0, 0.5, scenario, 4.0, 0.8,
+        select_blowup_params(0.1, 0.5, scenario, 4.0, 0.8,
                              w_probe=lambda s: 0.0)
     assert err.value.failing == "measured_w_inequality"
     assert str(err.value) == f"gamma search exceeded cap {GAMMA_CAP}"
@@ -563,10 +563,13 @@ def test_y_functional_verdict_margins(scenario, first):
 
 
 def test_y_functional_horizon_error(scenario):
+    # t1 must be one of the run's times: past the horizon, between two
+    # snapshots, or off one by a rounding error, y(t1) would be read elsewhere
     tf = build_testfunction(scenario, 4.0, 0.8, 20.0)
     traj = _constant_trajectory()
-    with pytest.raises(ParameterError, match="horizon"):
-        y_functional(traj, tf, kappa=0.0067, t1=0.2)
+    for t1 in (0.2, 0.07, 0.05 - 1e-15):
+        with pytest.raises(ParameterError, match=r"^no snapshot at t1 = "):
+            y_functional(traj, tf, kappa=0.0067, t1=t1)
 
 
 def test_integral_phi_linear_matches_quadrature(scenario):
@@ -601,10 +604,11 @@ def test_blowup_indicator_plateau(scenario):
     snaps = (np.minimum(s, 1.0),)
     traj = Trajectory(s=s, epsilon=1e-2, times=times, snapshots=snaps,
                       far_field=1.0, metadata={"n": 3})
-    rep = blowup_indicator(traj, [1.0])
+    tf = build_testfunction(scenario, 4.0, 0.8, 20.0)
+    rep = blowup_indicator(traj, [1.0], y_functional(traj, tf, kappa=0.0067, t1=0.0))
     sup = rep.sup_w_over_s_beta[1.0]
     assert sup["value"] == pytest.approx(1.0, rel=1e-12, abs=0.0)  # W0/s = c0 on (0, 1]
     assert sup["t"] == 0.0
     json.dumps(asdict(rep))  # serializable
     with pytest.raises(ParameterError, match="betas"):
-        blowup_indicator(traj, [0.5])
+        blowup_indicator(traj, [0.5], rep.y_functional)

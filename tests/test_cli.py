@@ -618,42 +618,6 @@ def _nan_in_second_column(monkeypatch):
     monkeypatch.setattr(solver_mod, "solve_banded", nan_in_second_column)
 
 
-def test_blowup_sweep_failure_exit3(tmp_path, monkeypatch):
-    # a failed cutoff ends blowup like simulate, instead of analysing the
-    # cutoffs that survived
-    import ksblow.solver as solver_mod
-    from ksblow import (SignalProfile, SolverSection, SystemParams, build_mesh, chi_eval,
-                        proper_sweep, validate)
-
-    out = tmp_path / "bsweep"
-    doc = _simulate_doc(out, eps_list=[0.04, 0.02])
-    doc["blowup"] = {"eta": 0.01}
-    # the survivor's solo run on the sweep's grid: a sweep of one capped at
-    # the shared dt
-    sec = doc["solver"]
-    params = validate(SystemParams(**SCENARIO_SYSTEM))
-    profile = SignalProfile.from_params(params)
-    s = build_mesh(sec["s_max"], sec["N"])
-    dt = min(solver_mod.cap_cfl_bound(np.diff(s), chi_eval(eps, s), 3 * profile.F(s),
-                                      params.c0, 0.4) for eps in sec["eps_list"])
-    (solo,), _ = proper_sweep(params, SolverSection(
-        s_max=sec["s_max"], N=sec["N"], eps_list=(0.04,), t_end=sec["t_end"],
-        output_times=tuple(sec["output_times"]), max_dt=dt), profile)
-
-    _nan_in_second_column(monkeypatch)
-    assert main(["blowup", "--config", _write(tmp_path, doc)]) == 3
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["failure"]["kind"] == "solver"
-    [[eps, detail]] = manifest["failure"]["detail"]
-    assert eps == 0.02
-    assert detail.startswith(f"monotonicity violated by nan at s = {s[39]}, t = ")
-    [run] = manifest["runs"]
-    assert run["epsilon"] == 0.04
-    for key in ("n_steps", "n_factorizations", "cfl_resets", "dt_history", "violations"):
-        assert run[key] == solo.metadata[key], key
-    assert not (out / "blowup_report.json").exists()
-
-
 def test_simulate_sweep_failure_exit3(tmp_path, monkeypatch, capsys):
     # a failed cutoff leaves the survivors' outputs and the report, and the
     # manifest holds the survivors' runs and the failed (epsilon, message)
@@ -721,12 +685,22 @@ def test_simulate_step_underflow_leaves_no_run(tmp_path, capsys):
     ("simulate", "solver", "missing solver section"),
     ("blowup", "blowup", "missing blowup section"),
     ("weak-residual", "solver.epsilon", "solver.epsilon is required for weak-residual"),
-], ids=["no-output", "no-solver", "no-blowup", "weak-residual-no-epsilon"])
+    ("blowup", "solver.epsilon", "solver.epsilon is required for blowup"),
+], ids=["no-output", "no-solver", "no-blowup", "weak-residual-no-epsilon",
+        "blowup-no-epsilon"])
 def test_config_errors_exit1_and_create_nothing(tmp_path, capsys, monkeypatch, command,
                                                 drop, message):
+    import ksblow.cli as cli_mod
+
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(cli_mod, "solve_regularized", no_solve)
+    monkeypatch.setattr(cli_mod, "proper_sweep", no_solve)
     monkeypatch.chdir(tmp_path)  # a write into the working directory shows here
     doc = _blowup_doc(tmp_path / "x")
-    if drop == "solver.epsilon":
+    if drop == "solver.epsilon":  # an eps_list is no substitute: only simulate sweeps
+        doc["solver"]["eps_list"] = [0.02, 0.01]
         del doc["solver"]["epsilon"]
     else:
         del doc[drop]
@@ -972,6 +946,56 @@ def test_blowup_reports_lemma_certificate(tmp_path):
     assert cert["n_power_cells"] > 0
     lo, hi = cert["ode_argmin_cell"]
     assert 0.0 < lo < hi
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, 1.4999999999986, 2.0],
+                                   [0.0, 1.0, 1.4999999999986]], ids=["inside", "last"])
+def test_blowup_reads_every_verdict_at_the_matched_t1(tmp_path, times):
+    # t1 = 1.5 matches the output time 1.4999999999986 to 1e-12 relative:
+    # the probe, y(t1) and c_gamma all read that snapshot, and a horizon
+    # that ends there is not shorter than t1
+    out = tmp_path / "b"
+    doc = _base_doc(solver={"epsilon": 0.01, "s_max": 4, "N": 128, "t_end": times[-1],
+                            "output_times": times},
+                    blowup={"t0": 1.0, "eta": 1.0}, output={"directory": str(out)})
+    assert main(["blowup", "--config", _write(tmp_path, doc)]) == 0
+    report = json.loads((out / "blowup_report.json").read_text())
+    y_rep = report["y_functional"]
+    assert y_rep["times"] == times[2:]
+    assert y_rep["c_gamma"] == report["selection"]["diagnostics"]["probe_w"]
+
+
+def test_blowup_marches_epsilon_alone(tmp_path):
+    out = tmp_path / "b"
+    doc = _blowup_doc(out)
+    doc["solver"]["eps_list"] = [0.04, 0.02]
+    assert main(["blowup", "--config", _write(tmp_path, doc)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [run["epsilon"] for run in manifest["runs"]] == [doc["solver"]["epsilon"]]
+    assert json.loads((out / "blowup_report.json").read_text())["epsilon"] == 0.01
+
+
+@pytest.mark.parametrize("blowup, message", [
+    ({"t0": 0.01, "eta": -0.01}, "blowup.eta must be > 0 (got -0.01)"),
+    ({"t0": 0.005, "eta": 0.0}, "blowup.eta must be > 0 (got 0.0)"),
+    ({"eta": 0.01, "c_sub_override": 0.0}, "blowup.c_sub_override must be > 0 (got 0.0)"),
+    ({"eta": 0.01, "betas": [1.0, 0.5]}, "blowup.betas[1] must be >= 1 (got 0.5)"),
+], ids=["eta-negative", "eta-zero", "c_sub_override", "betas"])
+def test_blowup_section_is_checked_before_solving(tmp_path, capsys, monkeypatch, blowup,
+                                                  message):
+    # each t1 = t0 + eta/2 is an output time, so only the section check stops
+    # the solve
+    import ksblow.cli as cli_mod
+
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before the blowup section was checked")
+
+    monkeypatch.setattr(cli_mod, "solve_regularized", no_solve)
+    doc = _blowup_doc(tmp_path / "x")
+    doc["blowup"] = blowup
+    assert main(["blowup", "--config", _write(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_blowup_failed_lemma_certificate_exits4(tmp_path, monkeypatch, capsys):

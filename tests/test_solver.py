@@ -487,7 +487,8 @@ def test_refinement_stability(scenario, scenario_profile):
                             max_dt=max_dt)
         runs.append(solve_regularized(scenario, cfg, scenario_profile))
     for s_probe, t_probe in probes:
-        v = [np.interp(s_probe, traj.s, traj.snapshot_at(t_probe)) for traj in runs]
+        v = [np.interp(s_probe, traj.s, traj.snapshots[traj.times.index(t_probe)])
+             for traj in runs]
         d1 = abs(v[1] - v[0])
         d2 = abs(v[2] - v[1])
         assert d1 >= 1.5 * d2, (s_probe, d1, d2)
@@ -495,11 +496,12 @@ def test_refinement_stability(scenario, scenario_profile):
 
 def test_trajectory_accessors(small_run, assert_mass_function):
     traj, _ = small_run
-    w = traj.snapshot_at(0.01)
-    assert w is traj.snapshots[traj.times.index(0.01)]
+    # the run lands on each output time exactly, so a reader finds its
+    # snapshot by index
+    assert traj.times == (0.0, 0.005, 0.01, 0.02)
+    w = traj.snapshots[traj.times.index(0.01)]
     assert_mass_function(w, traj.far_field)
-    with pytest.raises(ParameterError, match="no snapshot"):
-        traj.snapshot_at(0.123)
+    assert 0.123 not in traj.times
 
 
 @pytest.mark.parametrize("c0", [0.7, 3.3])
@@ -514,7 +516,7 @@ def test_plateau_height_sets_datum_cap_and_c_sub(c0):
     swept, report = proper_sweep(params, replace(cfg, eps_list=(2e-2, 1e-2)), profile)
     assert report.failures == ()
     for traj in (solo, *swept):
-        assert traj.snapshot_at(0.0).tobytes() == (c0 * np.minimum(traj.s, 1.0)).tobytes()
+        assert traj.snapshots[0].tobytes() == (c0 * np.minimum(traj.s, 1.0)).tobytes()
         assert traj.far_field == c0
         assert all(w[-1] == c0 for w in traj.snapshots)
         w0_at_1 = np.interp(1.0, traj.s, traj.far_field * np.minimum(traj.s, 1.0))

@@ -64,3 +64,28 @@ def test_manifest_is_written_by_main_alone():
     sites = [getattr(node, "name", None) for node in tree.body for sub in ast.walk(node)
              if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_manifest"]
     assert sites == ["main"]
+
+
+def unread_parameters(src_dir):
+    """(module, function, parameter) for each parameter of a function in
+    ``src_dir`` that its body never reads; ``self`` and ``cls`` are exempt.
+    A read in a nested function or lambda counts for the enclosing one."""
+    unread = []
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      *filter(None, (a.vararg, a.kwarg)))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [(path.name, getattr(node, "name", "<lambda>"), p) for p in params
+                       if p not in read and p not in ("self", "cls")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is an argument every caller passes for nothing
+    assert unread_parameters(SRC) == []
